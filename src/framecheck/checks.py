@@ -25,14 +25,17 @@ magnitude effects are otherwise decoupled from the rotational checks by
 staying on the unit sphere.  Everything is a pure function of the seed, so
 check results are bit-reproducible.
 
-Witness reporting returns the single (element, state) pair attaining the
-maximal residual; ties break toward the earliest element, then the earliest
-state in sample order.
+Every check turns its residuals into a verdict through one reducer,
+``_worst``: the witness is the single (observer, element, state) sample
+attaining the maximal residual, ties breaking toward the earliest observer or
+element, then the earliest state in sample order.  A non-finite residual
+counts as infinite, so it always fails the check and becomes the witness.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional
 
@@ -40,20 +43,18 @@ import numpy as np
 
 from .groups import (
     DEFAULT_SAMPLE_COUNT,
-    GroupKind,
     SymmetryGroup,
     catalog_lookup,
     group_elements_for_check,
     orthogonal_check_set,
 )
 from .models import (
-    ComponentMap,
     ConstitutiveModel,
+    LinearConstant,
     StatePoint,
     evaluate,
     gradient_dependent_kappa,
 )
-from .models import kappa_of as _kappa_of_single
 from .tensors import IDENTITY, ObserverChange, _require_seed, as_tensor2, max_abs
 
 DEFAULT_THETA_SAMPLES = (0.5, 1.0, 300.0)
@@ -72,9 +73,6 @@ class LinearSymmetryClass(enum.Enum):
     ISOTROPIC = "isotropic"
     TRANSVERSELY_ISOTROPIC = "transversely_isotropic"
     ORTHOTROPIC = "orthotropic"
-    # Reserved for completeness; non-symmetric inputs are rejected with
-    # NotSymmetric before classification, so this value is never returned.
-    TRICLINIC = "triclinic"
 
 
 @dataclass(frozen=True)
@@ -136,7 +134,7 @@ class SchurResult(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# state sampling and the batched kappa evaluator
+# state sampling
 
 
 @dataclass(eq=False)
@@ -148,25 +146,6 @@ class _StateBatch:
     denoms: np.ndarray        # (S,)  1 + |flux|_2
     unit_rows: np.ndarray     # (S,) bool, |grad|_2 == 1
     states: list[StatePoint]
-
-
-def _kappa_batch(model: ConstitutiveModel, thetas: np.ndarray, grads: np.ndarray) -> np.ndarray:
-    """Conductivity stacked over states; mirrors kappa_of row by row."""
-    n = grads.shape[0]
-    fam = model.family
-    if fam == "linear_constant":
-        return np.broadcast_to(model.kappa0, (n, 3, 3))
-    if fam == "linear_temperature":
-        from numpy.polynomial import polynomial as npp
-
-        scale = npp.polyval(thetas, model.theta_coeffs)
-        return scale[:, None, None] * model.kappa0
-    if fam == "nonlinear_isotropic":
-        scale = model.a + model.b * np.einsum("si,si->s", grads, grads)
-        return scale[:, None, None] * np.eye(3)
-    if fam == "nonlinear_anisotropic":
-        return model.a_tensor + model.c * np.einsum("si,sj->sij", grads, grads)
-    raise TypeError(f"not a constitutive model: {model!r}")
 
 
 def _unit_directions(cfg: CheckConfig) -> np.ndarray:
@@ -194,7 +173,7 @@ def _sample_states(model: ConstitutiveModel, cfg: CheckConfig) -> _StateBatch:
                 grad_rows.append(mag * d)
     thetas = np.array(theta_rows)
     grads = np.array(grad_rows)
-    kappas = _kappa_batch(model, thetas, grads)
+    kappas = model.kappa(thetas, grads)
     fluxes = np.einsum("sij,sj->si", kappas, grads)
     denoms = 1.0 + np.linalg.norm(fluxes, axis=1)
     unit_rows = np.abs(np.linalg.norm(grads, axis=1) - 1.0) <= 1e-12
@@ -202,10 +181,10 @@ def _sample_states(model: ConstitutiveModel, cfg: CheckConfig) -> _StateBatch:
     return _StateBatch(thetas, grads, kappas, fluxes, denoms, unit_rows, states)
 
 
-def _symmetry_raw_rows(model, element, batch):
-    """Raw residual rows for one group element.
+def _symmetry_rows(model, elements, batch):
+    """Raw residual rows, one tuple per group element H in order:
+    (H, flux_raw, kappa_raw, contracted) with
 
-    Returns (flux_raw, kappa_raw, kappa_contracted_raw):
       flux_raw[s]   = | H^T q(theta, H g) - q(theta, g) |_2
       kappa_raw[s]  = | H kappa(theta, g) - kappa(theta, H g) H |_max
       contracted[s] = | (H kappa(theta, g) - kappa(theta, H g) H) g |_2
@@ -216,43 +195,52 @@ def _symmetry_raw_rows(model, element, batch):
     directions the sampled gradient misses (the zero-gradient state most of
     all).
     """
-    h = element
-    hg = batch.grads @ h.T
-    if gradient_dependent_kappa(model):
-        kappas_h = _kappa_batch(model, batch.thetas, hg)
-    else:
-        kappas_h = batch.kappas
-    flux_h = np.einsum("sij,sj->si", kappas_h, hg)
-    flux_back = flux_h @ h  # rows are H^T @ flux_h
-    flux_raw = np.linalg.norm(flux_back - batch.fluxes, axis=1)
-    left = np.einsum("ij,sjk->sik", h, batch.kappas)
-    right = np.einsum("sij,jk->sik", kappas_h, h)
-    deficit = left - right
-    kappa_raw = np.max(np.abs(deficit), axis=(1, 2))
-    contracted = np.einsum("sij,sj->si", deficit, batch.grads)
-    kappa_contracted_raw = np.linalg.norm(contracted, axis=1)
-    return flux_raw, kappa_raw, kappa_contracted_raw
+    for h in elements:
+        hg = batch.grads @ h.T
+        if gradient_dependent_kappa(model):
+            kappas_h = model.kappa(batch.thetas, hg)
+        else:
+            kappas_h = batch.kappas
+        flux_h = np.einsum("sij,sj->si", kappas_h, hg)
+        flux_back = flux_h @ h  # rows are H^T @ flux_h
+        flux_raw = np.linalg.norm(flux_back - batch.fluxes, axis=1)
+        left = np.einsum("ij,sjk->sik", h, batch.kappas)
+        right = np.einsum("sij,jk->sik", kappas_h, h)
+        deficit = left - right
+        kappa_raw = np.max(np.abs(deficit), axis=(1, 2))
+        contracted = np.einsum("sij,sj->si", deficit, batch.grads)
+        yield h, flux_raw, kappa_raw, np.linalg.norm(contracted, axis=1)
 
 
-def _run_element_check(model, elements, batch, cfg, note=""):
+def _worst(rows, tol: float, note: str = "") -> CheckResult:
+    """Reduce a check's residual rows to its verdict, maximum and witness.
+
+    ``rows`` yields ``(rel, element, observer, states)``: the relative
+    residuals of one pass over (observer, element), with ``rel[s]`` measured
+    at ``states[s]``.  The maximum is taken with one ``np.argmax`` per row;
+    ties break toward the earliest row, then the earliest state.  A
+    non-finite residual counts as inf: the earliest one fails the check and
+    becomes the witness, so NaN can never pass and max_residual is never
+    negative.
+    """
     best = -1.0
-    best_where: tuple[int, int] | None = None
+    best_at = None
     samples = 0
-    for e_idx, h in enumerate(elements):
-        flux_raw, kappa_raw, _ = _symmetry_raw_rows(model, h, batch)
-        rel = np.maximum(flux_raw, kappa_raw) / batch.denoms
+    for rel, element, observer, states in rows:
         samples += rel.size
-        s_idx = int(np.argmax(rel))
+        # a one-sample row (zero_map's per-temperature flux) needs no search
+        s_idx = int(np.argmax(rel)) if rel.size > 1 else 0
         r = float(rel[s_idx])
+        if not math.isfinite(r):
+            # argmax stops at the first NaN, which may follow an inf
+            s_idx = int(np.flatnonzero(~np.isfinite(rel))[0])
+            r = math.inf
         if r > best:
             best = r
-            best_where = (e_idx, s_idx)
-    passed = best <= cfg.tol
-    witness = None
-    if not passed:
-        e_idx, s_idx = best_where
-        witness = Witness(elements[e_idx], batch.states[s_idx])
-    return CheckResult(passed, best, samples, witness, note)
+            best_at = (element, states[s_idx], observer)
+    passed = best <= tol
+    witness = None if passed else Witness(*best_at)
+    return CheckResult(passed, max(best, 0.0), samples, witness, note)
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +258,11 @@ def check_symmetry(model: ConstitutiveModel, group: SymmetryGroup, cfg: CheckCon
     """
     elements = group_elements_for_check(group, cfg.seed)
     batch = _sample_states(model, cfg)
-    return _run_element_check(model, elements, batch, cfg)
+    rows = (
+        (np.maximum(flux_raw, kappa_raw) / batch.denoms, h, None, batch.states)
+        for h, flux_raw, kappa_raw, _ in _symmetry_rows(model, elements, batch)
+    )
+    return _worst(rows, cfg.tol)
 
 
 def check_isotropy(
@@ -305,13 +297,10 @@ def symmetry_form_residuals(
     elements = group_elements_for_check(group, cfg.seed)
     batch = _sample_states(model, cfg)
     mask = batch.unit_rows
-    flux_parts = []
-    kappa_parts = []
-    for h in elements:
-        flux_raw, _, contracted_raw = _symmetry_raw_rows(model, h, batch)
-        flux_parts.append((flux_raw / batch.denoms)[mask])
-        kappa_parts.append((contracted_raw / batch.denoms)[mask])
-    return np.concatenate(flux_parts), np.concatenate(kappa_parts)
+    rows = list(_symmetry_rows(model, elements, batch))
+    flux = np.concatenate([(f / batch.denoms)[mask] for _, f, _, _ in rows])
+    kappa = np.concatenate([(c / batch.denoms)[mask] for _, _, _, c in rows])
+    return flux, kappa
 
 
 def check_frame_indifference(
@@ -335,50 +324,40 @@ def check_frame_indifference(
     """
     elements = group_elements_for_check(group, cfg.seed)
     batch = _sample_states(model, cfg)
-    best = -1.0
-    best_where: tuple[int, int, int] | None = None
-    samples = 0
-    for o_idx, obs in enumerate(observers):
-        q = obs.q_matrix
-        # conductivity form, element-independent: kappa(g) vs Q^T kappa*(Qg) Q
-        arg = batch.grads @ q.T
-        phys = arg @ q
-        kappas_star_inner = _kappa_batch(model, batch.thetas, phys)
-        kappa_star = np.einsum("ij,sjk,lk->sil", q, kappas_star_inner, q)
-        back = np.einsum("ji,sjk,kl->sil", q, kappa_star, q)
-        kappa_rel_rows = np.max(np.abs(batch.kappas - back), axis=(1, 2))
-        for e_idx, h in enumerate(elements):
-            hg = batch.grads @ h.T
-            starred_arg = hg @ q.T
-            phys_h = starred_arg @ q
-            kappas_h = _kappa_batch(model, batch.thetas, phys_h)
-            flux_phys = np.einsum("sij,sj->si", kappas_h, phys_h)
-            starred = flux_phys @ q.T  # rows are Q @ flux
-            flux_back = starred @ q    # rows are Q^T @ starred
-            if gradient_dependent_kappa(model):
-                kappas_ref = _kappa_batch(model, batch.thetas, hg)
-            else:
-                kappas_ref = batch.kappas
-            flux_ref = np.einsum("sij,sj->si", kappas_ref, hg)
-            flux_raw = np.linalg.norm(flux_back - flux_ref, axis=1)
-            rel = np.maximum(flux_raw, kappa_rel_rows) / batch.denoms
-            samples += rel.size
-            s_idx = int(np.argmax(rel))
-            r = float(rel[s_idx])
-            if r > best:
-                best = r
-                best_where = (o_idx, e_idx, s_idx)
-    passed = best <= cfg.tol
-    witness = None
-    if not passed:
-        o_idx, e_idx, s_idx = best_where
-        witness = Witness(elements[e_idx], batch.states[s_idx], observers[o_idx])
+
+    def rows():
+        for obs in observers:
+            q = obs.q_matrix
+            # conductivity form, element-independent: kappa(g) vs Q^T kappa*(Qg) Q
+            arg = batch.grads @ q.T
+            phys = arg @ q
+            kappas_star_inner = model.kappa(batch.thetas, phys)
+            kappa_star = np.einsum("ij,sjk,lk->sil", q, kappas_star_inner, q)
+            back = np.einsum("ji,sjk,kl->sil", q, kappa_star, q)
+            kappa_rel_rows = np.max(np.abs(batch.kappas - back), axis=(1, 2))
+            for h in elements:
+                hg = batch.grads @ h.T
+                starred_arg = hg @ q.T
+                phys_h = starred_arg @ q
+                kappas_h = model.kappa(batch.thetas, phys_h)
+                flux_phys = np.einsum("sij,sj->si", kappas_h, phys_h)
+                starred = flux_phys @ q.T  # rows are Q @ flux
+                flux_back = starred @ q    # rows are Q^T @ starred
+                if gradient_dependent_kappa(model):
+                    kappas_ref = model.kappa(batch.thetas, hg)
+                else:
+                    kappas_ref = batch.kappas
+                flux_ref = np.einsum("sij,sj->si", kappas_ref, hg)
+                flux_raw = np.linalg.norm(flux_back - flux_ref, axis=1)
+                rel = np.maximum(flux_raw, kappa_rel_rows) / batch.denoms
+                yield rel, h, obs, batch.states
+
     note = (
         "holds identically for component maps derived from one tensorial "
         "mapping, anisotropic ones included; a failure indicates a "
         "frame-handling bug rather than material anisotropy"
     )
-    return CheckResult(passed, best, samples, witness, note)
+    return _worst(rows(), cfg.tol, note)
 
 
 def check_observer_independence(
@@ -390,52 +369,37 @@ def check_observer_independence(
     This is the hallmark of isotropy: only an isotropic mapping looks the
     same to every observer component-wise.  Anisotropic conductors fail for
     generic observers even though they are perfectly frame indifferent.
+    The witness reports the observer matrix as its group element.
     """
     batch = _sample_states(model, cfg)
-    best = -1.0
-    best_where: tuple[int, int] | None = None
-    samples = 0
-    for o_idx, obs in enumerate(observers):
-        q = obs.q_matrix
-        phys = batch.grads @ q  # rows are Q^T @ g
-        kappas_phys = _kappa_batch(model, batch.thetas, phys)
-        flux_phys = np.einsum("sij,sj->si", kappas_phys, phys)
-        starred = flux_phys @ q.T  # rows are Q @ flux
-        flux_raw = np.linalg.norm(starred - batch.fluxes, axis=1)
-        kappa_star = np.einsum("ij,sjk,lk->sil", q, kappas_phys, q)
-        kappa_raw = np.max(np.abs(kappa_star - batch.kappas), axis=(1, 2))
-        rel = np.maximum(flux_raw, kappa_raw) / batch.denoms
-        samples += rel.size
-        s_idx = int(np.argmax(rel))
-        r = float(rel[s_idx])
-        if r > best:
-            best = r
-            best_where = (o_idx, s_idx)
-    passed = best <= cfg.tol
-    witness = None
-    if not passed:
-        o_idx, s_idx = best_where
-        witness = Witness(
-            observers[o_idx].q_matrix, batch.states[s_idx], observers[o_idx]
-        )
-    return CheckResult(passed, best, samples, witness)
+
+    def rows():
+        for obs in observers:
+            q = obs.q_matrix
+            phys = batch.grads @ q  # rows are Q^T @ g
+            kappas_phys = model.kappa(batch.thetas, phys)
+            flux_phys = np.einsum("sij,sj->si", kappas_phys, phys)
+            starred = flux_phys @ q.T  # rows are Q @ flux
+            flux_raw = np.linalg.norm(starred - batch.fluxes, axis=1)
+            kappa_star = np.einsum("ij,sjk,lk->sil", q, kappas_phys, q)
+            kappa_raw = np.max(np.abs(kappa_star - batch.kappas), axis=(1, 2))
+            yield np.maximum(flux_raw, kappa_raw) / batch.denoms, q, obs, batch.states
+
+    return _worst(rows(), cfg.tol)
 
 
 def check_zero_map(model: ConstitutiveModel, cfg: CheckConfig) -> CheckResult:
     """The zero-gradient state must map to zero flux at every sampled
     temperature.  Because every family factors through a conductivity tensor,
     the residual is exactly zero, not merely small."""
-    best = -1.0
-    best_state = None
-    for theta in cfg.theta_samples:
-        state = StatePoint(theta, np.zeros(3))
-        r = float(np.linalg.norm(evaluate(model, state)))
-        if r > best:
-            best = r
-            best_state = state
-    passed = best <= cfg.tol
-    witness = None if passed else Witness(IDENTITY, best_state)
-    return CheckResult(passed, best, len(cfg.theta_samples), witness)
+
+    def rows():
+        for theta in cfg.theta_samples:
+            state = StatePoint(theta, np.zeros(3))
+            r = np.linalg.norm(evaluate(model, state))
+            yield np.array([r]), IDENTITY, None, (state,)
+
+    return _worst(rows(), cfg.tol)
 
 
 def schur_reduce(
@@ -496,8 +460,6 @@ def classify_linear_symmetry(kappa0, cfg: CheckConfig) -> LinearSymmetryClass:
         label = LinearSymmetryClass.ORTHOTROPIC
         aligned = np.diag(eigvals)
         group = catalog_lookup("orthotropic")
-    from .models import LinearConstant
-
     verdict = check_symmetry(LinearConstant(aligned), group, cfg)
     if not verdict.passed:
         raise RuntimeError(

@@ -14,6 +14,7 @@ import numpy as np
 
 from .config import ParseError, ValidationError, parse_config
 from .groups import CATALOG_SUMMARY
+from .models import MODEL_FAMILIES
 from .report import emit_report, run_suite
 
 
@@ -72,14 +73,6 @@ def _cmd_run(args) -> int:
     return 0 if report.passed else 1
 
 
-_FAMILY_BLURBS = (
-    ("linear_constant", "q = kappa0 @ g with a constant tensor kappa0"),
-    ("linear_temperature", "q = p(theta) * kappa0 @ g, p polynomial"),
-    ("nonlinear_isotropic", "q = (a + b*|g|^2) * g"),
-    ("nonlinear_anisotropic", "q = (a_tensor + c * outer(g, g)) @ g"),
-)
-
-
 def _cmd_catalog() -> int:
     width = max(len(name) for name, _ in CATALOG_SUMMARY)
     print("symmetry groups:")
@@ -87,9 +80,9 @@ def _cmd_catalog() -> int:
         print(f"  {name:<{width}}  {description}")
     print()
     print("model families:")
-    fam_width = max(len(name) for name, _ in _FAMILY_BLURBS)
-    for name, blurb in _FAMILY_BLURBS:
-        print(f"  {name:<{fam_width}}  {blurb}")
+    fam_width = max(len(name) for name in MODEL_FAMILIES)
+    for name, cls in MODEL_FAMILIES.items():
+        print(f"  {name:<{fam_width}}  {cls.law}")
     return 0
 
 

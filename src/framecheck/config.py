@@ -39,9 +39,10 @@ from __future__ import annotations
 import configparser
 
 import numpy as np
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .groups import UnknownGroupName, catalog_lookup
+from .models import MODEL_FAMILIES
 from .tensors import as_tensor2, is_orthogonal
 
 CHECK_NAMES = (
@@ -55,13 +56,6 @@ CHECK_NAMES = (
 CONFIG_ORTH_TOL = 1e-6
 _MAX_SEED = 2**64 - 1
 
-_FAMILY_PARAMS = {
-    "linear_constant": ("kappa0",),
-    "linear_temperature": ("kappa0", "theta_coeffs"),
-    "nonlinear_isotropic": ("a", "b"),
-    "nonlinear_anisotropic": ("a_tensor", "c"),
-}
-
 
 class ParseError(ValueError):
     """Not well-formed INI text."""
@@ -73,6 +67,9 @@ class ValidationError(ValueError):
 
 @dataclass(frozen=True)
 class ModelSpec:
+    """A model as the config names it: its family plus every family's
+    parameters, of which only the family's own are set."""
+
     family: str
     kappa0: tuple[float, ...] | None = None
     theta_coeffs: tuple[float, ...] | None = None
@@ -122,14 +119,8 @@ class SuiteConfig:
         """Canonical INI text; parse_config(text) reproduces this config
         exactly (floats are emitted with repr, which round-trips)."""
         lines = ["[model]", f"family = {self.model.family}"]
-        for key in _FAMILY_PARAMS[self.model.family]:
-            value = getattr(self.model, key)
-            if key in ("kappa0", "a_tensor"):
-                lines.append(f"{key} = {_fmt_matrix(value)}")
-            elif key == "theta_coeffs":
-                lines.append(f"{key} = {_fmt_floats(value)}")
-            else:
-                lines.append(f"{key} = {float(value)!r}")
+        for key, (_, fmt) in _FAMILY_PARAMS[self.model.family].items():
+            lines.append(f"{key} = {fmt(getattr(self.model, key))}")
         lines += ["", "[group]"]
         if self.group.generators is not None:
             gens = " | ".join(_fmt_matrix(g) for g in self.group.generators)
@@ -195,6 +186,28 @@ def _int(section: str, key: str, raw: str, minimum: int) -> int:
     return value
 
 
+def _coeffs(section: str, key: str, raw: str) -> tuple[float, ...]:
+    values = _floats(section, key, raw)
+    if not values:
+        raise ValidationError(f"{section}.{key}: at least one coefficient required")
+    return values
+
+
+# How a model parameter is parsed and written back, by the annotation of its
+# field in the model class: a 3x3 tensor, a coefficient list or a scalar.
+_PARAM_KINDS = {
+    "np.ndarray": (lambda s, k, raw: _floats(s, k, raw, count=9), _fmt_matrix),
+    "tuple[float, ...]": (_coeffs, _fmt_floats),
+    "float": (_scalar, lambda v: repr(float(v))),
+}
+
+# family -> {parameter: (parse, emit)}, in the order of the class's fields
+_FAMILY_PARAMS = {
+    family: {f.name: _PARAM_KINDS[f.type] for f in fields(cls)}
+    for family, cls in MODEL_FAMILIES.items()
+}
+
+
 def _orthogonal_matrix(section: str, key: str, chunk: str) -> tuple[float, ...]:
     values = _floats(section, key, chunk, count=9)
     if not is_orthogonal(as_tensor2(values), CONFIG_ORTH_TOL):
@@ -216,19 +229,10 @@ def _parse_model(sec) -> ModelSpec:
         if key != "family" and key not in wanted:
             raise ValidationError(f"model.{key}: not a parameter of family {family}")
     kwargs = {}
-    for key in wanted:
+    for key, (parse, _) in wanted.items():
         if key not in sec:
             raise ValidationError(f"model.{key} is required for family {family}")
-        raw = sec[key]
-        if key in ("kappa0", "a_tensor"):
-            kwargs[key] = _floats("model", key, raw, count=9)
-        elif key == "theta_coeffs":
-            values = _floats("model", key, raw)
-            if not values:
-                raise ValidationError("model.theta_coeffs: at least one coefficient required")
-            kwargs[key] = values
-        else:
-            kwargs[key] = _scalar("model", key, raw)
+        kwargs[key] = parse("model", key, sec[key])
     return ModelSpec(family, **kwargs)
 
 

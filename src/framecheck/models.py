@@ -18,7 +18,7 @@ forward.  Temperature is observer-invariant and passes through untouched.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar, Union
+from typing import ClassVar, Union, get_args
 
 import numpy as np
 from numpy.polynomial import polynomial as npp
@@ -41,15 +41,26 @@ class StatePoint:
         object.__setattr__(self, "grad_theta", as_vec3(self.grad_theta))
 
 
+# Each family is one class: its config name, its law as the catalog prints
+# it, its parameters (the dataclass fields) and its batched conductivity.
+# kappa(thetas, grads) takes S states as a (S,) temperature array and a
+# (S, 3) gradient array and returns the (S, 3, 3) conductivity stack.
+
+
 @dataclass(frozen=True, eq=False)
 class LinearConstant:
     """kappa(theta, g) = kappa0."""
 
     kappa0: np.ndarray
     family: ClassVar[str] = "linear_constant"
+    law: ClassVar[str] = "q = kappa0 @ g with a constant tensor kappa0"
+    gradient_dependent: ClassVar[bool] = False
 
     def __post_init__(self):
         object.__setattr__(self, "kappa0", as_tensor2(self.kappa0))
+
+    def kappa(self, thetas: np.ndarray, grads: np.ndarray) -> np.ndarray:
+        return np.broadcast_to(self.kappa0, (grads.shape[0], 3, 3))
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,6 +70,8 @@ class LinearTemperature:
     kappa0: np.ndarray
     theta_coeffs: tuple[float, ...]
     family: ClassVar[str] = "linear_temperature"
+    law: ClassVar[str] = "q = p(theta) * kappa0 @ g, p polynomial"
+    gradient_dependent: ClassVar[bool] = False
 
     def __post_init__(self):
         object.__setattr__(self, "kappa0", as_tensor2(self.kappa0))
@@ -69,6 +82,10 @@ class LinearTemperature:
             raise ValueError("theta_coeffs must be finite")
         object.__setattr__(self, "theta_coeffs", coeffs)
 
+    def kappa(self, thetas: np.ndarray, grads: np.ndarray) -> np.ndarray:
+        scale = npp.polyval(thetas, self.theta_coeffs)
+        return scale[:, None, None] * self.kappa0
+
 
 @dataclass(frozen=True, eq=False)
 class NonlinearIsotropic:
@@ -77,6 +94,8 @@ class NonlinearIsotropic:
     a: float
     b: float
     family: ClassVar[str] = "nonlinear_isotropic"
+    law: ClassVar[str] = "q = (a + b*|g|^2) * g"
+    gradient_dependent: ClassVar[bool] = True
 
     def __post_init__(self):
         for field in ("a", "b"):
@@ -84,6 +103,10 @@ class NonlinearIsotropic:
             if not np.isfinite(v):
                 raise ValueError(f"{field} must be finite")
             object.__setattr__(self, field, v)
+
+    def kappa(self, thetas: np.ndarray, grads: np.ndarray) -> np.ndarray:
+        scale = self.a + self.b * np.einsum("si,si->s", grads, grads)
+        return scale[:, None, None] * np.eye(3)
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,6 +121,8 @@ class NonlinearAnisotropic:
     a_tensor: np.ndarray
     c: float
     family: ClassVar[str] = "nonlinear_anisotropic"
+    law: ClassVar[str] = "q = (a_tensor + c * outer(g, g)) @ g"
+    gradient_dependent: ClassVar[bool] = True
 
     def __post_init__(self):
         object.__setattr__(self, "a_tensor", as_tensor2(self.a_tensor))
@@ -106,37 +131,27 @@ class NonlinearAnisotropic:
             raise ValueError("c must be finite")
         object.__setattr__(self, "c", v)
 
+    def kappa(self, thetas: np.ndarray, grads: np.ndarray) -> np.ndarray:
+        return self.a_tensor + self.c * np.einsum("si,sj->sij", grads, grads)
+
 
 ConstitutiveModel = Union[
     LinearConstant, LinearTemperature, NonlinearIsotropic, NonlinearAnisotropic
 ]
 
-MODEL_FAMILIES: dict[str, type] = {
-    cls.family: cls
-    for cls in (LinearConstant, LinearTemperature, NonlinearIsotropic, NonlinearAnisotropic)
-}
+MODEL_FAMILIES: dict[str, type] = {cls.family: cls for cls in get_args(ConstitutiveModel)}
 
 
 def gradient_dependent_kappa(model: ConstitutiveModel) -> bool:
     """True when kappa varies with the gradient (checkers then sweep several
     gradient magnitudes instead of staying on the unit sphere)."""
-    return isinstance(model, (NonlinearIsotropic, NonlinearAnisotropic))
+    return model.gradient_dependent
 
 
 def kappa_of(model: ConstitutiveModel, z: StatePoint) -> np.ndarray:
-    """Conductivity tensor at a state, in the canonical frame."""
-    if isinstance(model, LinearConstant):
-        return model.kappa0
-    if isinstance(model, LinearTemperature):
-        scale = float(npp.polyval(z.theta, model.theta_coeffs))
-        return scale * model.kappa0
-    if isinstance(model, NonlinearIsotropic):
-        g = z.grad_theta
-        return (model.a + model.b * float(g @ g)) * np.eye(3)
-    if isinstance(model, NonlinearAnisotropic):
-        g = z.grad_theta
-        return model.a_tensor + model.c * np.outer(g, g)
-    raise TypeError(f"not a constitutive model: {model!r}")
+    """Conductivity tensor at a state, in the canonical frame: the one-row
+    case of model.kappa, so it matches the batched checks bit for bit."""
+    return model.kappa(np.array([z.theta]), z.grad_theta[None, :])[0]
 
 
 def evaluate(model: ConstitutiveModel, z: StatePoint) -> np.ndarray:

@@ -13,7 +13,7 @@ the group closure overflowed), which also fails the suite.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -29,13 +29,7 @@ from .checks import (
 )
 from .config import CONFIG_ORTH_TOL, GroupSpec, ModelSpec, SuiteConfig
 from .groups import ClosureOverflow, SymmetryGroup, catalog_lookup, generate_closure
-from .models import (
-    ConstitutiveModel,
-    LinearConstant,
-    LinearTemperature,
-    NonlinearAnisotropic,
-    NonlinearIsotropic,
-)
+from .models import MODEL_FAMILIES, ConstitutiveModel
 from .tensors import ObserverChange, as_tensor2, random_observers
 
 
@@ -57,15 +51,10 @@ class SuiteReport:
 
 
 def build_model(spec: ModelSpec) -> ConstitutiveModel:
-    if spec.family == "linear_constant":
-        return LinearConstant(as_tensor2(spec.kappa0))
-    if spec.family == "linear_temperature":
-        return LinearTemperature(as_tensor2(spec.kappa0), spec.theta_coeffs)
-    if spec.family == "nonlinear_isotropic":
-        return NonlinearIsotropic(spec.a, spec.b)
-    if spec.family == "nonlinear_anisotropic":
-        return NonlinearAnisotropic(as_tensor2(spec.a_tensor), spec.c)
-    raise ValueError(f"unknown model family {spec.family!r}")
+    """The model a spec describes: its family's class, given the spec's
+    values for that class's fields."""
+    cls = MODEL_FAMILIES[spec.family]
+    return cls(**{f.name: getattr(spec, f.name) for f in fields(cls)})
 
 
 def build_group(spec: GroupSpec, sample_count: int) -> SymmetryGroup:

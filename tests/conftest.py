@@ -1,3 +1,6 @@
+import os
+from pathlib import Path
+
 import numpy as np
 from hypothesis import settings
 
@@ -11,6 +14,14 @@ from framecheck import (
 # reproducible CI: no wall-clock deadlines, no random example order
 settings.register_profile("repo", deadline=None, derandomize=True)
 settings.load_profile("repo")
+
+# environment for `python -m framecheck` subprocesses: the package is found
+# in src/ whether or not it is installed
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+SUBPROCESS_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p),
+}
 
 DIAG123 = np.diag([1.0, 2.0, 3.0])
 

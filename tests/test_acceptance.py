@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import framecheck as fc
-from conftest import DIAG123, MODEL_ROSTER
+from conftest import DIAG123, MODEL_ROSTER, SUBPROCESS_ENV
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -221,6 +221,7 @@ def test_cli_exit_codes_and_byte_determinism(capsys):
             [sys.executable, "-m", "framecheck", "run",
              str(CONFIGS / name), "--format", "machine"],
             capture_output=True,
+            env=SUBPROCESS_ENV,
             timeout=120,
         )
 

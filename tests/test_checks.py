@@ -268,3 +268,49 @@ def test_nonlinear_gradient_states_are_probed():
     model = fc.NonlinearAnisotropic(DIAG123, 0.5)
     result = fc.check_symmetry(model, fc.catalog_lookup("z4"), CFG)
     assert result.samples_used == 4 * 3 * (1 + 3 * 35)
+
+
+# kappa = p(theta) * diag(1,2,3) with p(theta) = 1e308 * theta**2: finite at
+# theta = 0.5, overflows to inf at theta = 1 and 300, and the zero-gradient
+# flux there is inf * 0 = NaN
+OVERFLOW = fc.LinearTemperature(DIAG123, (0.0, 0.0, 1e308))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_residual_never_passes():
+    observers = fc.random_observers(5, 0)
+    trivial = fc.catalog_lookup("trivial")
+    results = {
+        "symmetry": fc.check_symmetry(OVERFLOW, trivial, CFG),
+        "frame_indifference": fc.check_frame_indifference(OVERFLOW, trivial, observers, CFG),
+        "observer_independence": fc.check_observer_independence(OVERFLOW, observers, CFG),
+        "isotropy": fc.check_isotropy(OVERFLOW, CFG, sample_count=8),
+        "zero_map": fc.check_zero_map(OVERFLOW, CFG),
+    }
+    for name, result in results.items():
+        assert not result.passed, name
+        assert result.max_residual == np.inf, name
+        assert result.witness is not None, name
+    # the zero-gradient flux is NaN first at theta = 1
+    assert results["zero_map"].witness.state.theta == 1.0
+
+
+def test_reducer_takes_the_earliest_non_finite_sample():
+    states = [fc.StatePoint(1.0 + i, np.zeros(3)) for i in range(4)]
+    rows = [
+        (np.array([0.5, 2.0, 0.0, 0.0]), fc.ROT_X_90, None, states),
+        # argmax alone would pick the NaN at index 3, after the inf at 1
+        (np.array([0.0, np.inf, 7.0, np.nan]), fc.ROT_Y_90, None, states),
+        (np.array([np.nan, 0.0, 0.0, 0.0]), fc.ROT_Z_90, None, states),
+    ]
+    result = fc.checks._worst(iter(rows), tol=1.0)
+    assert not result.passed
+    assert result.max_residual == np.inf
+    assert result.samples_used == 12
+    assert np.array_equal(result.witness.group_element, fc.ROT_Y_90)
+    assert result.witness.state is states[1]
+
+
+def test_reducer_never_reports_a_negative_residual():
+    result = fc.checks._worst(iter(()), tol=1e-9)
+    assert result.passed and result.max_residual == 0.0 and result.samples_used == 0

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import framecheck as fc
+from conftest import SUBPROCESS_ENV
 from framecheck.cli import main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -135,8 +136,26 @@ def test_module_entry_point_smoke():
     proc = subprocess.run(
         [sys.executable, "-m", "framecheck", "catalog"],
         capture_output=True,
+        env=SUBPROCESS_ENV,
         text=True,
         timeout=60,
     )
     assert proc.returncode == 0
     assert "full_orthogonal" in proc.stdout
+
+
+def test_non_finite_conductivity_exits_one(tmp_path, capsysbinary):
+    config = tmp_path / "overflow.ini"
+    config.write_text(
+        "[model]\nfamily = linear_temperature\n"
+        "kappa0 = 1 0 0 ; 0 2 0 ; 0 0 3\ntheta_coeffs = 0 0 1e308\n"
+        "[run]\nobservers = 5\nsample_count = 8\n"
+    )
+    with pytest.warns(RuntimeWarning):
+        code = main(["run", "--format", "machine", str(config)])
+    assert code == 1
+    report = json.loads(capsysbinary.readouterr().out)
+    assert report["verdict"] == "fail"
+    for record in report["checks"]:
+        assert record["passed"] is False, record["name"]
+        assert record["max_residual"] == float("inf"), record["name"]

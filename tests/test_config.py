@@ -175,3 +175,11 @@ def test_check_subset_and_overrides_survive():
     assert tuple(c.name for c in cfg.checks) == ("isotropy", "zero_map")
     assert cfg.checks[0].tol == 1e-7
     assert cfg.checks[1].tol is None
+
+
+def test_model_spec_fields_are_the_union_of_the_family_fields():
+    from dataclasses import fields
+
+    spec_fields = {f.name for f in fields(fc.ModelSpec)} - {"family"}
+    model_fields = {f.name for cls in fc.MODEL_FAMILIES.values() for f in fields(cls)}
+    assert spec_fields == model_fields

@@ -175,3 +175,20 @@ def test_kappa_components_round_trip():
     k_star = fc.kappa_components(cm, (z.theta, starred_grad))
     back = obs.q_matrix.T @ k_star @ obs.q_matrix
     assert fc.max_abs(back - fc.kappa_of(model, z)) <= 1e-12
+
+
+def test_kappa_of_is_the_batch_row_bit_for_bit():
+    from framecheck.checks import _sample_states
+
+    roster = dict((m.family, m) for _, m in MODEL_ROSTER)
+    assert set(roster) == set(fc.MODEL_FAMILIES)
+    rng = np.random.default_rng(11)
+    for family, model in roster.items():
+        batch = _sample_states(model, fc.CheckConfig())
+        thetas = np.concatenate([batch.thetas, rng.uniform(0.1, 400.0, 200)])
+        grads = np.concatenate([batch.grads, 10.0 * rng.standard_normal((200, 3))])
+        kappas = model.kappa(thetas, grads)
+        assert kappas.shape == (len(thetas), 3, 3)
+        for i, (theta, g) in enumerate(zip(thetas, grads)):
+            z = fc.StatePoint(theta, g)
+            assert np.array_equal(fc.kappa_of(model, z), kappas[i]), (family, i)
