@@ -49,6 +49,7 @@ from .groups import (
     orthogonal_check_set,
 )
 from .models import (
+    ComponentMap,
     ConstitutiveModel,
     LinearConstant,
     StatePoint,
@@ -61,6 +62,10 @@ DEFAULT_THETA_SAMPLES = (0.5, 1.0, 300.0)
 NONLINEAR_MAGNITUDES = (0.1, 1.0, 10.0)
 
 _GRADIENT_STREAM = 2
+
+# the public checks run under this: overflow and invalid values are residuals
+# that _worst fails, not warnings
+_nonfinite_fails = np.errstate(over="ignore", invalid="ignore")
 
 
 class NotSymmetric(ValueError):
@@ -181,35 +186,32 @@ def _sample_states(model: ConstitutiveModel, cfg: CheckConfig) -> _StateBatch:
     return _StateBatch(thetas, grads, kappas, fluxes, denoms, unit_rows, states)
 
 
-def _symmetry_rows(model, elements, batch):
-    """Raw residual rows, one tuple per group element H in order:
-    (H, flux_raw, kappa_raw, contracted) with
+def _rotated(model, batch: _StateBatch, h: np.ndarray):
+    """The canonical law at the H-rotated states: kappa(theta, H g), q(theta, H g)."""
+    hg = batch.grads @ h.T
+    kappas_h = model.kappa(batch.thetas, hg) if gradient_dependent_kappa(model) else batch.kappas
+    return kappas_h, np.einsum("sij,sj->si", kappas_h, hg)
 
-      flux_raw[s]   = | H^T q(theta, H g) - q(theta, g) |_2
-      kappa_raw[s]  = | H kappa(theta, g) - kappa(theta, H g) H |_max
-      contracted[s] = | (H kappa(theta, g) - kappa(theta, H g) H) g |_2
+
+def _symmetry_rows(model, elements, batch):
+    """Raw residual rows, one tuple (H, flux_raw, deficit) per element H in order:
+
+      flux_raw[s] = | H^T q(theta, H g) - q(theta, g) |_2
+      deficit[s]  = H kappa(theta, g) - kappa(theta, H g) H
 
     The flux-level deficit is exactly the conductivity-level deficit
-    contracted with the gradient and rotated, so flux_raw and contracted
-    agree to rounding for every state; the matrix form additionally probes
-    directions the sampled gradient misses (the zero-gradient state most of
-    all).
+    contracted with the gradient and rotated, so flux_raw and
+    |deficit g|_2 agree to rounding for every state; the matrix form
+    additionally probes directions the sampled gradient misses (the
+    zero-gradient state most of all).
     """
     for h in elements:
-        hg = batch.grads @ h.T
-        if gradient_dependent_kappa(model):
-            kappas_h = model.kappa(batch.thetas, hg)
-        else:
-            kappas_h = batch.kappas
-        flux_h = np.einsum("sij,sj->si", kappas_h, hg)
-        flux_back = flux_h @ h  # rows are H^T @ flux_h
-        flux_raw = np.linalg.norm(flux_back - batch.fluxes, axis=1)
+        kappas_h, flux_h = _rotated(model, batch, h)
+        # rows of flux_h @ H are H^T flux_h
+        flux_raw = np.linalg.norm(flux_h @ h - batch.fluxes, axis=1)
         left = np.einsum("ij,sjk->sik", h, batch.kappas)
         right = np.einsum("sij,jk->sik", kappas_h, h)
-        deficit = left - right
-        kappa_raw = np.max(np.abs(deficit), axis=(1, 2))
-        contracted = np.einsum("sij,sj->si", deficit, batch.grads)
-        yield h, flux_raw, kappa_raw, np.linalg.norm(contracted, axis=1)
+        yield h, flux_raw, left - right
 
 
 def _worst(rows, tol: float, note: str = "") -> CheckResult:
@@ -247,6 +249,7 @@ def _worst(rows, tol: float, note: str = "") -> CheckResult:
 # public checks
 
 
+@_nonfinite_fails
 def check_symmetry(model: ConstitutiveModel, group: SymmetryGroup, cfg: CheckConfig) -> CheckResult:
     """Does every element H of the group satisfy the symmetry condition
     H^T q(theta, H g) = q(theta, g), equivalently
@@ -259,8 +262,9 @@ def check_symmetry(model: ConstitutiveModel, group: SymmetryGroup, cfg: CheckCon
     elements = group_elements_for_check(group, cfg.seed)
     batch = _sample_states(model, cfg)
     rows = (
-        (np.maximum(flux_raw, kappa_raw) / batch.denoms, h, None, batch.states)
-        for h, flux_raw, kappa_raw, _ in _symmetry_rows(model, elements, batch)
+        (np.maximum(flux_raw, np.max(np.abs(deficit), axis=(1, 2))) / batch.denoms,
+         h, None, batch.states)
+        for h, flux_raw, deficit in _symmetry_rows(model, elements, batch)
     )
     return _worst(rows, cfg.tol)
 
@@ -275,13 +279,11 @@ def check_isotropy(
     element is the counterexample.
     """
     group = catalog_lookup("full_orthogonal", sample_count=sample_count)
-    result = check_symmetry(model, group, cfg)
-    return replace(
-        result,
-        note="sampled check: a pass is evidence of isotropy, a fail is a counterexample",
-    )
+    note = "sampled check: a pass is evidence of isotropy, a fail is a counterexample"
+    return replace(check_symmetry(model, group, cfg), note=note)
 
 
+@_nonfinite_fails
 def symmetry_form_residuals(
     model: ConstitutiveModel, group: SymmetryGroup, cfg: CheckConfig
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -296,61 +298,52 @@ def symmetry_form_residuals(
     """
     elements = group_elements_for_check(group, cfg.seed)
     batch = _sample_states(model, cfg)
-    mask = batch.unit_rows
-    rows = list(_symmetry_rows(model, elements, batch))
-    flux = np.concatenate([(f / batch.denoms)[mask] for _, f, _, _ in rows])
-    kappa = np.concatenate([(c / batch.denoms)[mask] for _, _, _, c in rows])
-    return flux, kappa
+    flux, kappa = [], []
+    for _, flux_raw, deficit in _symmetry_rows(model, elements, batch):
+        contracted = np.linalg.norm(np.einsum("sij,sj->si", deficit, batch.grads), axis=1)
+        flux.append((flux_raw / batch.denoms)[batch.unit_rows])
+        kappa.append((contracted / batch.denoms)[batch.unit_rows])
+    return np.concatenate(flux), np.concatenate(kappa)
 
 
+@_nonfinite_fails
 def check_frame_indifference(
     model: ConstitutiveModel,
     group: SymmetryGroup,
     observers: list[ObserverChange],
     cfg: CheckConfig,
 ) -> CheckResult:
-    """Are the checks themselves observer-stable?
+    """Does every observer's ComponentMap obey the transformation law?
 
-    For every observer Q, group element H and sampled state: the starred
-    component map evaluated at Q-rotated components, rotated back with Q^T,
-    must reproduce the canonical flux at the H-transformed state; and the
-    conductivity components must satisfy kappa = Q^T kappa*(Q g) Q.
+    For every observer Q, group element H and sampled state, the flux of
+    ComponentMap.flux at the observer's components Q H g, rotated back with
+    Q^T, must reproduce the canonical flux q(theta, H g); and
+    ComponentMap.kappa must satisfy kappa = Q^T kappa*(Q g) Q.  The check
+    applies the law itself, so a ComponentMap that rotates with Q in place
+    of Q^T fails it, isotropic conductors included.
 
-    Component maps in this package are all constructed from one tensorial
-    mapping, so this holds identically whatever the material symmetry; a
-    failure indicates a frame-handling bug, not material anisotropy.  In
-    particular it passes for strongly anisotropic conductors, which is the
-    point: frame indifference does not imply isotropy.
+    A correct ComponentMap passes whatever the material symmetry; a failure
+    is a frame-handling bug, not anisotropy.  It passes for strongly
+    anisotropic conductors, which is the point: frame indifference does not
+    imply isotropy.
     """
     elements = group_elements_for_check(group, cfg.seed)
     batch = _sample_states(model, cfg)
 
     def rows():
+        # the canonical flux q(theta, H g) does not depend on the observer
+        refs = [_rotated(model, batch, h)[1] for h in elements]
         for obs in observers:
+            cm = ComponentMap(model, obs)
             q = obs.q_matrix
             # conductivity form, element-independent: kappa(g) vs Q^T kappa*(Qg) Q
-            arg = batch.grads @ q.T
-            phys = arg @ q
-            kappas_star_inner = model.kappa(batch.thetas, phys)
-            kappa_star = np.einsum("ij,sjk,lk->sil", q, kappas_star_inner, q)
-            back = np.einsum("ji,sjk,kl->sil", q, kappa_star, q)
-            kappa_rel_rows = np.max(np.abs(batch.kappas - back), axis=(1, 2))
-            for h in elements:
-                hg = batch.grads @ h.T
-                starred_arg = hg @ q.T
-                phys_h = starred_arg @ q
-                kappas_h = model.kappa(batch.thetas, phys_h)
-                flux_phys = np.einsum("sij,sj->si", kappas_h, phys_h)
-                starred = flux_phys @ q.T  # rows are Q @ flux
-                flux_back = starred @ q    # rows are Q^T @ starred
-                if gradient_dependent_kappa(model):
-                    kappas_ref = model.kappa(batch.thetas, hg)
-                else:
-                    kappas_ref = batch.kappas
-                flux_ref = np.einsum("sij,sj->si", kappas_ref, hg)
-                flux_raw = np.linalg.norm(flux_back - flux_ref, axis=1)
-                rel = np.maximum(flux_raw, kappa_rel_rows) / batch.denoms
-                yield rel, h, obs, batch.states
+            back = np.einsum("ji,sjk,kl->sil", q, cm.kappa(batch.thetas, batch.grads @ q.T), q)
+            kappa_raw = np.max(np.abs(batch.kappas - back), axis=(1, 2))
+            for h, flux_ref in zip(elements, refs):
+                starred = cm.flux(batch.thetas, (batch.grads @ h.T) @ q.T)
+                # rows of starred @ Q are Q^T starred
+                flux_raw = np.linalg.norm(starred @ q - flux_ref, axis=1)
+                yield np.maximum(flux_raw, kappa_raw) / batch.denoms, h, obs, batch.states
 
     note = (
         "holds identically for component maps derived from one tensorial "
@@ -360,6 +353,7 @@ def check_frame_indifference(
     return _worst(rows(), cfg.tol, note)
 
 
+@_nonfinite_fails
 def check_observer_independence(
     model: ConstitutiveModel, observers: list[ObserverChange], cfg: CheckConfig
 ) -> CheckResult:
@@ -375,19 +369,17 @@ def check_observer_independence(
 
     def rows():
         for obs in observers:
-            q = obs.q_matrix
-            phys = batch.grads @ q  # rows are Q^T @ g
-            kappas_phys = model.kappa(batch.thetas, phys)
-            flux_phys = np.einsum("sij,sj->si", kappas_phys, phys)
-            starred = flux_phys @ q.T  # rows are Q @ flux
-            flux_raw = np.linalg.norm(starred - batch.fluxes, axis=1)
-            kappa_star = np.einsum("ij,sjk,lk->sil", q, kappas_phys, q)
+            # the observer's map at the canonical components' numeric values
+            cm = ComponentMap(model, obs)
+            flux_raw = np.linalg.norm(cm.flux(batch.thetas, batch.grads) - batch.fluxes, axis=1)
+            kappa_star = cm.kappa(batch.thetas, batch.grads)
             kappa_raw = np.max(np.abs(kappa_star - batch.kappas), axis=(1, 2))
-            yield np.maximum(flux_raw, kappa_raw) / batch.denoms, q, obs, batch.states
+            yield np.maximum(flux_raw, kappa_raw) / batch.denoms, obs.q_matrix, obs, batch.states
 
     return _worst(rows(), cfg.tol)
 
 
+@_nonfinite_fails
 def check_zero_map(model: ConstitutiveModel, cfg: CheckConfig) -> CheckResult:
     """The zero-gradient state must map to zero flux at every sampled
     temperature.  Because every family factors through a conductivity tensor,

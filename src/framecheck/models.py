@@ -9,10 +9,11 @@ not merely to rounding.  Four families cover the cases the checkers need:
 constant and temperature-scaled linear conductors, and two gradient-dependent
 nonlinear ones (an isotropic scalar law and a rank-one anisotropic update).
 
-A ComponentMap pairs a model with an observer change and evaluates the same
-physical mapping in the observer's components: rotate the handed-in
-components back to the canonical frame, evaluate there, rotate the result
-forward.  Temperature is observer-invariant and passes through untouched.
+A ComponentMap is a model in one observer's components, q*(theta, g*) =
+Q q(theta, Q^T g*): rotate g* back, evaluate, rotate the flux forward; the
+temperature is observer-invariant.  Its batched flux and kappa are the only
+code that applies this map; the observer checks run through them, so a wrong
+rotation there (Q in place of Q^T) fails frame indifference.
 """
 
 from __future__ import annotations
@@ -148,10 +149,14 @@ def gradient_dependent_kappa(model: ConstitutiveModel) -> bool:
     return model.gradient_dependent
 
 
+def _one_row(z: StatePoint) -> tuple[np.ndarray, np.ndarray]:
+    return np.array([z.theta]), z.grad_theta[None, :]
+
+
 def kappa_of(model: ConstitutiveModel, z: StatePoint) -> np.ndarray:
     """Conductivity tensor at a state, in the canonical frame: the one-row
     case of model.kappa, so it matches the batched checks bit for bit."""
-    return model.kappa(np.array([z.theta]), z.grad_theta[None, :])[0]
+    return model.kappa(*_one_row(z))[0]
 
 
 def evaluate(model: ConstitutiveModel, z: StatePoint) -> np.ndarray:
@@ -162,27 +167,37 @@ def evaluate(model: ConstitutiveModel, z: StatePoint) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ComponentMap:
-    """A constitutive model as seen by one observer."""
+    """A constitutive model as seen by one observer; flux and kappa take S
+    observer-frame states, (S,) temperatures and (S, 3) components g*."""
 
     model: ConstitutiveModel
     observer: ObserverChange
 
+    def _canonical(self, thetas: np.ndarray, grads_star: np.ndarray):
+        grads = grads_star @ self.observer.q_matrix  # rows are Q^T g*
+        return grads, self.model.kappa(thetas, grads)
 
-def _canonical_state(cm: ComponentMap, components) -> StatePoint:
-    theta_star, grad_star = components
-    # theta is observer-invariant; only the gradient components rotate back.
-    return StatePoint(float(theta_star), cm.observer.q_matrix.T @ as_vec3(grad_star))
+    def flux(self, thetas: np.ndarray, grads_star: np.ndarray) -> np.ndarray:
+        """Observer-frame flux rows Q q(theta, Q^T g*), (S, 3)."""
+        grads, kappas = self._canonical(thetas, grads_star)
+        # rows of flux @ Q^T are Q flux; with a transposed view of Q numpy's
+        # one-row matmul takes another BLAS path and differs in the last bit
+        q_t = np.ascontiguousarray(self.observer.q_matrix.T)
+        return np.einsum("sij,sj->si", kappas, grads) @ q_t
+
+    def kappa(self, thetas: np.ndarray, grads_star: np.ndarray) -> np.ndarray:
+        """Observer-frame conductivities Q kappa(theta, Q^T g*) Q^T, (S, 3, 3)."""
+        q = self.observer.q_matrix
+        return np.einsum("ij,sjk,lk->sil", q, self._canonical(thetas, grads_star)[1], q)
 
 
 def evaluate_components(cm: ComponentMap, components) -> np.ndarray:
     """Flux components in the observer frame for observer-frame state
-    components ``(theta, grad)``."""
-    q = cm.observer.q_matrix
-    return q @ evaluate(cm.model, _canonical_state(cm, components))
+    components ``(theta, grad)``: the one-row case of cm.flux."""
+    return cm.flux(*_one_row(StatePoint(*components)))[0]
 
 
 def kappa_components(cm: ComponentMap, components) -> np.ndarray:
-    """Conductivity components in the observer frame: Q kappa Q^T at the
-    rotated-back state."""
-    q = cm.observer.q_matrix
-    return q @ kappa_of(cm.model, _canonical_state(cm, components)) @ q.T
+    """Conductivity components in the observer frame, Q kappa Q^T at the
+    rotated-back state: the one-row case of cm.kappa."""
+    return cm.kappa(*_one_row(StatePoint(*components)))[0]

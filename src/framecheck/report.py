@@ -122,16 +122,8 @@ def run_suite(cfg: SuiteConfig) -> SuiteReport:
         else:
             # parse_config validates names; direct construction can miss
             raise ValueError(f"unknown check {req.name!r}")
-        records.append(
-            CheckRecord(
-                req.name,
-                result.passed,
-                result.max_residual,
-                result.samples_used,
-                result.witness,
-                result.note,
-            )
-        )
+        # a record is the check's result under the check's config name
+        records.append(CheckRecord(req.name, **vars(result)))
     return SuiteReport(cfg, tuple(records), all(r.passed for r in records))
 
 

@@ -134,6 +134,32 @@ def test_frame_indifference_holds_for_anisotropic_models():
         assert result.witness is None
 
 
+def test_frame_indifference_fails_for_a_wrongly_rotated_component_map(monkeypatch):
+    """A ComponentMap that takes observer components back to the canonical
+    frame with Q instead of Q^T breaks the transformation law, and the check
+    sees it even for a spherical conductor, whose conductivity form is blind
+    to the rotation."""
+
+    def flux(cm, thetas, grads_star):
+        q = cm.observer.q_matrix
+        grads = grads_star @ q.T  # rows are Q g*
+        return np.einsum("sij,sj->si", cm.model.kappa(thetas, grads), grads) @ q.T
+
+    def kappa(cm, thetas, grads_star):
+        q = cm.observer.q_matrix
+        return np.einsum("ij,sjk,lk->sil", q, cm.model.kappa(thetas, grads_star @ q.T), q)
+
+    monkeypatch.setattr(fc.ComponentMap, "flux", flux)
+    monkeypatch.setattr(fc.ComponentMap, "kappa", kappa)
+    model = fc.LinearConstant(2.5 * np.eye(3))
+    result = fc.check_frame_indifference(
+        model, fc.catalog_lookup("z4"), fc.random_observers(25, 0), CFG
+    )
+    assert not result.passed
+    assert result.max_residual > 0.1
+    assert result.witness is not None and result.witness.observer is not None
+
+
 def test_observer_independence_anchor():
     """A quarter-z observer sees diag(1,2,3) as diag(2,1,3): component
     mismatch 1 at the zero-gradient state, so the residual is exactly 1."""
@@ -276,7 +302,6 @@ def test_nonlinear_gradient_states_are_probed():
 OVERFLOW = fc.LinearTemperature(DIAG123, (0.0, 0.0, 1e308))
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_non_finite_residual_never_passes():
     observers = fc.random_observers(5, 0)
     trivial = fc.catalog_lookup("trivial")

@@ -189,6 +189,14 @@ def test_kappa_of_is_the_batch_row_bit_for_bit():
         grads = np.concatenate([batch.grads, 10.0 * rng.standard_normal((200, 3))])
         kappas = model.kappa(thetas, grads)
         assert kappas.shape == (len(thetas), 3, 3)
+        cm = fc.ComponentMap(model, fc.random_observers(1, 5)[0])
+        fluxes_star = cm.flux(thetas, grads)
+        kappas_star = cm.kappa(thetas, grads)
+        assert fluxes_star.shape == (len(thetas), 3)
+        assert kappas_star.shape == (len(thetas), 3, 3)
         for i, (theta, g) in enumerate(zip(thetas, grads)):
             z = fc.StatePoint(theta, g)
             assert np.array_equal(fc.kappa_of(model, z), kappas[i]), (family, i)
+            # the one-row component maps are the rows of the batched kernel
+            assert np.array_equal(fc.evaluate_components(cm, (theta, g)), fluxes_star[i]), (family, i)
+            assert np.array_equal(fc.kappa_components(cm, (theta, g)), kappas_star[i]), (family, i)
