@@ -210,8 +210,9 @@ def generate_closure(generators, max_order: int, name: str = "generated") -> Sym
     return SymmetryGroup(GroupKind.FINITE, name, tuple(_frozen(e) for e in elements))
 
 
-# Catalog names understood by catalog_lookup.  transverse_z_<n> is a family;
-# the placeholder entry documents it for the CLI listing.
+# Catalog names understood by resolve_group_name and catalog_lookup.
+# transverse_z_<n> is a family; the placeholder entry documents it for the
+# CLI listing.
 CATALOG_SUMMARY = (
     ("trivial", "identity only (order 1)"),
     ("z4", "four-fold rotations about z (order 4)"),
@@ -224,30 +225,45 @@ CATALOG_SUMMARY = (
 _TRANSVERSE_RE = re.compile(r"transverse_z_([0-9]+)\Z")
 
 
-def catalog_lookup(name: str, sample_count: int = DEFAULT_SAMPLE_COUNT) -> SymmetryGroup:
-    """Look up a named group.  ``sample_count`` applies to full_orthogonal."""
-    if name == "trivial":
-        return SymmetryGroup(GroupKind.FINITE, "trivial", (IDENTITY,))
-    if name == "z4":
-        return generate_closure([ROT_Z_90], 8, name="z4")
-    if name == "orthotropic":
-        return SymmetryGroup(
-            GroupKind.FINITE, "orthotropic", (IDENTITY, ROT_X_180, ROT_Y_180, ROT_Z_180)
-        )
-    if name == "cubic_rotations":
-        return generate_closure([ROT_Z_90, ROT_X_90], 48, name="cubic_rotations")
-    if name == "full_orthogonal":
-        return SymmetryGroup(
-            GroupKind.FULL_ORTHOGONAL, "full_orthogonal", sample_count=sample_count
-        )
+_CATALOG_BUILDERS = {
+    "trivial": lambda sample_count: SymmetryGroup(GroupKind.FINITE, "trivial", (IDENTITY,)),
+    "z4": lambda sample_count: generate_closure([ROT_Z_90], 8, name="z4"),
+    "orthotropic": lambda sample_count: SymmetryGroup(
+        GroupKind.FINITE, "orthotropic", (IDENTITY, ROT_X_180, ROT_Y_180, ROT_Z_180)
+    ),
+    "cubic_rotations": lambda sample_count: generate_closure(
+        [ROT_Z_90, ROT_X_90], 48, name="cubic_rotations"
+    ),
+    "full_orthogonal": lambda sample_count: SymmetryGroup(
+        GroupKind.FULL_ORTHOGONAL, "full_orthogonal", sample_count=sample_count
+    ),
+}
+
+
+def resolve_group_name(name: str):
+    """The builder of a catalog name, a function of ``sample_count`` that
+    returns the group; raises UnknownGroupName.  Resolving builds nothing,
+    so a name can be validated without paying for its closure."""
+    builder = _CATALOG_BUILDERS.get(name)
+    if builder is not None:
+        return builder
     m = _TRANSVERSE_RE.match(name)
-    if m:
-        n = int(m.group(1))
-        if n < 1:
-            raise UnknownGroupName(f"transverse order must be >= 1, got {name!r}")
+    if m is None:
+        raise UnknownGroupName(name)
+    n = int(m.group(1))
+    if n < 1:
+        raise UnknownGroupName(f"transverse order must be >= 1, got {name!r}")
+
+    def transverse(sample_count):
         gen = rotation_about((0.0, 0.0, 1.0), 2.0 * np.pi / n)
         return generate_closure([gen], max(4 * n, 16), name=name)
-    raise UnknownGroupName(name)
+
+    return transverse
+
+
+def catalog_lookup(name: str, sample_count: int = DEFAULT_SAMPLE_COUNT) -> SymmetryGroup:
+    """Look up a named group.  ``sample_count`` applies to full_orthogonal."""
+    return resolve_group_name(name)(sample_count)
 
 
 @lru_cache(maxsize=1)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import framecheck as fc
 from conftest import DIAG123, MODEL_ROSTER
@@ -134,11 +136,9 @@ def test_frame_indifference_holds_for_anisotropic_models():
         assert result.witness is None
 
 
-def test_frame_indifference_fails_for_a_wrongly_rotated_component_map(monkeypatch):
-    """A ComponentMap that takes observer components back to the canonical
-    frame with Q instead of Q^T breaks the transformation law, and the check
-    sees it even for a spherical conductor, whose conductivity form is blind
-    to the rotation."""
+def _rotate_back_with_q(monkeypatch):
+    """Make ComponentMap take observer components back to the canonical
+    frame with Q instead of Q^T."""
 
     def flux(cm, thetas, grads_star):
         q = cm.observer.q_matrix
@@ -151,6 +151,14 @@ def test_frame_indifference_fails_for_a_wrongly_rotated_component_map(monkeypatc
 
     monkeypatch.setattr(fc.ComponentMap, "flux", flux)
     monkeypatch.setattr(fc.ComponentMap, "kappa", kappa)
+
+
+def test_frame_indifference_fails_for_a_wrongly_rotated_component_map(monkeypatch):
+    """A ComponentMap that takes observer components back to the canonical
+    frame with Q instead of Q^T breaks the transformation law, and the check
+    sees it even for a spherical conductor, whose conductivity form is blind
+    to the rotation."""
+    _rotate_back_with_q(monkeypatch)
     model = fc.LinearConstant(2.5 * np.eye(3))
     result = fc.check_frame_indifference(
         model, fc.catalog_lookup("z4"), fc.random_observers(25, 0), CFG
@@ -158,6 +166,84 @@ def test_frame_indifference_fails_for_a_wrongly_rotated_component_map(monkeypatc
     assert not result.passed
     assert result.max_residual > 0.1
     assert result.witness is not None and result.witness.observer is not None
+
+
+def _unfolded_frame_indifference(model, group, observers, cfg):
+    """check_frame_indifference as a plain loop: one ComponentMap call per
+    (observer, element), observer outer, element inner."""
+
+    def rows():
+        elements = fc.group_elements_for_check(group, cfg.seed)
+        batch = fc.checks._sample_states(model, cfg)
+        for obs in observers:
+            cm = fc.ComponentMap(model, obs)
+            q = obs.q_matrix
+            back = np.einsum("ji,sjk,kl->sil", q, cm.kappa(batch.thetas, batch.grads @ q.T), q)
+            kappa_raw = np.max(np.abs(batch.kappas - back), axis=(1, 2))
+            for h in elements:
+                hg = batch.grads @ h.T
+                ref = np.einsum("sij,sj->si", model.kappa(batch.thetas, hg), hg)
+                starred = cm.flux(batch.thetas, hg @ q.T)
+                flux_raw = np.linalg.norm(starred @ q - ref, axis=1)
+                yield np.maximum(flux_raw, kappa_raw) / batch.denoms, h, obs, batch.states
+
+    # the generator runs inside _worst, so inside this errstate
+    with np.errstate(over="ignore", invalid="ignore"):
+        return fc.checks._worst(rows(), cfg.tol)
+
+
+def _assert_same_result(folded, unfolded):
+    assert folded.passed == unfolded.passed
+    assert folded.max_residual == unfolded.max_residual
+    assert folded.samples_used == unfolded.samples_used
+    assert (folded.witness is None) == (unfolded.witness is None)
+    if folded.witness is not None:
+        a, b = folded.witness, unfolded.witness
+        assert np.array_equal(a.group_element, b.group_element)
+        assert a.state.theta == b.state.theta
+        assert np.array_equal(a.state.grad_theta, b.state.grad_theta)
+        assert a.observer is b.observer
+
+
+# a tolerance no rounding residual meets, so every check that is not exact
+# fails and its witness pins the location of the maximum
+STRICT = fc.CheckConfig(tol=1e-300)
+
+
+@pytest.mark.parametrize("cfg", [CFG, STRICT], ids=["default_tol", "strict_tol"])
+def test_folded_frame_indifference_matches_the_unfolded_loop(cfg):
+    observers = fc.random_observers(4, 3)
+    # transverse_z_7 spans two blocks (6 + 1 elements) for the
+    # gradient-dependent families; transverse_z_192 spans eleven
+    # (10 x 18 + 12) for the linear ones
+    small, big = fc.catalog_lookup("transverse_z_7"), fc.catalog_lookup("transverse_z_192")
+    for _, model in MODEL_ROSTER:
+        groups = [small] if fc.gradient_dependent_kappa(model) else [small, big]
+        for group in groups:
+            folded = fc.check_frame_indifference(model, group, observers, cfg)
+            _assert_same_result(
+                folded, _unfolded_frame_indifference(model, group, observers, cfg)
+            )
+    states = len(fc.checks._sample_states(MODEL_ROSTER[0][1], cfg).states)
+    assert big.order * states > fc.checks._FOLD_STATES
+    assert big.order * states % fc.checks._FOLD_STATES != 0
+
+
+def test_folded_frame_indifference_matches_the_unfolded_loop_on_failures(monkeypatch):
+    observers = fc.random_observers(25, 0)
+    group = fc.catalog_lookup("transverse_z_7")
+    # non-finite at the earliest sample: the witness is the first NaN
+    overflow = fc.LinearTemperature(DIAG123, (0.0, 0.0, 1e308))
+    folded = fc.check_frame_indifference(overflow, group, observers, CFG)
+    assert folded.max_residual == np.inf
+    _assert_same_result(folded, _unfolded_frame_indifference(overflow, group, observers, CFG))
+
+    # a wrongly rotated ComponentMap gives a finite failing witness
+    _rotate_back_with_q(monkeypatch)
+    for model in (fc.LinearConstant(2.5 * np.eye(3)), fc.NonlinearAnisotropic(DIAG123, 0.5)):
+        folded = fc.check_frame_indifference(model, group, observers, CFG)
+        assert not folded.passed and 0.1 < folded.max_residual < np.inf
+        _assert_same_result(folded, _unfolded_frame_indifference(model, group, observers, CFG))
 
 
 def test_observer_independence_anchor():
@@ -245,6 +331,16 @@ def test_classify_linear_symmetry():
     assert (
         fc.classify_linear_symmetry(DIAG123, CFG) is fc.LinearSymmetryClass.ORTHOTROPIC
     )
+
+
+def test_classify_survives_conductivities_near_the_float_limit():
+    """Eigenvalue multiplicity does not depend on scale; at 1e200 the
+    cross-check's |q|^2 used to overflow and raise."""
+    for scale in (1e200, 1e308):
+        assert (
+            fc.classify_linear_symmetry(scale * np.diag([1.0, 1.7, 1.7]), CFG)
+            is fc.LinearSymmetryClass.TRANSVERSELY_ISOTROPIC
+        )
 
 
 def test_classify_is_orientation_independent():
@@ -339,3 +435,35 @@ def test_reducer_takes_the_earliest_non_finite_sample():
 def test_reducer_never_reports_a_negative_residual():
     result = fc.checks._worst(iter(()), tol=1e-9)
     assert result.passed and result.max_residual == 0.0 and result.samples_used == 0
+
+
+@given(
+    diagonal=st.lists(st.floats(0.1, 10.0), min_size=3, max_size=3),
+    low=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=2),
+    top=st.floats(1.0, 1.7) | st.floats(-1.7, -1.0),
+    bad_theta=st.floats(2.0, 300.0),
+    other_thetas=st.lists(st.floats(0.1, 1000.0), max_size=2),
+)
+def test_non_finite_conductivity_never_passes(diagonal, low, top, bad_theta, other_thetas):
+    """p(theta) = ... + top * 1e308 * theta^d overflows at every theta >= 2,
+    so the conductivity is non-finite at bad_theta (inf, or inf * 0 = NaN
+    off the diagonal); every check that samples bad_theta fails with an
+    infinite max_residual."""
+    model = fc.LinearTemperature(np.diag(diagonal), (*low, top * 1e308))
+    thetas = (*other_thetas, bad_theta)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not np.all(np.isfinite(model.kappa(np.array([bad_theta]), np.zeros((1, 3)))))
+    cfg = fc.CheckConfig(theta_samples=thetas, gradient_samples=2)
+    observers = fc.random_observers(2, 0)
+    z4 = fc.catalog_lookup("z4")
+    results = {
+        "symmetry": fc.check_symmetry(model, z4, cfg),
+        "frame_indifference": fc.check_frame_indifference(model, z4, observers, cfg),
+        "observer_independence": fc.check_observer_independence(model, observers, cfg),
+        "isotropy": fc.check_isotropy(model, cfg, sample_count=4),
+        "zero_map": fc.check_zero_map(model, cfg),
+    }
+    for name, result in results.items():
+        assert not result.passed, name
+        assert result.max_residual == np.inf, name
+        assert result.witness is not None, name

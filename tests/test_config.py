@@ -183,3 +183,21 @@ def test_model_spec_fields_are_the_union_of_the_family_fields():
     spec_fields = {f.name for f in fields(fc.ModelSpec)} - {"family"}
     model_fields = {f.name for cls in fc.MODEL_FAMILIES.values() for f in fields(cls)}
     assert spec_fields == model_fields
+
+
+def test_group_names_are_validated_without_building_the_group(monkeypatch):
+    def no_closure(*args, **kwargs):
+        raise AssertionError("parse_config built a group")
+
+    monkeypatch.setattr(fc.groups, "generate_closure", no_closure)
+    for name in ("transverse_z_192", "cubic_rotations", "z4", "full_orthogonal", "trivial"):
+        cfg = fc.parse_config(MINIMAL + f"[group]\nname = {name}\n")
+        assert cfg.group == fc.GroupSpec(name=name)
+    # the messages are the ones catalog_lookup raises
+    for name, message in (
+        ("nope", "group.name: nope"),
+        ("transverse_z_0", "group.name: transverse order must be >= 1, got 'transverse_z_0'"),
+    ):
+        with pytest.raises(fc.ValidationError) as err:
+            fc.parse_config(MINIMAL + f"[group]\nname = {name}\n")
+        assert str(err.value) == message
