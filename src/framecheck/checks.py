@@ -30,6 +30,18 @@ Every check turns its residuals into a verdict through one reducer,
 attaining the maximal residual, ties breaking toward the earliest observer or
 element, then the earliest state in sample order.  A non-finite residual
 counts as infinite, so it always fails the check and becomes the witness.
+Only the witness's StatePoint is ever built.
+
+Folding
+-------
+The symmetry and frame-indifference checks take the group elements in blocks
+of about ``_FOLD_STATES`` states and do each block's arithmetic in one array
+operation, not one per element.  When the conductivity depends on the
+temperature alone, the symmetry check's conductivity deficit
+``H kappa - kappa H`` depends only on the element and the temperature, so it
+is computed once per (element, sampled temperature) and expanded to the
+states.  Each element's row is still reduced on its own, so the folds change
+no residual, witness or sample count.
 """
 
 from __future__ import annotations
@@ -63,9 +75,9 @@ NONLINEAR_MAGNITUDES = (0.1, 1.0, 10.0)
 
 _GRADIENT_STREAM = 2
 
-# states per ComponentMap call when frame indifference folds group elements
-# into the state axis: enough to spread numpy's per-call cost, few enough
-# that a block's temporaries stay near 100 kB
+# states per block when the symmetry and frame-indifference checks fold group
+# elements into the state axis: enough to spread numpy's per-call cost, few
+# enough that a block's temporaries stay near 100 kB
 _FOLD_STATES = 2048
 
 # the public checks run under this: overflow and invalid values are residuals
@@ -155,7 +167,12 @@ class _StateBatch:
     fluxes: np.ndarray        # (S, 3)
     denoms: np.ndarray        # (S,)  1 + |flux|_2
     unit_rows: np.ndarray     # (S,) bool, |grad|_2 == 1
-    states: list[StatePoint]
+    theta_index: np.ndarray   # (S,) position of the state's temperature in theta_samples
+    theta_rows: np.ndarray    # (T,) each temperature's first state, its zero gradient
+
+    def __getitem__(self, s: int) -> StatePoint:
+        """State s as a StatePoint, built on demand: only a witness needs one."""
+        return StatePoint(self.thetas[s], self.grads[s])
 
 
 def _unit_directions(cfg: CheckConfig) -> np.ndarray:
@@ -172,57 +189,60 @@ def _unit_directions(cfg: CheckConfig) -> np.ndarray:
 def _sample_states(model: ConstitutiveModel, cfg: CheckConfig) -> _StateBatch:
     dirs = _unit_directions(cfg)
     mags = NONLINEAR_MAGNITUDES if gradient_dependent_kappa(model) else (1.0,)
-    theta_rows: list[float] = []
-    grad_rows: list[np.ndarray] = []
-    for theta in cfg.theta_samples:
-        theta_rows.append(theta)
-        grad_rows.append(np.zeros(3))
-        for mag in mags:
-            for d in dirs:
-                theta_rows.append(theta)
-                grad_rows.append(mag * d)
-    thetas = np.array(theta_rows)
-    grads = np.array(grad_rows)
+    # per temperature: the zero gradient, then every magnitude times every direction
+    per_theta = np.concatenate([np.zeros((1, 3))] + [mag * dirs for mag in mags])
+    count = len(cfg.theta_samples)
+    thetas = np.repeat(cfg.theta_samples, per_theta.shape[0])
+    grads = np.tile(per_theta, (count, 1))
     kappas = model.kappa(thetas, grads)
     fluxes = np.einsum("sij,sj->si", kappas, grads)
     denoms = 1.0 + np.linalg.norm(fluxes, axis=1)
     unit_rows = np.abs(np.linalg.norm(grads, axis=1) - 1.0) <= 1e-12
-    states = [StatePoint(t, g) for t, g in zip(theta_rows, grad_rows)]
-    return _StateBatch(thetas, grads, kappas, fluxes, denoms, unit_rows, states)
-
-
-def _rotated(model, batch: _StateBatch, h: np.ndarray):
-    """The H-rotated gradients and the canonical law there:
-    H g, kappa(theta, H g) and q(theta, H g)."""
-    hg = batch.grads @ h.T
-    kappas_h = model.kappa(batch.thetas, hg) if gradient_dependent_kappa(model) else batch.kappas
-    return hg, kappas_h, np.einsum("sij,sj->si", kappas_h, hg)
+    theta_index = np.repeat(np.arange(count), per_theta.shape[0])
+    theta_rows = np.arange(count) * per_theta.shape[0]
+    return _StateBatch(thetas, grads, kappas, fluxes, denoms, unit_rows, theta_index, theta_rows)
 
 
 def _element_blocks(model, batch: _StateBatch, elements):
-    """Frame indifference's observer-independent arrays, for consecutive
-    blocks of group elements of at most _FOLD_STATES states (one element
-    at least).
+    """The checks' observer-independent arrays, for consecutive blocks of
+    group elements of at most _FOLD_STATES states (one element at least).
 
-    Each block is (hs, thetas, hgs, refs): hgs stacks the rotated gradients
-    H g and refs the canonical fluxes q(theta, H g), element by element in
-    the order of hs, and thetas repeats the sampled temperatures to match.
+    Each block is (hs, stack, hgs, kappas, refs) for the E elements hs,
+    stacked in ``stack`` (E, 3, 3): hgs (E, S, 3) holds the rotated gradients
+    H g, kappas (E, S, 3, 3) the conductivities kappa(theta, H g) of a
+    gradient-dependent law (None for the others, whose kappa(theta, H g) is
+    batch.kappas) and refs (E, S, 3) the canonical fluxes q(theta, H g).
+    Each element's slice equals its own per-element product bit for bit.
     """
     per_block = max(1, _FOLD_STATES // batch.thetas.size)
-    tiled = np.tile(batch.thetas, min(per_block, len(elements)))
     for start in range(0, len(elements), per_block):
         hs = elements[start:start + per_block]
-        rotated = [_rotated(model, batch, h) for h in hs]
-        hgs = np.concatenate([hg for hg, _, _ in rotated])
-        refs = np.concatenate([flux for _, _, flux in rotated])
-        yield hs, tiled[: hgs.shape[0]], hgs, refs
+        stack = np.stack(hs)
+        # rows of grads @ H^T are H g
+        hgs = batch.grads @ stack.transpose(0, 2, 1)
+        if gradient_dependent_kappa(model):
+            kappas = np.stack([model.kappa(batch.thetas, hg) for hg in hgs])
+            refs = np.einsum("esij,esj->esi", kappas, hgs)
+        else:
+            kappas = None
+            refs = np.einsum("sij,esj->esi", batch.kappas, hgs)
+        yield hs, stack, hgs, kappas, refs
 
 
 def _symmetry_rows(model, elements, batch):
-    """Raw residual rows, one tuple (H, flux_raw, deficit) per element H in order:
+    """Raw residuals of the symmetry condition, one tuple
+    (hs, flux_raw, deficit, at) per block of _element_blocks:
 
-      flux_raw[s] = | H^T q(theta, H g) - q(theta, g) |_2
-      deficit[s]  = H kappa(theta, g) - kappa(theta, H g) H
+      flux_raw[e, s]     = | H^T q(theta, H g) - q(theta, g) |_2
+      deficit[e, at[s]]  = H kappa(theta, g) - kappa(theta, H g) H
+
+    for the element H = hs[e] and the state s.  When kappa does not depend on
+    the gradient, kappa(theta, H g) = kappa(theta, g) and the deficit depends
+    only on the element and the temperature: it is computed once per sampled
+    temperature, (E, T, 3, 3), and ``at`` is each state's temperature index.
+    Otherwise it is computed element by element at every state, (E, S, 3, 3),
+    and ``at`` selects every state.  Each deficit equals the per-state
+    product bit for bit.
 
     The flux-level deficit is exactly the conductivity-level deficit
     contracted with the gradient and rotated, so flux_raw and
@@ -230,13 +250,20 @@ def _symmetry_rows(model, elements, batch):
     additionally probes directions the sampled gradient misses (the
     zero-gradient state most of all).
     """
-    for h in elements:
-        _, kappas_h, flux_h = _rotated(model, batch, h)
+    kappas_t = batch.kappas[batch.theta_rows]
+    for hs, stack, _, kappas_h, refs in _element_blocks(model, batch, elements):
         # rows of flux_h @ H are H^T flux_h
-        flux_raw = np.linalg.norm(flux_h @ h - batch.fluxes, axis=1)
-        left = np.einsum("ij,sjk->sik", h, batch.kappas)
-        right = np.einsum("sij,jk->sik", kappas_h, h)
-        yield h, flux_raw, left - right
+        flux_raw = np.linalg.norm(refs @ stack - batch.fluxes, axis=2)
+        if kappas_h is None:
+            deficit = (np.einsum("eij,tjk->etik", stack, kappas_t)
+                       - np.einsum("tij,ejk->etik", kappas_t, stack))
+            yield hs, flux_raw, deficit, batch.theta_index
+        else:
+            deficit = np.stack([
+                np.einsum("ij,sjk->sik", h, batch.kappas) - np.einsum("sij,jk->sik", k, h)
+                for h, k in zip(hs, kappas_h)
+            ])
+            yield hs, flux_raw, deficit, slice(None)
 
 
 def _worst(rows, tol: float, note: str = "") -> CheckResult:
@@ -248,7 +275,9 @@ def _worst(rows, tol: float, note: str = "") -> CheckResult:
     ties break toward the earliest row, then the earliest state.  A
     non-finite residual counts as inf: the earliest one fails the check and
     becomes the witness, so NaN can never pass and max_residual is never
-    negative.
+    negative.  ``states[s]`` is looked up once, for the witness, at the end,
+    so a _StateBatch builds one StatePoint per failing check and none per
+    passing one.
     """
     best = -1.0
     best_at = None
@@ -264,9 +293,12 @@ def _worst(rows, tol: float, note: str = "") -> CheckResult:
             r = math.inf
         if r > best:
             best = r
-            best_at = (element, states[s_idx], observer)
+            best_at = (element, states, s_idx, observer)
     passed = best <= tol
-    witness = None if passed else Witness(*best_at)
+    witness = None
+    if not passed:
+        element, states, s_idx, observer = best_at
+        witness = Witness(element, states[s_idx], observer)
     return CheckResult(passed, max(best, 0.0), samples, witness, note)
 
 
@@ -283,15 +315,24 @@ def check_symmetry(model: ConstitutiveModel, group: SymmetryGroup, cfg: CheckCon
     Both the flux form and the conductivity form are evaluated and the larger
     deficit counts, so constant anisotropy is caught even at the zero-gradient
     state where the flux form is blind.
+
+    The elements are folded in blocks of about _FOLD_STATES states; the flux
+    form is evaluated per state.  For a law whose conductivity depends on the
+    temperature alone, the conductivity deficit is computed once per
+    (element, sampled temperature) and expanded to the states.  Rows,
+    samples_used and witnesses are those of a per-element loop, bit for bit.
     """
     elements = group_elements_for_check(group, cfg.seed)
     batch = _sample_states(model, cfg)
-    rows = (
-        (np.maximum(flux_raw, np.max(np.abs(deficit), axis=(1, 2))) / batch.denoms,
-         h, None, batch.states)
-        for h, flux_raw, deficit in _symmetry_rows(model, elements, batch)
-    )
-    return _worst(rows, cfg.tol)
+
+    def rows():
+        for hs, flux_raw, deficit, at in _symmetry_rows(model, elements, batch):
+            kappa_raw = np.max(np.abs(deficit), axis=(2, 3))[:, at]
+            rel = np.maximum(flux_raw, kappa_raw) / batch.denoms
+            for h, row in zip(hs, rel):
+                yield row, h, None, batch
+
+    return _worst(rows(), cfg.tol)
 
 
 def check_isotropy(
@@ -324,10 +365,11 @@ def symmetry_form_residuals(
     elements = group_elements_for_check(group, cfg.seed)
     batch = _sample_states(model, cfg)
     flux, kappa = [], []
-    for _, flux_raw, deficit in _symmetry_rows(model, elements, batch):
-        contracted = np.linalg.norm(np.einsum("sij,sj->si", deficit, batch.grads), axis=1)
-        flux.append((flux_raw / batch.denoms)[batch.unit_rows])
-        kappa.append((contracted / batch.denoms)[batch.unit_rows])
+    for _, flux_raw, deficit, at in _symmetry_rows(model, elements, batch):
+        for row, d in zip(flux_raw, deficit):
+            contracted = np.linalg.norm(np.einsum("sij,sj->si", d[at], batch.grads), axis=1)
+            flux.append((row / batch.denoms)[batch.unit_rows])
+            kappa.append((contracted / batch.denoms)[batch.unit_rows])
     return np.concatenate(flux), np.concatenate(kappa)
 
 
@@ -363,7 +405,10 @@ def check_frame_indifference(
 
     def rows():
         # H g and the canonical flux q(theta, H g) do not depend on the observer
-        blocks = list(_element_blocks(model, batch, elements))
+        blocks = [
+            (hs, np.tile(batch.thetas, len(hs)), hgs.reshape(-1, 3), refs.reshape(-1, 3))
+            for hs, _, hgs, _, refs in _element_blocks(model, batch, elements)
+        ]
         for obs in observers:
             cm = ComponentMap(model, obs)
             q = obs.q_matrix
@@ -376,7 +421,7 @@ def check_frame_indifference(
                 flux_raw = np.linalg.norm(starred @ q - refs, axis=1).reshape(len(hs), -1)
                 rel = np.maximum(flux_raw, kappa_raw) / batch.denoms
                 for h, row in zip(hs, rel):
-                    yield row, h, obs, batch.states
+                    yield row, h, obs, batch
 
     note = (
         "holds identically for component maps derived from one tensorial "
@@ -407,7 +452,7 @@ def check_observer_independence(
             flux_raw = np.linalg.norm(cm.flux(batch.thetas, batch.grads) - batch.fluxes, axis=1)
             kappa_star = cm.kappa(batch.thetas, batch.grads)
             kappa_raw = np.max(np.abs(kappa_star - batch.kappas), axis=(1, 2))
-            yield np.maximum(flux_raw, kappa_raw) / batch.denoms, obs.q_matrix, obs, batch.states
+            yield np.maximum(flux_raw, kappa_raw) / batch.denoms, obs.q_matrix, obs, batch
 
     return _worst(rows(), cfg.tol)
 
@@ -455,9 +500,12 @@ def classify_linear_symmetry(kappa0, cfg: CheckConfig) -> LinearSymmetryClass:
     """Classify a constant symmetric conductivity by eigenvalue multiplicity:
     {3} isotropic, {2,1} transversely isotropic, {1,1,1} orthotropic.
 
-    The result is cross-validated by rotating the tensor into its eigenframe
-    and running check_symmetry against the matching catalog group, on the
-    tensor scaled down to a largest eigenvalue magnitude of at most 1.
+    Eigenvalues count as equal when they differ by at most 1e-8 times the
+    largest eigenvalue magnitude, so the label does not depend on the
+    tensor's scale; the zero tensor is isotropic.  The result is
+    cross-validated by rotating the tensor into its eigenframe and running
+    check_symmetry against the matching catalog group, on the tensor scaled
+    to a largest eigenvalue magnitude of 1.
     """
     k = as_tensor2(kappa0)
     skew = max_abs(k - k.T)
@@ -466,7 +514,10 @@ def classify_linear_symmetry(kappa0, cfg: CheckConfig) -> LinearSymmetryClass:
             f"conductivity must be symmetric within 1e-9 (skew part {skew:.3g})"
         )
     eigvals, _ = np.linalg.eigh(k)
-    gap_tol = 1e-8 * (1.0 + float(np.max(np.abs(eigvals))))
+    # multiplicity does not depend on scale: the gap tolerance is relative,
+    # and the zero tensor (every gap 0 <= 0) is isotropic
+    scale = float(np.max(np.abs(eigvals)))
+    gap_tol = 1e-8 * scale
     low_pair = eigvals[1] - eigvals[0] <= gap_tol
     high_pair = eigvals[2] - eigvals[1] <= gap_tol
     if low_pair and high_pair:
@@ -486,10 +537,9 @@ def classify_linear_symmetry(kappa0, cfg: CheckConfig) -> LinearSymmetryClass:
         label = LinearSymmetryClass.ORTHOTROPIC
         aligned = np.diag(eigvals)
         group = catalog_lookup("orthotropic")
-    # multiplicity does not depend on scale: cross-check at max |eigenvalue|
-    # <= 1, so |q|^2 cannot overflow near the float limit
-    scale = max(1.0, float(np.max(np.abs(eigvals))))
-    verdict = check_symmetry(LinearConstant(aligned / scale), group, cfg)
+    # cross-check at max |eigenvalue| 1: |q|^2 cannot overflow near the float
+    # limit, and the absolute tol is not vacuous for a small tensor
+    verdict = check_symmetry(LinearConstant(aligned / (scale or 1.0)), group, cfg)
     if not verdict.passed:
         raise RuntimeError(
             f"classification cross-check failed for {label.value}: "

@@ -80,6 +80,11 @@ class _ElementIndex:
     def _key(m: np.ndarray) -> int:
         return int(math.floor(float(np.trace(m)) * 1000.0))
 
+    @staticmethod
+    def keys(ms: np.ndarray) -> np.ndarray:
+        """_key of each matrix of an (n, 3, 3) stack."""
+        return np.floor(np.trace(ms, axis1=1, axis2=2) * 1000.0).astype(np.int64)
+
     def nearest(self, m: np.ndarray) -> float:
         """Smallest max-norm distance to any indexed element near m's trace."""
         key = self._key(m)
@@ -153,16 +158,31 @@ class SymmetryGroup:
 
     def closure_defect(self) -> float:
         """Max over all pairwise products of the distance to the nearest
-        stored element.  Zero (to rounding) for a genuine group."""
+        stored element.  Zero (to rounding) for a genuine group.
+
+        The products are formed one row a @ (every b) at a time, and each is
+        looked up in the trace buckets of _ElementIndex: only elements whose
+        bucket is the product's own or a neighbor count, inf when there is
+        none."""
         if self.kind is not GroupKind.FINITE:
             raise ValueError("closure_defect applies to finite groups")
-        index = _ElementIndex()
-        for e in self.elements:
-            index.add(e)
+        stack = np.stack(self.elements)
+        keys = _ElementIndex.keys(stack)
+        order = np.argsort(keys, kind="stable")
+        stored, keys = stack[order], keys[order]
         worst = 0.0
         for a in self.elements:
-            for b in self.elements:
-                worst = max(worst, index.nearest(a @ b))
+            products = a @ stack
+            pkeys = _ElementIndex.keys(products)
+            lo = np.searchsorted(keys, pkeys - 1, side="left")
+            hi = np.searchsorted(keys, pkeys + 1, side="right")
+            # candidates lo, lo + 1, ... below hi, padded to the widest range
+            cand = lo[:, None] + np.arange(int(np.max(hi - lo)))
+            dist = np.max(
+                np.abs(products[:, None] - stored[np.minimum(cand, len(stored) - 1)]), axis=(2, 3)
+            )
+            nearest = np.min(np.where(cand < hi[:, None], dist, np.inf), axis=1, initial=np.inf)
+            worst = max(worst, float(np.max(nearest)))
         return worst
 
 

@@ -185,7 +185,7 @@ def _unfolded_frame_indifference(model, group, observers, cfg):
                 ref = np.einsum("sij,sj->si", model.kappa(batch.thetas, hg), hg)
                 starred = cm.flux(batch.thetas, hg @ q.T)
                 flux_raw = np.linalg.norm(starred @ q - ref, axis=1)
-                yield np.maximum(flux_raw, kappa_raw) / batch.denoms, h, obs, batch.states
+                yield np.maximum(flux_raw, kappa_raw) / batch.denoms, h, obs, batch
 
     # the generator runs inside _worst, so inside this errstate
     with np.errstate(over="ignore", invalid="ignore"):
@@ -224,7 +224,7 @@ def test_folded_frame_indifference_matches_the_unfolded_loop(cfg):
             _assert_same_result(
                 folded, _unfolded_frame_indifference(model, group, observers, cfg)
             )
-    states = len(fc.checks._sample_states(MODEL_ROSTER[0][1], cfg).states)
+    states = fc.checks._sample_states(MODEL_ROSTER[0][1], cfg).thetas.size
     assert big.order * states > fc.checks._FOLD_STATES
     assert big.order * states % fc.checks._FOLD_STATES != 0
 
@@ -244,6 +244,89 @@ def test_folded_frame_indifference_matches_the_unfolded_loop_on_failures(monkeyp
         folded = fc.check_frame_indifference(model, group, observers, CFG)
         assert not folded.passed and 0.1 < folded.max_residual < np.inf
         _assert_same_result(folded, _unfolded_frame_indifference(model, group, observers, CFG))
+
+
+def _per_element_symmetry(model, group, cfg):
+    """check_symmetry and symmetry_form_residuals as a plain loop over the
+    elements, every deficit computed at every state."""
+    elements = fc.group_elements_for_check(group, cfg.seed)
+    batch = fc.checks._sample_states(model, cfg)
+    rels, flux, kappa = [], [], []
+    for h in elements:
+        hg = batch.grads @ h.T
+        kappas_h = model.kappa(batch.thetas, hg) if model.gradient_dependent else batch.kappas
+        flux_h = np.einsum("sij,sj->si", kappas_h, hg)
+        flux_raw = np.linalg.norm(flux_h @ h - batch.fluxes, axis=1)
+        deficit = np.einsum("ij,sjk->sik", h, batch.kappas) - np.einsum("sij,jk->sik", kappas_h, h)
+        rel = np.maximum(flux_raw, np.max(np.abs(deficit), axis=(1, 2))) / batch.denoms
+        rels.append((rel, h, None, batch))
+        contracted = np.linalg.norm(np.einsum("sij,sj->si", deficit, batch.grads), axis=1)
+        flux.append((flux_raw / batch.denoms)[batch.unit_rows])
+        kappa.append((contracted / batch.denoms)[batch.unit_rows])
+    result = fc.checks._worst(iter(rels), cfg.tol)
+    return result, np.concatenate(flux), np.concatenate(kappa)
+
+
+@pytest.mark.parametrize("cfg", [CFG, STRICT], ids=["default_tol", "strict_tol"])
+def test_folded_symmetry_matches_the_per_element_loop(cfg):
+    # the last block is partial on transverse_z_7 for the gradient-dependent
+    # families (6 + 1 elements) and on transverse_z_192 for the linear ones
+    # (10 x 18 + 12)
+    names = ("transverse_z_7", "transverse_z_192", "full_orthogonal")
+    groups = [fc.catalog_lookup(name) for name in names]
+    models = [model for _, model in MODEL_ROSTER] + [OVERFLOW]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for model in models:
+            for group in groups:
+                expected, flux, kappa = _per_element_symmetry(model, group, cfg)
+                _assert_same_result(fc.check_symmetry(model, group, cfg), expected)
+                got_flux, got_kappa = fc.symmetry_form_residuals(model, group, cfg)
+                assert np.array_equal(got_flux, flux, equal_nan=True)
+                assert np.array_equal(got_kappa, kappa, equal_nan=True)
+    # the overflow model's witness is its earliest non-finite sample: the
+    # zero gradient at theta = 1, where kappa first overflows
+    result = fc.check_symmetry(OVERFLOW, groups[0], cfg)
+    assert result.max_residual == np.inf
+    assert result.witness.state.theta == 1.0
+    assert not np.any(result.witness.state.grad_theta)
+    states = fc.checks._sample_states(MODEL_ROSTER[0][1], cfg).thetas.size
+    assert groups[1].order * states % fc.checks._FOLD_STATES != 0
+
+
+def _count_state_points(monkeypatch):
+    built = []
+    post_init = fc.StatePoint.__post_init__
+
+    def counted(state):
+        built.append(state)
+        post_init(state)
+
+    monkeypatch.setattr(fc.StatePoint, "__post_init__", counted)
+    return built
+
+
+def test_only_a_witness_builds_a_state_point(monkeypatch):
+    built = _count_state_points(monkeypatch)
+    observers = fc.random_observers(5, 0)
+    z4 = fc.catalog_lookup("z4")
+    spherical, diagonal = fc.LinearConstant(2.5 * np.eye(3)), fc.LinearConstant(DIAG123)
+    passing = [
+        fc.check_symmetry(diagonal, fc.catalog_lookup("orthotropic"), CFG),
+        fc.check_frame_indifference(diagonal, z4, observers, CFG),
+        fc.check_observer_independence(spherical, observers, CFG),
+    ]
+    assert all(r.passed for r in passing) and built == []
+
+    def failing():
+        yield fc.check_symmetry(diagonal, z4, CFG)
+        yield fc.check_observer_independence(diagonal, observers, CFG)
+        _rotate_back_with_q(monkeypatch)
+        yield fc.check_frame_indifference(spherical, z4, observers, CFG)
+
+    for result in failing():
+        assert not result.passed
+        assert built == [result.witness.state]
+        built.clear()
 
 
 def test_observer_independence_anchor():
@@ -341,6 +424,40 @@ def test_classify_survives_conductivities_near_the_float_limit():
             fc.classify_linear_symmetry(scale * np.diag([1.0, 1.7, 1.7]), CFG)
             is fc.LinearSymmetryClass.TRANSVERSELY_ISOTROPIC
         )
+
+
+def test_classify_does_not_depend_on_scale_below_unity():
+    """The eigenvalue gap tolerance is relative: a small orthotropic tensor
+    is not lumped into the isotropic class (whose cross-check then failed),
+    and a tiny transversely isotropic one is not called isotropic."""
+    assert (
+        fc.classify_linear_symmetry(1e-9 * DIAG123, CFG)
+        is fc.LinearSymmetryClass.ORTHOTROPIC
+    )
+    assert (
+        fc.classify_linear_symmetry(1e-300 * np.diag([1.0, 1.7, 1.7]), CFG)
+        is fc.LinearSymmetryClass.TRANSVERSELY_ISOTROPIC
+    )
+    assert (
+        fc.classify_linear_symmetry(np.zeros((3, 3)), CFG)
+        is fc.LinearSymmetryClass.ISOTROPIC
+    )
+
+
+SPECTRA = {
+    fc.LinearSymmetryClass.ISOTROPIC: (2.0, 2.0, 2.0),
+    fc.LinearSymmetryClass.TRANSVERSELY_ISOTROPIC: (1.0, 1.0, 4.0),
+    fc.LinearSymmetryClass.ORTHOTROPIC: (1.0, 2.0, 3.0),
+}
+
+
+@given(orientation=st.integers(0, 2**32 - 1), exponent=st.integers(-1000, 1000))
+def test_classify_label_survives_scaling_by_powers_of_two(orientation, exponent):
+    r = fc.random_orthogonal(orientation, proper_only=True)
+    for label, spectrum in SPECTRA.items():
+        k = r @ np.diag(spectrum) @ r.T
+        k = 0.5 * (k + k.T)
+        assert fc.classify_linear_symmetry(np.ldexp(k, exponent), CFG) is label
 
 
 def test_classify_is_orientation_independent():

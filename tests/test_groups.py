@@ -101,6 +101,34 @@ def test_closure_defect_small_for_catalog_groups():
         assert fc.catalog_lookup(name).closure_defect() <= 1e-12
 
 
+def _pairwise_closure_defect(group):
+    """closure_defect as the plain loop over all pairs, one bucket lookup each."""
+    index = fc.groups._ElementIndex()
+    for e in group.elements:
+        index.add(e)
+    return max(index.nearest(a @ b) for a in group.elements for b in group.elements)
+
+
+def test_closure_defect_matches_the_pairwise_loop():
+    def rz(angle):
+        return fc.rotation_about((0.0, 0.0, 1.0), angle)
+
+    names = ("trivial", "z4", "orthotropic", "cubic_rotations", "transverse_z_7", "transverse_z_48")
+    groups = [fc.catalog_lookup(name) for name in names]
+    # not closed: a @ a lands in a bucket with no element (inf), or near the
+    # identity's bucket, 1e-3 away from the nearest element
+    gaps = [
+        fc.SymmetryGroup(
+            fc.GroupKind.FINITE, "z4_without_half_turn", (fc.IDENTITY, fc.ROT_Z_90, fc.ROT_Z_90.T)
+        ),
+        fc.SymmetryGroup(fc.GroupKind.FINITE, "small_turns", (fc.IDENTITY, rz(1e-3), rz(-1e-3))),
+    ]
+    for group in groups + gaps:
+        assert group.closure_defect() == _pairwise_closure_defect(group), group.name
+    assert gaps[0].closure_defect() == np.inf
+    assert 5e-4 < gaps[1].closure_defect() < 2e-3
+
+
 def test_group_validation_rejects_bad_element_sets():
     with pytest.raises(ValueError):
         fc.SymmetryGroup(fc.GroupKind.FINITE, "empty", ())
