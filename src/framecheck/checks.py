@@ -42,6 +42,24 @@ temperature alone, the symmetry check's conductivity deficit
 is computed once per (element, sampled temperature) and expanded to the
 states.  Each element's row is still reduced on its own, so the folds change
 no residual, witness or sample count.
+
+Layout
+------
+The hot 3x3 contractions run on C-contiguous copies with the sample axis
+last, (3, 3, S), so numpy's inner loop spans the samples instead of a
+3-long component axis: the conjugation Q kappa Q^T
+(``tensors.conjugate_stack``), the symmetry deficit ``H kappa - kappa H``
+(``_deficit``), the flux-residual norms (``tensors.row_norms``) and the
+max-norm of conductivity residuals.  The rule is that a layout change moves
+no sum: each einsum keeps its operands and summed indices, only permuted, and
+gives the bits of its sample-first form.  A hand-written contraction, such as
+``np.add.reduce`` over the nine products, adds in another order and is not
+used.  The matvec ``einsum("sij,sj->si")`` stays sample first, because its
+sample-last form takes another einsum kernel and differs in the last bit: it
+gets ``model.kappa``'s stack as the model returns it, and
+``symmetry_form_residuals`` copies its deficit back to a sample-first
+C-contiguous array.  ``tests/test_layout.py`` holds each kernel to its
+sample-first form.
 """
 
 from __future__ import annotations
@@ -68,7 +86,16 @@ from .models import (
     evaluate,
     gradient_dependent_kappa,
 )
-from .tensors import IDENTITY, ObserverChange, _require_seed, as_tensor2, max_abs
+from .tensors import (
+    IDENTITY,
+    ObserverChange,
+    _require_seed,
+    as_tensor2,
+    conjugate_stack,
+    max_abs,
+    row_norms,
+    sample_last,
+)
 
 DEFAULT_THETA_SAMPLES = (0.5, 1.0, 300.0)
 NONLINEAR_MAGNITUDES = (0.1, 1.0, 10.0)
@@ -164,6 +191,7 @@ class _StateBatch:
     thetas: np.ndarray        # (S,)
     grads: np.ndarray         # (S, 3)
     kappas: np.ndarray        # (S, 3, 3) conductivity at the raw states
+    kappas_t: np.ndarray      # (3, 3, S) the same, sample last
     fluxes: np.ndarray        # (S, 3)
     denoms: np.ndarray        # (S,)  1 + |flux|_2
     unit_rows: np.ndarray     # (S,) bool, |grad|_2 == 1
@@ -200,7 +228,10 @@ def _sample_states(model: ConstitutiveModel, cfg: CheckConfig) -> _StateBatch:
     unit_rows = np.abs(np.linalg.norm(grads, axis=1) - 1.0) <= 1e-12
     theta_index = np.repeat(np.arange(count), per_theta.shape[0])
     theta_rows = np.arange(count) * per_theta.shape[0]
-    return _StateBatch(thetas, grads, kappas, fluxes, denoms, unit_rows, theta_index, theta_rows)
+    return _StateBatch(
+        thetas, grads, kappas, sample_last(kappas), fluxes, denoms, unit_rows, theta_index,
+        theta_rows,
+    )
 
 
 def _element_blocks(model, batch: _StateBatch, elements):
@@ -209,10 +240,11 @@ def _element_blocks(model, batch: _StateBatch, elements):
 
     Each block is (hs, stack, hgs, kappas, refs) for the E elements hs,
     stacked in ``stack`` (E, 3, 3): hgs (E, S, 3) holds the rotated gradients
-    H g, kappas (E, S, 3, 3) the conductivities kappa(theta, H g) of a
-    gradient-dependent law (None for the others, whose kappa(theta, H g) is
-    batch.kappas) and refs (E, S, 3) the canonical fluxes q(theta, H g).
-    Each element's slice equals its own per-element product bit for bit.
+    H g, kappas (3, 3, E, S) the conductivities kappa(theta, H g) of a
+    gradient-dependent law, sample last, from one model evaluation (None for
+    the others, whose kappa(theta, H g) is batch.kappas) and refs (E, S, 3)
+    the canonical fluxes q(theta, H g).  Each element's slice equals its own
+    per-element product bit for bit: kappa works row by row.
     """
     per_block = max(1, _FOLD_STATES // batch.thetas.size)
     for start in range(0, len(elements), per_block):
@@ -221,8 +253,9 @@ def _element_blocks(model, batch: _StateBatch, elements):
         # rows of grads @ H^T are H g
         hgs = batch.grads @ stack.transpose(0, 2, 1)
         if gradient_dependent_kappa(model):
-            kappas = np.stack([model.kappa(batch.thetas, hg) for hg in hgs])
-            refs = np.einsum("esij,esj->esi", kappas, hgs)
+            kappas = model.kappa(np.tile(batch.thetas, len(hs)), hgs.reshape(-1, 3))
+            refs = np.einsum("esij,esj->esi", kappas.reshape(hgs.shape + (3,)), hgs)
+            kappas = sample_last(kappas).reshape(3, 3, len(hs), -1)
         else:
             kappas = None
             refs = np.einsum("sij,esj->esi", batch.kappas, hgs)
@@ -233,16 +266,16 @@ def _symmetry_rows(model, elements, batch):
     """Raw residuals of the symmetry condition, one tuple
     (hs, flux_raw, deficit, at) per block of _element_blocks:
 
-      flux_raw[e, s]     = | H^T q(theta, H g) - q(theta, g) |_2
-      deficit[e, at[s]]  = H kappa(theta, g) - kappa(theta, H g) H
+      flux_raw[e, s]          = | H^T q(theta, H g) - q(theta, g) |_2
+      deficit[e, :, :, at[s]] = H kappa(theta, g) - kappa(theta, H g) H
 
-    for the element H = hs[e] and the state s.  When kappa does not depend on
-    the gradient, kappa(theta, H g) = kappa(theta, g) and the deficit depends
-    only on the element and the temperature: it is computed once per sampled
-    temperature, (E, T, 3, 3), and ``at`` is each state's temperature index.
-    Otherwise it is computed element by element at every state, (E, S, 3, 3),
-    and ``at`` selects every state.  Each deficit equals the per-state
-    product bit for bit.
+    for the element H = hs[e] and the state s; the deficit is sample last.
+    When kappa does not depend on the gradient, kappa(theta, H g) =
+    kappa(theta, g) and the deficit depends only on the element and the
+    temperature: it is computed once per sampled temperature, (E, 3, 3, T),
+    and ``at`` is each state's temperature index.  Otherwise it is computed at
+    every state, (E, 3, 3, S), and ``at`` selects every state.  Each deficit
+    equals the per-state product bit for bit.
 
     The flux-level deficit is exactly the conductivity-level deficit
     contracted with the gradient and rotated, so flux_raw and
@@ -250,20 +283,27 @@ def _symmetry_rows(model, elements, batch):
     additionally probes directions the sampled gradient misses (the
     zero-gradient state most of all).
     """
-    kappas_t = batch.kappas[batch.theta_rows]
+    kappas_at = batch.kappas_t[:, :, batch.theta_rows]
     for hs, stack, _, kappas_h, refs in _element_blocks(model, batch, elements):
         # rows of flux_h @ H are H^T flux_h
-        flux_raw = np.linalg.norm(refs @ stack - batch.fluxes, axis=2)
+        flux_raw = row_norms(refs @ stack - batch.fluxes)
         if kappas_h is None:
-            deficit = (np.einsum("eij,tjk->etik", stack, kappas_t)
-                       - np.einsum("tij,ejk->etik", kappas_t, stack))
-            yield hs, flux_raw, deficit, batch.theta_index
+            # kappa(theta, H g) is kappa(theta, g), the same for every element
+            kappas_h = np.broadcast_to(kappas_at[:, :, None], (3, 3, len(hs), kappas_at.shape[2]))
+            yield hs, flux_raw, _deficit(stack, kappas_at, kappas_h), batch.theta_index
         else:
-            deficit = np.stack([
-                np.einsum("ij,sjk->sik", h, batch.kappas) - np.einsum("sij,jk->sik", k, h)
-                for h, k in zip(hs, kappas_h)
-            ])
-            yield hs, flux_raw, deficit, slice(None)
+            yield hs, flux_raw, _deficit(stack, batch.kappas_t, kappas_h), slice(None)
+
+
+def _deficit(stack, kappas, kappas_h):
+    """Sample-last conductivity deficits H kappa - kappa_h H, (E, 3, 3, N),
+    for the E elements H of ``stack`` (E, 3, 3), kappas (3, 3, N) and
+    kappas_h (3, 3, E, N).  Element e's deficit is, moved sample last,
+    einsum("ij,sjk->sik", H, kappa) - einsum("sij,jk->sik", kappa_h, H)
+    bit for bit."""
+    deficit = np.einsum("eij,jks->eiks", stack, kappas)
+    deficit -= np.einsum("ijes,ejk->eiks", kappas_h, stack)
+    return deficit
 
 
 def _worst(rows, tol: float, note: str = "") -> CheckResult:
@@ -327,7 +367,7 @@ def check_symmetry(model: ConstitutiveModel, group: SymmetryGroup, cfg: CheckCon
 
     def rows():
         for hs, flux_raw, deficit, at in _symmetry_rows(model, elements, batch):
-            kappa_raw = np.max(np.abs(deficit), axis=(2, 3))[:, at]
+            kappa_raw = np.max(np.abs(deficit), axis=(1, 2))[:, at]
             rel = np.maximum(flux_raw, kappa_raw) / batch.denoms
             for h, row in zip(hs, rel):
                 yield row, h, None, batch
@@ -367,7 +407,10 @@ def symmetry_form_residuals(
     flux, kappa = [], []
     for _, flux_raw, deficit, at in _symmetry_rows(model, elements, batch):
         for row, d in zip(flux_raw, deficit):
-            contracted = np.linalg.norm(np.einsum("sij,sj->si", d[at], batch.grads), axis=1)
+            # the matvec runs sample first: its sample-last form takes
+            # another einsum kernel and differs in the last bit
+            d = np.ascontiguousarray(d.transpose(2, 0, 1)[at])
+            contracted = np.linalg.norm(np.einsum("sij,sj->si", d, batch.grads), axis=1)
             flux.append((row / batch.denoms)[batch.unit_rows])
             kappa.append((contracted / batch.denoms)[batch.unit_rows])
     return np.concatenate(flux), np.concatenate(kappa)
@@ -413,12 +456,13 @@ def check_frame_indifference(
             cm = ComponentMap(model, obs)
             q = obs.q_matrix
             # conductivity form, element-independent: kappa(g) vs Q^T kappa*(Qg) Q
-            back = np.einsum("ji,sjk,kl->sil", q, cm.kappa(batch.thetas, batch.grads @ q.T), q)
-            kappa_raw = np.max(np.abs(batch.kappas - back), axis=(1, 2))
+            starred_kappas = cm.kappa(batch.thetas, batch.grads @ q.T)
+            back = conjugate_stack(np.ascontiguousarray(q.T), starred_kappas)
+            kappa_raw = np.max(np.abs(batch.kappas_t - sample_last(back)), axis=(0, 1))
             for hs, thetas, hgs, refs in blocks:
                 starred = cm.flux(thetas, hgs @ q.T)
                 # rows of starred @ Q are Q^T starred
-                flux_raw = np.linalg.norm(starred @ q - refs, axis=1).reshape(len(hs), -1)
+                flux_raw = row_norms(starred @ q - refs).reshape(len(hs), -1)
                 rel = np.maximum(flux_raw, kappa_raw) / batch.denoms
                 for h, row in zip(hs, rel):
                     yield row, h, obs, batch
@@ -449,9 +493,9 @@ def check_observer_independence(
         for obs in observers:
             # the observer's map at the canonical components' numeric values
             cm = ComponentMap(model, obs)
-            flux_raw = np.linalg.norm(cm.flux(batch.thetas, batch.grads) - batch.fluxes, axis=1)
-            kappa_star = cm.kappa(batch.thetas, batch.grads)
-            kappa_raw = np.max(np.abs(kappa_star - batch.kappas), axis=(1, 2))
+            flux_raw = row_norms(cm.flux(batch.thetas, batch.grads) - batch.fluxes)
+            kappa_star = sample_last(cm.kappa(batch.thetas, batch.grads))
+            kappa_raw = np.max(np.abs(kappa_star - batch.kappas_t), axis=(0, 1))
             yield np.maximum(flux_raw, kappa_raw) / batch.denoms, obs.q_matrix, obs, batch
 
     return _worst(rows(), cfg.tol)
@@ -500,6 +544,10 @@ def classify_linear_symmetry(kappa0, cfg: CheckConfig) -> LinearSymmetryClass:
     """Classify a constant symmetric conductivity by eigenvalue multiplicity:
     {3} isotropic, {2,1} transversely isotropic, {1,1,1} orthotropic.
 
+    The tensor must be symmetric within 1e-9 times its largest entry, so
+    the test, like the label, does not depend on its scale; NotSymmetric is
+    raised otherwise.
+
     Eigenvalues count as equal when they differ by at most 1e-8 times the
     largest eigenvalue magnitude, so the label does not depend on the
     tensor's scale; the zero tensor is isotropic.  The result is
@@ -509,9 +557,10 @@ def classify_linear_symmetry(kappa0, cfg: CheckConfig) -> LinearSymmetryClass:
     """
     k = as_tensor2(kappa0)
     skew = max_abs(k - k.T)
-    if skew > 1e-9:
+    if skew > 1e-9 * max_abs(k):
         raise NotSymmetric(
-            f"conductivity must be symmetric within 1e-9 (skew part {skew:.3g})"
+            f"conductivity must be symmetric within 1e-9 of its largest entry "
+            f"(skew part {skew:.3g})"
         )
     eigvals, _ = np.linalg.eigh(k)
     # multiplicity does not depend on scale: the gap tolerance is relative,

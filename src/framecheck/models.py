@@ -24,7 +24,7 @@ from typing import ClassVar, Union, get_args
 import numpy as np
 from numpy.polynomial import polynomial as npp
 
-from .tensors import ObserverChange, as_tensor2, as_vec3
+from .tensors import ObserverChange, as_tensor2, as_vec3, conjugate_stack
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,7 +133,13 @@ class NonlinearAnisotropic:
         object.__setattr__(self, "c", v)
 
     def kappa(self, thetas: np.ndarray, grads: np.ndarray) -> np.ndarray:
-        return self.a_tensor + self.c * np.einsum("si,sj->sij", grads, grads)
+        # built in place, sample last; no sum, so the bits of
+        # a_tensor + c * einsum("si,sj->sij", grads, grads)
+        g = np.ascontiguousarray(grads.T)
+        out = g[:, None] * g[None, :]
+        out *= self.c
+        out += self.a_tensor[:, :, None]
+        return np.ascontiguousarray(out.transpose(2, 0, 1))
 
 
 ConstitutiveModel = Union[
@@ -187,8 +193,7 @@ class ComponentMap:
 
     def kappa(self, thetas: np.ndarray, grads_star: np.ndarray) -> np.ndarray:
         """Observer-frame conductivities Q kappa(theta, Q^T g*) Q^T, (S, 3, 3)."""
-        q = self.observer.q_matrix
-        return np.einsum("ij,sjk,lk->sil", q, self._canonical(thetas, grads_star)[1], q)
+        return conjugate_stack(self.observer.q_matrix, self._canonical(thetas, grads_star)[1])
 
 
 def evaluate_components(cm: ComponentMap, components) -> np.ndarray:

@@ -175,6 +175,33 @@ def conjugate_tensor(q: ObserverChange, h) -> np.ndarray:
     return m @ as_tensor2(h) @ m.T
 
 
+# Batched kernels.  A stack of S tensors is (S, 3, 3) and a stack of vectors
+# (..., 3); the kernels below run on a C-contiguous copy with the sample axis
+# last, so each numpy inner loop spans the samples, not a 3-long component
+# axis.  Each returns the bits of the sample-first form named in its
+# docstring: only the layout moves, the order of every sum stays.
+
+
+def sample_last(stack) -> np.ndarray:
+    """C-contiguous (3, 3, S) copy of an (S, 3, 3) stack; no copy when the
+    stack is a view of one, as conjugate_stack returns."""
+    return np.ascontiguousarray(np.transpose(stack, (1, 2, 0)))
+
+
+def conjugate_stack(q, stack) -> np.ndarray:
+    """Q kappa_s Q^T for each tensor of an (S, 3, 3) stack, bit for bit
+    einsum("ij,sjk,lk->sil", q, stack, q) on a stack whose components are in
+    C order (contiguous, broadcast or sample-last).  The result is an
+    (S, 3, 3) view of a sample-last array."""
+    return np.einsum("ij,jks,lk->ils", q, sample_last(stack), q).transpose(2, 0, 1)
+
+
+def row_norms(vectors) -> np.ndarray:
+    """Euclidean norm over the last axis of a (..., 3) array, bit for bit
+    np.linalg.norm(vectors, axis=-1)."""
+    return np.linalg.norm(np.ascontiguousarray(np.moveaxis(vectors, -1, 0)), axis=0)
+
+
 def random_observers(count: int, seed) -> list[ObserverChange]:
     """``count`` Haar-random observer changes (proper and improper mixed)."""
     if count < 1:

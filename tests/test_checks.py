@@ -478,6 +478,19 @@ def test_classify_rejects_non_symmetric():
         fc.classify_linear_symmetry(skewed, CFG)
 
 
+def test_classify_skew_test_is_relative_to_the_tensor():
+    """The skew part is measured against the tensor's largest entry: a tiny
+    tensor whose skew part is a third of its scale is rejected, and a huge
+    symmetric one carrying only the rounding of its rotation is accepted."""
+    tiny_skewed = 1e-300 * np.array([[1.0, 1.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 3.0]])
+    with pytest.raises(fc.NotSymmetric):
+        fc.classify_linear_symmetry(tiny_skewed, CFG)
+    r = fc.random_orthogonal(0, proper_only=True)
+    huge = r @ (1e300 * DIAG123) @ r.T  # not scrubbed with 0.5 * (k + k.T)
+    assert fc.max_abs(huge - huge.T) > 1e-9
+    assert fc.classify_linear_symmetry(huge, CFG) is fc.LinearSymmetryClass.ORTHOTROPIC
+
+
 def test_check_results_are_bit_reproducible():
     model = fc.LinearConstant(DIAG123)
     first = fc.check_isotropy(model, fc.CheckConfig(seed=5), 64)
