@@ -45,21 +45,21 @@ no residual, witness or sample count.
 
 Layout
 ------
-The hot 3x3 contractions run on C-contiguous copies with the sample axis
-last, (3, 3, S), so numpy's inner loop spans the samples instead of a
-3-long component axis: the conjugation Q kappa Q^T
-(``tensors.conjugate_stack``), the symmetry deficit ``H kappa - kappa H``
-(``_deficit``), the flux-residual norms (``tensors.row_norms``) and the
-max-norm of conductivity residuals.  The rule is that a layout change moves
-no sum: each einsum keeps its operands and summed indices, only permuted, and
-gives the bits of its sample-first form.  A hand-written contraction, such as
-``np.add.reduce`` over the nine products, adds in another order and is not
-used.  The matvec ``einsum("sij,sj->si")`` stays sample first, because its
-sample-last form takes another einsum kernel and differs in the last bit: it
-gets ``model.kappa``'s stack as the model returns it, and
-``symmetry_form_residuals`` copies its deficit back to a sample-first
-C-contiguous array.  ``tests/test_layout.py`` holds each kernel to its
-sample-first form.
+Conductivity stacks stay sample last, (3, 3, S), from the law to the
+residual, so numpy's inner loop spans the samples instead of a 3-long
+component axis.  ``model.kappa`` builds its stack that way and hands it out
+as an (S, 3, 3) view; the checks read it through a transposed view, with no
+copy between the law and the conjugation Q kappa Q^T
+(``tensors.conjugate_stack``), the matvec kappa g (``tensors.matvec``), the
+symmetry deficit ``H kappa - kappa H`` (``_deficit``), the flux-residual
+norms (``tensors.row_norms``) and the max-norm of conductivity residuals.
+The rule is that a layout change moves no sum: each kernel gives the bits of
+its sample-first einsum.  An einsum keeps its operands and summed indices,
+only permuted.  A written-out contraction is allowed only where a layout
+test holds it to the einsum bit for bit, as ``tests/test_layout.py`` does
+for the matvec, whose sum ``tensors.matvec`` spells out in einsum's order;
+``np.add.reduce`` over the nine products of a conjugation, for one, adds in
+another order and is not used.
 """
 
 from __future__ import annotations
@@ -92,6 +92,7 @@ from .tensors import (
     _require_seed,
     as_tensor2,
     conjugate_stack,
+    matvec,
     max_abs,
     row_norms,
     sample_last,
@@ -190,8 +191,7 @@ class SchurResult(NamedTuple):
 class _StateBatch:
     thetas: np.ndarray        # (S,)
     grads: np.ndarray         # (S, 3)
-    kappas: np.ndarray        # (S, 3, 3) conductivity at the raw states
-    kappas_t: np.ndarray      # (3, 3, S) the same, sample last
+    kappas: np.ndarray        # (S, 3, 3) conductivity at the raw states, a sample-last view
     fluxes: np.ndarray        # (S, 3)
     denoms: np.ndarray        # (S,)  1 + |flux|_2
     unit_rows: np.ndarray     # (S,) bool, |grad|_2 == 1
@@ -223,14 +223,13 @@ def _sample_states(model: ConstitutiveModel, cfg: CheckConfig) -> _StateBatch:
     thetas = np.repeat(cfg.theta_samples, per_theta.shape[0])
     grads = np.tile(per_theta, (count, 1))
     kappas = model.kappa(thetas, grads)
-    fluxes = np.einsum("sij,sj->si", kappas, grads)
+    fluxes = matvec(kappas, grads)
     denoms = 1.0 + np.linalg.norm(fluxes, axis=1)
     unit_rows = np.abs(np.linalg.norm(grads, axis=1) - 1.0) <= 1e-12
     theta_index = np.repeat(np.arange(count), per_theta.shape[0])
     theta_rows = np.arange(count) * per_theta.shape[0]
     return _StateBatch(
-        thetas, grads, kappas, sample_last(kappas), fluxes, denoms, unit_rows, theta_index,
-        theta_rows,
+        thetas, grads, kappas, fluxes, denoms, unit_rows, theta_index, theta_rows
     )
 
 
@@ -254,11 +253,11 @@ def _element_blocks(model, batch: _StateBatch, elements):
         hgs = batch.grads @ stack.transpose(0, 2, 1)
         if gradient_dependent_kappa(model):
             kappas = model.kappa(np.tile(batch.thetas, len(hs)), hgs.reshape(-1, 3))
-            refs = np.einsum("esij,esj->esi", kappas.reshape(hgs.shape + (3,)), hgs)
+            refs = matvec(kappas.reshape(hgs.shape + (3,)), hgs)
             kappas = sample_last(kappas).reshape(3, 3, len(hs), -1)
         else:
             kappas = None
-            refs = np.einsum("sij,esj->esi", batch.kappas, hgs)
+            refs = matvec(batch.kappas, hgs)
         yield hs, stack, hgs, kappas, refs
 
 
@@ -283,7 +282,7 @@ def _symmetry_rows(model, elements, batch):
     additionally probes directions the sampled gradient misses (the
     zero-gradient state most of all).
     """
-    kappas_at = batch.kappas_t[:, :, batch.theta_rows]
+    kappas_at = np.transpose(batch.kappas, (1, 2, 0))[:, :, batch.theta_rows]
     for hs, stack, _, kappas_h, refs in _element_blocks(model, batch, elements):
         # rows of flux_h @ H are H^T flux_h
         flux_raw = row_norms(refs @ stack - batch.fluxes)
@@ -292,7 +291,7 @@ def _symmetry_rows(model, elements, batch):
             kappas_h = np.broadcast_to(kappas_at[:, :, None], (3, 3, len(hs), kappas_at.shape[2]))
             yield hs, flux_raw, _deficit(stack, kappas_at, kappas_h), batch.theta_index
         else:
-            yield hs, flux_raw, _deficit(stack, batch.kappas_t, kappas_h), slice(None)
+            yield hs, flux_raw, _deficit(stack, sample_last(batch.kappas), kappas_h), slice(None)
 
 
 def _deficit(stack, kappas, kappas_h):
@@ -406,13 +405,9 @@ def symmetry_form_residuals(
     batch = _sample_states(model, cfg)
     flux, kappa = [], []
     for _, flux_raw, deficit, at in _symmetry_rows(model, elements, batch):
-        for row, d in zip(flux_raw, deficit):
-            # the matvec runs sample first: its sample-last form takes
-            # another einsum kernel and differs in the last bit
-            d = np.ascontiguousarray(d.transpose(2, 0, 1)[at])
-            contracted = np.linalg.norm(np.einsum("sij,sj->si", d, batch.grads), axis=1)
-            flux.append((row / batch.denoms)[batch.unit_rows])
-            kappa.append((contracted / batch.denoms)[batch.unit_rows])
+        contracted = row_norms(matvec(deficit.transpose(0, 3, 1, 2)[:, at], batch.grads))
+        flux.append((flux_raw / batch.denoms)[:, batch.unit_rows].ravel())
+        kappa.append((contracted / batch.denoms)[:, batch.unit_rows].ravel())
     return np.concatenate(flux), np.concatenate(kappa)
 
 
@@ -452,15 +447,19 @@ def check_frame_indifference(
             (hs, np.tile(batch.thetas, len(hs)), hgs.reshape(-1, 3), refs.reshape(-1, 3))
             for hs, _, hgs, _, refs in _element_blocks(model, batch, elements)
         ]
+        kappas = np.transpose(batch.kappas, (1, 2, 0))
         for obs in observers:
             cm = ComponentMap(model, obs)
             q = obs.q_matrix
+            # rows of grads @ Q^T are Q g; a transposed view of Q takes a
+            # slower BLAS path, with the same bits
+            q_t = np.ascontiguousarray(q.T)
             # conductivity form, element-independent: kappa(g) vs Q^T kappa*(Qg) Q
-            starred_kappas = cm.kappa(batch.thetas, batch.grads @ q.T)
-            back = conjugate_stack(np.ascontiguousarray(q.T), starred_kappas)
-            kappa_raw = np.max(np.abs(batch.kappas_t - sample_last(back)), axis=(0, 1))
+            starred_kappas = cm.kappa(batch.thetas, batch.grads @ q_t)
+            back = conjugate_stack(q_t, starred_kappas)
+            kappa_raw = np.max(np.abs(kappas - sample_last(back)), axis=(0, 1))
             for hs, thetas, hgs, refs in blocks:
-                starred = cm.flux(thetas, hgs @ q.T)
+                starred = cm.flux(thetas, hgs @ q_t)
                 # rows of starred @ Q are Q^T starred
                 flux_raw = row_norms(starred @ q - refs).reshape(len(hs), -1)
                 rel = np.maximum(flux_raw, kappa_raw) / batch.denoms
@@ -488,6 +487,7 @@ def check_observer_independence(
     The witness reports the observer matrix as its group element.
     """
     batch = _sample_states(model, cfg)
+    kappas = np.transpose(batch.kappas, (1, 2, 0))
 
     def rows():
         for obs in observers:
@@ -495,7 +495,7 @@ def check_observer_independence(
             cm = ComponentMap(model, obs)
             flux_raw = row_norms(cm.flux(batch.thetas, batch.grads) - batch.fluxes)
             kappa_star = sample_last(cm.kappa(batch.thetas, batch.grads))
-            kappa_raw = np.max(np.abs(kappa_star - batch.kappas_t), axis=(0, 1))
+            kappa_raw = np.max(np.abs(kappa_star - kappas), axis=(0, 1))
             yield np.maximum(flux_raw, kappa_raw) / batch.denoms, obs.q_matrix, obs, batch
 
     return _worst(rows(), cfg.tol)

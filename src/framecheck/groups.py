@@ -162,8 +162,9 @@ class SymmetryGroup:
 
         The products are formed one row a @ (every b) at a time, and each is
         looked up in the trace buckets of _ElementIndex: only elements whose
-        bucket is the product's own or a neighbor count, inf when there is
-        none."""
+        bucket is the product's own or a neighbor count.  A product with no
+        element in those buckets is measured against every element, so a
+        set that is not closed gives the distance, not inf."""
         if self.kind is not GroupKind.FINITE:
             raise ValueError("closure_defect applies to finite groups")
         stack = np.stack(self.elements)
@@ -182,6 +183,10 @@ class SymmetryGroup:
                 np.abs(products[:, None] - stored[np.minimum(cand, len(stored) - 1)]), axis=(2, 3)
             )
             nearest = np.min(np.where(cand < hi[:, None], dist, np.inf), axis=1, initial=np.inf)
+            far = np.isinf(nearest)
+            if np.any(far):
+                dist = np.max(np.abs(products[far, None] - stack), axis=(2, 3))
+                nearest[far] = np.min(dist, axis=1)
             worst = max(worst, float(np.max(nearest)))
         return worst
 
@@ -317,7 +322,7 @@ def orthogonal_check_set(seed: int, sample_count: int) -> tuple[np.ndarray, ...]
     """``sample_count`` Haar draws (proper and improper mixed) followed by the
     adversarial set.  Cached: the set is pure in (seed, sample_count)."""
     rng = np.random.default_rng([_require_seed(seed), _GROUP_STREAM])
-    draws = tuple(_frozen(_haar_orthogonal(rng)) for _ in range(sample_count))
+    draws = tuple(_frozen(_haar_orthogonal(rng, sample_count)))
     return draws + adversarial_elements()
 
 

@@ -22,9 +22,8 @@ from dataclasses import dataclass
 from typing import ClassVar, Union, get_args
 
 import numpy as np
-from numpy.polynomial import polynomial as npp
 
-from .tensors import ObserverChange, as_tensor2, as_vec3, conjugate_stack
+from .tensors import ObserverChange, as_tensor2, as_vec3, conjugate_stack, matvec
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,7 +44,12 @@ class StatePoint:
 # Each family is one class: its config name, its law as the catalog prints
 # it, its parameters (the dataclass fields) and its batched conductivity.
 # kappa(thetas, grads) takes S states as a (S,) temperature array and a
-# (S, 3) gradient array and returns the (S, 3, 3) conductivity stack.
+# (S, 3) gradient array and returns the (S, 3, 3) conductivity stack as a
+# view of a C-contiguous, or for a constant tensor broadcast, (3, 3, S)
+# array: the checks work sample last (see checks.py, "Layout"), so the stack
+# reaches them without a copy.  Each family builds its stack with products
+# and sums of single entries, never a sum over components, so every entry
+# has the bits of its sample-first construction.
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,7 +65,7 @@ class LinearConstant:
         object.__setattr__(self, "kappa0", as_tensor2(self.kappa0))
 
     def kappa(self, thetas: np.ndarray, grads: np.ndarray) -> np.ndarray:
-        return np.broadcast_to(self.kappa0, (grads.shape[0], 3, 3))
+        return np.broadcast_to(self.kappa0[:, :, None], (3, 3, grads.shape[0])).transpose(2, 0, 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,8 +88,13 @@ class LinearTemperature:
         object.__setattr__(self, "theta_coeffs", coeffs)
 
     def kappa(self, thetas: np.ndarray, grads: np.ndarray) -> np.ndarray:
-        scale = npp.polyval(thetas, self.theta_coeffs)
-        return scale[:, None, None] * self.kappa0
+        # Horner's rule, written out as numpy.polynomial.polynomial.polyval
+        # runs it, so the bits are its own
+        coeffs = self.theta_coeffs
+        scale = coeffs[-1] + thetas * 0
+        for c in coeffs[-2::-1]:
+            scale = c + scale * thetas
+        return (self.kappa0[:, :, None] * scale).transpose(2, 0, 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,7 +116,7 @@ class NonlinearIsotropic:
 
     def kappa(self, thetas: np.ndarray, grads: np.ndarray) -> np.ndarray:
         scale = self.a + self.b * np.einsum("si,si->s", grads, grads)
-        return scale[:, None, None] * np.eye(3)
+        return (np.eye(3)[:, :, None] * scale).transpose(2, 0, 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,13 +142,13 @@ class NonlinearAnisotropic:
         object.__setattr__(self, "c", v)
 
     def kappa(self, thetas: np.ndarray, grads: np.ndarray) -> np.ndarray:
-        # built in place, sample last; no sum, so the bits of
+        # built in place; the bits of
         # a_tensor + c * einsum("si,sj->sij", grads, grads)
         g = np.ascontiguousarray(grads.T)
         out = g[:, None] * g[None, :]
         out *= self.c
         out += self.a_tensor[:, :, None]
-        return np.ascontiguousarray(out.transpose(2, 0, 1))
+        return out.transpose(2, 0, 1)
 
 
 ConstitutiveModel = Union[
@@ -189,7 +198,7 @@ class ComponentMap:
         # rows of flux @ Q^T are Q flux; with a transposed view of Q numpy's
         # one-row matmul takes another BLAS path and differs in the last bit
         q_t = np.ascontiguousarray(self.observer.q_matrix.T)
-        return np.einsum("sij,sj->si", kappas, grads) @ q_t
+        return matvec(kappas, grads) @ q_t
 
     def kappa(self, thetas: np.ndarray, grads_star: np.ndarray) -> np.ndarray:
         """Observer-frame conductivities Q kappa(theta, Q^T g*) Q^T, (S, 3, 3)."""

@@ -109,16 +109,18 @@ def _require_seed(seed) -> int:
     return s
 
 
-def _haar_orthogonal(rng: np.random.Generator, proper_only: bool = False) -> np.ndarray:
-    """One Haar-distributed orthogonal matrix drawn from ``rng``."""
-    gauss = rng.standard_normal((3, 3))
+def _haar_orthogonal(rng: np.random.Generator, n: int, proper_only: bool = False) -> np.ndarray:
+    """``n`` Haar-distributed orthogonal matrices drawn from ``rng``, (n, 3, 3):
+    the draws of n one-matrix calls, bit for bit, from one stacked QR."""
+    gauss = rng.standard_normal((n, 3, 3))
     q, r = np.linalg.qr(gauss)
     # Fixing the QR sign ambiguity (diagonal of r made positive) is what makes
     # q Haar-distributed over the full orthogonal group, both determinant
     # signs appearing with probability 1/2.
-    q = q * np.where(np.diag(r) < 0.0, -1.0, 1.0)
-    if proper_only and float(np.linalg.det(q)) < 0.0:
-        q[:, 2] = -q[:, 2]
+    q = q * np.where(np.diagonal(r, axis1=1, axis2=2) < 0.0, -1.0, 1.0)[:, None, :]
+    if proper_only:
+        improper = np.linalg.det(q) < 0.0
+        q[improper, :, 2] = -q[improper, :, 2]
     return q
 
 
@@ -130,7 +132,7 @@ def random_orthogonal(seed, proper_only: bool = False) -> np.ndarray:
     rotation subgroup.
     """
     rng = np.random.default_rng(_require_seed(seed))
-    return _frozen(_haar_orthogonal(rng, proper_only))
+    return _frozen(_haar_orthogonal(rng, 1, proper_only))[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,16 +177,16 @@ def conjugate_tensor(q: ObserverChange, h) -> np.ndarray:
     return m @ as_tensor2(h) @ m.T
 
 
-# Batched kernels.  A stack of S tensors is (S, 3, 3) and a stack of vectors
-# (..., 3); the kernels below run on a C-contiguous copy with the sample axis
-# last, so each numpy inner loop spans the samples, not a 3-long component
-# axis.  Each returns the bits of the sample-first form named in its
-# docstring: only the layout moves, the order of every sum stays.
+# Batched kernels.  A stack of S tensors is (S, 3, 3), in practice a view of
+# a C-contiguous (3, 3, S) array, and a stack of vectors (..., 3).  The
+# kernels below run with the sample axis last, so each numpy inner loop spans
+# the samples, not a 3-long component axis.  Each returns the bits of the
+# sample-first einsum named in its docstring.
 
 
 def sample_last(stack) -> np.ndarray:
     """C-contiguous (3, 3, S) copy of an (S, 3, 3) stack; no copy when the
-    stack is a view of one, as conjugate_stack returns."""
+    stack is a view of one, as model.kappa and conjugate_stack return."""
     return np.ascontiguousarray(np.transpose(stack, (1, 2, 0)))
 
 
@@ -196,10 +198,37 @@ def conjugate_stack(q, stack) -> np.ndarray:
     return np.einsum("ij,jks,lk->ils", q, sample_last(stack), q).transpose(2, 0, 1)
 
 
+def matvec(kappas, grads) -> np.ndarray:
+    """Rows kappa_s @ g_s of a (..., 3, 3) stack and (..., 3) vectors whose
+    leading axes broadcast, as a C-contiguous (..., 3) array: bit for bit
+    einsum("sij,sj->si"), and its forms "esij,esj->esi", "sij,esj->esi" and
+    "esij,sj->esi".
+
+    The sum is written out in the order of numpy's einsum kernel,
+    (k0 g0 + k2 g2) + k1 g1, and added to 0.0 as einsum's zeroed output is,
+    which turns a -0.0 sum into +0.0.  The stack is read through a
+    transposed view, never copied, so a sample-last or broadcast stack costs
+    nothing to hand in; only the vectors are copied, components first."""
+    # as many leading axes on both, then the components first
+    lead = max(kappas.ndim - 2, grads.ndim - 1)
+    k = kappas[(None,) * (lead + 2 - kappas.ndim)].transpose(lead, lead + 1, *range(lead))
+    # contiguous rows of g: numpy then takes its fast loops, for a broadcast
+    # stack's stride-0 samples too
+    g = np.ascontiguousarray(grads[(None,) * (lead + 1 - grads.ndim)].transpose(lead, *range(lead)))
+    prod = k * g
+    rows = np.empty(prod.shape[2:] + (3,))
+    out = rows.transpose(lead, *range(lead))
+    np.add(prod[:, 0], prod[:, 2], out=out)
+    out += prod[:, 1]
+    out += 0.0
+    return rows
+
+
 def row_norms(vectors) -> np.ndarray:
     """Euclidean norm over the last axis of a (..., 3) array, bit for bit
     np.linalg.norm(vectors, axis=-1)."""
-    return np.linalg.norm(np.ascontiguousarray(np.moveaxis(vectors, -1, 0)), axis=0)
+    last = vectors.ndim - 1
+    return np.linalg.norm(np.ascontiguousarray(vectors.transpose(last, *range(last))), axis=0)
 
 
 def random_observers(count: int, seed) -> list[ObserverChange]:
@@ -208,6 +237,5 @@ def random_observers(count: int, seed) -> list[ObserverChange]:
         raise ValueError("count must be at least 1")
     rng = np.random.default_rng([_require_seed(seed), _OBSERVER_STREAM])
     return [
-        ObserverChange(_haar_orthogonal(rng), orth_tol=INTERNAL_ORTH_TOL)
-        for _ in range(count)
+        ObserverChange(q, orth_tol=INTERNAL_ORTH_TOL) for q in _haar_orthogonal(rng, count)
     ]

@@ -182,7 +182,8 @@ def _unfolded_frame_indifference(model, group, observers, cfg):
             kappa_raw = np.max(np.abs(batch.kappas - back), axis=(1, 2))
             for h in elements:
                 hg = batch.grads @ h.T
-                ref = np.einsum("sij,sj->si", model.kappa(batch.thetas, hg), hg)
+                kappas_h = np.ascontiguousarray(model.kappa(batch.thetas, hg))
+                ref = np.einsum("sij,sj->si", kappas_h, hg)
                 starred = cm.flux(batch.thetas, hg @ q.T)
                 flux_raw = np.linalg.norm(starred @ q - ref, axis=1)
                 yield np.maximum(flux_raw, kappa_raw) / batch.denoms, h, obs, batch
@@ -251,13 +252,16 @@ def _per_element_symmetry(model, group, cfg):
     elements, every deficit computed at every state."""
     elements = fc.group_elements_for_check(group, cfg.seed)
     batch = fc.checks._sample_states(model, cfg)
+    kappas = np.ascontiguousarray(batch.kappas)
     rels, flux, kappa = [], [], []
     for h in elements:
         hg = batch.grads @ h.T
-        kappas_h = model.kappa(batch.thetas, hg) if model.gradient_dependent else batch.kappas
+        kappas_h = kappas
+        if model.gradient_dependent:
+            kappas_h = np.ascontiguousarray(model.kappa(batch.thetas, hg))
         flux_h = np.einsum("sij,sj->si", kappas_h, hg)
         flux_raw = np.linalg.norm(flux_h @ h - batch.fluxes, axis=1)
-        deficit = np.einsum("ij,sjk->sik", h, batch.kappas) - np.einsum("sij,jk->sik", kappas_h, h)
+        deficit = np.einsum("ij,sjk->sik", h, kappas) - np.einsum("sij,jk->sik", kappas_h, h)
         rel = np.maximum(flux_raw, np.max(np.abs(deficit), axis=(1, 2))) / batch.denoms
         rels.append((rel, h, None, batch))
         contracted = np.linalg.norm(np.einsum("sij,sj->si", deficit, batch.grads), axis=1)

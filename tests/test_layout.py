@@ -1,9 +1,11 @@
 """The sample-last kernels give the bits of their sample-first einsums.
 
-Each kernel runs on a (3, 3, S) copy of its stack and must equal the
+Each kernel runs with the sample axis of its stack last and must equal the
 sample-first form it replaced exactly, NaN and inf included: stacks of 1 to
 2,049 samples, entries spread over 10^-300 .. 10^300 so that some products
-overflow, and the non-contiguous layouts the checks hand in.
+overflow, and the non-contiguous layouts the checks hand in.  Each model
+family builds its conductivities sample last, with the bits of its old
+sample-first construction.
 
 The sample-first einsums iterate in memory order, so their own bits change
 when a stack's component axes are swapped (np.swapaxes(stack, 1, 2)); the
@@ -14,10 +16,11 @@ the checks build.
 import numpy as np
 from hypothesis import example, given
 from hypothesis import strategies as st
+from numpy.polynomial import polynomial as npp
 
 import framecheck as fc
 from framecheck.checks import _deficit
-from framecheck.tensors import conjugate_stack, row_norms, sample_last
+from framecheck.tensors import conjugate_stack, matvec, row_norms, sample_last
 
 # the layouts a stack reaches the kernels in
 LAYOUTS = {
@@ -50,6 +53,18 @@ def _entries(rng, shape, spread):
 
 def _same(got, expected):
     return got.shape == expected.shape and np.array_equal(got, expected, equal_nan=True)
+
+
+def _same_bits(got, expected):
+    """_same, and the sign of every zero too."""
+    return _same(got, expected) and np.array_equal(np.signbit(got), np.signbit(expected))
+
+
+def _is_sample_last(stack):
+    """An (S, 3, 3) view of a (3, 3, S) array that is C-contiguous, or is one
+    tensor broadcast over the samples."""
+    t = np.transpose(stack, (1, 2, 0))
+    return stack.shape[1:] == (3, 3) and (t.flags.c_contiguous or t.strides[2] == 0)
 
 
 @cases
@@ -112,5 +127,61 @@ def test_rank_one_conductivity_is_the_einsum_outer_product(size, seed, spread, l
         got = model.kappa(np.ones(size), grads)
         expected = a_tensor + c * np.einsum("si,sj->sij", grads, grads)
     assert _same(got, expected)
-    # the flux matvec is bit-exact only on a sample-first C-contiguous stack
-    assert got.flags.c_contiguous
+    assert _is_sample_last(got)
+
+
+@cases
+def test_every_family_builds_its_stack_sample_last(size, seed, spread, layout):
+    """Each family's kappa is a view of a sample-last stack whose bits are
+    those of its old sample-first construction."""
+    rng = np.random.default_rng(seed)
+    tensor = _entries(rng, (3, 3), spread)
+    a, b = (float(x) for x in _entries(rng, 2, spread))
+    coeffs = tuple(float(x) for x in _entries(rng, 1 + seed % 4, spread))
+    thetas = np.abs(_entries(rng, size, spread))
+    grads = LAYOUTS[layout](_entries(rng, (size, 3, 3), spread))[:, 0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = {
+            fc.LinearConstant(tensor): np.broadcast_to(tensor, (size, 3, 3)),
+            fc.LinearTemperature(tensor, coeffs): (
+                npp.polyval(thetas, coeffs)[:, None, None] * tensor
+            ),
+            fc.NonlinearIsotropic(a, b): (
+                (a + b * np.einsum("si,si->s", grads, grads))[:, None, None] * np.eye(3)
+            ),
+        }
+        for model, old in expected.items():
+            got = model.kappa(thetas, grads)
+            assert _same_bits(got, old), model.family
+            assert _is_sample_last(got), model.family
+
+
+@cases
+def test_matvec_is_the_sample_first_einsum(size, seed, spread, layout):
+    """The four matvec forms of the checks, on stacks in every layout and on
+    per-state stacks, sign of zero included."""
+    rng = np.random.default_rng(seed)
+    count = 1 + seed % 4
+    kappas = LAYOUTS[layout](_entries(rng, (size, 3, 3), spread))
+    grads = _entries(rng, (size, 3), spread)
+    per_state = LAYOUTS[layout](_entries(rng, (count * size, 3, 3), spread))
+    per_state = per_state.reshape(count, size, 3, 3)
+    block = _entries(rng, (count, size, 3), spread)
+    # zeros of both signs, so that a -0.0 sum shows
+    for a in (kappas, grads, per_state, block):
+        if a.flags.writeable:
+            a[rng.random(a.shape) < 0.2] = 0.0
+            a[rng.random(a.shape) < 0.2] *= -1.0
+    # the einsums ran on sample-first stacks, C-contiguous or (LinearConstant)
+    # broadcast; on a transposed view einsum itself takes another kernel
+    first = kappas if layout == "broadcast" else np.ascontiguousarray(kappas)
+    per_state_first = np.ascontiguousarray(per_state)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert _same_bits(matvec(kappas, grads), np.einsum("sij,sj->si", first, grads))
+        assert _same_bits(matvec(kappas, block), np.einsum("sij,esj->esi", first, block))
+        expected = np.einsum("esij,esj->esi", per_state_first, block)
+        assert _same_bits(matvec(per_state, block), expected)
+        expected = np.einsum("esij,sj->esi", per_state_first, grads)
+        assert _same_bits(matvec(per_state, grads), expected)
+        assert matvec(kappas, grads).flags.c_contiguous
+        assert matvec(per_state, block).flags.c_contiguous

@@ -1,10 +1,14 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from numpy.polynomial import polynomial as npp
 
 import framecheck as fc
-from conftest import DIAG123, MODEL_ROSTER
+from conftest import DIAG123, MODEL_ROSTER, SUBPROCESS_ENV
 
 bounded = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 grads = st.tuples(bounded, bounded, bounded)
@@ -200,3 +204,35 @@ def test_kappa_of_is_the_batch_row_bit_for_bit():
             # the one-row component maps are the rows of the batched kernel
             assert np.array_equal(fc.evaluate_components(cm, (theta, g)), fluxes_star[i]), (family, i)
             assert np.array_equal(fc.kappa_components(cm, (theta, g)), kappas_star[i]), (family, i)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(
+    coeffs=st.lists(finite, min_size=1, max_size=6),
+    thetas=st.lists(st.floats(min_value=1e-300, max_value=1e300), min_size=1, max_size=8),
+)
+def test_temperature_polynomial_is_numpys_polyval(coeffs, thetas):
+    """LinearTemperature writes out Horner's rule; its scale is
+    numpy.polynomial.polynomial.polyval bit for bit, overflow included."""
+    thetas = np.array(thetas)
+    model = fc.LinearTemperature(np.eye(3), tuple(coeffs))
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = model.kappa(thetas, np.zeros((thetas.size, 3)))[:, 0, 0]
+        expected = npp.polyval(thetas, coeffs)
+    assert np.array_equal(got, expected, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(expected))
+
+
+def test_importing_the_cli_leaves_numpy_polynomial_out():
+    """numpy.polynomial costs every process a few ms of start-up and nothing
+    in the package needs it."""
+    code = (
+        "import sys, framecheck.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=SUBPROCESS_ENV, capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.strip() == "[]"

@@ -177,6 +177,35 @@ def test_random_observers_contract():
         fc.random_observers(0, 1)
 
 
+def _haar_one_at_a_time(rng, n, proper_only):
+    """n draws of one Haar matrix each, as the batched draw replaced."""
+    draws = []
+    for _ in range(n):
+        q, r = np.linalg.qr(rng.standard_normal((3, 3)))
+        q = q * np.where(np.diag(r) < 0.0, -1.0, 1.0)
+        if proper_only and float(np.linalg.det(q)) < 0.0:
+            q[:, 2] = -q[:, 2]
+        draws.append(q)
+    return np.array(draws)
+
+
+@pytest.mark.parametrize("proper_only", [False, True])
+def test_batched_haar_draws_are_the_one_at_a_time_loop(proper_only):
+    """The stacked draw of n matrices is the loop of n draws bit for bit, and
+    leaves the generator where the loop does."""
+    for seed in (0, 1, 7, 12345):
+        ref_rng = np.random.default_rng(seed)
+        expected = _haar_one_at_a_time(ref_rng, 300, proper_only)
+        after = ref_rng.standard_normal()
+        for n in range(1, 301):
+            rng = np.random.default_rng(seed)
+            got = fc.tensors._haar_orthogonal(rng, n, proper_only)
+            assert np.array_equal(got, expected[:n]), (seed, n)
+        assert rng.standard_normal() == after
+        if proper_only:
+            assert np.all(np.linalg.det(got) > 0.0)
+
+
 def test_observer_stream_is_separate_from_orthogonal_stream():
     # same seed, different derived streams: the draws must not coincide
     q = fc.random_orthogonal(5)
