@@ -34,14 +34,23 @@ Only the witness's StatePoint is ever built.
 
 Folding
 -------
+A law that does not depend on the temperature (``temperature_dependent``
+False: every family but LinearTemperature) gives every configured temperature
+the first one's rows, bit for bit.  Its states are sampled at the first
+temperature only, and ``_worst`` counts each row once per configured
+temperature, so ``samples_used`` still counts the whole sweep.  The first
+temperature's rows come first in the sweep and ties break toward the
+earliest sample, so the maximum and witness are the sweep's.  zero_map
+still evaluates every temperature.
+
 The symmetry and frame-indifference checks take the group elements in blocks
 of about ``_FOLD_STATES`` states and do each block's arithmetic in one array
 operation, not one per element.  When the conductivity depends on the
 temperature alone, the symmetry check's conductivity deficit
 ``H kappa - kappa H`` depends only on the element and the temperature, so it
 is computed once per (element, sampled temperature) and expanded to the
-states.  Each element's row is still reduced on its own, so the folds change
-no residual, witness or sample count.
+states.  Each element's row is still reduced on its own, with one
+``np.argmax``, so the folds change no residual, witness or sample count.
 
 Layout
 ------
@@ -197,6 +206,7 @@ class _StateBatch:
     unit_rows: np.ndarray     # (S,) bool, |grad|_2 == 1
     theta_index: np.ndarray   # (S,) position of the state's temperature in theta_samples
     theta_rows: np.ndarray    # (T,) each temperature's first state, its zero gradient
+    repeat: int               # configured temperatures each sampled state stands for
 
     def __getitem__(self, s: int) -> StatePoint:
         """State s as a StatePoint, built on demand: only a witness needs one."""
@@ -215,12 +225,16 @@ def _unit_directions(cfg: CheckConfig) -> np.ndarray:
 
 
 def _sample_states(model: ConstitutiveModel, cfg: CheckConfig) -> _StateBatch:
+    """The sampled states, temperature by temperature in cfg's order.  A law
+    that ignores the temperature gets only the first temperature's states,
+    standing for all of them: its rows at the others repeat them bit for bit."""
     dirs = _unit_directions(cfg)
     mags = NONLINEAR_MAGNITUDES if gradient_dependent_kappa(model) else (1.0,)
     # per temperature: the zero gradient, then every magnitude times every direction
     per_theta = np.concatenate([np.zeros((1, 3))] + [mag * dirs for mag in mags])
-    count = len(cfg.theta_samples)
-    thetas = np.repeat(cfg.theta_samples, per_theta.shape[0])
+    sampled = cfg.theta_samples if model.temperature_dependent else cfg.theta_samples[:1]
+    count = len(sampled)
+    thetas = np.repeat(sampled, per_theta.shape[0])
     grads = np.tile(per_theta, (count, 1))
     kappas = model.kappa(thetas, grads)
     fluxes = matvec(kappas, grads)
@@ -229,7 +243,8 @@ def _sample_states(model: ConstitutiveModel, cfg: CheckConfig) -> _StateBatch:
     theta_index = np.repeat(np.arange(count), per_theta.shape[0])
     theta_rows = np.arange(count) * per_theta.shape[0]
     return _StateBatch(
-        thetas, grads, kappas, fluxes, denoms, unit_rows, theta_index, theta_rows
+        thetas, grads, kappas, fluxes, denoms, unit_rows, theta_index, theta_rows,
+        len(cfg.theta_samples) // count,
     )
 
 
@@ -305,12 +320,15 @@ def _deficit(stack, kappas, kappas_h):
     return deficit
 
 
-def _worst(rows, tol: float, note: str = "") -> CheckResult:
+def _worst(rows, tol: float, note: str = "", repeat: int = 1) -> CheckResult:
     """Reduce a check's residual rows to its verdict, maximum and witness.
 
     ``rows`` yields ``(rel, element, observer, states)``: the relative
     residuals of one pass over (observer, element), with ``rel[s]`` measured
-    at ``states[s]``.  The maximum is taken with one ``np.argmax`` per row;
+    at ``states[s]``.  Each row stands for ``repeat`` rows that repeat it bit
+    for bit and come after it, so it counts ``repeat * rel.size`` samples and
+    its maximum and witness are theirs.  The maximum is taken with one
+    ``np.argmax`` per row;
     ties break toward the earliest row, then the earliest state.  A
     non-finite residual counts as inf: the earliest one fails the check and
     becomes the witness, so NaN can never pass and max_residual is never
@@ -322,7 +340,7 @@ def _worst(rows, tol: float, note: str = "") -> CheckResult:
     best_at = None
     samples = 0
     for rel, element, observer, states in rows:
-        samples += rel.size
+        samples += rel.size * repeat
         # a one-sample row (zero_map's per-temperature flux) needs no search
         s_idx = int(np.argmax(rel)) if rel.size > 1 else 0
         r = float(rel[s_idx])
@@ -371,7 +389,7 @@ def check_symmetry(model: ConstitutiveModel, group: SymmetryGroup, cfg: CheckCon
             for h, row in zip(hs, rel):
                 yield row, h, None, batch
 
-    return _worst(rows(), cfg.tol)
+    return _worst(rows(), cfg.tol, repeat=batch.repeat)
 
 
 def check_isotropy(
@@ -394,7 +412,8 @@ def symmetry_form_residuals(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-(element, state) relative residuals of the two symmetry forms on
     the unit-gradient states: the flux form, and the conductivity form
-    contracted with the gradient.
+    contracted with the gradient.  Each element's row covers every configured
+    temperature, a temperature-independent law's first one repeated.
 
     The two arrays coincide to floating-point rounding because the flux
     deficit is the rotated contraction of the conductivity deficit; asserting
@@ -406,8 +425,8 @@ def symmetry_form_residuals(
     flux, kappa = [], []
     for _, flux_raw, deficit, at in _symmetry_rows(model, elements, batch):
         contracted = row_norms(matvec(deficit.transpose(0, 3, 1, 2)[:, at], batch.grads))
-        flux.append((flux_raw / batch.denoms)[:, batch.unit_rows].ravel())
-        kappa.append((contracted / batch.denoms)[:, batch.unit_rows].ravel())
+        for out, raw in ((flux, flux_raw), (kappa, contracted)):
+            out.append(np.tile((raw / batch.denoms)[:, batch.unit_rows], batch.repeat).ravel())
     return np.concatenate(flux), np.concatenate(kappa)
 
 
@@ -456,8 +475,8 @@ def check_frame_indifference(
             q_t = np.ascontiguousarray(q.T)
             # conductivity form, element-independent: kappa(g) vs Q^T kappa*(Qg) Q
             starred_kappas = cm.kappa(batch.thetas, batch.grads @ q_t)
-            back = conjugate_stack(q_t, starred_kappas)
-            kappa_raw = np.max(np.abs(kappas - sample_last(back)), axis=(0, 1))
+            back = np.transpose(conjugate_stack(q_t, starred_kappas), (1, 2, 0))
+            kappa_raw = np.max(np.abs(kappas - back), axis=(0, 1))
             for hs, thetas, hgs, refs in blocks:
                 starred = cm.flux(thetas, hgs @ q_t)
                 # rows of starred @ Q are Q^T starred
@@ -471,7 +490,7 @@ def check_frame_indifference(
         "mapping, anisotropic ones included; a failure indicates a "
         "frame-handling bug rather than material anisotropy"
     )
-    return _worst(rows(), cfg.tol, note)
+    return _worst(rows(), cfg.tol, note, batch.repeat)
 
 
 @_nonfinite_fails
@@ -494,11 +513,11 @@ def check_observer_independence(
             # the observer's map at the canonical components' numeric values
             cm = ComponentMap(model, obs)
             flux_raw = row_norms(cm.flux(batch.thetas, batch.grads) - batch.fluxes)
-            kappa_star = sample_last(cm.kappa(batch.thetas, batch.grads))
+            kappa_star = np.transpose(cm.kappa(batch.thetas, batch.grads), (1, 2, 0))
             kappa_raw = np.max(np.abs(kappa_star - kappas), axis=(0, 1))
             yield np.maximum(flux_raw, kappa_raw) / batch.denoms, obs.q_matrix, obs, batch
 
-    return _worst(rows(), cfg.tol)
+    return _worst(rows(), cfg.tol, repeat=batch.repeat)
 
 
 @_nonfinite_fails

@@ -43,6 +43,11 @@ class StatePoint:
 
 # Each family is one class: its config name, its law as the catalog prints
 # it, its parameters (the dataclass fields) and its batched conductivity.
+# Two flags say which state variables the conductivity reads:
+# gradient_dependent, and temperature_dependent, which a family sets False
+# only when its kappa gives the same bits at every temperature (the checks
+# then sample one temperature and count the whole sweep; see checks.py,
+# "Folding").
 # kappa(thetas, grads) takes S states as a (S,) temperature array and a
 # (S, 3) gradient array and returns the (S, 3, 3) conductivity stack as a
 # view of a C-contiguous, or for a constant tensor broadcast, (3, 3, S)
@@ -60,6 +65,7 @@ class LinearConstant:
     family: ClassVar[str] = "linear_constant"
     law: ClassVar[str] = "q = kappa0 @ g with a constant tensor kappa0"
     gradient_dependent: ClassVar[bool] = False
+    temperature_dependent: ClassVar[bool] = False
 
     def __post_init__(self):
         object.__setattr__(self, "kappa0", as_tensor2(self.kappa0))
@@ -77,6 +83,7 @@ class LinearTemperature:
     family: ClassVar[str] = "linear_temperature"
     law: ClassVar[str] = "q = p(theta) * kappa0 @ g, p polynomial"
     gradient_dependent: ClassVar[bool] = False
+    temperature_dependent: ClassVar[bool] = True
 
     def __post_init__(self):
         object.__setattr__(self, "kappa0", as_tensor2(self.kappa0))
@@ -106,6 +113,7 @@ class NonlinearIsotropic:
     family: ClassVar[str] = "nonlinear_isotropic"
     law: ClassVar[str] = "q = (a + b*|g|^2) * g"
     gradient_dependent: ClassVar[bool] = True
+    temperature_dependent: ClassVar[bool] = False
 
     def __post_init__(self):
         for field in ("a", "b"):
@@ -133,6 +141,7 @@ class NonlinearAnisotropic:
     family: ClassVar[str] = "nonlinear_anisotropic"
     law: ClassVar[str] = "q = (a_tensor + c * outer(g, g)) @ g"
     gradient_dependent: ClassVar[bool] = True
+    temperature_dependent: ClassVar[bool] = False
 
     def __post_init__(self):
         object.__setattr__(self, "a_tensor", as_tensor2(self.a_tensor))

@@ -149,14 +149,21 @@ class ObserverChange:
 
     def __post_init__(self):
         m = as_tensor2(self.q_matrix)
-        if not is_orthogonal(m, self.orth_tol):
-            raise ValueError(
-                f"observer matrix is not orthogonal within {self.orth_tol:g}"
-            )
-        det = float(np.linalg.det(m))
-        if min(abs(det - 1.0), abs(det + 1.0)) > 10.0 * self.orth_tol:
-            raise ValueError("observer determinant must be +1 or -1")
+        _require_observers(m[None], self.orth_tol)
         object.__setattr__(self, "q_matrix", m)
+
+    @classmethod
+    def _stack(cls, stack: np.ndarray, orth_tol: float) -> list["ObserverChange"]:
+        """One observer per matrix of a finite (n, 3, 3) stack, validated in
+        one pass: the observers, and the errors, of n constructor calls."""
+        _require_observers(stack, orth_tol)
+        observers = []
+        for m in stack:
+            obs = object.__new__(cls)
+            object.__setattr__(obs, "q_matrix", _frozen(m.copy()))
+            object.__setattr__(obs, "orth_tol", orth_tol)
+            observers.append(obs)
+        return observers
 
     @property
     def determinant(self) -> float:
@@ -164,6 +171,21 @@ class ObserverChange:
 
     def inverse(self) -> "ObserverChange":
         return ObserverChange(self.q_matrix.T.copy(), self.orth_tol)
+
+
+def _require_observers(stack: np.ndarray, tol: float) -> None:
+    """Raise ValueError unless every matrix Q of a finite (n, 3, 3) stack is
+    an observer change: max|Q Q^T - 1| <= tol, as is_orthogonal tests it, and
+    det Q within 10 tol of +1 or -1.  The stacked products and determinants
+    have the bits of the one-matrix ones."""
+    if not np.isfinite(tol) or tol <= 0.0:
+        raise ValueError("tol must be a positive finite number")
+    defects = np.max(np.abs(stack @ stack.transpose(0, 2, 1) - np.eye(3)), axis=(1, 2))
+    if not np.all(defects <= tol):
+        raise ValueError(f"observer matrix is not orthogonal within {tol:g}")
+    dets = np.linalg.det(stack)
+    if np.any(np.minimum(np.abs(dets - 1.0), np.abs(dets + 1.0)) > 10.0 * tol):
+        raise ValueError("observer determinant must be +1 or -1")
 
 
 def transform_vector(q: ObserverChange, v) -> np.ndarray:
@@ -194,7 +216,13 @@ def conjugate_stack(q, stack) -> np.ndarray:
     """Q kappa_s Q^T for each tensor of an (S, 3, 3) stack, bit for bit
     einsum("ij,sjk,lk->sil", q, stack, q) on a stack whose components are in
     C order (contiguous, broadcast or sample-last).  The result is an
-    (S, 3, 3) view of a sample-last array."""
+    (S, 3, 3) view of a sample-last array; for one tensor broadcast over the
+    samples, as LinearConstant.kappa returns, that tensor is conjugated once
+    and its conjugate broadcast the same way, with no copy of the stack."""
+    t = np.transpose(stack, (1, 2, 0))
+    if t.strides[2] == 0:
+        one = np.einsum("ij,jks,lk->ils", q, t[:, :, :1], q)
+        return np.broadcast_to(one, t.shape).transpose(2, 0, 1)
     return np.einsum("ij,jks,lk->ils", q, sample_last(stack), q).transpose(2, 0, 1)
 
 
@@ -236,6 +264,4 @@ def random_observers(count: int, seed) -> list[ObserverChange]:
     if count < 1:
         raise ValueError("count must be at least 1")
     rng = np.random.default_rng([_require_seed(seed), _OBSERVER_STREAM])
-    return [
-        ObserverChange(q, orth_tol=INTERNAL_ORTH_TOL) for q in _haar_orthogonal(rng, count)
-    ]
+    return ObserverChange._stack(_haar_orthogonal(rng, count), INTERNAL_ORTH_TOL)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -168,13 +170,34 @@ def test_frame_indifference_fails_for_a_wrongly_rotated_component_map(monkeypatc
     assert result.witness is not None and result.witness.observer is not None
 
 
+class _Sweep:
+    """The checks' states at every configured temperature, in order, built
+    without checks._sample_states (which samples a temperature-independent
+    law at the first temperature only)."""
+
+    def __init__(self, model, cfg):
+        dirs = fc.checks._unit_directions(cfg)
+        mags = fc.checks.NONLINEAR_MAGNITUDES if model.gradient_dependent else (1.0,)
+        per_theta = [np.zeros(3)] + [mag * d for mag in mags for d in dirs]
+        self.thetas = np.array([t for t in cfg.theta_samples for _ in per_theta])
+        self.grads = np.array(per_theta * len(cfg.theta_samples))
+        self.kappas = np.ascontiguousarray(model.kappa(self.thetas, self.grads))
+        self.fluxes = np.einsum("sij,sj->si", self.kappas, self.grads)
+        self.denoms = 1.0 + np.linalg.norm(self.fluxes, axis=1)
+        self.unit_rows = np.abs(np.linalg.norm(self.grads, axis=1) - 1.0) <= 1e-12
+
+    def __getitem__(self, s):
+        return fc.StatePoint(self.thetas[s], self.grads[s])
+
+
 def _unfolded_frame_indifference(model, group, observers, cfg):
     """check_frame_indifference as a plain loop: one ComponentMap call per
-    (observer, element), observer outer, element inner."""
+    (observer, element), observer outer, element inner, every state at every
+    configured temperature."""
 
     def rows():
         elements = fc.group_elements_for_check(group, cfg.seed)
-        batch = fc.checks._sample_states(model, cfg)
+        batch = _Sweep(model, cfg)
         for obs in observers:
             cm = fc.ComponentMap(model, obs)
             q = obs.q_matrix
@@ -211,13 +234,22 @@ def _assert_same_result(folded, unfolded):
 STRICT = fc.CheckConfig(tol=1e-300)
 
 
+def _ends_in_a_partial_block(model, group, cfg):
+    """Does the fold split the group's elements into several blocks, the last
+    one short?"""
+    states = fc.checks._sample_states(model, cfg).thetas.size
+    per_block = max(1, fc.checks._FOLD_STATES // states)
+    return group.order > per_block and group.order % per_block != 0
+
+
 @pytest.mark.parametrize("cfg", [CFG, STRICT], ids=["default_tol", "strict_tol"])
 def test_folded_frame_indifference_matches_the_unfolded_loop(cfg):
     observers = fc.random_observers(4, 3)
-    # transverse_z_7 spans two blocks (6 + 1 elements) for the
-    # gradient-dependent families; transverse_z_192 spans eleven
-    # (10 x 18 + 12) for the linear ones
-    small, big = fc.catalog_lookup("transverse_z_7"), fc.catalog_lookup("transverse_z_192")
+    # the last block is partial for every family: transverse_z_20 spans
+    # 19 + 1 elements for the gradient-dependent ones, transverse_z_192
+    # 3 x 56 + 24 for the constant one and 10 x 18 + 12 for the
+    # temperature-scaled one
+    small, big = fc.catalog_lookup("transverse_z_20"), fc.catalog_lookup("transverse_z_192")
     for _, model in MODEL_ROSTER:
         groups = [small] if fc.gradient_dependent_kappa(model) else [small, big]
         for group in groups:
@@ -225,9 +257,7 @@ def test_folded_frame_indifference_matches_the_unfolded_loop(cfg):
             _assert_same_result(
                 folded, _unfolded_frame_indifference(model, group, observers, cfg)
             )
-    states = fc.checks._sample_states(MODEL_ROSTER[0][1], cfg).thetas.size
-    assert big.order * states > fc.checks._FOLD_STATES
-    assert big.order * states % fc.checks._FOLD_STATES != 0
+        assert _ends_in_a_partial_block(model, groups[-1], cfg), model
 
 
 def test_folded_frame_indifference_matches_the_unfolded_loop_on_failures(monkeypatch):
@@ -249,10 +279,11 @@ def test_folded_frame_indifference_matches_the_unfolded_loop_on_failures(monkeyp
 
 def _per_element_symmetry(model, group, cfg):
     """check_symmetry and symmetry_form_residuals as a plain loop over the
-    elements, every deficit computed at every state."""
+    elements, every deficit computed at every state and every configured
+    temperature."""
     elements = fc.group_elements_for_check(group, cfg.seed)
-    batch = fc.checks._sample_states(model, cfg)
-    kappas = np.ascontiguousarray(batch.kappas)
+    batch = _Sweep(model, cfg)
+    kappas = batch.kappas
     rels, flux, kappa = [], [], []
     for h in elements:
         hg = batch.grads @ h.T
@@ -273,9 +304,9 @@ def _per_element_symmetry(model, group, cfg):
 
 @pytest.mark.parametrize("cfg", [CFG, STRICT], ids=["default_tol", "strict_tol"])
 def test_folded_symmetry_matches_the_per_element_loop(cfg):
-    # the last block is partial on transverse_z_7 for the gradient-dependent
-    # families (6 + 1 elements) and on transverse_z_192 for the linear ones
-    # (10 x 18 + 12)
+    # the last block is partial on transverse_z_192 for every family
+    # (10 x 19 + 2 elements for the gradient-dependent ones, 3 x 56 + 24 for
+    # the constant one, 10 x 18 + 12 for the temperature-scaled ones)
     names = ("transverse_z_7", "transverse_z_192", "full_orthogonal")
     groups = [fc.catalog_lookup(name) for name in names]
     models = [model for _, model in MODEL_ROSTER] + [OVERFLOW]
@@ -287,14 +318,62 @@ def test_folded_symmetry_matches_the_per_element_loop(cfg):
                 got_flux, got_kappa = fc.symmetry_form_residuals(model, group, cfg)
                 assert np.array_equal(got_flux, flux, equal_nan=True)
                 assert np.array_equal(got_kappa, kappa, equal_nan=True)
+            assert _ends_in_a_partial_block(model, groups[1], cfg), model
     # the overflow model's witness is its earliest non-finite sample: the
     # zero gradient at theta = 1, where kappa first overflows
     result = fc.check_symmetry(OVERFLOW, groups[0], cfg)
     assert result.max_residual == np.inf
     assert result.witness.state.theta == 1.0
     assert not np.any(result.witness.state.grad_theta)
-    states = fc.checks._sample_states(MODEL_ROSTER[0][1], cfg).thetas.size
-    assert groups[1].order * states % fc.checks._FOLD_STATES != 0
+
+
+def _plain_observer_independence(model, observers, cfg):
+    """check_observer_independence as a plain loop over the observers, every
+    state at every configured temperature."""
+    batch = _Sweep(model, cfg)
+
+    def rows():
+        for obs in observers:
+            cm = fc.ComponentMap(model, obs)
+            flux_raw = np.linalg.norm(cm.flux(batch.thetas, batch.grads) - batch.fluxes, axis=1)
+            kappa_star = cm.kappa(batch.thetas, batch.grads)
+            kappa_raw = np.max(np.abs(kappa_star - batch.kappas), axis=(1, 2))
+            yield np.maximum(flux_raw, kappa_raw) / batch.denoms, obs.q_matrix, obs, batch
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        return fc.checks._worst(rows(), cfg.tol)
+
+
+# one temperature, a repeated unsorted set and a descending set: a law that
+# ignores the temperature is sampled at the first one and counts them all
+OTHER_THETAS = {
+    "one": (1.0,),
+    "repeated": (300.0, 0.5, 300.0),
+    "descending": (300.0, 1.0, 0.5),
+}
+
+
+@pytest.mark.parametrize("thetas", sorted(OTHER_THETAS))
+@pytest.mark.parametrize("cfg", [CFG, STRICT], ids=["default_tol", "strict_tol"])
+def test_checks_match_the_reference_loops_at_other_temperatures(cfg, thetas):
+    cfg = replace(cfg, theta_samples=OTHER_THETAS[thetas])
+    observers = fc.random_observers(4, 3)
+    groups = [fc.catalog_lookup("transverse_z_7"), fc.catalog_lookup("full_orthogonal", 8)]
+    for _, model in MODEL_ROSTER:
+        _assert_same_result(
+            fc.check_observer_independence(model, observers, cfg),
+            _plain_observer_independence(model, observers, cfg),
+        )
+        _assert_same_result(
+            fc.check_frame_indifference(model, groups[0], observers, cfg),
+            _unfolded_frame_indifference(model, groups[0], observers, cfg),
+        )
+        for group in groups:
+            expected, flux, kappa = _per_element_symmetry(model, group, cfg)
+            _assert_same_result(fc.check_symmetry(model, group, cfg), expected)
+            got_flux, got_kappa = fc.symmetry_form_residuals(model, group, cfg)
+            assert np.array_equal(got_flux, flux)
+            assert np.array_equal(got_kappa, kappa)
 
 
 def _count_state_points(monkeypatch):

@@ -23,6 +23,7 @@ CONFIGS = {
     "heavy": (GOLDEN / "heavy.ini", 1),
     "big_group": (GOLDEN / "big_group.ini", 1),
     "nonlinear_isotropic": (GOLDEN / "nonlinear_isotropic.ini", 0),
+    "theta_order": (GOLDEN / "theta_order.ini", 1),
 }
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import subprocess
 import sys
 
@@ -223,6 +224,49 @@ def test_temperature_polynomial_is_numpys_polyval(coeffs, thetas):
         expected = npp.polyval(thetas, coeffs)
     assert np.array_equal(got, expected, equal_nan=True)
     assert np.array_equal(np.signbit(got), np.signbit(expected))
+
+
+def _extreme(rng, shape):
+    """Gaussian entries times 10^k, k uniform in [-300, 300]."""
+    return rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 301, shape)
+
+
+@given(
+    seed=seeds,
+    pairs=st.lists(
+        st.tuples(*2 * [st.floats(min_value=1e-300, max_value=1e300)]), min_size=1, max_size=16
+    ),
+)
+def test_temperature_flag_says_whether_kappa_reads_theta(seed, pairs):
+    """A family marked temperature-independent gives the bits of its kappa at
+    any temperatures at any others, overflow included: the checks sample it
+    at one temperature and count the sweep.  A family marked dependent, here
+    LinearTemperature with an increasing polynomial, gives other bits at
+    other temperatures."""
+    rng = np.random.default_rng(seed)
+    first, second = np.array(pairs).T
+    grads = _extreme(rng, (first.size, 3))
+    params = {
+        "kappa0": _extreme(rng, (3, 3)),
+        "a_tensor": _extreme(rng, (3, 3)),
+        "a": float(_extreme(rng, ())),
+        "b": float(_extreme(rng, ())),
+        "c": float(_extreme(rng, ())),
+        # positive, with a non-constant term
+        "theta_coeffs": tuple(rng.uniform(0.5, 2.0, 3)),
+    }
+    # a polynomial that is finite and increasing on these, so p(t) < p(2 t)
+    moderate = rng.uniform(0.5, 300.0, first.size)
+    for cls in fc.MODEL_FAMILIES.values():
+        model = cls(**{f.name: params[f.name] for f in dataclasses.fields(cls)})
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not cls.temperature_dependent:
+                a, b = model.kappa(first, grads), model.kappa(second, grads)
+                assert np.array_equal(a, b, equal_nan=True), cls.family
+                assert np.array_equal(np.signbit(a), np.signbit(b)), cls.family
+            else:
+                a, b = model.kappa(moderate, grads), model.kappa(2.0 * moderate, grads)
+                assert np.all(a != b), cls.family
 
 
 def test_importing_the_cli_leaves_numpy_polynomial_out():

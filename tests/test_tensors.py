@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -116,6 +118,60 @@ def test_observer_change_tolerance_is_configurable():
     with pytest.raises(ValueError):
         fc.ObserverChange(q, orth_tol=1e-12)
     fc.ObserverChange(q, orth_tol=1e-6)
+
+
+SHEAR = np.eye(3) + 1e-6 * np.triu(np.ones((3, 3)), 1)
+
+# (matrix, orth_tol or None for the default, the constructor's error or None)
+OBSERVER_CASES = {
+    "scaled": (2.0 * np.eye(3), None, "observer matrix is not orthogonal within 1e-09"),
+    "sheared": (SHEAR, None, "observer matrix is not orthogonal within 1e-09"),
+    "sheared_loose": (SHEAR, 1e-5, None),
+    "stretched": (
+        fc.rotation_about([1, 2, 3], 0.7) * (1 + 1e-11),
+        1e-12,
+        "observer matrix is not orthogonal within 1e-12",
+    ),
+    "nan": (np.full((3, 3), np.nan), None, "tensor entries must be finite"),
+    "inf": (np.diag([np.inf, 1.0, 1.0]), None, "tensor entries must be finite"),
+    "shape": (np.eye(2), None, "cannot reshape array of size 4 into shape (3,3)"),
+    "zero_tol": (np.eye(3), 0.0, "tol must be a positive finite number"),
+    "nan_tol": (np.eye(3), float("nan"), "tol must be a positive finite number"),
+    "negative_tol": (np.eye(3), -1e-9, "tol must be a positive finite number"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OBSERVER_CASES))
+def test_observer_change_errors_are_unchanged(name):
+    """A user-built observer is validated as it was when each constructor
+    checked its own matrix; these messages are those of that version."""
+    matrix, tol, error = OBSERVER_CASES[name]
+    kwargs = {} if tol is None else {"orth_tol": tol}
+    if error is None:
+        assert np.array_equal(fc.ObserverChange(matrix, **kwargs).q_matrix, matrix)
+    else:
+        with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+            fc.ObserverChange(matrix, **kwargs)
+
+
+def test_random_observers_validate_every_draw(monkeypatch):
+    """The drawn stack is checked in one pass, not skipped: one bad matrix
+    among the draws raises the constructor's error."""
+    draw = fc.tensors._haar_orthogonal
+
+    def one_bad(rng, n, proper_only=False):
+        stack = draw(rng, n, proper_only)
+        stack[n // 2] *= 1.0 + 1e-9
+        return stack
+
+    observers = fc.random_observers(100, 0)
+    assert all(o.orth_tol == INTERNAL_ORTH_TOL for o in observers)
+    for o in observers:
+        assert not o.q_matrix.flags.writeable
+        assert np.array_equal(fc.ObserverChange(o.q_matrix, INTERNAL_ORTH_TOL).q_matrix, o.q_matrix)
+    monkeypatch.setattr(fc.tensors, "_haar_orthogonal", one_bad)
+    with pytest.raises(ValueError, match="^observer matrix is not orthogonal within 1e-12$"):
+        fc.random_observers(100, 0)
 
 
 def test_observer_determinant_and_inverse():
