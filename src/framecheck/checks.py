@@ -475,8 +475,8 @@ def check_frame_indifference(
             q_t = np.ascontiguousarray(q.T)
             # conductivity form, element-independent: kappa(g) vs Q^T kappa*(Qg) Q
             starred_kappas = cm.kappa(batch.thetas, batch.grads @ q_t)
-            back = np.transpose(conjugate_stack(q_t, starred_kappas), (1, 2, 0))
-            kappa_raw = np.max(np.abs(kappas - back), axis=(0, 1))
+            back = conjugate_stack(q_t, starred_kappas)
+            kappa_raw = np.max(np.abs(kappas - sample_last(back)), axis=(0, 1))
             for hs, thetas, hgs, refs in blocks:
                 starred = cm.flux(thetas, hgs @ q_t)
                 # rows of starred @ Q are Q^T starred
@@ -513,7 +513,7 @@ def check_observer_independence(
             # the observer's map at the canonical components' numeric values
             cm = ComponentMap(model, obs)
             flux_raw = row_norms(cm.flux(batch.thetas, batch.grads) - batch.fluxes)
-            kappa_star = np.transpose(cm.kappa(batch.thetas, batch.grads), (1, 2, 0))
+            kappa_star = sample_last(cm.kappa(batch.thetas, batch.grads))
             kappa_raw = np.max(np.abs(kappa_star - kappas), axis=(0, 1))
             yield np.maximum(flux_raw, kappa_raw) / batch.denoms, obs.q_matrix, obs, batch
 

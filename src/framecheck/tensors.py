@@ -13,7 +13,7 @@ that parallelize must partition the seed space instead of sharing a stream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, InitVar, dataclass
 
 import numpy as np
 
@@ -86,18 +86,24 @@ def rotation_about(axis, angle: float) -> np.ndarray:
     )
 
 
+def _orthogonal(stack: np.ndarray, tol: float) -> np.ndarray:
+    """Whether max|Q Q^T - 1| <= tol, for each matrix Q of an (n, 3, 3)
+    stack; a NaN matrix never is."""
+    if not np.isfinite(tol) or tol <= 0.0:
+        raise ValueError("tol must be a positive finite number")
+    return np.max(np.abs(stack @ stack.transpose(0, 2, 1) - np.eye(3)), axis=(1, 2)) <= tol
+
+
 def is_orthogonal(t, tol: float = USER_ORTH_TOL) -> bool:
     """True iff max|t @ t.T - 1| <= tol.
 
     Non-finite or wrongly shaped input is never orthogonal (returns False
     rather than raising, so this can vet untrusted matrices directly).
     """
-    if not np.isfinite(tol) or tol <= 0.0:
-        raise ValueError("tol must be a positive finite number")
     t = np.asarray(t, dtype=float)
     if t.shape != (3, 3) or not np.all(np.isfinite(t)):
-        return False
-    return max_abs(t @ t.T - np.eye(3)) <= tol
+        t = np.full((3, 3), np.nan)
+    return bool(_orthogonal(t[None], tol)[0])
 
 
 def _require_seed(seed) -> int:
@@ -146,24 +152,25 @@ class ObserverChange:
 
     q_matrix: np.ndarray
     orth_tol: float = USER_ORTH_TOL
+    _: KW_ONLY
+    # set only by _stack, which has validated the matrix with its stack
+    _validated: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, _validated):
         m = as_tensor2(self.q_matrix)
-        _require_observers(m[None], self.orth_tol)
+        if not _validated:
+            _require_observers(m[None], self.orth_tol)
         object.__setattr__(self, "q_matrix", m)
 
     @classmethod
     def _stack(cls, stack: np.ndarray, orth_tol: float) -> list["ObserverChange"]:
-        """One observer per matrix of a finite (n, 3, 3) stack, validated in
-        one pass: the observers, and the errors, of n constructor calls."""
+        """One observer per matrix of a finite (n, 3, 3) stack, the whole
+        stack validated in one pass by the constructor's rules.  With several
+        bad matrices it raises the orthogonality error if any matrix fails
+        that test, else the determinant error, where n constructor calls would
+        raise the first bad matrix's."""
         _require_observers(stack, orth_tol)
-        observers = []
-        for m in stack:
-            obs = object.__new__(cls)
-            object.__setattr__(obs, "q_matrix", _frozen(m.copy()))
-            object.__setattr__(obs, "orth_tol", orth_tol)
-            observers.append(obs)
-        return observers
+        return [cls(m, orth_tol, _validated=True) for m in stack]
 
     @property
     def determinant(self) -> float:
@@ -175,13 +182,10 @@ class ObserverChange:
 
 def _require_observers(stack: np.ndarray, tol: float) -> None:
     """Raise ValueError unless every matrix Q of a finite (n, 3, 3) stack is
-    an observer change: max|Q Q^T - 1| <= tol, as is_orthogonal tests it, and
+    an observer change: orthogonal within tol, as is_orthogonal tests it, and
     det Q within 10 tol of +1 or -1.  The stacked products and determinants
     have the bits of the one-matrix ones."""
-    if not np.isfinite(tol) or tol <= 0.0:
-        raise ValueError("tol must be a positive finite number")
-    defects = np.max(np.abs(stack @ stack.transpose(0, 2, 1) - np.eye(3)), axis=(1, 2))
-    if not np.all(defects <= tol):
+    if not np.all(_orthogonal(stack, tol)):
         raise ValueError(f"observer matrix is not orthogonal within {tol:g}")
     dets = np.linalg.det(stack)
     if np.any(np.minimum(np.abs(dets - 1.0), np.abs(dets + 1.0)) > 10.0 * tol):
@@ -216,13 +220,7 @@ def conjugate_stack(q, stack) -> np.ndarray:
     """Q kappa_s Q^T for each tensor of an (S, 3, 3) stack, bit for bit
     einsum("ij,sjk,lk->sil", q, stack, q) on a stack whose components are in
     C order (contiguous, broadcast or sample-last).  The result is an
-    (S, 3, 3) view of a sample-last array; for one tensor broadcast over the
-    samples, as LinearConstant.kappa returns, that tensor is conjugated once
-    and its conjugate broadcast the same way, with no copy of the stack."""
-    t = np.transpose(stack, (1, 2, 0))
-    if t.strides[2] == 0:
-        one = np.einsum("ij,jks,lk->ils", q, t[:, :, :1], q)
-        return np.broadcast_to(one, t.shape).transpose(2, 0, 1)
+    (S, 3, 3) view of a sample-last array."""
     return np.einsum("ij,jks,lk->ils", q, sample_last(stack), q).transpose(2, 0, 1)
 
 
