@@ -63,8 +63,8 @@ def _cmd_run(args) -> int:
             return 2
         cfg = replace(cfg, seed=args.seed)
     if args.tol is not None:
-        if not args.tol > 0:
-            print("error: --tol must be positive", file=sys.stderr)
+        if not (np.isfinite(args.tol) and args.tol > 0):
+            print("error: --tol must be positive and finite", file=sys.stderr)
             return 2
         cfg = replace(cfg, tol=args.tol)
     report = run_suite(cfg)

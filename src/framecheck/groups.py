@@ -11,13 +11,14 @@ Element identity during closure is approximate: two matrices closer than
 DEDUP_TOL in max-norm count as the same element.  Real point groups keep
 their elements far apart, so a generator set that only closes thanks to
 near-duplicate merging is better reported as ClosureOverflow than silently
-collapsed; the tolerance is deliberately tight.
+collapsed; the tolerance is deliberately tight.  Closure tests each new
+product against every element found so far; validation and closure_defect
+search the trace buckets of _nearest, which states the bucket rule.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 import re
 from dataclasses import dataclass
 from functools import lru_cache
@@ -35,16 +36,17 @@ from .tensors import (
     ROT_Z_180,
     _frozen,
     _haar_orthogonal,
+    _orthogonal,
     _require_seed,
     as_tensor2,
-    is_orthogonal,
-    max_abs,
     rotation_about,
 )
 
 DEDUP_TOL = 1e-6
 ELEMENT_ORTH_TOL = 1e-9
 DEFAULT_SAMPLE_COUNT = 256
+# queries per trace-bucket search, and products per closure_defect step
+_BLOCK = 1024
 
 _GROUP_STREAM = 1
 
@@ -62,46 +64,36 @@ class GroupKind(enum.Enum):
     FULL_ORTHOGONAL = "full_orthogonal"
 
 
-class _ElementIndex:
-    """Max-norm dedup index over 3x3 matrices.
+def _nearest(stored: np.ndarray, queries: np.ndarray, before=None) -> np.ndarray:
+    """Max-norm distance from each query to the nearest stored element in its
+    trace bucket or a neighbouring one; inf when those buckets are empty.
+    With ``before``, query i is compared with stored[:before[i]] only.
 
-    Buckets by trace on a 1e-3 grid.  Two matrices within ``tol`` in max-norm
-    differ in trace by at most 3 * tol, well under one bucket width, so
-    scanning the key's own bucket plus both neighbors is an exact membership
-    test, not a heuristic.
-    """
-
-    def __init__(self, tol: float = DEDUP_TOL):
-        assert tol <= 1e-4, "bucket width assumes a small tolerance"
-        self.tol = tol
-        self._buckets: dict[int, list[np.ndarray]] = {}
-
-    @staticmethod
-    def _key(m: np.ndarray) -> int:
-        return int(math.floor(float(np.trace(m)) * 1000.0))
-
-    @staticmethod
-    def keys(ms: np.ndarray) -> np.ndarray:
-        """_key of each matrix of an (n, 3, 3) stack."""
-        return np.floor(np.trace(ms, axis1=1, axis2=2) * 1000.0).astype(np.int64)
-
-    def nearest(self, m: np.ndarray) -> float:
-        """Smallest max-norm distance to any indexed element near m's trace."""
-        key = self._key(m)
-        best = math.inf
-        for k in (key - 1, key, key + 1):
-            for other in self._buckets.get(k, ()):
-                d = max_abs(m - other)
-                if d < best:
-                    best = d
-        return best
-
-    def add(self, m: np.ndarray) -> bool:
-        """Index m unless an element within tol already exists."""
-        if self.nearest(m) < self.tol:
-            return False
-        self._buckets.setdefault(self._key(m), []).append(m)
-        return True
+    Both (n, 3, 3) stacks are bucketed by trace on a 1e-3 grid.  Two matrices
+    within 1e-4 in max-norm differ in trace by at most 3e-4, under one bucket
+    width, so below 1e-4 this search is exact, not a heuristic.  Queries are
+    taken _BLOCK at a time, their candidates padded to the widest range among
+    them, so memory does not grow with the square of a large cyclic group."""
+    # entries first, queries last: each reduction below runs across rows
+    s = stored.reshape(-1, 9).T
+    keys = np.floor((s[0] + s[4] + s[8]) * 1000.0).astype(np.int64)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    nearest = np.empty(len(queries))
+    for i in range(0, len(queries), _BLOCK):
+        q = np.ascontiguousarray(queries[i : i + _BLOCK].reshape(-1, 9).T)
+        qkeys = np.floor((q[0] + q[4] + q[8]) * 1000.0).astype(np.int64)
+        lo = np.searchsorted(keys, qkeys - 1, side="left")
+        hi = np.searchsorted(keys, qkeys + 1, side="right")
+        # candidates lo, lo + 1, ... below hi, padded to the widest range
+        cand = lo + np.arange(int(np.max(hi - lo, initial=0)))[:, None]
+        index = order[np.minimum(cand, len(order) - 1)]
+        live = cand < hi
+        if before is not None:
+            live &= index < before[i : i + _BLOCK]
+        dist = np.max(np.abs(q[:, None] - s[:, index]), axis=0)
+        nearest[i : i + _BLOCK] = np.min(np.where(live, dist, np.inf), axis=0, initial=np.inf)
+    return nearest
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,21 +118,25 @@ class SymmetryGroup:
             if self.sample_count is not None:
                 raise ValueError("sample_count applies to full_orthogonal only")
             els = tuple(as_tensor2(e) for e in self.elements)
-            index = _ElementIndex()
-            for i, e in enumerate(els):
-                if not is_orthogonal(e, ELEMENT_ORTH_TOL):
-                    raise ValueError(
-                        f"element {i} is not orthogonal within {ELEMENT_ORTH_TOL:g}"
-                    )
-                if not index.add(e):
-                    raise ValueError(f"element {i} duplicates an earlier element")
-            if index.nearest(np.eye(3)) > ELEMENT_ORTH_TOL:
+            stack = np.stack(els)
+            # reported as a loop over the elements would meet them: element by
+            # element, orthogonality before duplicates; then identity, transposes
+            skewed = np.flatnonzero(~_orthogonal(stack, ELEMENT_ORTH_TOL))
+            first = skewed[0] if skewed.size else len(els)
+            earlier = _nearest(stack[:first], stack[:first], before=np.arange(first))
+            dupes = np.flatnonzero(earlier < DEDUP_TOL)
+            if dupes.size:
+                raise ValueError(f"element {dupes[0]} duplicates an earlier element")
+            if skewed.size:
+                raise ValueError(f"element {first} is not orthogonal within {ELEMENT_ORTH_TOL:g}")
+            near = _nearest(stack, np.concatenate((IDENTITY[None], stack.transpose(0, 2, 1))))
+            if near[0] > ELEMENT_ORTH_TOL:
                 raise ValueError("a finite group must contain the identity")
-            for i, e in enumerate(els):
-                if index.nearest(np.ascontiguousarray(e.T)) > ELEMENT_ORTH_TOL:
-                    raise ValueError(
-                        f"element {i} has no transpose in the group (inverses missing)"
-                    )
+            missing = np.flatnonzero(near[1:] > ELEMENT_ORTH_TOL)
+            if missing.size:
+                raise ValueError(
+                    f"element {missing[0]} has no transpose in the group (inverses missing)"
+                )
             object.__setattr__(self, "elements", els)
         elif self.kind is GroupKind.FULL_ORTHOGONAL:
             if self.elements is not None:
@@ -160,29 +156,20 @@ class SymmetryGroup:
         """Max over all pairwise products of the distance to the nearest
         stored element.  Zero (to rounding) for a genuine group.
 
-        The products are formed one row a @ (every b) at a time, and each is
-        looked up in the trace buckets of _ElementIndex: only elements whose
-        bucket is the product's own or a neighbor count.  A product with no
-        element in those buckets is measured against every element, so a
-        set that is not closed gives the distance, not inf."""
+        The products are formed a few rows a @ (every b) at a time, at most
+        _BLOCK products or one row, and each is looked up with _nearest: only
+        elements in the product's own trace bucket or a neighbouring one
+        count.  A product with no element in those buckets is measured against
+        every element, so a set that is not closed gives the distance, not
+        inf."""
         if self.kind is not GroupKind.FINITE:
             raise ValueError("closure_defect applies to finite groups")
         stack = np.stack(self.elements)
-        keys = _ElementIndex.keys(stack)
-        order = np.argsort(keys, kind="stable")
-        stored, keys = stack[order], keys[order]
+        rows = max(1, _BLOCK // len(stack))
         worst = 0.0
-        for a in self.elements:
-            products = a @ stack
-            pkeys = _ElementIndex.keys(products)
-            lo = np.searchsorted(keys, pkeys - 1, side="left")
-            hi = np.searchsorted(keys, pkeys + 1, side="right")
-            # candidates lo, lo + 1, ... below hi, padded to the widest range
-            cand = lo[:, None] + np.arange(int(np.max(hi - lo)))
-            dist = np.max(
-                np.abs(products[:, None] - stored[np.minimum(cand, len(stored) - 1)]), axis=(2, 3)
-            )
-            nearest = np.min(np.where(cand < hi[:, None], dist, np.inf), axis=1, initial=np.inf)
+        for i in range(0, len(stack), rows):
+            products = (stack[i : i + rows, None] @ stack).reshape(-1, 3, 3)
+            nearest = _nearest(stack, products)
             far = np.isinf(nearest)
             if np.any(far):
                 dist = np.max(np.abs(products[far, None] - stack), axis=(2, 3))
@@ -201,38 +188,34 @@ def generate_closure(generators, max_order: int, name: str = "generated") -> Sym
     if max_order < 1:
         raise ValueError("max_order must be a positive integer")
     gens = [as_tensor2(g) for g in generators]
-    for i, g in enumerate(gens):
-        if not is_orthogonal(g, ELEMENT_ORTH_TOL):
-            raise ValueError(f"generator {i} is not orthogonal within {ELEMENT_ORTH_TOL:g}")
+    skewed = np.flatnonzero(~_orthogonal(np.reshape(gens, (-1, 3, 3)), ELEMENT_ORTH_TOL))
+    if skewed.size:
+        raise ValueError(f"generator {skewed[0]} is not orthogonal within {ELEMENT_ORTH_TOL:g}")
 
-    index = _ElementIndex()
-    elements: list[np.ndarray] = [np.eye(3)]
-    index.add(elements[0])
-    frontier: list[np.ndarray] = []
-    for g in gens:
-        if index.add(g):
-            elements.append(g)
-            frontier.append(g)
-    while frontier:
-        if len(elements) > max_order:
+    # the elements so far, entries first: found[:, :count]; doubles when full
+    found, count = np.eye(3).reshape(9, 1), 1
+
+    def add(m: np.ndarray) -> bool:
+        """Store m unless an element within DEDUP_TOL is stored already."""
+        nonlocal found, count
+        if np.min(np.max(np.abs(found[:, :count] - m.reshape(9, 1)), axis=0)) < DEDUP_TOL:
+            return False
+        if count + 1 > max_order:
             raise ClosureOverflow(
                 f"closure of '{name}' exceeded max_order={max_order}; the "
                 f"generators do not appear to generate a finite group"
             )
-        fresh: list[np.ndarray] = []
-        for word in frontier:
-            for g in gens:
-                product = word @ g
-                if index.add(product):
-                    elements.append(product)
-                    fresh.append(product)
-                    if len(elements) > max_order:
-                        raise ClosureOverflow(
-                            f"closure of '{name}' exceeded max_order={max_order}; "
-                            f"the generators do not appear to generate a finite group"
-                        )
-        frontier = fresh
-    return SymmetryGroup(GroupKind.FINITE, name, tuple(_frozen(e) for e in elements))
+        if count == found.shape[1]:
+            found = np.concatenate((found, np.empty_like(found)), axis=1)
+        found[:, count] = m.ravel()
+        count += 1
+        return True
+
+    frontier = [g for g in gens if add(g)]
+    while frontier:
+        products = (word @ g for word in frontier for g in gens)
+        frontier = [p for p in products if add(p)]
+    return SymmetryGroup(GroupKind.FINITE, name, tuple(found[:, :count].T.reshape(-1, 3, 3)))
 
 
 # Catalog names understood by resolve_group_name and catalog_lookup.

@@ -105,8 +105,14 @@ def test_seed_override_changes_draws_not_verdict(capsysbinary):
 
 def test_bad_flag_values_exit_two(capsys):
     assert main(["run", str(CONFIGS / "isotropic.ini"), "--seed", "-1"]) == 2
-    assert main(["run", str(CONFIGS / "isotropic.ini"), "--tol", "0"]) == 2
     capsys.readouterr()
+    # the rule run.tol follows in a config file: positive and finite; the
+    # --tol=VALUE form keeps argparse from reading -inf as an option
+    for tol in ("0", "inf", "-inf", "nan", "1e309"):
+        assert main(["run", str(CONFIGS / "isotropic.ini"), f"--tol={tol}"]) == 2, tol
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --tol must be positive and finite\n"
 
 
 def test_catalog_lists_groups_and_families(capsys):

@@ -1,4 +1,6 @@
 import itertools
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -89,6 +91,69 @@ def test_closure_overflow_for_irrational_angle():
     assert "max_order=1000" in str(err.value)
 
 
+def _reference_closure(generators, max_order, name):
+    """generate_closure as a breadth-first loop over words in the generators,
+    each new product tested against every element found so far."""
+    elements = [np.eye(3)]
+
+    def add(m):
+        if min(fc.max_abs(m - e) for e in elements) < fc.groups.DEDUP_TOL:
+            return False
+        elements.append(m)
+        if len(elements) > max_order:
+            raise fc.ClosureOverflow(
+                f"closure of '{name}' exceeded max_order={max_order}; the "
+                f"generators do not appear to generate a finite group"
+            )
+        return True
+
+    frontier = [g for g in generators if add(g)]
+    while frontier:
+        products = [word @ g for word in frontier for g in generators]
+        frontier = [p for p in products if add(p)]
+    return elements
+
+
+_ROTATIONS = (fc.ROT_X_90, fc.ROT_Y_90, fc.ROT_Z_90, fc.ROT_X_180, fc.ROT_Y_180, fc.ROT_Z_180)
+
+
+@st.composite
+def _finite_generator_sets(draw):
+    """Catalog rotations, a random conjugation of them, or a rotation about z
+    by 2 pi / n: each generates a finite group."""
+    kind = draw(st.sampled_from(("catalog", "conjugated", "cyclic")))
+    if kind == "cyclic":
+        return [fc.rotation_about((0.0, 0.0, 1.0), 2.0 * np.pi / draw(st.integers(1, 60)))]
+    gens = draw(st.lists(st.sampled_from(_ROTATIONS), min_size=1, max_size=3))
+    if kind == "conjugated":
+        q = fc.random_orthogonal(draw(st.integers(0, 2**32 - 1)), proper_only=True)
+        gens = [q @ g @ q.T for g in gens]
+    return gens
+
+
+@given(gens=_finite_generator_sets())
+@settings(max_examples=40)
+def test_closure_matches_the_reference_word_search(gens):
+    order = len(_reference_closure(gens, math.inf, "reference"))
+    for max_order in sorted({max(order - 1, 1), order, 10**12}):
+        try:
+            want = np.stack(_reference_closure(gens, max_order, "g"))
+        except fc.ClosureOverflow as exc:
+            with pytest.raises(fc.ClosureOverflow) as err:
+                fc.generate_closure(gens, max_order, name="g")
+            assert str(err.value) == str(exc)
+            continue
+        tracemalloc.start()
+        try:
+            group = fc.generate_closure(gens, max_order, name="g")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # nothing is sized by max_order: 10**12 costs what the true order does
+        assert peak < 1_000_000, (max_order, peak)
+        assert np.stack(group.elements).tobytes() == want.tobytes()
+
+
 def test_closure_rejects_bad_generators():
     with pytest.raises(ValueError):
         fc.generate_closure([2.0 * np.eye(3)], max_order=8)
@@ -102,17 +167,19 @@ def test_closure_defect_small_for_catalog_groups():
 
 
 def _pairwise_closure_defect(group):
-    """closure_defect as the plain loop over all pairs, one bucket lookup each,
-    and a scan of every element when the buckets near a product are empty."""
-    index = fc.groups._ElementIndex()
-    for e in group.elements:
-        index.add(e)
+    """closure_defect as the plain loop over all pairs: the candidates for a
+    product are the elements whose trace bucket floor(1000 * trace) is
+    within one of the product's, and every element when there are none."""
+    elements = group.elements
+
+    def bucket(m):
+        return math.floor(1000.0 * float(np.trace(m)))
 
     def nearest(m):
-        d = index.nearest(m)
-        return d if d < np.inf else min(fc.max_abs(m - e) for e in group.elements)
+        near = [e for e in elements if abs(bucket(e) - bucket(m)) <= 1] or elements
+        return min(fc.max_abs(m - e) for e in near)
 
-    return max(nearest(a @ b) for a in group.elements for b in group.elements)
+    return max(nearest(a @ b) for a in elements for b in elements)
 
 
 def test_closure_defect_matches_the_pairwise_loop():
@@ -137,19 +204,92 @@ def test_closure_defect_matches_the_pairwise_loop():
 
 
 def test_group_validation_rejects_bad_element_sets():
-    with pytest.raises(ValueError):
-        fc.SymmetryGroup(fc.GroupKind.FINITE, "empty", ())
-    with pytest.raises(ValueError):
-        fc.SymmetryGroup(fc.GroupKind.FINITE, "no_identity", (fc.ROT_Z_180,))
-    with pytest.raises(ValueError):
+    # the checks report in this order: element by element, orthogonality
+    # before duplicates; then the identity; then each element's transpose
+    skewed = 2.0 * np.eye(3)
+    cases = [
+        ("empty", (), "a finite group needs at least the identity"),
+        ("no_identity", (fc.ROT_Z_180,), "a finite group must contain the identity"),
         # Rz90 without its inverse Rz270
-        fc.SymmetryGroup(fc.GroupKind.FINITE, "no_inverse", (fc.IDENTITY, fc.ROT_Z_90))
-    with pytest.raises(ValueError):
-        fc.SymmetryGroup(
-            fc.GroupKind.FINITE, "dupes", (fc.IDENTITY, fc.as_tensor2(np.eye(3)))
-        )
-    with pytest.raises(ValueError):
-        fc.SymmetryGroup(fc.GroupKind.FINITE, "skewed", (fc.IDENTITY, 2.0 * np.eye(3)))
+        (
+            "no_inverse",
+            (fc.IDENTITY, fc.ROT_Z_90),
+            "element 1 has no transpose in the group (inverses missing)",
+        ),
+        (
+            "dupes",
+            (fc.IDENTITY, fc.as_tensor2(np.eye(3))),
+            "element 1 duplicates an earlier element",
+        ),
+        ("skewed", (fc.IDENTITY, skewed), "element 1 is not orthogonal within 1e-09"),
+        (
+            "dupe_then_skewed",
+            (fc.IDENTITY, fc.ROT_Z_180, fc.ROT_Z_180, skewed),
+            "element 2 duplicates an earlier element",
+        ),
+        (
+            "skewed_then_dupe",
+            (fc.IDENTITY, skewed, fc.ROT_Z_180, fc.ROT_Z_180),
+            "element 1 is not orthogonal within 1e-09",
+        ),
+        (
+            "no_inverse_and_dupe",
+            (fc.IDENTITY, fc.ROT_Z_90, fc.ROT_Z_180, fc.ROT_Z_180),
+            "element 3 duplicates an earlier element",
+        ),
+        ("no_identity_no_inverse", (fc.ROT_Z_90,), "a finite group must contain the identity"),
+        (
+            "two_without_inverse",
+            (fc.IDENTITY, fc.ROT_Z_90, fc.ROT_X_90),
+            "element 1 has no transpose in the group (inverses missing)",
+        ),
+    ]
+    for name, elements, message in cases:
+        with pytest.raises(ValueError) as err:
+            fc.SymmetryGroup(fc.GroupKind.FINITE, name, elements)
+        assert str(err.value) == message, name
+
+
+def _reference_validation(elements):
+    """SymmetryGroup's first complaint about a finite element set, from a
+    loop over the elements that scans every element for each lookup; None
+    for a valid set."""
+    for i, e in enumerate(elements):
+        if not fc.is_orthogonal(e, 1e-9):
+            return f"element {i} is not orthogonal within 1e-09"
+        if any(fc.max_abs(e - d) < fc.groups.DEDUP_TOL for d in elements[:i]):
+            return f"element {i} duplicates an earlier element"
+    if min(fc.max_abs(np.eye(3) - e) for e in elements) > 1e-9:
+        return "a finite group must contain the identity"
+    for i, e in enumerate(elements):
+        if min(fc.max_abs(e.T - d) for d in elements) > 1e-9:
+            return f"element {i} has no transpose in the group (inverses missing)"
+    return None
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    picks=st.lists(
+        st.tuples(st.integers(0, 23), st.sampled_from((0.0, 0.0, 0.0, 1e-12, 1e-8))),
+        min_size=1,
+        max_size=30,
+    ),
+)
+@settings(max_examples=60)
+def test_group_validation_matches_the_per_element_loop(seed, picks):
+    """Elements of a randomly rotated cubic group, repeated, left out or
+    scaled by 1 + eps (a near duplicate at 1e-12, not orthogonal at 1e-8).
+    The rotation spreads the traces over bucket edges."""
+    q = fc.random_orthogonal(seed, proper_only=True)
+    cubic = [q @ e @ q.T for e in fc.catalog_lookup("cubic_rotations").elements]
+    elements = tuple(cubic[i] * (1.0 + eps) for i, eps in picks)
+    want = _reference_validation(elements)
+    if want is None:
+        assert fc.SymmetryGroup(fc.GroupKind.FINITE, "g", elements).order == len(elements)
+        return
+    with pytest.raises(ValueError) as err:
+        fc.SymmetryGroup(fc.GroupKind.FINITE, "g", elements)
+    assert str(err.value) == want
 
 
 def test_full_orthogonal_group_shape():
