@@ -61,7 +61,6 @@ from .models import (
     StatePoint,
     evaluate,
     evaluate_components,
-    gradient_dependent_kappa,
     kappa_components,
     kappa_of,
 )

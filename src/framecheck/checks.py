@@ -49,7 +49,21 @@ operation, not one per element.  When the conductivity depends on the
 temperature alone, the symmetry check's conductivity deficit
 ``H kappa - kappa H`` depends only on the element and the temperature, so it
 is computed once per (element, sampled temperature) and expanded to the
-states.  Each element's row is still reduced on its own, with one
+states.
+
+The two observer checks stack their observers the same way: each builds one
+ComponentMap per run of consecutive observers and applies it to the whole
+run at once.  Frame indifference computes its conductivity form on runs of
+about ``_FOLD_STATES`` states, and its flux form on blocks of consecutive
+(observer, element) pairs, observer major: a run of observers against a
+block of elements, where a run spans observers only when it holds the whole
+group.  Observer independence runs both of its forms on runs of observers.
+A law whose conductivity does not depend on the gradient
+(``gradient_dependent`` False) has the same conductivity at every rotated
+gradient Q^T g*, bit for bit, so ComponentMap evaluates it once, on the S
+sampled states, and broadcasts that stack over the observers and elements.
+
+Each (observer, element) row is still reduced on its own, with one
 ``np.argmax``, so the folds change no residual, witness or sample count.
 
 Layout
@@ -62,11 +76,18 @@ copy between the law and the conjugation Q kappa Q^T
 (``tensors.conjugate_stack``), the matvec kappa g (``tensors.matvec``), the
 symmetry deficit ``H kappa - kappa H`` (``_deficit``), the flux-residual
 norms (``tensors.row_norms``) and the max-norm of conductivity residuals.
+A stack of O observers' conductivities is (3, 3, O, S) in memory, handed out
+as an (O, S, 3, 3) view; a law's (S, 3, 3) stack that every observer shares
+is broadcast, not copied.  Vector rows are (O, ..., S, 3): observer first,
+then any batch axis (the group elements), then the states.
 The rule is that a layout change moves no sum: each kernel gives the bits of
-its sample-first einsum.  An einsum keeps its operands and summed indices,
-only permuted.  A written-out contraction is allowed only where a layout
-test holds it to the einsum bit for bit, as ``tests/test_layout.py`` does
-for the matvec, whose sum ``tensors.matvec`` spells out in einsum's order;
+its sample-first einsum, and a stacked kernel gives each observer the bits
+of its own one-observer call.  An einsum keeps its operands and summed
+indices, only permuted or given an observer axis.  A written-out
+contraction is allowed only where a layout test holds it to the einsum bit
+for bit, as ``tests/test_layout.py`` does for the matvec, whose sum
+``tensors.matvec`` spells out in einsum's order, for the row norms, and for
+the stacked ComponentMap against a per-observer map written with einsums;
 ``np.add.reduce`` over the nine products of a conjugation, for one, adds in
 another order and is not used.
 """
@@ -93,7 +114,6 @@ from .models import (
     LinearConstant,
     StatePoint,
     evaluate,
-    gradient_dependent_kappa,
 )
 from .tensors import (
     IDENTITY,
@@ -105,6 +125,7 @@ from .tensors import (
     max_abs,
     row_norms,
     sample_last,
+    transposes,
 )
 
 DEFAULT_THETA_SAMPLES = (0.5, 1.0, 300.0)
@@ -229,7 +250,7 @@ def _sample_states(model: ConstitutiveModel, cfg: CheckConfig) -> _StateBatch:
     that ignores the temperature gets only the first temperature's states,
     standing for all of them: its rows at the others repeat them bit for bit."""
     dirs = _unit_directions(cfg)
-    mags = NONLINEAR_MAGNITUDES if gradient_dependent_kappa(model) else (1.0,)
+    mags = NONLINEAR_MAGNITUDES if model.gradient_dependent else (1.0,)
     # per temperature: the zero gradient, then every magnitude times every direction
     per_theta = np.concatenate([np.zeros((1, 3))] + [mag * dirs for mag in mags])
     sampled = cfg.theta_samples if model.temperature_dependent else cfg.theta_samples[:1]
@@ -266,7 +287,7 @@ def _element_blocks(model, batch: _StateBatch, elements):
         stack = np.stack(hs)
         # rows of grads @ H^T are H g
         hgs = batch.grads @ stack.transpose(0, 2, 1)
-        if gradient_dependent_kappa(model):
+        if model.gradient_dependent:
             kappas = model.kappa(np.tile(batch.thetas, len(hs)), hgs.reshape(-1, 3))
             refs = matvec(kappas.reshape(hgs.shape + (3,)), hgs)
             kappas = sample_last(kappas).reshape(3, 3, len(hs), -1)
@@ -430,6 +451,15 @@ def symmetry_form_residuals(
     return np.concatenate(flux), np.concatenate(kappa)
 
 
+def _observer_maps(model, observers, size: int):
+    """(start, map): the ComponentMaps of ``model`` over consecutive runs of
+    at most _FOLD_STATES // size observers (one at least), in order, each
+    with the position of its first observer."""
+    per_map = max(1, _FOLD_STATES // size)
+    for start in range(0, len(observers), per_map):
+        yield start, ComponentMap(model, observers[start:start + per_map])
+
+
 @_nonfinite_fails
 def check_frame_indifference(
     model: ConstitutiveModel,
@@ -451,39 +481,53 @@ def check_frame_indifference(
     anisotropic conductors, which is the point: frame indifference does not
     imply isotropy.
 
-    Group elements are folded into the state axis: each observer evaluates
-    its ComponentMap once per block of consecutive elements (about
-    _FOLD_STATES states), not once per element.  Every (observer, element)
-    row keeps its arithmetic, so rows, samples_used and witnesses are those
-    of the unfolded loop, bit for bit.
+    Both forms run on stacked ComponentMaps in blocks of at most
+    _FOLD_STATES states: the conductivity form on runs of consecutive
+    observers, the flux form on runs of consecutive (observer, element)
+    pairs, observer major.  Every (observer, element) row keeps its
+    arithmetic, so rows, samples_used and witnesses are those of the
+    unfolded loop, bit for bit.
     """
     elements = group_elements_for_check(group, cfg.seed)
     batch = _sample_states(model, cfg)
+    size = batch.thetas.size
 
     def rows():
         # H g and the canonical flux q(theta, H g) do not depend on the observer
-        blocks = [
-            (hs, np.tile(batch.thetas, len(hs)), hgs.reshape(-1, 3), refs.reshape(-1, 3))
-            for hs, _, hgs, _, refs in _element_blocks(model, batch, elements)
-        ]
-        kappas = np.transpose(batch.kappas, (1, 2, 0))
-        for obs in observers:
-            cm = ComponentMap(model, obs)
-            q = obs.q_matrix
-            # rows of grads @ Q^T are Q g; a transposed view of Q takes a
-            # slower BLAS path, with the same bits
-            q_t = np.ascontiguousarray(q.T)
-            # conductivity form, element-independent: kappa(g) vs Q^T kappa*(Qg) Q
-            starred_kappas = cm.kappa(batch.thetas, batch.grads @ q_t)
-            back = conjugate_stack(q_t, starred_kappas)
-            kappa_raw = np.max(np.abs(kappas - sample_last(back)), axis=(0, 1))
-            for hs, thetas, hgs, refs in blocks:
-                starred = cm.flux(thetas, hgs @ q_t)
+        hgs = np.empty((len(elements), size, 3))
+        refs = np.empty_like(hgs)
+        done = 0
+        for hs, _, block_hgs, _, block_refs in _element_blocks(model, batch, elements):
+            hgs[done:done + len(hs)] = block_hgs
+            refs[done:done + len(hs)] = block_refs
+            done += len(hs)
+        # conductivity form, element-independent: kappa(g) vs Q^T kappa*(Q g) Q
+        kappas = np.transpose(batch.kappas, (1, 2, 0))[:, :, None]
+        kappa_raw = np.empty((len(observers), size))
+        for start, cm in _observer_maps(model, observers, size):
+            q_t = transposes(cm.q_stack)
+            # rows of grads @ Q^T are Q g
+            back = conjugate_stack(q_t, cm.kappa(batch.thetas, batch.grads @ q_t))
+            kappa_raw[start:start + len(q_t)] = np.max(np.abs(kappas - sample_last(back)), axis=(0, 1))
+        # flux form: runs of observers, each against blocks of consecutive
+        # elements; a run spans observers only when it holds every element
+        for first, cm in _observer_maps(model, observers, len(elements) * size):
+            q_t = transposes(cm.q_stack)
+            per_block = max(1, _FOLD_STATES // (size * len(q_t)))
+            for start in range(0, len(elements), per_block):
+                hs = elements[start:start + per_block]
+                # rows of H g @ Q^T are Q H g
+                hgs_star = hgs[start:start + len(hs)].reshape(-1, 3) @ q_t
+                starred = cm.flux(batch.thetas, hgs_star.reshape(len(q_t), len(hs), size, 3))
                 # rows of starred @ Q are Q^T starred
-                flux_raw = row_norms(starred @ q - refs).reshape(len(hs), -1)
-                rel = np.maximum(flux_raw, kappa_raw) / batch.denoms
-                for h, row in zip(hs, rel):
-                    yield row, h, obs, batch
+                back = (starred.reshape(len(q_t), -1, 3) @ cm.q_stack).reshape(starred.shape)
+                back -= refs[start:start + len(hs)]
+                rel = row_norms(back)
+                np.maximum(rel, kappa_raw[first:first + len(q_t), None], out=rel)
+                rel /= batch.denoms
+                for obs, obs_rows in zip(cm.observers, rel):
+                    for h, row in zip(hs, obs_rows):
+                        yield row, h, obs, batch
 
     note = (
         "holds identically for component maps derived from one tensorial "
@@ -504,18 +548,24 @@ def check_observer_independence(
     same to every observer component-wise.  Anisotropic conductors fail for
     generic observers even though they are perfectly frame indifferent.
     The witness reports the observer matrix as its group element.
+
+    Both forms run on stacked ComponentMaps over runs of consecutive
+    observers, at most _FOLD_STATES states each; every observer's row is
+    that of its own ComponentMap, bit for bit.
     """
     batch = _sample_states(model, cfg)
-    kappas = np.transpose(batch.kappas, (1, 2, 0))
+    kappas = np.transpose(batch.kappas, (1, 2, 0))[:, :, None]
 
     def rows():
-        for obs in observers:
-            # the observer's map at the canonical components' numeric values
-            cm = ComponentMap(model, obs)
-            flux_raw = row_norms(cm.flux(batch.thetas, batch.grads) - batch.fluxes)
-            kappa_star = sample_last(cm.kappa(batch.thetas, batch.grads))
+        for _, cm in _observer_maps(model, observers, batch.thetas.size):
+            # every observer's map at the canonical components' numeric values
+            grads = np.broadcast_to(batch.grads, (len(cm.q_stack),) + batch.grads.shape)
+            flux_raw = row_norms(cm.flux(batch.thetas, grads) - batch.fluxes)
+            kappa_star = sample_last(cm.kappa(batch.thetas, grads))
             kappa_raw = np.max(np.abs(kappa_star - kappas), axis=(0, 1))
-            yield np.maximum(flux_raw, kappa_raw) / batch.denoms, obs.q_matrix, obs, batch
+            rel = np.maximum(flux_raw, kappa_raw) / batch.denoms
+            for obs, row in zip(cm.observers, rel):
+                yield row, obs.q_matrix, obs, batch
 
     return _worst(rows(), cfg.tol, repeat=batch.repeat)
 

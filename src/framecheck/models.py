@@ -9,21 +9,30 @@ not merely to rounding.  Four families cover the cases the checkers need:
 constant and temperature-scaled linear conductors, and two gradient-dependent
 nonlinear ones (an isotropic scalar law and a rank-one anisotropic update).
 
-A ComponentMap is a model in one observer's components, q*(theta, g*) =
-Q q(theta, Q^T g*): rotate g* back, evaluate, rotate the flux forward; the
-temperature is observer-invariant.  Its batched flux and kappa are the only
-code that applies this map; the observer checks run through them, so a wrong
-rotation there (Q in place of Q^T) fails frame indifference.
+A ComponentMap is a model in the components of a stack of observers,
+q*(theta, g*) = Q q(theta, Q^T g*) for each observer Q: rotate g* back,
+evaluate, rotate the flux forward; the temperature is observer-invariant.
+One observer is the stack of one.  Its batched flux and kappa are the only
+code that applies this map; both observer checks run through them, so a
+wrong rotation there (Q in place of Q^T) fails frame indifference and
+observer independence.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import ClassVar, Union, get_args
+from dataclasses import dataclass, field
+from typing import ClassVar, Sequence, Union, get_args
 
 import numpy as np
 
-from .tensors import ObserverChange, as_tensor2, as_vec3, conjugate_stack, matvec
+from .tensors import (
+    ObserverChange,
+    as_tensor2,
+    as_vec3,
+    conjugate_stack,
+    matvec,
+    transposes,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,12 +176,6 @@ ConstitutiveModel = Union[
 MODEL_FAMILIES: dict[str, type] = {cls.family: cls for cls in get_args(ConstitutiveModel)}
 
 
-def gradient_dependent_kappa(model: ConstitutiveModel) -> bool:
-    """True when kappa varies with the gradient (checkers then sweep several
-    gradient magnitudes instead of staying on the unit sphere)."""
-    return model.gradient_dependent
-
-
 def _one_row(z: StatePoint) -> tuple[np.ndarray, np.ndarray]:
     return np.array([z.theta]), z.grad_theta[None, :]
 
@@ -191,27 +194,59 @@ def evaluate(model: ConstitutiveModel, z: StatePoint) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ComponentMap:
-    """A constitutive model as seen by one observer; flux and kappa take S
-    observer-frame states, (S,) temperatures and (S, 3) components g*."""
+    """A constitutive model in the components of O observers at once.
+
+    ``observers`` is a sequence of O observer changes, held as the (O, 3, 3)
+    stack ``q_stack``.  flux and kappa take S temperatures, (S,), and the
+    observers' components g*, (O, S, 3), observer o's at [o]; flux also
+    takes batch axes before the states, (O, ..., S, 3).  Observer o's rows
+    are those of its own map, bit for bit (tests/test_layout.py).  A map on
+    one ObserverChange is the case O = 1 without the observer axis.
+    """
 
     model: ConstitutiveModel
-    observer: ObserverChange
+    observers: Union[ObserverChange, Sequence[ObserverChange]]
+    q_stack: np.ndarray = field(init=False, repr=False)
 
-    def _canonical(self, thetas: np.ndarray, grads_star: np.ndarray):
-        grads = grads_star @ self.observer.q_matrix  # rows are Q^T g*
-        return grads, self.model.kappa(thetas, grads)
+    def __post_init__(self):
+        one = isinstance(self.observers, ObserverChange)
+        matrices = [self.observers.q_matrix] if one else [o.q_matrix for o in self.observers]
+        object.__setattr__(self, "q_stack", np.array(matrices))
 
     def flux(self, thetas: np.ndarray, grads_star: np.ndarray) -> np.ndarray:
-        """Observer-frame flux rows Q q(theta, Q^T g*), (S, 3)."""
+        """Observer-frame flux rows Q q(theta, Q^T g*), shaped as grads_star."""
+        grads_star = self._in(grads_star)
         grads, kappas = self._canonical(thetas, grads_star)
-        # rows of flux @ Q^T are Q flux; with a transposed view of Q numpy's
-        # one-row matmul takes another BLAS path and differs in the last bit
-        q_t = np.ascontiguousarray(self.observer.q_matrix.T)
-        return matvec(kappas, grads) @ q_t
+        fluxes = matvec(kappas, grads).reshape(len(self.q_stack), -1, 3)
+        # rows of flux @ Q^T are Q flux
+        return self._out((fluxes @ transposes(self.q_stack)).reshape(grads_star.shape))
 
     def kappa(self, thetas: np.ndarray, grads_star: np.ndarray) -> np.ndarray:
-        """Observer-frame conductivities Q kappa(theta, Q^T g*) Q^T, (S, 3, 3)."""
-        return conjugate_stack(self.observer.q_matrix, self._canonical(thetas, grads_star)[1])
+        """Observer-frame conductivities Q kappa(theta, Q^T g*) Q^T for
+        (O, S, 3) components, no batch axes: an (O, S, 3, 3) view of a
+        sample-last (3, 3, O, S) array."""
+        grads_star = self._in(grads_star)
+        return self._out(conjugate_stack(self.q_stack, self._canonical(thetas, grads_star)[1]))
+
+    def _canonical(self, thetas: np.ndarray, grads_star: np.ndarray):
+        """The canonical gradients Q^T g* and the conductivities at them.
+        For a gradient-dependent law both are per row, (O, N, 3) and
+        (O, N, 3, 3) for the N = ... x S rows of each observer.  A law that
+        reads no gradient has the same bits at every observer and batch row of
+        a state, so its kappa runs once, on the S states: its (S, 3, 3) stack
+        is shared by the gradients, (O, N / S, S, 3)."""
+        grads = grads_star.reshape(len(self.q_stack), -1, 3) @ self.q_stack  # rows are Q^T g*
+        if not self.model.gradient_dependent:
+            size = thetas.size
+            return grads.reshape(len(grads), -1, size, 3), self.model.kappa(thetas, grads[0, :size])
+        kappas = self.model.kappa(np.tile(thetas, grads.size // (3 * thetas.size)), grads.reshape(-1, 3))
+        return grads, kappas.reshape(grads.shape + (3,))
+
+    def _in(self, grads_star: np.ndarray) -> np.ndarray:
+        return grads_star[None] if isinstance(self.observers, ObserverChange) else grads_star
+
+    def _out(self, stack: np.ndarray) -> np.ndarray:
+        return stack[0] if isinstance(self.observers, ObserverChange) else stack
 
 
 def evaluate_components(cm: ComponentMap, components) -> np.ndarray:

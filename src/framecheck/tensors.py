@@ -88,10 +88,11 @@ def rotation_about(axis, angle: float) -> np.ndarray:
 
 def _orthogonal(stack: np.ndarray, tol: float) -> np.ndarray:
     """Whether max|Q Q^T - 1| <= tol, for each matrix Q of an (n, 3, 3)
-    stack; a NaN matrix never is."""
+    stack; a NaN matrix never is, nor one whose Q Q^T overflows."""
     if not np.isfinite(tol) or tol <= 0.0:
         raise ValueError("tol must be a positive finite number")
-    return np.max(np.abs(stack @ stack.transpose(0, 2, 1) - np.eye(3)), axis=(1, 2)) <= tol
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.max(np.abs(stack @ stack.transpose(0, 2, 1) - np.eye(3)), axis=(1, 2)) <= tol
 
 
 def is_orthogonal(t, tol: float = USER_ORTH_TOL) -> bool:
@@ -211,17 +212,35 @@ def conjugate_tensor(q: ObserverChange, h) -> np.ndarray:
 
 
 def sample_last(stack) -> np.ndarray:
-    """C-contiguous (3, 3, S) copy of an (S, 3, 3) stack; no copy when the
+    """C-contiguous (3, 3, ...) copy of a (..., 3, 3) stack; no copy when the
     stack is a view of one, as model.kappa and conjugate_stack return."""
-    return np.ascontiguousarray(np.transpose(stack, (1, 2, 0)))
+    lead = stack.ndim - 2
+    return np.ascontiguousarray(np.transpose(stack, (lead, lead + 1, *range(lead))))
+
+
+def transposes(stack) -> np.ndarray:
+    """C-contiguous Q^T for each matrix Q of an (O, 3, 3) stack: numpy's
+    matmul takes another BLAS path on a transposed view, with other bits for
+    a one-row product."""
+    return np.ascontiguousarray(stack.transpose(0, 2, 1))
 
 
 def conjugate_stack(q, stack) -> np.ndarray:
-    """Q kappa_s Q^T for each tensor of an (S, 3, 3) stack, bit for bit
-    einsum("ij,sjk,lk->sil", q, stack, q) on a stack whose components are in
-    C order (contiguous, broadcast or sample-last).  The result is an
-    (S, 3, 3) view of a sample-last array."""
-    return np.einsum("ij,jks,lk->ils", q, sample_last(stack), q).transpose(2, 0, 1)
+    """Q_o kappa Q_o^T for each matrix Q_o of an (O, 3, 3) stack and each
+    tensor of an (S, 3, 3) stack that every Q_o shares or of an (O, S, 3, 3)
+    stack, one (S, 3, 3) stack per Q_o: bit for bit
+    einsum("ij,sjk,lk->sil", Q_o, kappas, Q_o) for each o, on stacks whose
+    components are in C order (contiguous, broadcast or sample-last).  The
+    result is an (O, S, 3, 3) view of a sample-last (3, 3, O, S) array.  With
+    one (3, 3) matrix q it is the case O = 1 without the observer axis."""
+    one = np.ndim(q) == 2
+    qs = np.asarray(q)[None] if one else q
+    kappas = sample_last(stack)
+    spec = "oij,jks,olk->ilos" if kappas.ndim == 3 else "oij,jkos,olk->ilos"
+    # einsum would lay its output out observer first; the sums are the same
+    out = np.einsum(spec, qs, kappas, qs, out=np.empty((3, 3, len(qs), kappas.shape[-1])))
+    stacks = out.transpose(2, 3, 0, 1)
+    return stacks[0] if one else stacks
 
 
 def matvec(kappas, grads) -> np.ndarray:
@@ -252,9 +271,14 @@ def matvec(kappas, grads) -> np.ndarray:
 
 def row_norms(vectors) -> np.ndarray:
     """Euclidean norm over the last axis of a (..., 3) array, bit for bit
-    np.linalg.norm(vectors, axis=-1)."""
-    last = vectors.ndim - 1
-    return np.linalg.norm(np.ascontiguousarray(vectors.transpose(last, *range(last))), axis=0)
+    np.linalg.norm(vectors, axis=-1), whose sum of squares over a 3-long
+    axis is (v0 v0 + v1 v1) + v2 v2: written out, without its call
+    overhead."""
+    v0, v1, v2 = vectors[..., 0], vectors[..., 1], vectors[..., 2]
+    out = v0 * v0
+    out += v1 * v1
+    out += v2 * v2
+    return np.sqrt(out, out=out)
 
 
 def random_observers(count: int, seed) -> list[ObserverChange]:

@@ -138,18 +138,35 @@ def test_frame_indifference_holds_for_anisotropic_models():
         assert result.witness is None
 
 
+def _observer_map(model, q, thetas, grads_star, rotate_back_with_q=False):
+    """One observer's component map written out, without ComponentMap: the
+    flux rows Q q(theta, Q^T g*) and the conductivities Q kappa Q^T at
+    Q^T g*, for S states.  With ``rotate_back_with_q`` it takes g* back to
+    the canonical frame with Q instead of Q^T, a frame-handling bug."""
+    q_t = np.ascontiguousarray(q.T)
+    grads = grads_star @ (q_t if rotate_back_with_q else q)
+    kappas = np.ascontiguousarray(model.kappa(thetas, grads))
+    flux = np.einsum("sij,sj->si", kappas, grads) @ q_t
+    return flux, np.einsum("ij,sjk,lk->sil", q, kappas, q)
+
+
 def _rotate_back_with_q(monkeypatch):
     """Make ComponentMap take observer components back to the canonical
-    frame with Q instead of Q^T."""
+    frame with Q instead of Q^T, on its stacked interface: (O, ..., S, 3)
+    components, each observer's rows at the S temperatures."""
+
+    def per_observer(cm, thetas, grads_star):
+        rows = grads_star.reshape(len(cm.q_stack), -1, 3)
+        tiled = np.tile(thetas, rows.shape[1] // thetas.size)
+        return [_observer_map(cm.model, q, tiled, g, True) for q, g in zip(cm.q_stack, rows)]
 
     def flux(cm, thetas, grads_star):
-        q = cm.observer.q_matrix
-        grads = grads_star @ q.T  # rows are Q g*
-        return np.einsum("sij,sj->si", cm.model.kappa(thetas, grads), grads) @ q.T
+        fluxes = [f for f, _ in per_observer(cm, thetas, grads_star)]
+        return np.stack(fluxes).reshape(grads_star.shape)
 
     def kappa(cm, thetas, grads_star):
-        q = cm.observer.q_matrix
-        return np.einsum("ij,sjk,lk->sil", q, cm.model.kappa(thetas, grads_star @ q.T), q)
+        kappas = [k for _, k in per_observer(cm, thetas, grads_star)]
+        return np.stack(kappas).reshape(grads_star.shape + (3,))
 
     monkeypatch.setattr(fc.ComponentMap, "flux", flux)
     monkeypatch.setattr(fc.ComponentMap, "kappa", kappa)
@@ -159,15 +176,16 @@ def test_frame_indifference_fails_for_a_wrongly_rotated_component_map(monkeypatc
     """A ComponentMap that takes observer components back to the canonical
     frame with Q instead of Q^T breaks the transformation law, and the check
     sees it even for a spherical conductor, whose conductivity form is blind
-    to the rotation."""
+    to the rotation.  Observer independence fails too: the spherical law no
+    longer looks the same to every observer."""
     _rotate_back_with_q(monkeypatch)
     model = fc.LinearConstant(2.5 * np.eye(3))
-    result = fc.check_frame_indifference(
-        model, fc.catalog_lookup("z4"), fc.random_observers(25, 0), CFG
-    )
+    observers = fc.random_observers(25, 0)
+    result = fc.check_frame_indifference(model, fc.catalog_lookup("z4"), observers, CFG)
     assert not result.passed
     assert result.max_residual > 0.1
     assert result.witness is not None and result.witness.observer is not None
+    assert not fc.check_observer_independence(model, observers, CFG).passed
 
 
 class _Sweep:
@@ -190,8 +208,8 @@ class _Sweep:
         return fc.StatePoint(self.thetas[s], self.grads[s])
 
 
-def _unfolded_frame_indifference(model, group, observers, cfg):
-    """check_frame_indifference as a plain loop: one ComponentMap call per
+def _unfolded_frame_indifference(model, group, observers, cfg, rotate_back_with_q=False):
+    """check_frame_indifference as a plain loop: one _observer_map call per
     (observer, element), observer outer, element inner, every state at every
     configured temperature."""
 
@@ -199,15 +217,16 @@ def _unfolded_frame_indifference(model, group, observers, cfg):
         elements = fc.group_elements_for_check(group, cfg.seed)
         batch = _Sweep(model, cfg)
         for obs in observers:
-            cm = fc.ComponentMap(model, obs)
             q = obs.q_matrix
-            back = np.einsum("ji,sjk,kl->sil", q, cm.kappa(batch.thetas, batch.grads @ q.T), q)
+            q_t = np.ascontiguousarray(q.T)
+            _, starred = _observer_map(model, q, batch.thetas, batch.grads @ q_t, rotate_back_with_q)
+            back = np.einsum("ji,sjk,kl->sil", q, starred, q)
             kappa_raw = np.max(np.abs(batch.kappas - back), axis=(1, 2))
             for h in elements:
                 hg = batch.grads @ h.T
                 kappas_h = np.ascontiguousarray(model.kappa(batch.thetas, hg))
                 ref = np.einsum("sij,sj->si", kappas_h, hg)
-                starred = cm.flux(batch.thetas, hg @ q.T)
+                starred, _ = _observer_map(model, q, batch.thetas, hg @ q_t, rotate_back_with_q)
                 flux_raw = np.linalg.norm(starred @ q - ref, axis=1)
                 yield np.maximum(flux_raw, kappa_raw) / batch.denoms, h, obs, batch
 
@@ -251,7 +270,7 @@ def test_folded_frame_indifference_matches_the_unfolded_loop(cfg):
     # temperature-scaled one
     small, big = fc.catalog_lookup("transverse_z_20"), fc.catalog_lookup("transverse_z_192")
     for _, model in MODEL_ROSTER:
-        groups = [small] if fc.gradient_dependent_kappa(model) else [small, big]
+        groups = [small] if model.gradient_dependent else [small, big]
         for group in groups:
             folded = fc.check_frame_indifference(model, group, observers, cfg)
             _assert_same_result(
@@ -269,12 +288,14 @@ def test_folded_frame_indifference_matches_the_unfolded_loop_on_failures(monkeyp
     assert folded.max_residual == np.inf
     _assert_same_result(folded, _unfolded_frame_indifference(overflow, group, observers, CFG))
 
-    # a wrongly rotated ComponentMap gives a finite failing witness
+    # a wrongly rotated ComponentMap gives a finite failing witness, the
+    # plain loop's under the same wrong map
     _rotate_back_with_q(monkeypatch)
     for model in (fc.LinearConstant(2.5 * np.eye(3)), fc.NonlinearAnisotropic(DIAG123, 0.5)):
         folded = fc.check_frame_indifference(model, group, observers, CFG)
         assert not folded.passed and 0.1 < folded.max_residual < np.inf
-        _assert_same_result(folded, _unfolded_frame_indifference(model, group, observers, CFG))
+        unfolded = _unfolded_frame_indifference(model, group, observers, CFG, rotate_back_with_q=True)
+        _assert_same_result(folded, unfolded)
 
 
 def _per_element_symmetry(model, group, cfg):
@@ -328,15 +349,14 @@ def test_folded_symmetry_matches_the_per_element_loop(cfg):
 
 
 def _plain_observer_independence(model, observers, cfg):
-    """check_observer_independence as a plain loop over the observers, every
-    state at every configured temperature."""
+    """check_observer_independence as a plain loop over the observers, one
+    _observer_map call each, every state at every configured temperature."""
     batch = _Sweep(model, cfg)
 
     def rows():
         for obs in observers:
-            cm = fc.ComponentMap(model, obs)
-            flux_raw = np.linalg.norm(cm.flux(batch.thetas, batch.grads) - batch.fluxes, axis=1)
-            kappa_star = cm.kappa(batch.thetas, batch.grads)
+            flux_star, kappa_star = _observer_map(model, obs.q_matrix, batch.thetas, batch.grads)
+            flux_raw = np.linalg.norm(flux_star - batch.fluxes, axis=1)
             kappa_raw = np.max(np.abs(kappa_star - batch.kappas), axis=(1, 2))
             yield np.maximum(flux_raw, kappa_raw) / batch.denoms, obs.q_matrix, obs, batch
 
@@ -374,6 +394,36 @@ def test_checks_match_the_reference_loops_at_other_temperatures(cfg, thetas):
             got_flux, got_kappa = fc.symmetry_form_residuals(model, group, cfg)
             assert np.array_equal(got_flux, flux)
             assert np.array_equal(got_kappa, kappa)
+
+
+def _kappa_call_sizes(monkeypatch, model):
+    """Record the number of rows each call of model.kappa is handed."""
+    sizes = []
+    kappa = type(model).kappa
+
+    def counted(self, thetas, grads):
+        sizes.append(len(grads))
+        return kappa(self, thetas, grads)
+
+    monkeypatch.setattr(type(model), "kappa", counted)
+    return sizes
+
+
+@pytest.mark.parametrize("label", [label for label, _ in MODEL_ROSTER])
+def test_observer_checks_evaluate_a_law_in_bounded_calls(monkeypatch, label):
+    """Neither observer check hands a gradient-free law more than the S
+    sampled states in one call: its conductivity is evaluated once per state
+    and shared by every observer and element.  A gradient-dependent law gets
+    at most _FOLD_STATES rows a call (one observer's states when those are
+    more)."""
+    model = dict(MODEL_ROSTER)[label]
+    observers = fc.random_observers(25, 0)
+    states = fc.checks._sample_states(model, CFG).thetas.size
+    bound = max(fc.checks._FOLD_STATES, states) if model.gradient_dependent else states
+    sizes = _kappa_call_sizes(monkeypatch, model)
+    fc.check_frame_indifference(model, fc.catalog_lookup("transverse_z_192"), observers, CFG)
+    fc.check_observer_independence(model, observers, CFG)
+    assert sizes and max(sizes) <= bound, (max(sizes), bound)
 
 
 def _count_state_points(monkeypatch):

@@ -167,3 +167,23 @@ def test_non_finite_conductivity_exits_one(tmp_path, capsysbinary):
     for record in report["checks"]:
         assert record["passed"] is False, record["name"]
         assert record["max_residual"] == float("inf"), record["name"]
+
+
+def test_overflowing_generator_exits_two_with_one_error_line(tmp_path):
+    """A 1e200-scale generator is a config error, reported on one line, and
+    no numpy warning escapes even when warnings are errors."""
+    config = tmp_path / "overflow_generator.ini"
+    config.write_text(
+        "[model]\nfamily = linear_constant\nkappa0 = 1 0 0 ; 0 2 0 ; 0 0 3\n"
+        "[group]\ngenerators = 1e200 0 0 0 1e200 0 0 0 1e200\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "framecheck", "run", str(config)],
+        capture_output=True,
+        env={**SUBPROCESS_ENV, "PYTHONWARNINGS": "error::RuntimeWarning"},
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: group.generators: matrix is not orthogonal within 1e-06\n"

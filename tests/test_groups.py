@@ -161,6 +161,16 @@ def test_closure_rejects_bad_generators():
         fc.generate_closure([np.eye(3)], max_order=0)
 
 
+def test_overflowing_elements_are_rejected_without_a_warning():
+    big = 1e200 * np.eye(3)
+    with pytest.raises(ValueError, match=r"^generator 1 is not orthogonal within 1e-09$"):
+        fc.generate_closure([fc.ROT_Z_90, big], max_order=8)
+    with pytest.raises(ValueError, match=r"^element 1 is not orthogonal within 1e-09$"):
+        fc.SymmetryGroup(fc.GroupKind.FINITE, "scaled", (np.eye(3), big))
+    with pytest.raises(ValueError, match=r"^element 0 is not orthogonal within 1e-09$"):
+        fc.SymmetryGroup(fc.GroupKind.FINITE, "scaled", (-big,))
+
+
 def test_closure_defect_small_for_catalog_groups():
     for name in ("trivial", "z4", "orthotropic", "cubic_rotations", "transverse_z_8"):
         assert fc.catalog_lookup(name).closure_defect() <= 1e-12

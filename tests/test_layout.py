@@ -14,7 +14,7 @@ the checks build.
 """
 
 import numpy as np
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npp
 
@@ -185,3 +185,72 @@ def test_matvec_is_the_sample_first_einsum(size, seed, spread, layout):
         assert _same_bits(matvec(per_state, grads), expected)
         assert matvec(kappas, grads).flags.c_contiguous
         assert matvec(per_state, block).flags.c_contiguous
+
+
+def _per_observer_map(model, q, thetas, grads_star):
+    """One observer's map written out with sample-first einsums: the flux
+    rows Q q(theta, Q^T g*) and the conductivities Q kappa Q^T at Q^T g*."""
+    grads = grads_star @ q
+    kappas = np.ascontiguousarray(model.kappa(thetas, grads))
+    flux = np.einsum("sij,sj->si", kappas, grads) @ np.ascontiguousarray(q.T)
+    return flux, np.einsum("ij,sjk,lk->sil", q, kappas, q)
+
+
+@settings(max_examples=20)
+@example(count=1, size=1, seed=7, spread=300)
+@example(count=40, size=2049, seed=7, spread=300)
+@given(
+    count=st.integers(1, 40),
+    size=st.one_of(st.sampled_from([1, 2049]), st.integers(2, 2048)),
+    seed=st.integers(0, 2**32 - 1),
+    spread=st.integers(0, 300),
+)
+def test_stacked_component_map_is_the_per_observer_map(count, size, seed, spread):
+    """A ComponentMap over O observers gives each observer the rows of its
+    own map, bit for bit, sign of zero included: for every family, for
+    components per observer and shared by all (a broadcast stack), and for
+    fluxes with a batch axis before the states; proper and improper
+    observers alternate.  The one-row forms are the rows of the map."""
+    rng = np.random.default_rng(seed)
+    tensor = _entries(rng, (3, 3), spread)
+    a, b = (float(x) for x in _entries(rng, 2, spread))
+    coeffs = tuple(float(x) for x in _entries(rng, 1 + seed % 4, spread))
+    models = (
+        fc.LinearConstant(tensor),
+        fc.LinearTemperature(tensor, coeffs),
+        fc.NonlinearIsotropic(a, b),
+        fc.NonlinearAnisotropic(tensor, a),
+    )
+    observers = [
+        fc.ObserverChange((-1.0) ** k * fc.random_orthogonal(seed + k, proper_only=True))
+        for k in range(count)
+    ]
+    thetas = np.abs(_entries(rng, size, spread))
+    own = _entries(rng, (count, size, 3), spread)
+    shared = np.broadcast_to(_entries(rng, (size, 3), spread), (count, size, 3))
+    batched = _entries(rng, (count, 2, size, 3), spread)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for model in models:
+            cm = fc.ComponentMap(model, observers)
+            for grads_star in (own, shared):
+                fluxes, kappas = cm.flux(thetas, grads_star), cm.kappa(thetas, grads_star)
+                assert _is_sample_last(kappas.reshape(-1, 3, 3)), model.family
+                for obs, g, flux, kappa in zip(observers, grads_star, fluxes, kappas):
+                    flux_o, kappa_o = _per_observer_map(model, obs.q_matrix, thetas, g)
+                    assert _same_bits(flux, flux_o), model.family
+                    assert _same_bits(kappa, kappa_o), model.family
+            # a batch axis between the observers and the states
+            fluxes = cm.flux(thetas, batched)
+            for obs, g, flux in zip(observers, batched, fluxes):
+                for e in range(len(g)):
+                    flux_o, _ = _per_observer_map(model, obs.q_matrix, thetas, g[e])
+                    assert _same_bits(flux[e], flux_o), model.family
+            # one observer is the case O = 1, and the one-row forms are its rows
+            fluxes, kappas = cm.flux(thetas, own), cm.kappa(thetas, own)
+            last = fc.ComponentMap(model, observers[-1])
+            assert _same_bits(last.flux(thetas, own[-1]), fluxes[-1])
+            assert _same_bits(last.kappa(thetas, own[-1]), kappas[-1])
+            for s in (0, size - 1):
+                state = (thetas[s], own[-1, s])
+                assert _same_bits(fc.evaluate_components(last, state), fluxes[-1, s])
+                assert _same_bits(fc.kappa_components(last, state), kappas[-1, s])

@@ -63,7 +63,7 @@ def test_model_families_registry():
 
 
 def test_gradient_dependence_flags():
-    flags = {label: fc.gradient_dependent_kappa(m) for label, m in MODEL_ROSTER}
+    flags = {label: m.gradient_dependent for label, m in MODEL_ROSTER}
     assert flags == {
         "iso_constant": False,
         "ortho_constant": False,

@@ -112,6 +112,24 @@ def test_observer_change_requires_orthogonal():
         fc.ObserverChange(2.0 * np.eye(3))
 
 
+# finite matrices whose Q Q^T overflows: to inf, and to inf - inf = NaN
+OVERFLOWING = {
+    "scaled": 1e200 * np.eye(3),
+    "cancelling": np.array([[1e200, 1e200, 0.0], [1e200, -1e200, 0.0], [0.0, 0.0, 1.0]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVERFLOWING))
+def test_overflowing_matrices_are_not_orthogonal(name):
+    """An overflowing Q Q^T is simply not orthogonal: no numpy warning,
+    which the suite's filterwarnings turns into an error, and the usual
+    message."""
+    m = OVERFLOWING[name]
+    assert not fc.is_orthogonal(m)
+    with pytest.raises(ValueError, match=r"^observer matrix is not orthogonal within 1e-09$"):
+        fc.ObserverChange(m)
+
+
 def test_observer_change_tolerance_is_configurable():
     q = np.eye(3)
     q = q + 1e-8 * np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
