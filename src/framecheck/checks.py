@@ -51,17 +51,16 @@ temperature alone, the symmetry check's conductivity deficit
 is computed once per (element, sampled temperature) and expanded to the
 states.
 
-The two observer checks stack their observers the same way: each builds one
-ComponentMap per run of consecutive observers and applies it to the whole
-run at once.  Frame indifference computes its conductivity form on runs of
-about ``_FOLD_STATES`` states, and its flux form on blocks of consecutive
-(observer, element) pairs, observer major: a run of observers against a
-block of elements, where a run spans observers only when it holds the whole
-group.  Observer independence runs both of its forms on runs of observers.
-A law whose conductivity does not depend on the gradient
-(``gradient_dependent`` False) has the same conductivity at every rotated
-gradient Q^T g*, bit for bit, so ComponentMap evaluates it once, on the S
-sampled states, and broadcasts that stack over the observers and elements.
+The two observer checks stack their observers the same way: they build one
+ComponentMap per run of consecutive observers, of at most ``_FOLD_STATES``
+states, and apply it to the whole run at once.  Observer independence runs
+both of its forms that way, frame indifference its conductivity form.  Frame
+indifference's flux form takes one observer's map at a time against blocks
+of consecutive group elements, of at most ``_FOLD_STATES`` states.  A law
+whose conductivity does not depend on the gradient (``gradient_dependent``
+False) has the same conductivity at every rotated gradient Q^T g*, bit for
+bit, so ComponentMap evaluates it once, on the S sampled states, and
+broadcasts that stack over the observers and elements.
 
 Each (observer, element) row is still reduced on its own, with one
 ``np.argmax``, so the folds change no residual, witness or sample count.
@@ -481,53 +480,49 @@ def check_frame_indifference(
     anisotropic conductors, which is the point: frame indifference does not
     imply isotropy.
 
-    Both forms run on stacked ComponentMaps in blocks of at most
-    _FOLD_STATES states: the conductivity form on runs of consecutive
-    observers, the flux form on runs of consecutive (observer, element)
-    pairs, observer major.  Every (observer, element) row keeps its
-    arithmetic, so rows, samples_used and witnesses are those of the
-    unfolded loop, bit for bit.
+    The conductivity form runs on stacked ComponentMaps over runs of
+    consecutive observers, and the flux form on each observer's map against
+    blocks of consecutive group elements, each of at most _FOLD_STATES
+    states.  Every (observer, element) row keeps its arithmetic, so rows,
+    samples_used and witnesses are those of the unfolded loop, bit for bit.
     """
     elements = group_elements_for_check(group, cfg.seed)
     batch = _sample_states(model, cfg)
-    size = batch.thetas.size
 
     def rows():
-        # H g and the canonical flux q(theta, H g) do not depend on the observer
-        hgs = np.empty((len(elements), size, 3))
-        refs = np.empty_like(hgs)
-        done = 0
-        for hs, _, block_hgs, _, block_refs in _element_blocks(model, batch, elements):
-            hgs[done:done + len(hs)] = block_hgs
-            refs[done:done + len(hs)] = block_refs
-            done += len(hs)
+        # H g and the canonical flux q(theta, H g) do not depend on the
+        # observer.  A gradient-dependent law's map is handed the temperature
+        # of every row; a gradient-free one's map evaluates it on the S states.
+        blocks = [
+            (
+                hs,
+                np.tile(batch.thetas, len(hs)) if model.gradient_dependent else batch.thetas,
+                hgs.reshape(1, -1, 3),
+                refs.reshape(-1, 3),
+            )
+            for hs, _, hgs, _, refs in _element_blocks(model, batch, elements)
+        ]
         # conductivity form, element-independent: kappa(g) vs Q^T kappa*(Q g) Q
         kappas = np.transpose(batch.kappas, (1, 2, 0))[:, :, None]
-        kappa_raw = np.empty((len(observers), size))
-        for start, cm in _observer_maps(model, observers, size):
+        kappa_raw = np.empty((len(observers), batch.thetas.size))
+        for start, cm in _observer_maps(model, observers, batch.thetas.size):
             q_t = transposes(cm.q_stack)
             # rows of grads @ Q^T are Q g
             back = conjugate_stack(q_t, cm.kappa(batch.thetas, batch.grads @ q_t))
-            kappa_raw[start:start + len(q_t)] = np.max(np.abs(kappas - sample_last(back)), axis=(0, 1))
-        # flux form: runs of observers, each against blocks of consecutive
-        # elements; a run spans observers only when it holds every element
-        for first, cm in _observer_maps(model, observers, len(elements) * size):
+            raw = np.max(np.abs(kappas - sample_last(back)), axis=(0, 1))
+            kappa_raw[start:start + len(raw)] = raw
+        # flux form: each observer against blocks of consecutive elements
+        for obs, obs_kappa_raw in zip(observers, kappa_raw):
+            cm = ComponentMap(model, [obs])
             q_t = transposes(cm.q_stack)
-            per_block = max(1, _FOLD_STATES // (size * len(q_t)))
-            for start in range(0, len(elements), per_block):
-                hs = elements[start:start + per_block]
+            for hs, thetas, hgs, refs in blocks:
                 # rows of H g @ Q^T are Q H g
-                hgs_star = hgs[start:start + len(hs)].reshape(-1, 3) @ q_t
-                starred = cm.flux(batch.thetas, hgs_star.reshape(len(q_t), len(hs), size, 3))
+                starred = cm.flux(thetas, hgs @ q_t)
                 # rows of starred @ Q are Q^T starred
-                back = (starred.reshape(len(q_t), -1, 3) @ cm.q_stack).reshape(starred.shape)
-                back -= refs[start:start + len(hs)]
-                rel = row_norms(back)
-                np.maximum(rel, kappa_raw[first:first + len(q_t), None], out=rel)
-                rel /= batch.denoms
-                for obs, obs_rows in zip(cm.observers, rel):
-                    for h, row in zip(hs, obs_rows):
-                        yield row, h, obs, batch
+                flux_raw = row_norms(starred[0] @ obs.q_matrix - refs).reshape(len(hs), -1)
+                rel = np.maximum(flux_raw, obs_kappa_raw) / batch.denoms
+                for h, row in zip(hs, rel):
+                    yield row, h, obs, batch
 
     note = (
         "holds identically for component maps derived from one tensorial "

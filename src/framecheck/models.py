@@ -25,14 +25,7 @@ from typing import ClassVar, Sequence, Union, get_args
 
 import numpy as np
 
-from .tensors import (
-    ObserverChange,
-    as_tensor2,
-    as_vec3,
-    conjugate_stack,
-    matvec,
-    transposes,
-)
+from .tensors import ObserverChange, as_tensor2, as_vec3, conjugate_stack, matvec, transposes
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,65 +190,66 @@ class ComponentMap:
     """A constitutive model in the components of O observers at once.
 
     ``observers`` is a sequence of O observer changes, held as the (O, 3, 3)
-    stack ``q_stack``.  flux and kappa take S temperatures, (S,), and the
-    observers' components g*, (O, S, 3), observer o's at [o]; flux also
-    takes batch axes before the states, (O, ..., S, 3).  Observer o's rows
-    are those of its own map, bit for bit (tests/test_layout.py).  A map on
-    one ObserverChange is the case O = 1 without the observer axis.
+    stack ``q_stack``; one observer is the case O = 1.  flux and kappa take
+    T temperatures, (T,), and the observers' components g*, observer o's at
+    [o]: kappa takes (O, T, 3), flux (O, ..., T, 3), whose batch axes before
+    the states repeat the temperatures.  Observer o's rows are those of its
+    own map, bit for bit (tests/test_layout.py).
     """
 
     model: ConstitutiveModel
-    observers: Union[ObserverChange, Sequence[ObserverChange]]
+    observers: Sequence[ObserverChange]
     q_stack: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        one = isinstance(self.observers, ObserverChange)
-        matrices = [self.observers.q_matrix] if one else [o.q_matrix for o in self.observers]
-        object.__setattr__(self, "q_stack", np.array(matrices))
+        object.__setattr__(self, "q_stack", np.array([o.q_matrix for o in self.observers]))
 
     def flux(self, thetas: np.ndarray, grads_star: np.ndarray) -> np.ndarray:
         """Observer-frame flux rows Q q(theta, Q^T g*), shaped as grads_star."""
-        grads_star = self._in(grads_star)
         grads, kappas = self._canonical(thetas, grads_star)
         fluxes = matvec(kappas, grads).reshape(len(self.q_stack), -1, 3)
         # rows of flux @ Q^T are Q flux
-        return self._out((fluxes @ transposes(self.q_stack)).reshape(grads_star.shape))
+        return (fluxes @ transposes(self.q_stack)).reshape(grads_star.shape)
 
     def kappa(self, thetas: np.ndarray, grads_star: np.ndarray) -> np.ndarray:
         """Observer-frame conductivities Q kappa(theta, Q^T g*) Q^T for
-        (O, S, 3) components, no batch axes: an (O, S, 3, 3) view of a
-        sample-last (3, 3, O, S) array."""
-        grads_star = self._in(grads_star)
-        return self._out(conjugate_stack(self.q_stack, self._canonical(thetas, grads_star)[1]))
+        (O, T, 3) components: an (O, T, 3, 3) view of a sample-last
+        (3, 3, O, T) array."""
+        if grads_star.shape[1:-1] != thetas.shape:
+            raise ValueError(f"kappa takes (O, {thetas.size}, 3), not {grads_star.shape}")
+        return conjugate_stack(self.q_stack, self._canonical(thetas, grads_star)[1])
 
     def _canonical(self, thetas: np.ndarray, grads_star: np.ndarray):
         """The canonical gradients Q^T g* and the conductivities at them.
         For a gradient-dependent law both are per row, (O, N, 3) and
-        (O, N, 3, 3) for the N = ... x S rows of each observer.  A law that
-        reads no gradient has the same bits at every observer and batch row of
-        a state, so its kappa runs once, on the S states: its (S, 3, 3) stack
-        is shared by the gradients, (O, N / S, S, 3)."""
-        grads = grads_star.reshape(len(self.q_stack), -1, 3) @ self.q_stack  # rows are Q^T g*
+        (O, N, 3, 3) for the N rows of each observer, N a multiple of T > 0.
+        A law that reads no gradient has the same bits at every observer and
+        batch row of a state, so its kappa runs once, on the T states: its
+        (T, 3, 3) stack is shared by the gradients, (O, N / T, T, 3)."""
+        count, size, shape = len(self.q_stack), thetas.size, grads_star.shape
+        if shape[0] != count or shape[-1] != 3 or size == 0 or grads_star.size // 3 // count % size:
+            raise ValueError(f"{shape} do not fit {count} observers at {size} temperatures")
+        grads = grads_star.reshape(count, -1, 3) @ self.q_stack  # rows are Q^T g*
         if not self.model.gradient_dependent:
-            size = thetas.size
-            return grads.reshape(len(grads), -1, size, 3), self.model.kappa(thetas, grads[0, :size])
-        kappas = self.model.kappa(np.tile(thetas, grads.size // (3 * thetas.size)), grads.reshape(-1, 3))
+            return grads.reshape(count, -1, size, 3), self.model.kappa(thetas, grads[0, :size])
+        # np.tile copies even when it repeats once
+        reps = grads.size // 3 // size
+        tiled = thetas if reps == 1 else np.tile(thetas, reps)
+        kappas = self.model.kappa(tiled, grads.reshape(-1, 3))
         return grads, kappas.reshape(grads.shape + (3,))
-
-    def _in(self, grads_star: np.ndarray) -> np.ndarray:
-        return grads_star[None] if isinstance(self.observers, ObserverChange) else grads_star
-
-    def _out(self, stack: np.ndarray) -> np.ndarray:
-        return stack[0] if isinstance(self.observers, ObserverChange) else stack
 
 
 def evaluate_components(cm: ComponentMap, components) -> np.ndarray:
     """Flux components in the observer frame for observer-frame state
-    components ``(theta, grad)``: the one-row case of cm.flux."""
-    return cm.flux(*_one_row(StatePoint(*components)))[0]
+    components ``(theta, grad)``: the one-row case of cm.flux, for a map on
+    one observer."""
+    thetas, grads = _one_row(StatePoint(*components))
+    return cm.flux(thetas, grads[None])[0, 0]
 
 
 def kappa_components(cm: ComponentMap, components) -> np.ndarray:
     """Conductivity components in the observer frame, Q kappa Q^T at the
-    rotated-back state: the one-row case of cm.kappa."""
-    return cm.kappa(*_one_row(StatePoint(*components)))[0]
+    rotated-back state: the one-row case of cm.kappa, for a map on one
+    observer."""
+    thetas, grads = _one_row(StatePoint(*components))
+    return cm.kappa(thetas, grads[None])[0, 0]

@@ -225,22 +225,18 @@ def transposes(stack) -> np.ndarray:
     return np.ascontiguousarray(stack.transpose(0, 2, 1))
 
 
-def conjugate_stack(q, stack) -> np.ndarray:
+def conjugate_stack(qs, stack) -> np.ndarray:
     """Q_o kappa Q_o^T for each matrix Q_o of an (O, 3, 3) stack and each
     tensor of an (S, 3, 3) stack that every Q_o shares or of an (O, S, 3, 3)
     stack, one (S, 3, 3) stack per Q_o: bit for bit
     einsum("ij,sjk,lk->sil", Q_o, kappas, Q_o) for each o, on stacks whose
     components are in C order (contiguous, broadcast or sample-last).  The
-    result is an (O, S, 3, 3) view of a sample-last (3, 3, O, S) array.  With
-    one (3, 3) matrix q it is the case O = 1 without the observer axis."""
-    one = np.ndim(q) == 2
-    qs = np.asarray(q)[None] if one else q
+    result is an (O, S, 3, 3) view of a sample-last (3, 3, O, S) array."""
     kappas = sample_last(stack)
     spec = "oij,jks,olk->ilos" if kappas.ndim == 3 else "oij,jkos,olk->ilos"
     # einsum would lay its output out observer first; the sums are the same
     out = np.einsum(spec, qs, kappas, qs, out=np.empty((3, 3, len(qs), kappas.shape[-1])))
-    stacks = out.transpose(2, 3, 0, 1)
-    return stacks[0] if one else stacks
+    return out.transpose(2, 3, 0, 1)
 
 
 def matvec(kappas, grads) -> np.ndarray:

@@ -14,6 +14,7 @@ the checks build.
 """
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npp
@@ -74,8 +75,8 @@ def test_conjugation_is_the_sample_first_einsum(size, seed, spread, layout):
     with np.errstate(over="ignore", invalid="ignore"):
         for q in (fc.random_orthogonal(seed), _entries(rng, (3, 3), spread)):
             q_t = np.ascontiguousarray(q.T)
-            assert _same(conjugate_stack(q, stack), np.einsum("ij,sjk,lk->sil", q, stack, q))
-            assert _same(conjugate_stack(q_t, stack), np.einsum("ji,sjk,kl->sil", q, stack, q))
+            assert _same(conjugate_stack(q[None], stack)[0], np.einsum("ij,sjk,lk->sil", q, stack, q))
+            assert _same(conjugate_stack(q_t[None], stack)[0], np.einsum("ji,sjk,kl->sil", q, stack, q))
 
 
 @cases
@@ -239,18 +240,50 @@ def test_stacked_component_map_is_the_per_observer_map(count, size, seed, spread
                     flux_o, kappa_o = _per_observer_map(model, obs.q_matrix, thetas, g)
                     assert _same_bits(flux, flux_o), model.family
                     assert _same_bits(kappa, kappa_o), model.family
-            # a batch axis between the observers and the states
-            fluxes = cm.flux(thetas, batched)
-            for obs, g, flux in zip(observers, batched, fluxes):
-                for e in range(len(g)):
-                    flux_o, _ = _per_observer_map(model, obs.q_matrix, thetas, g[e])
-                    assert _same_bits(flux[e], flux_o), model.family
+            # a batch axis between the observers and the states, whose
+            # temperatures repeat, or are given for every row
+            for thetas_rows in (thetas, np.tile(thetas, 2)):
+                fluxes = cm.flux(thetas_rows, batched)
+                for obs, g, flux in zip(observers, batched, fluxes):
+                    for e in range(len(g)):
+                        flux_o, _ = _per_observer_map(model, obs.q_matrix, thetas, g[e])
+                        assert _same_bits(flux[e], flux_o), model.family
             # one observer is the case O = 1, and the one-row forms are its rows
             fluxes, kappas = cm.flux(thetas, own), cm.kappa(thetas, own)
-            last = fc.ComponentMap(model, observers[-1])
-            assert _same_bits(last.flux(thetas, own[-1]), fluxes[-1])
-            assert _same_bits(last.kappa(thetas, own[-1]), kappas[-1])
+            last = fc.ComponentMap(model, observers[-1:])
+            assert _same_bits(last.flux(thetas, own[-1:]), fluxes[-1:])
+            assert _same_bits(last.kappa(thetas, own[-1:]), kappas[-1:])
             for s in (0, size - 1):
                 state = (thetas[s], own[-1, s])
                 assert _same_bits(fc.evaluate_components(last, state), fluxes[-1, s])
                 assert _same_bits(fc.kappa_components(last, state), kappas[-1, s])
+
+
+DIAG123 = np.diag([1.0, 2.0, 3.0])
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        fc.LinearConstant(DIAG123),
+        fc.LinearTemperature(DIAG123, (1.0, 0.5)),
+        fc.NonlinearIsotropic(1.0, 0.5),
+        fc.NonlinearAnisotropic(DIAG123, 0.5),
+    ],
+    ids=lambda model: model.family,
+)
+def test_component_map_rejects_components_that_do_not_match(model):
+    """Components whose rows do not repeat the temperatures, or that belong
+    to another number of observers, raise ValueError for every family
+    alike; kappa takes exactly one row per temperature."""
+    cm = fc.ComponentMap(model, fc.random_observers(2, 3))
+    thetas = np.array([1.0, 2.0, 3.0])
+    assert cm.flux(thetas, np.ones((2, 4, 3, 3))).shape == (2, 4, 3, 3)
+    assert cm.kappa(thetas, np.ones((2, 3, 3))).shape == (2, 3, 3, 3)
+    for grads in (np.ones((2, 4, 3)), np.ones((2, 2, 3)), np.ones((1, 3, 3)), np.ones((3, 3, 3))):
+        with pytest.raises(ValueError):
+            cm.flux(thetas, grads)
+        with pytest.raises(ValueError):
+            cm.kappa(thetas, grads)
+    with pytest.raises(ValueError):
+        cm.kappa(thetas, np.ones((2, 2, 3, 3)))
