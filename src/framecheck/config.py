@@ -39,11 +39,13 @@ from __future__ import annotations
 import configparser
 
 import numpy as np
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields, make_dataclass
 
+from .checks import CheckConfig
+from .groups import DEFAULT_SAMPLE_COUNT, UnknownGroupName, resolve_group_name
 # catalog_lookup is not called here; perfbench's tracer hooks this module's
 # name for it, so it stays imported
-from .groups import UnknownGroupName, catalog_lookup, resolve_group_name  # noqa: F401
+from .groups import catalog_lookup  # noqa: F401
 from .models import MODEL_FAMILIES
 from .tensors import as_tensor2, is_orthogonal
 
@@ -65,20 +67,6 @@ class ParseError(ValueError):
 
 class ValidationError(ValueError):
     """Well-formed INI with bad contents; the message names the key."""
-
-
-@dataclass(frozen=True)
-class ModelSpec:
-    """A model as the config names it: its family plus every family's
-    parameters, of which only the family's own are set."""
-
-    family: str
-    kappa0: tuple[float, ...] | None = None
-    theta_coeffs: tuple[float, ...] | None = None
-    a: float | None = None
-    b: float | None = None
-    a_tensor: tuple[float, ...] | None = None
-    c: float | None = None
 
 
 @dataclass(frozen=True)
@@ -109,11 +97,11 @@ class SuiteConfig:
     model: ModelSpec
     group: GroupSpec = GroupSpec()
     checks: tuple[CheckRequest, ...] = _ALL_CHECKS
-    seed: int = 0
-    tol: float = 1e-9
-    theta_samples: tuple[float, ...] = (0.5, 1.0, 300.0)
-    gradient_samples: int = 32
-    sample_count: int = 256
+    seed: int = CheckConfig.seed
+    tol: float = CheckConfig.tol
+    theta_samples: tuple[float, ...] = CheckConfig.theta_samples
+    gradient_samples: int = CheckConfig.gradient_samples
+    sample_count: int = DEFAULT_SAMPLE_COUNT
     observer_count: int = 100
     observer_matrices: tuple[tuple[float, ...], ...] | None = None
 
@@ -121,7 +109,7 @@ class SuiteConfig:
         """Canonical INI text; parse_config(text) reproduces this config
         exactly (floats are emitted with repr, which round-trips)."""
         lines = ["[model]", f"family = {self.model.family}"]
-        for key, (_, fmt) in _FAMILY_PARAMS[self.model.family].items():
+        for key, (_, fmt, _) in _FAMILY_PARAMS[self.model.family].items():
             lines.append(f"{key} = {fmt(getattr(self.model, key))}")
         lines += ["", "[group]"]
         if self.group.generators is not None:
@@ -195,19 +183,35 @@ def _coeffs(section: str, key: str, raw: str) -> tuple[float, ...]:
     return values
 
 
-# How a model parameter is parsed and written back, by the annotation of its
-# field in the model class: a 3x3 tensor, a coefficient list or a scalar.
+# How a model parameter is parsed, written back and typed in a ModelSpec, by
+# the annotation of its field in the model class: a 3x3 tensor, a
+# coefficient list or a scalar.
 _PARAM_KINDS = {
-    "np.ndarray": (lambda s, k, raw: _floats(s, k, raw, count=9), _fmt_matrix),
-    "tuple[float, ...]": (_coeffs, _fmt_floats),
-    "float": (_scalar, lambda v: repr(float(v))),
+    "np.ndarray": (lambda s, k, raw: _floats(s, k, raw, count=9), _fmt_matrix, "tuple[float, ...]"),
+    "tuple[float, ...]": (_coeffs, _fmt_floats, "tuple[float, ...]"),
+    "float": (_scalar, lambda v: repr(float(v)), "float"),
 }
 
-# family -> {parameter: (parse, emit)}, in the order of the class's fields
+# family -> {parameter: (parse, emit, type)}, in the order of the class's fields
 _FAMILY_PARAMS = {
     family: {f.name: _PARAM_KINDS[f.type] for f in fields(cls)}
     for family, cls in MODEL_FAMILIES.items()
 }
+
+# every family's parameters, each once, in the order of MODEL_FAMILIES and
+# of each class's fields: parameter -> type.  ModelSpec has one field each.
+_SPEC_PARAMS = {
+    key: kind for params in _FAMILY_PARAMS.values() for key, (_, _, kind) in params.items()
+}
+_SPEC_DOC = """A model as the config names it: its family plus every family's
+    parameters, of which only the family's own are set."""
+ModelSpec = make_dataclass(
+    "ModelSpec",
+    [("family", "str")]
+    + [(key, f"{kind} | None", field(default=None)) for key, kind in _SPEC_PARAMS.items()],
+    frozen=True,
+    namespace={"__module__": __name__, "__doc__": _SPEC_DOC},
+)
 
 
 def _orthogonal_matrix(section: str, key: str, chunk: str) -> tuple[float, ...]:
@@ -231,7 +235,7 @@ def _parse_model(sec) -> ModelSpec:
         if key != "family" and key not in wanted:
             raise ValidationError(f"model.{key}: not a parameter of family {family}")
     kwargs = {}
-    for key, (parse, _) in wanted.items():
+    for key, (parse, _, _) in wanted.items():
         if key not in sec:
             raise ValidationError(f"model.{key} is required for family {family}")
         kwargs[key] = parse("model", key, sec[key])
@@ -247,7 +251,7 @@ def _parse_group(sec) -> GroupSpec:
     if "generators" in sec:
         chunks = sec["generators"].split("|")
         generators = tuple(_orthogonal_matrix("group", "generators", c) for c in chunks)
-        max_order = 192
+        max_order = GroupSpec.max_order
         if "max_order" in sec:
             max_order = _int("group", "max_order", sec["max_order"], minimum=1)
         return GroupSpec(name=None, generators=generators, max_order=max_order)

@@ -1,18 +1,21 @@
 """Material symmetry groups.
 
-A symmetry group is either a finite set of orthogonal tensors (generated by
-closing a generator set under products) or a sampled stand-in for the full
-orthogonal group.  Closure works breadth-first over words in the generators;
-right-extension by one generator per step reaches every product, and a finite
-closure of orthogonal matrices contains inverses automatically because every
-element has finite order.
+A symmetry group is either a finite set of orthogonal tensors or a sampled
+stand-in for the full orthogonal group.  Every finite group is a closure:
+generate_closure, the only way to make one, closes a generator set under
+products breadth-first over words in the generators (the trivial group
+closes none).  A finite closure of orthogonal matrices contains inverses
+automatically because every element has finite order.
 
 Element identity during closure is approximate: two matrices closer than
-DEDUP_TOL in max-norm count as the same element.  Real point groups keep
-their elements far apart, so a generator set that only closes thanks to
-near-duplicate merging is better reported as ClosureOverflow than silently
-collapsed; the tolerance is deliberately tight.  Closure tests each new
-product against every element found so far; validation and closure_defect
+DEDUP_TOL in max-norm count as the same element, so a closure holds the
+identity and no duplicates by construction.  The tolerance is deliberately
+tight: a generator set that only closes thanks to near-duplicate merging is
+better reported as ClosureOverflow than silently collapsed.  What can still
+fail is checked once, on the finished stack: an element that drifted from
+orthogonal as the generators were multiplied, and a set that closed by
+merging, whose transposes are then missing.  Closure tests each new product
+against every element found so far; the transpose test and closure_defect
 search the trace buckets of _nearest, which states the bucket rule.
 """
 
@@ -20,7 +23,7 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, InitVar, dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -64,10 +67,9 @@ class GroupKind(enum.Enum):
     FULL_ORTHOGONAL = "full_orthogonal"
 
 
-def _nearest(stored: np.ndarray, queries: np.ndarray, before=None) -> np.ndarray:
+def _nearest(stored: np.ndarray, queries: np.ndarray) -> np.ndarray:
     """Max-norm distance from each query to the nearest stored element in its
     trace bucket or a neighbouring one; inf when those buckets are empty.
-    With ``before``, query i is compared with stored[:before[i]] only.
 
     Both (n, 3, 3) stacks are bucketed by trace on a 1e-3 grid.  Two matrices
     within 1e-4 in max-norm differ in trace by at most 3e-4, under one bucket
@@ -89,8 +91,6 @@ def _nearest(stored: np.ndarray, queries: np.ndarray, before=None) -> np.ndarray
         cand = lo + np.arange(int(np.max(hi - lo, initial=0)))[:, None]
         index = order[np.minimum(cand, len(order) - 1)]
         live = cand < hi
-        if before is not None:
-            live &= index < before[i : i + _BLOCK]
         dist = np.max(np.abs(q[:, None] - s[:, index]), axis=0)
         nearest[i : i + _BLOCK] = np.min(np.where(live, dist, np.inf), axis=0, initial=np.inf)
     return nearest
@@ -100,44 +100,23 @@ def _nearest(stored: np.ndarray, queries: np.ndarray, before=None) -> np.ndarray
 class SymmetryGroup:
     """A finite point group, or the sampled full orthogonal group.
 
-    Finite groups validate on construction: every element orthogonal within
-    ELEMENT_ORTH_TOL, identity present, no near-duplicate elements, and closed
-    under transposition (each element's inverse is stored too).  Closure under
-    products is exhaustive-quadratic and therefore left to closure_defect().
-    """
+    Only generate_closure makes a finite group.  Its elements are read-only,
+    the identity first, orthogonal within ELEMENT_ORTH_TOL, no two within
+    DEDUP_TOL, and each one's transpose among them; closure_defect() measures
+    how far the products of pairs land from the elements."""
 
     kind: GroupKind
     name: str
     elements: tuple[np.ndarray, ...] | None = None
     sample_count: int | None = None
+    _: KW_ONLY
+    # set only by generate_closure, which has validated the elements
+    _closed: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, _closed):
         if self.kind is GroupKind.FINITE:
-            if not self.elements:
-                raise ValueError("a finite group needs at least the identity")
-            if self.sample_count is not None:
-                raise ValueError("sample_count applies to full_orthogonal only")
-            els = tuple(as_tensor2(e) for e in self.elements)
-            stack = np.stack(els)
-            # reported as a loop over the elements would meet them: element by
-            # element, orthogonality before duplicates; then identity, transposes
-            skewed = np.flatnonzero(~_orthogonal(stack, ELEMENT_ORTH_TOL))
-            first = skewed[0] if skewed.size else len(els)
-            earlier = _nearest(stack[:first], stack[:first], before=np.arange(first))
-            dupes = np.flatnonzero(earlier < DEDUP_TOL)
-            if dupes.size:
-                raise ValueError(f"element {dupes[0]} duplicates an earlier element")
-            if skewed.size:
-                raise ValueError(f"element {first} is not orthogonal within {ELEMENT_ORTH_TOL:g}")
-            near = _nearest(stack, np.concatenate((IDENTITY[None], stack.transpose(0, 2, 1))))
-            if near[0] > ELEMENT_ORTH_TOL:
-                raise ValueError("a finite group must contain the identity")
-            missing = np.flatnonzero(near[1:] > ELEMENT_ORTH_TOL)
-            if missing.size:
-                raise ValueError(
-                    f"element {missing[0]} has no transpose in the group (inverses missing)"
-                )
-            object.__setattr__(self, "elements", els)
+            if not _closed:
+                raise ValueError("a finite group is made by generate_closure")
         elif self.kind is GroupKind.FULL_ORTHOGONAL:
             if self.elements is not None:
                 raise ValueError("full_orthogonal stores no explicit elements")
@@ -179,12 +158,14 @@ class SymmetryGroup:
 
 
 def generate_closure(generators, max_order: int, name: str = "generated") -> SymmetryGroup:
-    """Close a generator set under matrix products.
+    """Close a generator set under matrix products: the one way to make a
+    finite SymmetryGroup.
 
     Raises ClosureOverflow as soon as the element count exceeds ``max_order``;
     near-identity or irrational-angle generators land here instead of being
-    merged away.
-    """
+    merged away.  Raises ValueError for a generator, then for an element of
+    the closure, that is not orthogonal within ELEMENT_ORTH_TOL, and then for
+    an element whose transpose is not in the closure within that tolerance."""
     if max_order < 1:
         raise ValueError("max_order must be a positive integer")
     gens = [as_tensor2(g) for g in generators]
@@ -215,44 +196,50 @@ def generate_closure(generators, max_order: int, name: str = "generated") -> Sym
     while frontier:
         products = (word @ g for word in frontier for g in gens)
         frontier = [p for p in products if add(p)]
-    return SymmetryGroup(GroupKind.FINITE, name, tuple(found[:, :count].T.reshape(-1, 3, 3)))
+    stack = _frozen(np.ascontiguousarray(found[:, :count].T).reshape(-1, 3, 3))
+    skewed = np.flatnonzero(~_orthogonal(stack, ELEMENT_ORTH_TOL))
+    if skewed.size:
+        raise ValueError(f"element {skewed[0]} is not orthogonal within {ELEMENT_ORTH_TOL:g}")
+    missing = np.flatnonzero(_nearest(stack, stack.transpose(0, 2, 1)) > ELEMENT_ORTH_TOL)
+    if missing.size:
+        raise ValueError(f"element {missing[0]} has no transpose in the group (inverses missing)")
+    return SymmetryGroup(GroupKind.FINITE, name, tuple(stack), _closed=True)
 
 
-# Catalog names understood by resolve_group_name and catalog_lookup.
-# transverse_z_<n> is a family; the placeholder entry documents it for the
-# CLI listing.
-CATALOG_SUMMARY = (
-    ("trivial", "identity only (order 1)"),
-    ("z4", "four-fold rotations about z (order 4)"),
-    ("transverse_z_<n>", "n-fold rotations about z (order n)"),
-    ("orthotropic", "half-turn rotations about the axes (order 4, det +1)"),
-    ("cubic_rotations", "proper rotations of the cube (order 24)"),
-    ("full_orthogonal", "sampled full orthogonal group"),
-)
-
-_TRANSVERSE_RE = re.compile(r"transverse_z_([0-9]+)\Z")
+def _closure(generators, max_order: int, name: str):
+    return lambda sample_count: generate_closure(generators, max_order, name)
 
 
-_CATALOG_BUILDERS = {
-    "trivial": lambda sample_count: SymmetryGroup(GroupKind.FINITE, "trivial", (IDENTITY,)),
-    "z4": lambda sample_count: generate_closure([ROT_Z_90], 8, name="z4"),
-    "orthotropic": lambda sample_count: SymmetryGroup(
-        GroupKind.FINITE, "orthotropic", (IDENTITY, ROT_X_180, ROT_Y_180, ROT_Z_180)
+# The catalog, name -> (description, builder), as CATALOG_SUMMARY lists it.
+# A builder is a function of sample_count that returns the group.  The
+# transverse_z_<n> family's names are parsed by resolve_group_name.
+_CATALOG = {
+    "trivial": ("identity only (order 1)", _closure([], 1, "trivial")),
+    "z4": ("four-fold rotations about z (order 4)", _closure([ROT_Z_90], 8, "z4")),
+    "transverse_z_<n>": ("n-fold rotations about z (order n)", None),
+    "orthotropic": (
+        "half-turn rotations about the axes (order 4, det +1)",
+        _closure([ROT_X_180, ROT_Y_180], 8, "orthotropic"),
     ),
-    "cubic_rotations": lambda sample_count: generate_closure(
-        [ROT_Z_90, ROT_X_90], 48, name="cubic_rotations"
+    "cubic_rotations": (
+        "proper rotations of the cube (order 24)",
+        _closure([ROT_Z_90, ROT_X_90], 48, "cubic_rotations"),
     ),
-    "full_orthogonal": lambda sample_count: SymmetryGroup(
-        GroupKind.FULL_ORTHOGONAL, "full_orthogonal", sample_count=sample_count
+    "full_orthogonal": (
+        "sampled full orthogonal group",
+        lambda n: SymmetryGroup(GroupKind.FULL_ORTHOGONAL, "full_orthogonal", sample_count=n),
     ),
 }
+CATALOG_SUMMARY = tuple((name, description) for name, (description, _) in _CATALOG.items())
+
+_TRANSVERSE_RE = re.compile(r"transverse_z_([0-9]+)\Z")
 
 
 def resolve_group_name(name: str):
     """The builder of a catalog name, a function of ``sample_count`` that
     returns the group; raises UnknownGroupName.  Resolving builds nothing,
     so a name can be validated without paying for its closure."""
-    builder = _CATALOG_BUILDERS.get(name)
+    builder = _CATALOG.get(name, (None, None))[1]
     if builder is not None:
         return builder
     m = _TRANSVERSE_RE.match(name)
@@ -261,12 +248,8 @@ def resolve_group_name(name: str):
     n = int(m.group(1))
     if n < 1:
         raise UnknownGroupName(f"transverse order must be >= 1, got {name!r}")
-
-    def transverse(sample_count):
-        gen = rotation_about((0.0, 0.0, 1.0), 2.0 * np.pi / n)
-        return generate_closure([gen], max(4 * n, 16), name=name)
-
-    return transverse
+    gen = rotation_about((0.0, 0.0, 1.0), 2.0 * np.pi / n)
+    return _closure([gen], max(4 * n, 16), name)
 
 
 def catalog_lookup(name: str, sample_count: int = DEFAULT_SAMPLE_COUNT) -> SymmetryGroup:
@@ -283,7 +266,7 @@ def adversarial_elements() -> tuple[np.ndarray, ...]:
     the improper half, and one irrational-direction rotation guards against
     constructions tuned to the coordinate axes.
     """
-    els = [
+    return (
         IDENTITY,
         INVERSION,
         ROT_X_90,
@@ -296,8 +279,7 @@ def adversarial_elements() -> tuple[np.ndarray, ...]:
         rotation_about((0.0, 0.0, 1.0), 2.0 * np.pi / 3.0),
         ROT_Z_180,
         rotation_about((1.0, np.sqrt(2.0), np.sqrt(3.0)), 1.0),
-    ]
-    return tuple(els)
+    )
 
 
 @lru_cache(maxsize=8)

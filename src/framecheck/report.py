@@ -30,7 +30,7 @@ from .checks import (
 from .config import CONFIG_ORTH_TOL, GroupSpec, ModelSpec, SuiteConfig
 from .groups import ClosureOverflow, SymmetryGroup, catalog_lookup, generate_closure
 from .models import MODEL_FAMILIES, ConstitutiveModel
-from .tensors import ObserverChange, as_tensor2, random_observers
+from .tensors import ObserverChange, random_observers
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,17 +60,13 @@ def build_model(spec: ModelSpec) -> ConstitutiveModel:
 def build_group(spec: GroupSpec, sample_count: int) -> SymmetryGroup:
     """Catalog lookup, or finite closure of explicit generators."""
     if spec.generators is not None:
-        generators = [as_tensor2(g) for g in spec.generators]
-        return generate_closure(generators, max_order=spec.max_order)
+        return generate_closure(spec.generators, max_order=spec.max_order)
     return catalog_lookup(spec.name, sample_count=sample_count)
 
 
 def build_observers(cfg: SuiteConfig) -> list[ObserverChange]:
     if cfg.observer_matrices is not None:
-        return [
-            ObserverChange(as_tensor2(m), orth_tol=CONFIG_ORTH_TOL)
-            for m in cfg.observer_matrices
-        ]
+        return [ObserverChange(m, orth_tol=CONFIG_ORTH_TOL) for m in cfg.observer_matrices]
     return random_observers(cfg.observer_count, cfg.seed)
 
 

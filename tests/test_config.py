@@ -185,6 +185,37 @@ def test_model_spec_fields_are_the_union_of_the_family_fields():
     assert spec_fields == model_fields
 
 
+def test_model_spec_keeps_its_signature_order_defaults_and_equality():
+    import inspect
+
+    assert str(inspect.signature(fc.ModelSpec)) == (
+        "(family: 'str', kappa0: 'tuple[float, ...] | None' = None, "
+        "theta_coeffs: 'tuple[float, ...] | None' = None, a: 'float | None' = None, "
+        "b: 'float | None' = None, a_tensor: 'tuple[float, ...] | None' = None, "
+        "c: 'float | None' = None) -> None"
+    )
+    spec = fc.ModelSpec("nonlinear_isotropic", None, None, 1.0, 2.0)
+    assert spec == fc.ModelSpec("nonlinear_isotropic", a=1.0, b=2.0)
+    assert hash(spec) == hash(fc.ModelSpec("nonlinear_isotropic", a=1.0, b=2.0))
+    assert spec != fc.ModelSpec("nonlinear_isotropic", a=1.0, b=3.0)
+    with pytest.raises(AttributeError):
+        spec.a = 3.0
+
+
+def test_suite_defaults_are_the_check_defaults():
+    cfg = fc.parse_config(MINIMAL)
+    check = fc.CheckConfig()
+    assert (cfg.seed, cfg.tol, cfg.theta_samples, cfg.gradient_samples) == (
+        check.seed,
+        check.tol,
+        check.theta_samples,
+        check.gradient_samples,
+    )
+    assert cfg.sample_count == fc.catalog_lookup("full_orthogonal").sample_count
+    generated = fc.parse_config(MINIMAL + "[group]\ngenerators = 1 0 0 0 1 0 0 0 1\n")
+    assert generated.group.max_order == fc.GroupSpec().max_order
+
+
 def test_group_names_are_validated_without_building_the_group(monkeypatch):
     def no_closure(*args, **kwargs):
         raise AssertionError("parse_config built a group")

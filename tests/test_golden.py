@@ -24,6 +24,7 @@ CONFIGS = {
     "big_group": (GOLDEN / "big_group.ini", 1),
     "nonlinear_isotropic": (GOLDEN / "nonlinear_isotropic.ini", 0),
     "theta_order": (GOLDEN / "theta_order.ini", 1),
+    "merged_generators": (GOLDEN / "merged_generators.ini", 1),
 }
 
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import framecheck as fc
 
+_MADE_BY_CLOSURE = r"^a finite group is made by generate_closure$"
 
 def test_catalog_orders():
     assert fc.catalog_lookup("trivial").order == 1
@@ -165,10 +166,14 @@ def test_overflowing_elements_are_rejected_without_a_warning():
     big = 1e200 * np.eye(3)
     with pytest.raises(ValueError, match=r"^generator 1 is not orthogonal within 1e-09$"):
         fc.generate_closure([fc.ROT_Z_90, big], max_order=8)
-    with pytest.raises(ValueError, match=r"^element 1 is not orthogonal within 1e-09$"):
-        fc.SymmetryGroup(fc.GroupKind.FINITE, "scaled", (np.eye(3), big))
-    with pytest.raises(ValueError, match=r"^element 0 is not orthogonal within 1e-09$"):
-        fc.SymmetryGroup(fc.GroupKind.FINITE, "scaled", (-big,))
+    # the element sets (I, big) and (-big,) cannot be built directly any
+    # more; as generators they are rejected before any product is formed
+    for elements, index in (((np.eye(3), big), 1), ((-big,), 0)):
+        with pytest.raises(ValueError, match=_MADE_BY_CLOSURE):
+            fc.SymmetryGroup(fc.GroupKind.FINITE, "scaled", elements)
+        message = rf"^generator {index} is not orthogonal within 1e-09$"
+        with pytest.raises(ValueError, match=message):
+            fc.generate_closure(elements, max_order=8)
 
 
 def test_closure_defect_small_for_catalog_groups():
@@ -201,11 +206,17 @@ def test_closure_defect_matches_the_pairwise_loop():
     # not closed: Rz90 @ Rz90 lands in a bucket with no element near it, at
     # max-norm distance 1 from Rz90; rz(1e-3) @ rz(1e-3) lands near the
     # identity's bucket, 1e-3 away from the nearest element
+    # no closure gives these sets, so they are built with the private flag
     gaps = [
         fc.SymmetryGroup(
-            fc.GroupKind.FINITE, "z4_without_half_turn", (fc.IDENTITY, fc.ROT_Z_90, fc.ROT_Z_90.T)
+            fc.GroupKind.FINITE,
+            "z4_without_half_turn",
+            (fc.IDENTITY, fc.ROT_Z_90, fc.ROT_Z_90.T),
+            _closed=True,
         ),
-        fc.SymmetryGroup(fc.GroupKind.FINITE, "small_turns", (fc.IDENTITY, rz(1e-3), rz(-1e-3))),
+        fc.SymmetryGroup(
+            fc.GroupKind.FINITE, "small_turns", (fc.IDENTITY, rz(1e-3), rz(-1e-3)), _closed=True
+        ),
     ]
     for group in groups + gaps:
         assert group.closure_defect() == _pairwise_closure_defect(group), group.name
@@ -214,50 +225,43 @@ def test_closure_defect_matches_the_pairwise_loop():
 
 
 def test_group_validation_rejects_bad_element_sets():
-    # the checks report in this order: element by element, orthogonality
-    # before duplicates; then the identity; then each element's transpose
+    """Each element set the direct constructor used to reject cannot be built
+    any more.  Closed as generators, a set holding a non-orthogonal matrix
+    is rejected; every other set closes to a valid group, which holds the
+    identity first, no duplicates and every transpose."""
     skewed = 2.0 * np.eye(3)
     cases = [
-        ("empty", (), "a finite group needs at least the identity"),
-        ("no_identity", (fc.ROT_Z_180,), "a finite group must contain the identity"),
-        # Rz90 without its inverse Rz270
-        (
-            "no_inverse",
-            (fc.IDENTITY, fc.ROT_Z_90),
-            "element 1 has no transpose in the group (inverses missing)",
-        ),
-        (
-            "dupes",
-            (fc.IDENTITY, fc.as_tensor2(np.eye(3))),
-            "element 1 duplicates an earlier element",
-        ),
-        ("skewed", (fc.IDENTITY, skewed), "element 1 is not orthogonal within 1e-09"),
+        ("empty", (), 1),
+        ("no_identity", (fc.ROT_Z_180,), 2),
+        ("no_inverse", (fc.IDENTITY, fc.ROT_Z_90), 4),
+        ("dupes", (fc.IDENTITY, fc.as_tensor2(np.eye(3))), 1),
+        ("skewed", (fc.IDENTITY, skewed), "generator 1 is not orthogonal within 1e-09"),
         (
             "dupe_then_skewed",
             (fc.IDENTITY, fc.ROT_Z_180, fc.ROT_Z_180, skewed),
-            "element 2 duplicates an earlier element",
+            "generator 3 is not orthogonal within 1e-09",
         ),
         (
             "skewed_then_dupe",
             (fc.IDENTITY, skewed, fc.ROT_Z_180, fc.ROT_Z_180),
-            "element 1 is not orthogonal within 1e-09",
+            "generator 1 is not orthogonal within 1e-09",
         ),
-        (
-            "no_inverse_and_dupe",
-            (fc.IDENTITY, fc.ROT_Z_90, fc.ROT_Z_180, fc.ROT_Z_180),
-            "element 3 duplicates an earlier element",
-        ),
-        ("no_identity_no_inverse", (fc.ROT_Z_90,), "a finite group must contain the identity"),
-        (
-            "two_without_inverse",
-            (fc.IDENTITY, fc.ROT_Z_90, fc.ROT_X_90),
-            "element 1 has no transpose in the group (inverses missing)",
-        ),
+        ("no_inverse_and_dupe", (fc.IDENTITY, fc.ROT_Z_90, fc.ROT_Z_180, fc.ROT_Z_180), 4),
+        ("no_identity_no_inverse", (fc.ROT_Z_90,), 4),
+        ("two_without_inverse", (fc.IDENTITY, fc.ROT_Z_90, fc.ROT_X_90), 24),
     ]
-    for name, elements, message in cases:
-        with pytest.raises(ValueError) as err:
+    for name, elements, outcome in cases:
+        with pytest.raises(ValueError, match=_MADE_BY_CLOSURE):
             fc.SymmetryGroup(fc.GroupKind.FINITE, name, elements)
-        assert str(err.value) == message, name
+        if isinstance(outcome, str):
+            with pytest.raises(ValueError) as err:
+                fc.generate_closure(elements, max_order=48, name=name)
+            assert str(err.value) == outcome, name
+            continue
+        group = fc.generate_closure(elements, max_order=48, name=name)
+        assert group.order == outcome, name
+        assert np.array_equal(group.elements[0], fc.IDENTITY), name
+        assert _reference_validation(group.elements) is None, name
 
 
 def _reference_validation(elements):
@@ -277,6 +281,35 @@ def _reference_validation(elements):
     return None
 
 
+def _reference_group(generators, max_order, name):
+    """generate_closure as the reference closure followed by the per-element
+    validation: the elements, or the exception generate_closure raises."""
+    for i, g in enumerate(generators):
+        if not fc.is_orthogonal(g, 1e-9):
+            raise ValueError(f"generator {i} is not orthogonal within 1e-09")
+    elements = _reference_closure([fc.as_tensor2(g) for g in generators], max_order, name)
+    message = _reference_validation(elements)
+    if message is not None:
+        raise ValueError(message)
+    return elements
+
+
+def _assert_closure_matches_the_reference(generators, max_order):
+    """The same elements, bits and order, read-only; or the same exception
+    type and message."""
+    try:
+        want = np.stack(_reference_group(generators, max_order, "g"))
+    except (ValueError, fc.ClosureOverflow) as exc:
+        with pytest.raises(type(exc)) as err:
+            fc.generate_closure(generators, max_order, name="g")
+        assert type(err.value) is type(exc)
+        assert str(err.value) == str(exc)
+        return
+    group = fc.generate_closure(generators, max_order, name="g")
+    assert np.stack(group.elements).tobytes() == want.tobytes()
+    assert not any(e.flags.writeable for e in group.elements)
+
+
 @given(
     seed=st.integers(min_value=0, max_value=2**32 - 1),
     picks=st.lists(
@@ -288,18 +321,90 @@ def _reference_validation(elements):
 @settings(max_examples=60)
 def test_group_validation_matches_the_per_element_loop(seed, picks):
     """Elements of a randomly rotated cubic group, repeated, left out or
-    scaled by 1 + eps (a near duplicate at 1e-12, not orthogonal at 1e-8).
-    The rotation spreads the traces over bucket edges."""
+    scaled by 1 + eps (a near duplicate at 1e-12, not orthogonal at 1e-8),
+    closed as generators.  The rotation spreads the traces over bucket
+    edges.  The set cannot be built directly."""
     q = fc.random_orthogonal(seed, proper_only=True)
     cubic = [q @ e @ q.T for e in fc.catalog_lookup("cubic_rotations").elements]
     elements = tuple(cubic[i] * (1.0 + eps) for i, eps in picks)
-    want = _reference_validation(elements)
-    if want is None:
-        assert fc.SymmetryGroup(fc.GroupKind.FINITE, "g", elements).order == len(elements)
-        return
-    with pytest.raises(ValueError) as err:
+    with pytest.raises(ValueError, match=_MADE_BY_CLOSURE):
         fc.SymmetryGroup(fc.GroupKind.FINITE, "g", elements)
-    assert str(err.value) == want
+    _assert_closure_matches_the_reference(elements, 48)
+
+
+@st.composite
+def _drifting_generator_sets(draw):
+    """Catalog rotations, a random conjugation of them, or a rotation about z
+    by 2 pi / n + delta; one entry of one generator is perhaps moved by
+    1e-13 to 1e-9.  Some close, some overflow, some drift off orthogonal and
+    some close only by merging near duplicates."""
+    kind = draw(st.sampled_from(("catalog", "conjugated", "cyclic")))
+    if kind == "cyclic":
+        n = draw(st.integers(1, 60))
+        delta = draw(st.sampled_from((0.0, 1e-12, 1e-10, 1e-9, 1e-8, 1e-7)))
+        gens = [fc.rotation_about((0.0, 0.0, 1.0), 2.0 * np.pi / n + delta)]
+    else:
+        gens = draw(st.lists(st.sampled_from(_ROTATIONS), min_size=1, max_size=3))
+        if kind == "conjugated":
+            q = fc.random_orthogonal(draw(st.integers(0, 2**32 - 1)), proper_only=True)
+            gens = [q @ g @ q.T for g in gens]
+    gens = [np.array(g) for g in gens]
+    eps = draw(st.sampled_from((0.0, 1e-13, 1e-12, 1e-11, 1e-10, 3e-10, 1e-9)))
+    if eps:
+        g = gens[draw(st.integers(0, len(gens) - 1))]
+        g[draw(st.integers(0, 2)), draw(st.integers(0, 2))] += draw(st.sampled_from((eps, -eps)))
+    return gens
+
+
+@given(gens=_drifting_generator_sets(), max_order=st.sampled_from((1, 3, 24, 60, 200)))
+@settings(max_examples=100)
+def test_closure_matches_the_reference_closure_and_validation(gens, max_order):
+    _assert_closure_matches_the_reference(gens, max_order)
+
+
+def _rz(angle):
+    return fc.rotation_about((0.0, 0.0, 1.0), angle)
+
+
+@pytest.mark.parametrize(
+    "generator, message",
+    [
+        # 3e-10 added to [0, 0]: the error grows as the generator is multiplied
+        (
+            _rz(2.0 * np.pi / 50) + np.diag([3e-10, 0.0, 0.0]),
+            "element 2 is not orthogonal within 1e-09",
+        ),
+        # 50 turns land 5e-9 from the identity and merge with it, so the
+        # generator's transpose is 5e-9 from the nearest element
+        (
+            _rz(2.0 * np.pi / 50 + 1e-10),
+            "element 1 has no transpose in the group (inverses missing)",
+        ),
+    ],
+    ids=["drifts_off_orthogonal", "closes_by_merging"],
+)
+def test_perturbed_generators_fail_where_the_closure_drifts(generator, message):
+    assert fc.is_orthogonal(generator, 1e-9)
+    for max_order in (50, 192, 10**12):
+        with pytest.raises(ValueError) as err:
+            fc.generate_closure([generator], max_order, name="perturbed")
+        assert str(err.value) == message
+
+
+def test_finite_groups_are_made_only_by_closure():
+    with pytest.raises(ValueError, match=_MADE_BY_CLOSURE):
+        fc.SymmetryGroup(fc.GroupKind.FINITE, "trivial", (fc.IDENTITY,))
+    # the two catalog groups once written out by hand, element for element
+    written = {
+        "trivial": (fc.IDENTITY,),
+        "orthotropic": (fc.IDENTITY, fc.ROT_X_180, fc.ROT_Y_180, fc.ROT_Z_180),
+    }
+    for name, elements in written.items():
+        assert np.stack(fc.catalog_lookup(name).elements).tobytes() == np.stack(elements).tobytes()
+    for name in ("trivial", "z4", "orthotropic", "cubic_rotations", "transverse_z_48"):
+        for e in fc.catalog_lookup(name).elements:
+            with pytest.raises(ValueError):
+                e[0, 0] = 2.0
 
 
 def test_full_orthogonal_group_shape():
@@ -363,6 +468,8 @@ def test_conjugated_group_still_validates(seed):
     q = fc.random_orthogonal(seed, proper_only=True)
     base = fc.catalog_lookup("cubic_rotations")
     elements = tuple(q @ e @ q.T for e in base.elements)
-    group = fc.SymmetryGroup(fc.GroupKind.FINITE, "conjugated", elements)
+    with pytest.raises(ValueError, match=_MADE_BY_CLOSURE):
+        fc.SymmetryGroup(fc.GroupKind.FINITE, "conjugated", elements)
+    group = fc.generate_closure(elements, max_order=base.order, name="conjugated")
     assert group.order == base.order
     assert group.closure_defect() <= 1e-12
