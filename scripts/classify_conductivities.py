@@ -5,9 +5,12 @@ ones with the constant-tensor reduction.
 Draws symmetric tensors with known spectra in random orientations, classifies
 each by eigenvalue multiplicity, and verifies that the orthogonal-invariance
 reduction recovers exactly the spherical ones (with the right scalar).
+With ``--json`` it prints each draw's label and reduction instead, as the
+classify golden (``tests/golden/classify.json``, seed 1) holds them.
 """
 
 import argparse
+import json
 from collections import Counter
 
 import numpy as np
@@ -26,29 +29,52 @@ SPECTRA = {
 }
 
 
+def classify_draws(seed: int, per_class: int) -> list[dict]:
+    """One record per draw, spectrum by spectrum: the spectrum it was drawn
+    with, the classifier's label and schur_reduce's three fields."""
+    cfg = CheckConfig(seed=seed)
+    draws = []
+    for j, (expected, spectrum) in enumerate(SPECTRA.items()):
+        for i in range(per_class):
+            r = random_orthogonal(seed + 1000 * j + i, proper_only=True)
+            k = r @ np.diag(spectrum) @ r.T
+            k = 0.5 * (k + k.T)  # scrub rounding skew from the conjugation
+            label = classify_linear_symmetry(k, cfg).value
+            invariant, alpha, residual = schur_reduce(k, cfg)
+            draws.append(
+                {
+                    "drawn_as": expected,
+                    "label": label,
+                    "invariant": invariant,
+                    "alpha": alpha,
+                    "residual": residual,
+                }
+            )
+    return draws
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--per-class", type=int, default=20)
+    ap.add_argument("--json", action="store_true", help="print each draw's record as JSON")
     args = ap.parse_args()
 
-    cfg = CheckConfig(seed=args.seed)
+    draws = classify_draws(args.seed, args.per_class)
+    if args.json:
+        print(json.dumps(draws, indent=2))
+        return 0
     tally = Counter()
     mismatches = 0
-    for j, (expected, spectrum) in enumerate(SPECTRA.items()):
-        for i in range(args.per_class):
-            r = random_orthogonal(args.seed + 1000 * j + i, proper_only=True)
-            k = r @ np.diag(spectrum) @ r.T
-            k = 0.5 * (k + k.T)  # scrub rounding skew from the conjugation
-            label = classify_linear_symmetry(k, cfg).value
-            invariant, alpha, _ = schur_reduce(k, cfg)
-            tally[(expected, label)] += 1
-            if label != expected:
-                mismatches += 1
-            if invariant != (expected == "isotropic"):
-                mismatches += 1
-            if invariant and abs(alpha - spectrum[0]) > 1e-12:
-                mismatches += 1
+    for d in draws:
+        expected, label = d["drawn_as"], d["label"]
+        tally[(expected, label)] += 1
+        if label != expected:
+            mismatches += 1
+        if d["invariant"] != (expected == "isotropic"):
+            mismatches += 1
+        if d["invariant"] and abs(d["alpha"] - SPECTRA[expected][0]) > 1e-12:
+            mismatches += 1
 
     width = max(len(k) for k in SPECTRA)
     print(f"{'drawn as':<{width}}   {'classified as':<{width}}   count")

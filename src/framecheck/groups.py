@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import KW_ONLY, InitVar, dataclass
+from dataclasses import KW_ONLY, InitVar, dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -100,10 +100,11 @@ def _nearest(stored: np.ndarray, queries: np.ndarray) -> np.ndarray:
 class SymmetryGroup:
     """A finite point group, or the sampled full orthogonal group.
 
-    Only generate_closure makes a finite group.  Its elements are read-only,
-    the identity first, orthogonal within ELEMENT_ORTH_TOL, no two within
-    DEDUP_TOL, and each one's transpose among them; closure_defect() measures
-    how far the products of pairs land from the elements."""
+    Only generate_closure makes a finite group.  Its elements are the rows of
+    one read-only (n, 3, 3) array, ``stack``: the identity first, orthogonal
+    within ELEMENT_ORTH_TOL, no two within DEDUP_TOL, and each one's
+    transpose among them; closure_defect() measures how far the products of
+    pairs land from the elements."""
 
     kind: GroupKind
     name: str
@@ -112,11 +113,16 @@ class SymmetryGroup:
     _: KW_ONLY
     # set only by generate_closure, which has validated the elements
     _closed: InitVar[bool] = False
+    stack: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self, _closed):
         if self.kind is GroupKind.FINITE:
             if not _closed:
                 raise ValueError("a finite group is made by generate_closure")
+            # generate_closure hands in its frozen stack, which is kept as is
+            stack = _frozen(np.asarray(self.elements, dtype=float))
+            object.__setattr__(self, "stack", stack)
+            object.__setattr__(self, "elements", tuple(stack))
         elif self.kind is GroupKind.FULL_ORTHOGONAL:
             if self.elements is not None:
                 raise ValueError("full_orthogonal stores no explicit elements")
@@ -143,7 +149,7 @@ class SymmetryGroup:
         inf."""
         if self.kind is not GroupKind.FINITE:
             raise ValueError("closure_defect applies to finite groups")
-        stack = np.stack(self.elements)
+        stack = self.stack
         rows = max(1, _BLOCK // len(stack))
         worst = 0.0
         for i in range(0, len(stack), rows):
@@ -203,7 +209,7 @@ def generate_closure(generators, max_order: int, name: str = "generated") -> Sym
     missing = np.flatnonzero(_nearest(stack, stack.transpose(0, 2, 1)) > ELEMENT_ORTH_TOL)
     if missing.size:
         raise ValueError(f"element {missing[0]} has no transpose in the group (inverses missing)")
-    return SymmetryGroup(GroupKind.FINITE, name, tuple(stack), _closed=True)
+    return SymmetryGroup(GroupKind.FINITE, name, stack, _closed=True)
 
 
 def _closure(generators, max_order: int, name: str):
@@ -283,18 +289,20 @@ def adversarial_elements() -> tuple[np.ndarray, ...]:
 
 
 @lru_cache(maxsize=8)
-def orthogonal_check_set(seed: int, sample_count: int) -> tuple[np.ndarray, ...]:
+def orthogonal_check_set(seed: int, sample_count: int) -> np.ndarray:
     """``sample_count`` Haar draws (proper and improper mixed) followed by the
-    adversarial set.  Cached: the set is pure in (seed, sample_count)."""
+    adversarial set, as one read-only (sample_count + 12, 3, 3) stack.
+    Cached: the set is pure in (seed, sample_count)."""
     rng = np.random.default_rng([_require_seed(seed), _GROUP_STREAM])
-    draws = tuple(_frozen(_haar_orthogonal(rng, sample_count)))
-    return draws + adversarial_elements()
+    draws = _haar_orthogonal(rng, sample_count)
+    return _frozen(np.concatenate((draws, adversarial_elements())))
 
 
-def group_elements_for_check(group: SymmetryGroup, seed) -> list[np.ndarray]:
-    """Elements a checker should iterate: the full list for a finite group,
-    Haar samples plus the adversarial set for full_orthogonal."""
+def group_elements_for_check(group: SymmetryGroup, seed) -> np.ndarray:
+    """Elements a checker should iterate, as one read-only (n, 3, 3) stack: a
+    finite group's own, or Haar samples plus the adversarial set for
+    full_orthogonal."""
     s = _require_seed(seed)
     if group.kind is GroupKind.FINITE:
-        return list(group.elements)
-    return list(orthogonal_check_set(s, group.sample_count))
+        return group.stack
+    return orthogonal_check_set(s, group.sample_count)

@@ -549,6 +549,21 @@ def test_classify_linear_symmetry():
     )
 
 
+def test_classify_makes_its_groups_once(monkeypatch):
+    """The three cross-check groups are looked up on the first call only."""
+    calls = []
+    lookup = fc.checks.catalog_lookup
+    monkeypatch.setattr(fc.checks, "catalog_lookup", lambda name: calls.append(name) or lookup(name))
+    fc.checks._classifier_groups.cache_clear()
+    try:
+        for _ in range(2):
+            for k in (4.0 * np.eye(3), np.diag([2.0, 2.0, 5.0]), DIAG123):
+                fc.classify_linear_symmetry(k, CFG)
+    finally:
+        fc.checks._classifier_groups.cache_clear()
+    assert calls == ["full_orthogonal", "transverse_z_8", "orthotropic"]
+
+
 def test_classify_survives_conductivities_near_the_float_limit():
     """Eigenvalue multiplicity does not depend on scale; at 1e200 the
     cross-check's |q|^2 used to overflow and raise."""

@@ -1,12 +1,15 @@
 """Golden machine reports: the CLI's bytes for a fixed set of configs.
 
 Each ``tests/golden/<name>.json`` is the ``framecheck run --format machine``
-output for one config, and ``catalog.txt`` is the ``framecheck catalog``
-output.  Together the configs cover all four model families.  A refactor
+output for one config, ``catalog.txt`` is the ``framecheck catalog``
+output, and ``classify.json`` is ``scripts/classify_conductivities.py --seed 1
+--json``.  Together the configs cover all four model families.  A refactor
 must leave these bytes unchanged; a change that moves a verdict, a residual
 or a witness on purpose regenerates the file and says why.
 """
 
+import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -45,3 +48,15 @@ def test_golden_configs_cover_every_family():
 def test_catalog_matches_golden(capsysbinary):
     assert main(["catalog"]) == 0
     assert capsysbinary.readouterr().out == (GOLDEN / "catalog.txt").read_bytes()
+
+
+def test_classify_draws_match_golden():
+    """Every draw's label and schur_reduce fields, to the last bit of alpha
+    and residual: the benchmark's oracle checks only which side of the
+    tolerance a residual falls on."""
+    path = ROOT / "scripts" / "classify_conductivities.py"
+    spec = importlib.util.spec_from_file_location("classify_conductivities", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    text = json.dumps(script.classify_draws(1, 20), indent=2) + "\n"
+    assert text.encode() == (GOLDEN / "classify.json").read_bytes()

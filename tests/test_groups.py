@@ -439,7 +439,7 @@ def test_adversarial_elements():
 def test_orthogonal_check_set_layout_and_determinism():
     first = fc.orthogonal_check_set(0, 32)
     again = fc.orthogonal_check_set(0, 32)
-    assert len(first) == 32 + 12
+    assert first.shape == (32 + 12, 3, 3) and not first.flags.writeable
     for a, b in zip(first, again):
         assert np.array_equal(a, b)
     # Haar draws first, then the fixed adversarial tail
@@ -453,11 +453,19 @@ def test_orthogonal_check_set_layout_and_determinism():
 
 
 def test_group_elements_for_check():
+    """One read-only (n, 3, 3) stack: a finite group's own stack, whose rows
+    are its elements, or the orthogonal check set."""
     trivial = fc.catalog_lookup("trivial")
-    assert len(fc.group_elements_for_check(trivial, 0)) == 1
+    assert fc.group_elements_for_check(trivial, 0).shape == (1, 3, 3)
+    cubic = fc.catalog_lookup("cubic_rotations")
+    els = fc.group_elements_for_check(cubic, 0)
+    assert els is cubic.stack and els.shape == (24, 3, 3) and not els.flags.writeable
+    assert isinstance(cubic.elements, tuple)
+    assert all(np.shares_memory(e, els) and np.array_equal(e, h) for e, h in zip(cubic.elements, els))
     full = fc.catalog_lookup("full_orthogonal", sample_count=16)
     els = fc.group_elements_for_check(full, 0)
-    assert len(els) == 16 + 12
+    assert els is fc.orthogonal_check_set(0, 16) and els.shape == (16 + 12, 3, 3)
+    assert full.stack is None
 
 
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1))

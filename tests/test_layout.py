@@ -10,8 +10,12 @@ sample-first construction.
 The sample-first einsums iterate in memory order, so their own bits change
 when a stack's component axes are swapped (np.swapaxes(stack, 1, 2)); the
 kernels match them on stacks whose components are in C order, the only kind
-the checks build.
+the checks build.  The same holds for the stacked forms of per-call loops:
+schur_reduce's conjugation of its whole check set, and the unit directions
+drawn in one call and normalized together.
 """
+
+import warnings
 
 import numpy as np
 import pytest
@@ -21,7 +25,7 @@ from numpy.polynomial import polynomial as npp
 
 import framecheck as fc
 from framecheck.checks import _deficit
-from framecheck.tensors import conjugate_stack, matvec, row_norms, sample_last
+from framecheck.tensors import conjugate_stack, matvec, row_norms, sample_last, transposes
 
 # the layouts a stack reaches the kernels in
 LAYOUTS = {
@@ -186,6 +190,76 @@ def test_matvec_is_the_sample_first_einsum(size, seed, spread, layout):
         assert _same_bits(matvec(per_state, grads), expected)
         assert matvec(kappas, grads).flags.c_contiguous
         assert matvec(per_state, block).flags.c_contiguous
+
+
+@pytest.mark.parametrize("sample_count", [16, 256])
+def test_schur_reduce_conjugation_is_the_einsum(sample_count):
+    """schur_reduce conjugates by its check set with conjugate_stack, with
+    the bits of its old einsum("rji,jk,rkl->ril"), and reports that
+    einsum's residual: symmetric and non-symmetric tensors, 10^-300 to
+    10^300, no warning."""
+    rng = np.random.default_rng(13)
+    for seed in range(5):
+        cfg = fc.CheckConfig(seed=seed)
+        rots = fc.orthogonal_check_set(seed, sample_count)
+        for scale in (1e-300, 1.0, 1e300):
+            for _ in range(3):
+                a = rng.standard_normal((3, 3))
+                for m in (scale * a, scale * (a + a.T)):
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("error")
+                        got = conjugate_stack(transposes(rots), m[None])[:, 0]
+                        expected = np.einsum("rji,jk,rkl->ril", rots, m, rots)
+                        result = fc.schur_reduce(m, cfg, sample_count)
+                    assert _same_bits(got, expected)
+                    assert result.residual == float(np.max(np.abs(expected - m)))
+
+
+def _per_draw_unit_directions(cfg):
+    """checks._unit_directions as a loop over draws of three normals, each
+    divided by its np.linalg.norm."""
+    rng = np.random.default_rng([cfg.seed, fc.checks._GRADIENT_STREAM])
+    dirs = [np.eye(3)[i] for i in range(3)]
+    while len(dirs) < 3 + cfg.gradient_samples:
+        v = rng.standard_normal(3)
+        norm = float(np.linalg.norm(v))
+        if norm > 1e-12:
+            dirs.append(v / norm)
+    return np.array(dirs)
+
+
+@pytest.mark.parametrize("count", [1, 5, 32, 100])
+def test_unit_directions_are_the_per_draw_loop(count):
+    for seed in range(1000):
+        cfg = fc.CheckConfig(seed=seed, gradient_samples=count)
+        assert _same_bits(fc.checks._unit_directions(cfg), _per_draw_unit_directions(cfg)), seed
+
+
+class _StubRng:
+    """A generator whose normals are a fixed stream, in draws of any shape."""
+
+    def __init__(self, values):
+        self.values = values
+        self.used = 0
+
+    def standard_normal(self, shape):
+        n = int(np.prod(shape))
+        self.used += n
+        return self.values[self.used - n:self.used].reshape(shape)
+
+
+def test_unit_directions_skip_a_draw_of_zero_norm(monkeypatch):
+    """No seeded stream draws a norm of at most 1e-12: a stub stream whose
+    second draw has one shows that draw skipped and the next taking its
+    place."""
+    values = np.random.default_rng(5).standard_normal(3 * 7)
+    values[3:6] = (4e-13, -7e-13, 5e-13)
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: _StubRng(values))
+    cfg = fc.CheckConfig(gradient_samples=5)
+    dirs = fc.checks._unit_directions(cfg)
+    assert _same_bits(dirs, _per_draw_unit_directions(cfg))
+    kept = values.reshape(7, 3)[[0, 2, 3, 4, 5]]
+    assert _same_bits(dirs[3:], np.array([v / np.linalg.norm(v) for v in kept]))
 
 
 def _per_observer_map(model, q, thetas, grads_star):
