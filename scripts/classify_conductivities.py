@@ -5,12 +5,9 @@ ones with the constant-tensor reduction.
 Draws symmetric tensors with known spectra in random orientations, classifies
 each by eigenvalue multiplicity, and verifies that the orthogonal-invariance
 reduction recovers exactly the spherical ones (with the right scalar).
-With ``--json`` it prints each draw's label and reduction instead, as the
-classify golden (``tests/golden/classify.json``, seed 1) holds them.
 """
 
 import argparse
-import json
 from collections import Counter
 
 import numpy as np
@@ -57,13 +54,9 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--per-class", type=int, default=20)
-    ap.add_argument("--json", action="store_true", help="print each draw's record as JSON")
     args = ap.parse_args()
 
     draws = classify_draws(args.seed, args.per_class)
-    if args.json:
-        print(json.dumps(draws, indent=2))
-        return 0
     tally = Counter()
     mismatches = 0
     for d in draws:

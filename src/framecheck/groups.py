@@ -108,7 +108,9 @@ class SymmetryGroup:
 
     kind: GroupKind
     name: str
-    elements: tuple[np.ndarray, ...] | None = None
+    # generate_closure passes its frozen (n, 3, 3) stack, which __post_init__
+    # keeps as ``stack`` and replaces here with the tuple of its rows
+    elements: np.ndarray | tuple[np.ndarray, ...] | None = None
     sample_count: int | None = None
     _: KW_ONLY
     # set only by generate_closure, which has validated the elements
@@ -119,10 +121,8 @@ class SymmetryGroup:
         if self.kind is GroupKind.FINITE:
             if not _closed:
                 raise ValueError("a finite group is made by generate_closure")
-            # generate_closure hands in its frozen stack, which is kept as is
-            stack = _frozen(np.asarray(self.elements, dtype=float))
-            object.__setattr__(self, "stack", stack)
-            object.__setattr__(self, "elements", tuple(stack))
+            object.__setattr__(self, "stack", self.elements)
+            object.__setattr__(self, "elements", tuple(self.elements))
         elif self.kind is GroupKind.FULL_ORTHOGONAL:
             if self.elements is not None:
                 raise ValueError("full_orthogonal stores no explicit elements")

@@ -2,8 +2,9 @@
 
 Each ``tests/golden/<name>.json`` is the ``framecheck run --format machine``
 output for one config, ``catalog.txt`` is the ``framecheck catalog``
-output, and ``classify.json`` is ``scripts/classify_conductivities.py --seed 1
---json``.  Together the configs cover all four model families.  A refactor
+output, and ``classify.json`` is
+``json.dumps(classify_draws(1, 20), indent=2) + "\n"`` from
+``scripts/classify_conductivities.py``.  Together the configs cover all four model families.  A refactor
 must leave these bytes unchanged; a change that moves a verdict, a residual
 or a witness on purpose regenerates the file and says why.
 """

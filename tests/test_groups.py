@@ -211,11 +211,14 @@ def test_closure_defect_matches_the_pairwise_loop():
         fc.SymmetryGroup(
             fc.GroupKind.FINITE,
             "z4_without_half_turn",
-            (fc.IDENTITY, fc.ROT_Z_90, fc.ROT_Z_90.T),
+            np.stack((fc.IDENTITY, fc.ROT_Z_90, fc.ROT_Z_90.T)),
             _closed=True,
         ),
         fc.SymmetryGroup(
-            fc.GroupKind.FINITE, "small_turns", (fc.IDENTITY, rz(1e-3), rz(-1e-3)), _closed=True
+            fc.GroupKind.FINITE,
+            "small_turns",
+            np.stack((fc.IDENTITY, rz(1e-3), rz(-1e-3))),
+            _closed=True,
         ),
     ]
     for group in groups + gaps:
