@@ -1,14 +1,18 @@
 """Command line entry point.
 
 Exit codes: 0 all requested checks passed, 1 at least one check failed,
-2 the config could not be read, parsed or validated.
+2 the config could not be read, parsed or validated, or the report could
+not be written.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
+import os
 import sys
 from dataclasses import replace
+from typing import NoReturn
 
 import numpy as np
 
@@ -69,7 +73,6 @@ def _cmd_run(args) -> int:
         cfg = replace(cfg, tol=args.tol)
     report = run_suite(cfg)
     sys.stdout.buffer.write(emit_report(report, args.format))
-    sys.stdout.buffer.flush()
     return 0 if report.passed else 1
 
 
@@ -135,5 +138,30 @@ def main(argv=None) -> int:
     return _cmd_demo()
 
 
+def entry(argv=None) -> NoReturn:
+    """The process entry of every launcher: ``python -m framecheck``, the
+    ``framecheck`` console script and ``python -m framecheck.cli``.
+
+    Runs :func:`main`, then freezes the heap and exits.  Interpreter
+    shutdown runs full garbage collections over every object the numpy and
+    framecheck imports left tracked, though nothing they could free is of
+    use once the report is written; frozen objects are skipped.  The exit
+    is still a normal one, so atexit handlers run.  ``main`` itself
+    freezes nothing, so in-process callers keep a collectable heap."""
+    try:
+        code = main(argv)
+        sys.stdout.flush()
+    except BrokenPipeError as exc:
+        # the reader went away; point stdout at devnull so that the flush
+        # at shutdown does not raise again (the idiom of the signal docs)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"error: cannot write the report: {exc}", file=sys.stderr)
+        code = 2
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -1,4 +1,6 @@
+import gc
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -7,9 +9,10 @@ import pytest
 
 import framecheck as fc
 from conftest import SUBPROCESS_ENV
-from framecheck.cli import main
+from framecheck.cli import entry, main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 RECORD_KEYS = {"name", "passed", "max_residual", "samples_used", "witness", "note"}
 
@@ -148,6 +151,71 @@ def test_module_entry_point_smoke():
     )
     assert proc.returncode == 0
     assert "full_orthogonal" in proc.stdout
+
+
+@pytest.mark.parametrize("launcher", ["framecheck", "framecheck.cli"])
+@pytest.mark.parametrize(
+    "config",
+    sorted(GOLDEN.glob("*.ini")) + sorted(CONFIGS.glob("*.ini")),
+    ids=lambda path: path.name,
+)
+def test_launchers_agree_with_main(launcher, config, capsysbinary):
+    """``python -m framecheck`` and ``python -m framecheck.cli`` go through
+    ``entry()``; each gives the bytes and exit code of in-process main()."""
+    argv = ["run", "--format", "machine", str(config)]
+    code = main(argv)
+    out, err = capsysbinary.readouterr()
+    proc = subprocess.run(
+        [sys.executable, "-m", launcher, *argv],
+        capture_output=True,
+        env=SUBPROCESS_ENV,
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+    if config.name == "malformed.ini":
+        assert code == 2 and out == b""
+        assert err.startswith(b"error: ") and err.count(b"\n") == 1
+
+
+def test_closed_stdout_exits_two_with_one_error_line():
+    """A report nobody can read is not a failed check: exit 2, one error
+    line and no traceback, also from the flush at interpreter shutdown."""
+    # stdout block-buffered, as a user's is, so the shutdown flush has
+    # the unwritten report to write
+    env = {k: v for k, v in SUBPROCESS_ENV.items() if k != "PYTHONUNBUFFERED"}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "framecheck", "run", str(CONFIGS / "isotropic.ini")],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(b"error: cannot write the report: ")
+    assert proc.stderr.count(b"\n") == 1
+
+
+def test_entry_freezes_the_heap(capsys):
+    before = gc.get_freeze_count()
+    try:
+        with pytest.raises(SystemExit) as exited:
+            entry(["catalog"])
+        frozen = gc.get_freeze_count()
+    finally:
+        gc.unfreeze()
+    assert exited.value.code == 0
+    assert frozen > before
+
+
+def test_main_leaves_the_heap_unfrozen(capsys):
+    before = gc.get_freeze_count()
+    assert main(["catalog"]) == 0
+    assert gc.get_freeze_count() == before
 
 
 def test_non_finite_conductivity_exits_one(tmp_path, capsysbinary):
