@@ -60,8 +60,6 @@ from .models import (
     NonlinearIsotropic,
     StatePoint,
     evaluate,
-    evaluate_components,
-    kappa_components,
     kappa_of,
 )
 from .report import (
@@ -84,13 +82,11 @@ from .tensors import (
     ObserverChange,
     as_tensor2,
     as_vec3,
-    conjugate_tensor,
     is_orthogonal,
     max_abs,
     random_observers,
     random_orthogonal,
     rotation_about,
-    transform_vector,
 )
 
 __version__ = "0.1.0"

@@ -361,10 +361,11 @@ def _worst(rows, tol: float, note: str = "", repeat: int = 1) -> CheckResult:
     ``np.argmax`` per row;
     ties break toward the earliest row, then the earliest state.  A
     non-finite residual counts as inf: the earliest one fails the check and
-    becomes the witness, so NaN can never pass and max_residual is never
-    negative.  ``states[s]`` is looked up once, for the witness, at the end,
-    so a _StateBatch builds one StatePoint per failing check and none per
-    passing one.
+    becomes the witness, so NaN can never pass.  ``states[s]`` is looked up
+    once, for the witness, at the end, so a _StateBatch builds one
+    StatePoint per failing check and none per passing one.  No rows (an
+    observer check given no observers) is a ValueError: a check of nothing
+    would pass vacuously.
     """
     best = -1.0
     best_at = None
@@ -381,12 +382,14 @@ def _worst(rows, tol: float, note: str = "", repeat: int = 1) -> CheckResult:
         if r > best:
             best = r
             best_at = (element, states, s_idx, observer)
+    if best_at is None:
+        raise ValueError("no residuals to check: a check needs at least one observer")
     passed = best <= tol
     witness = None
     if not passed:
         element, states, s_idx, observer = best_at
         witness = Witness(element, states[s_idx], observer)
-    return CheckResult(passed, max(best, 0.0), samples, witness, note)
+    return CheckResult(passed, best, samples, witness, note)
 
 
 # ---------------------------------------------------------------------------
@@ -632,9 +635,10 @@ def classify_linear_symmetry(kappa0, cfg: CheckConfig) -> LinearSymmetryClass:
     Eigenvalues count as equal when they differ by at most 1e-8 times the
     largest eigenvalue magnitude, so the label does not depend on the
     tensor's scale; the zero tensor is isotropic.  The result is
-    cross-validated by rotating the tensor into its eigenframe and running
-    check_symmetry against the matching catalog group, on the tensor scaled
-    to a largest eigenvalue magnitude of 1.
+    cross-validated by running check_symmetry against the matching catalog
+    group on the diagonal tensor the label describes: the eigenvalues, each
+    merged pair set to one value, in the eigenframe the group expects, scaled
+    to a largest magnitude of 1.
     """
     k = as_tensor2(kappa0)
     skew = max_abs(k - k.T)
@@ -651,6 +655,12 @@ def classify_linear_symmetry(kappa0, cfg: CheckConfig) -> LinearSymmetryClass:
     gap_tol = 1e-8 * scale
     low_pair = eigvals[1] - eigvals[0] <= gap_tol
     high_pair = eigvals[2] - eigvals[1] <= gap_tol
+    # a merged pair takes the middle eigenvalue, so the cross-check tests the
+    # tensor the label describes, not a gap the rule has called equal
+    if low_pair:
+        eigvals[0] = eigvals[1]
+    if high_pair:
+        eigvals[2] = eigvals[1]
     if low_pair and high_pair:
         label = LinearSymmetryClass.ISOTROPIC
         aligned = np.diag(eigvals)

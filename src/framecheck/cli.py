@@ -67,18 +67,15 @@ def _cmd_run(args) -> int:
     except (ParseError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    # command line beats config; per-check overrides still beat both
-    if args.seed is not None:
-        if not 0 <= args.seed < 2**64:
-            print("error: --seed must be in [0, 2**64)", file=sys.stderr)
-            return 2
-        cfg = replace(cfg, seed=args.seed)
-    if args.tol is not None:
-        if not (np.isfinite(args.tol) and args.tol > 0):
-            print("error: --tol must be positive and finite", file=sys.stderr)
-            return 2
-        cfg = replace(cfg, tol=args.tol)
-    report = run_suite(cfg)
+    # command line beats config, per-check overrides beat both; CheckConfig
+    # validates, and its messages begin with the field's name, the flag's
+    flags = {"seed": args.seed, "tol": args.tol}
+    try:
+        run = replace(cfg.run, **{k: v for k, v in flags.items() if v is not None})
+    except ValueError as exc:
+        print(f"error: --{exc}", file=sys.stderr)
+        return 2
+    report = run_suite(replace(cfg, run=run))
     sys.stdout.buffer.write(emit_report(report, args.format))
     return 0 if report.passed else 1
 

@@ -31,7 +31,9 @@ Grammar (configparser syntax, '#' comments):
 ParseError means the text is not well-formed INI; ValidationError means the
 values are wrong and the message names the offending key.  Matrices supplied
 through config files are accepted as orthogonal within 1e-6; library users
-constructing objects directly get the stricter API tolerances.
+constructing objects directly get the stricter API tolerances.  The [run]
+keys seed, tol, theta_samples and gradient_samples are SuiteConfig.run, a
+CheckConfig, which validates them on direct construction too.
 """
 
 from __future__ import annotations
@@ -90,17 +92,15 @@ _ALL_CHECKS = tuple(CheckRequest(n) for n in CHECK_NAMES)
 class SuiteConfig:
     """Fully resolved run description.
 
-    Plain data, tuples only, so two configs compare by value; construction
-    through parse_config is validated, direct construction is not.
+    Plain data, tuples only, so two configs compare by value.  ``run``, the
+    parameters every check shares, validates itself; the other fields are
+    validated by parse_config only.
     """
 
     model: ModelSpec
     group: GroupSpec = GroupSpec()
     checks: tuple[CheckRequest, ...] = _ALL_CHECKS
-    seed: int = CheckConfig.seed
-    tol: float = CheckConfig.tol
-    theta_samples: tuple[float, ...] = CheckConfig.theta_samples
-    gradient_samples: int = CheckConfig.gradient_samples
+    run: CheckConfig = CheckConfig()
     sample_count: int = DEFAULT_SAMPLE_COUNT
     observer_count: int = 100
     observer_matrices: tuple[tuple[float, ...], ...] | None = None
@@ -126,10 +126,10 @@ class SuiteConfig:
             if c.sample_count is not None:
                 lines.append(f"{c.name}.sample_count = {c.sample_count}")
         lines += ["", "[run]"]
-        lines.append(f"seed = {self.seed}")
-        lines.append(f"tol = {float(self.tol)!r}")
-        lines.append(f"theta_samples = {_fmt_floats(self.theta_samples)}")
-        lines.append(f"gradient_samples = {self.gradient_samples}")
+        lines.append(f"seed = {self.run.seed}")
+        lines.append(f"tol = {float(self.run.tol)!r}")
+        lines.append(f"theta_samples = {_fmt_floats(self.run.theta_samples)}")
+        lines.append(f"gradient_samples = {self.run.gradient_samples}")
         lines.append(f"sample_count = {self.sample_count}")
         if self.observer_matrices is not None:
             obs = " | ".join(_fmt_matrix(m) for m in self.observer_matrices)
@@ -301,30 +301,32 @@ def _parse_checks(sec) -> tuple[CheckRequest, ...]:
 
 
 def _parse_run(sec) -> dict:
+    """SuiteConfig's fields from a [run] section, or from {} for none."""
     known = ("seed", "tol", "theta_samples", "gradient_samples", "sample_count", "observers")
     for key in sec:
         if key not in known:
             raise ValidationError(f"run.{key}: unknown key")
-    out: dict = {}
+    run: dict = {}
     if "seed" in sec:
         seed = _int("run", "seed", sec["seed"], minimum=0)
         if seed > _MAX_SEED:
             raise ValidationError(f"run.seed: must be below 2**64, got {seed}")
-        out["seed"] = seed
+        run["seed"] = seed
     if "tol" in sec:
         tol = _scalar("run", "tol", sec["tol"])
         if not tol > 0:
             raise ValidationError("run.tol: must be positive")
-        out["tol"] = tol
+        run["tol"] = tol
     if "theta_samples" in sec:
         thetas = _floats("run", "theta_samples", sec["theta_samples"])
         if not thetas:
             raise ValidationError("run.theta_samples: at least one temperature required")
         if not all(t > 0 for t in thetas):
             raise ValidationError("run.theta_samples: temperatures must be positive")
-        out["theta_samples"] = thetas
+        run["theta_samples"] = thetas
     if "gradient_samples" in sec:
-        out["gradient_samples"] = _int("run", "gradient_samples", sec["gradient_samples"], minimum=1)
+        run["gradient_samples"] = _int("run", "gradient_samples", sec["gradient_samples"], minimum=1)
+    out: dict = {"run": CheckConfig(**run)}
     if "sample_count" in sec:
         out["sample_count"] = _int("run", "sample_count", sec["sample_count"], minimum=1)
     if "observers" in sec:
@@ -367,5 +369,5 @@ def parse_config(data: str | bytes) -> SuiteConfig:
         checks = _parse_checks(parser["checks"])
     else:
         checks = _ALL_CHECKS
-    run_kwargs = _parse_run(parser["run"]) if parser.has_section("run") else {}
-    return SuiteConfig(model=model, group=group, checks=checks, **run_kwargs)
+    run = _parse_run(parser["run"] if parser.has_section("run") else {})
+    return SuiteConfig(model=model, group=group, checks=checks, **run)

@@ -169,14 +169,10 @@ ConstitutiveModel = Union[
 MODEL_FAMILIES: dict[str, type] = {cls.family: cls for cls in get_args(ConstitutiveModel)}
 
 
-def _one_row(z: StatePoint) -> tuple[np.ndarray, np.ndarray]:
-    return np.array([z.theta]), z.grad_theta[None, :]
-
-
 def kappa_of(model: ConstitutiveModel, z: StatePoint) -> np.ndarray:
     """Conductivity tensor at a state, in the canonical frame: the one-row
     case of model.kappa, so it matches the batched checks bit for bit."""
-    return model.kappa(*_one_row(z))[0]
+    return model.kappa(np.array([z.theta]), z.grad_theta[None, :])[0]
 
 
 def evaluate(model: ConstitutiveModel, z: StatePoint) -> np.ndarray:
@@ -238,18 +234,3 @@ class ComponentMap:
         kappas = self.model.kappa(tiled, grads.reshape(-1, 3))
         return grads, kappas.reshape(grads.shape + (3,))
 
-
-def evaluate_components(cm: ComponentMap, components) -> np.ndarray:
-    """Flux components in the observer frame for observer-frame state
-    components ``(theta, grad)``: the one-row case of cm.flux, for a map on
-    one observer."""
-    thetas, grads = _one_row(StatePoint(*components))
-    return cm.flux(thetas, grads[None])[0, 0]
-
-
-def kappa_components(cm: ComponentMap, components) -> np.ndarray:
-    """Conductivity components in the observer frame, Q kappa Q^T at the
-    rotated-back state: the one-row case of cm.kappa, for a map on one
-    observer."""
-    thetas, grads = _one_row(StatePoint(*components))
-    return cm.kappa(thetas, grads[None])[0, 0]

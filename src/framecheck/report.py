@@ -19,7 +19,6 @@ from typing import Optional
 import numpy as np
 
 from .checks import (
-    CheckConfig,
     CheckResult,
     Witness,
     check_frame_indifference,
@@ -58,7 +57,7 @@ def build_group(spec: GroupSpec, sample_count: int) -> SymmetryGroup:
 def build_observers(cfg: SuiteConfig) -> list[ObserverChange]:
     if cfg.observer_matrices is not None:
         return [ObserverChange(m, orth_tol=CONFIG_ORTH_TOL) for m in cfg.observer_matrices]
-    return random_observers(cfg.observer_count, cfg.seed)
+    return random_observers(cfg.observer_count, cfg.run.seed)
 
 
 # check name -> (reads the group, run(model, group, observers, cfg,
@@ -83,12 +82,6 @@ def run_suite(cfg: SuiteConfig) -> SuiteReport:
     """
     model = build_model(cfg.model)
     observers = build_observers(cfg)
-    base = CheckConfig(
-        tol=cfg.tol,
-        theta_samples=cfg.theta_samples,
-        gradient_samples=cfg.gradient_samples,
-        seed=cfg.seed,
-    )
     group: SymmetryGroup | None = None
     group_error: str | None = None
     records: list[tuple[str, CheckResult]] = []
@@ -105,7 +98,7 @@ def run_suite(cfg: SuiteConfig) -> SuiteReport:
         if needs_group and group_error is not None:
             result = CheckResult(False, None, 0, None, group_error)
         else:
-            check_cfg = base if req.tol is None else replace(base, tol=req.tol)
+            check_cfg = cfg.run if req.tol is None else replace(cfg.run, tol=req.tol)
             count = cfg.sample_count if req.sample_count is None else req.sample_count
             result = run(model, group, observers, check_cfg, count)
         records.append((req.name, result))
@@ -174,7 +167,7 @@ def _human_bytes(report: SuiteReport) -> bytes:
         )
     else:
         out.append(f"group: {cfg.group.name}")
-    out.append(f"seed: {cfg.seed}   base tol: {cfg.tol:g}")
+    out.append(f"seed: {cfg.run.seed}   base tol: {cfg.run.tol:g}")
     out.append("")
     name_w = max(len(name) for name, _ in report.records) + 2
     header = f"{'check':<{name_w}} {'status':<7} {'max residual':>13} {'samples':>9}"

@@ -173,13 +173,6 @@ class ObserverChange:
         _require_observers(stack, orth_tol)
         return [cls(m, orth_tol, _validated=True) for m in stack]
 
-    @property
-    def determinant(self) -> float:
-        return float(np.linalg.det(self.q_matrix))
-
-    def inverse(self) -> "ObserverChange":
-        return ObserverChange(self.q_matrix.T.copy(), self.orth_tol)
-
 
 def _require_observers(stack: np.ndarray, tol: float) -> None:
     """Raise ValueError unless every matrix Q of a finite (n, 3, 3) stack is
@@ -191,17 +184,6 @@ def _require_observers(stack: np.ndarray, tol: float) -> None:
     dets = np.linalg.det(stack)
     if np.any(np.minimum(np.abs(dets - 1.0), np.abs(dets + 1.0)) > 10.0 * tol):
         raise ValueError("observer determinant must be +1 or -1")
-
-
-def transform_vector(q: ObserverChange, v) -> np.ndarray:
-    """Observer components of a vector: Q @ v."""
-    return q.q_matrix @ as_vec3(v)
-
-
-def conjugate_tensor(q: ObserverChange, h) -> np.ndarray:
-    """Observer components of a second order tensor: Q @ H @ Q.T."""
-    m = q.q_matrix
-    return m @ as_tensor2(h) @ m.T
 
 
 # Batched kernels.  A stack of S tensors is (S, 3, 3), in practice a view of

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import framecheck as fc
+from framecheck.tensors import conjugate_stack
 from conftest import DIAG123, MODEL_ROSTER, SUBPROCESS_ENV
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -253,23 +254,23 @@ def test_transformation_laws_over_seeded_samples(capsys):
     worst_trace = worst_det = 0.0
     n = 10_000
     for seed in range(n):
-        q = fc.random_orthogonal(seed)
-        obs = fc.ObserverChange(q, orth_tol=1e-12)
+        q = fc.ObserverChange(fc.random_orthogonal(seed), orth_tol=1e-12).q_matrix
         worst_orth = max(worst_orth, float(np.abs(q @ q.T - np.eye(3)).max()))
 
         v = data.standard_normal(3)
-        vs = fc.transform_vector(obs, v)
+        vs = q @ v
         worst_len = max(
             worst_len, abs(float(np.linalg.norm(vs)) - float(np.linalg.norm(v)))
         )
 
         h = data.standard_normal((3, 3))
-        hs = fc.conjugate_tensor(obs, h)
+        # the conjugation the checks run; Q^T is the inverse observer
+        hs = conjugate_stack(q[None], h[None])[0, 0]
         worst_trace = max(worst_trace, abs(float(np.trace(hs) - np.trace(h))))
         worst_det = max(
             worst_det, abs(float(np.linalg.det(hs) - np.linalg.det(h)))
         )
-        back = fc.conjugate_tensor(obs.inverse(), hs)
+        back = conjugate_stack(q.T[None], hs[None])[0, 0]
         worst_round = max(worst_round, float(np.abs(back - h).max()))
     elapsed = time.monotonic() - t0
 

@@ -549,6 +549,23 @@ def test_classify_linear_symmetry():
     )
 
 
+def test_classify_cross_checks_the_tensor_its_label_describes():
+    """Eigenvalues within 1e-8 of the largest magnitude count as equal, and
+    the cross-check runs on the tensor with each merged pair at one value, so
+    a gap that the rule calls equal does not make it raise; in the eigenframe
+    and in a rotated one, for a low pair, a high pair and a triple."""
+    T = fc.LinearSymmetryClass
+    r = fc.random_orthogonal(5, proper_only=True)
+    for diagonal, label in (
+        ((1.0, 1.0 + 5e-9, 3.0), T.TRANSVERSELY_ISOTROPIC),
+        ((1.0, 3.0, 3.0 + 1.5e-8), T.TRANSVERSELY_ISOTROPIC),
+        ((1.0, 1.0 + 5e-9, 1.0 + 7.5e-9), T.ISOTROPIC),
+    ):
+        k = np.diag(diagonal)
+        assert fc.classify_linear_symmetry(k, CFG) is label, diagonal
+        assert fc.classify_linear_symmetry(r @ k @ r.T, CFG) is label, diagonal
+
+
 def test_classify_makes_its_groups_once(monkeypatch):
     """The three cross-check groups are looked up on the first call only."""
     calls = []
@@ -711,8 +728,23 @@ def test_reducer_takes_the_earliest_non_finite_sample():
 
 
 def test_reducer_never_reports_a_negative_residual():
-    result = fc.checks._worst(iter(()), tol=1e-9)
-    assert result.passed and result.max_residual == 0.0 and result.samples_used == 0
+    # an all-zero row reports +0.0; no rows at all is an error, not a pass
+    states = [fc.StatePoint(1.0, np.zeros(3))]
+    result = fc.checks._worst(iter([(np.zeros(2), fc.IDENTITY, None, states * 2)]), tol=1e-9)
+    assert result.passed and result.max_residual == 0.0 and result.samples_used == 2
+    assert not np.signbit(result.max_residual)
+    with pytest.raises(ValueError, match="^no residuals to check"):
+        fc.checks._worst(iter(()), tol=1e-9)
+
+
+def test_observer_checks_refuse_no_observers():
+    """With no observer there is nothing to compare: both observer checks
+    raise rather than pass with max_residual 0 and samples_used 0."""
+    model = fc.LinearConstant(DIAG123)
+    with pytest.raises(ValueError, match="at least one observer"):
+        fc.check_observer_independence(model, [], CFG)
+    with pytest.raises(ValueError, match="at least one observer"):
+        fc.check_frame_indifference(model, fc.catalog_lookup("trivial"), [], CFG)
 
 
 @given(

@@ -107,8 +107,13 @@ def test_seed_override_changes_draws_not_verdict(capsysbinary):
 
 
 def test_bad_flag_values_exit_two(capsys):
-    assert main(["run", str(CONFIGS / "isotropic.ini"), "--seed", "-1"]) == 2
-    capsys.readouterr()
+    # one error line that names the flag, as for --tol
+    for seed in ("-1", str(2**64)):
+        assert main(["run", str(CONFIGS / "isotropic.ini"), "--seed", seed]) == 2, seed
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --seed ")
+        assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
     # the rule run.tol follows in a config file: positive and finite; the
     # --tol=VALUE form keeps argparse from reading -inf as an option
     for tol in ("0", "inf", "-inf", "nan", "1e309"):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -16,10 +18,10 @@ def test_minimal_config_resolves_defaults():
     assert cfg.model.kappa0 == (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
     assert cfg.group == fc.GroupSpec(name="trivial")
     assert tuple(c.name for c in cfg.checks) == fc.CHECK_NAMES
-    assert cfg.tol == 1e-9
-    assert cfg.seed == 0
-    assert cfg.theta_samples == (0.5, 1.0, 300.0)
-    assert cfg.gradient_samples == 32
+    assert cfg.run.tol == 1e-9
+    assert cfg.run.seed == 0
+    assert cfg.run.theta_samples == (0.5, 1.0, 300.0)
+    assert cfg.run.gradient_samples == 32
     assert cfg.sample_count == 256
     assert cfg.observer_count == 100
     assert cfg.observer_matrices is None
@@ -204,16 +206,24 @@ def test_model_spec_keeps_its_signature_order_defaults_and_equality():
 
 def test_suite_defaults_are_the_check_defaults():
     cfg = fc.parse_config(MINIMAL)
-    check = fc.CheckConfig()
-    assert (cfg.seed, cfg.tol, cfg.theta_samples, cfg.gradient_samples) == (
-        check.seed,
-        check.tol,
-        check.theta_samples,
-        check.gradient_samples,
-    )
+    assert cfg.run == fc.CheckConfig()
+    assert fc.SuiteConfig(cfg.model) == cfg
     assert cfg.sample_count == fc.catalog_lookup("full_orthogonal").sample_count
     generated = fc.parse_config(MINIMAL + "[group]\ngenerators = 1 0 0 0 1 0 0 0 1\n")
     assert generated.group.max_order == fc.GroupSpec().max_order
+
+
+def test_run_parameters_are_validated_on_direct_construction():
+    """The parameters every check shares are one CheckConfig field, which
+    validates them however a SuiteConfig is made; each message begins with
+    the field's name, which the CLI's --seed and --tol errors rely on."""
+    assert [f.name for f in dataclasses.fields(fc.SuiteConfig)] == [
+        "model", "group", "checks", "run", "sample_count", "observer_count", "observer_matrices"
+    ]
+    model = fc.parse_config(MINIMAL).model
+    for bad in ({"tol": 0.0}, {"seed": -1}, {"theta_samples": ()}, {"gradient_samples": 0}):
+        with pytest.raises(ValueError, match=f"^{next(iter(bad))} "):
+            fc.SuiteConfig(model, run=fc.CheckConfig(**bad))
 
 
 def test_group_names_are_validated_without_building_the_group(monkeypatch):

@@ -12,8 +12,10 @@ or a witness on purpose regenerates the file and says why.
 
 import importlib.util
 import json
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import framecheck as fc
@@ -49,6 +51,26 @@ def test_human_report_matches_golden(name, capsysbinary):
     path, code = CONFIGS[name]
     assert main(["run", str(path)]) == code
     assert capsysbinary.readouterr().out == (GOLDEN / f"{name}.txt").read_bytes()
+
+
+def test_each_verdict_turns_at_its_golden_residual():
+    """A tol equal to a check's golden max_residual passes and the next float
+    below it fails, so the verdict is max_residual <= tol: for the
+    anisotropic golden's two failing checks and its passing ~1e-15 frame
+    indifference, each run alone with a per-check tol."""
+    cfg = fc.parse_config(CONFIGS["anisotropic"][0].read_bytes())
+    golden = json.loads((GOLDEN / "anisotropic.json").read_bytes())["checks"]
+    positive = {c["name"]: c["max_residual"] for c in golden if c["max_residual"] > 0}
+    assert set(positive) == {"frame_indifference", "observer_independence", "isotropy"}
+    for request in cfg.checks:
+        if request.name not in positive:
+            continue
+        value = positive[request.name]
+        for tol, passed in ((value, True), (float(np.nextafter(value, 0.0)), False)):
+            checks = (replace(request, tol=tol),)
+            ((_, result),) = fc.run_suite(replace(cfg, checks=checks)).records
+            assert result.max_residual == value, request.name
+            assert result.passed is passed, (request.name, tol)
 
 
 def test_golden_configs_cover_every_family():

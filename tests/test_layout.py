@@ -287,7 +287,7 @@ def test_stacked_component_map_is_the_per_observer_map(count, size, seed, spread
     own map, bit for bit, sign of zero included: for every family, for
     components per observer and shared by all (a broadcast stack), and for
     fluxes with a batch axis before the states; proper and improper
-    observers alternate.  The one-row forms are the rows of the map."""
+    observers alternate.  The map at one state gives that state's rows."""
     rng = np.random.default_rng(seed)
     tensor = _entries(rng, (3, 3), spread)
     a, b = (float(x) for x in _entries(rng, 2, spread))
@@ -324,15 +324,16 @@ def test_stacked_component_map_is_the_per_observer_map(count, size, seed, spread
                     for e in range(len(g)):
                         flux_o, _ = _per_observer_map(model, obs.q_matrix, thetas, g[e])
                         assert _same_bits(flux[e], flux_o), model.family
-            # one observer is the case O = 1, and the one-row forms are its rows
+            # one observer is the case O = 1, and its map at one state gives
+            # that state's rows
             fluxes, kappas = cm.flux(thetas, own), cm.kappa(thetas, own)
             last = fc.ComponentMap(model, observers[-1:])
             assert _same_bits(last.flux(thetas, own[-1:]), fluxes[-1:])
             assert _same_bits(last.kappa(thetas, own[-1:]), kappas[-1:])
             for s in (0, size - 1):
-                state = (thetas[s], own[-1, s])
-                assert _same_bits(fc.evaluate_components(last, state), fluxes[-1, s])
-                assert _same_bits(fc.kappa_components(last, state), kappas[-1, s])
+                one = (thetas[s:s + 1], own[-1:, s:s + 1])
+                assert _same_bits(last.flux(*one)[0, 0], fluxes[-1, s])
+                assert _same_bits(last.kappa(*one)[0, 0], kappas[-1, s])
 
 
 DIAG123 = np.diag([1.0, 2.0, 3.0])

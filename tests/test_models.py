@@ -24,6 +24,16 @@ def _random_states(n, seed=0):
     ]
 
 
+def _flux_row(cm, theta, g):
+    """ComponentMap.flux of a one-observer map at one state."""
+    return cm.flux(np.array([float(theta)]), np.asarray(g, dtype=float)[None, None])[0, 0]
+
+
+def _kappa_row(cm, theta, g):
+    """ComponentMap.kappa of a one-observer map at one state."""
+    return cm.kappa(np.array([float(theta)]), np.asarray(g, dtype=float)[None, None])[0, 0]
+
+
 def test_state_point_validation():
     z = fc.StatePoint(300.0, [1, 0, 0])
     assert z.theta == 300.0
@@ -115,7 +125,7 @@ def test_evaluate_is_kappa_contraction_bit_for_bit():
 def test_identity_observer_components_equal_canonical_evaluation():
     cm = fc.ComponentMap(fc.LinearConstant(DIAG123), [fc.ObserverChange(np.eye(3))])
     for z in _random_states(100):
-        starred = fc.evaluate_components(cm, (z.theta, z.grad_theta))
+        starred = _flux_row(cm, z.theta, z.grad_theta)
         assert np.array_equal(starred, fc.evaluate(cm.model, z))
 
 
@@ -123,13 +133,13 @@ def test_component_two_step_oracle():
     """Observer rotated a quarter turn about z sees the gradient (1,0,0) as
     (0,1,0), and sees the flux (1,0,0) as (0,1,0)."""
     cm = fc.ComponentMap(fc.LinearConstant(DIAG123), [fc.ObserverChange(fc.ROT_Z_90)])
-    q_star = fc.evaluate_components(cm, (1.0, [0.0, 1.0, 0.0]))
+    q_star = _flux_row(cm, 1.0, [0.0, 1.0, 0.0])
     assert fc.max_abs(q_star - np.array([0.0, 1.0, 0.0])) < 1e-15
 
 
 def test_kappa_components_oracle():
     cm = fc.ComponentMap(fc.LinearConstant(DIAG123), [fc.ObserverChange(fc.ROT_Z_90)])
-    k_star = fc.kappa_components(cm, (1.0, [0.0, 0.0, 0.0]))
+    k_star = _kappa_row(cm, 1.0, [0.0, 0.0, 0.0])
     assert np.array_equal(k_star, np.diag([2.0, 1.0, 3.0]))
 
 
@@ -138,7 +148,7 @@ def test_isotropic_components_commute_with_any_observer(seed, v):
     alpha = 2.5
     obs = fc.ObserverChange(fc.random_orthogonal(seed))
     cm = fc.ComponentMap(fc.LinearConstant(alpha * np.eye(3)), [obs])
-    out = fc.evaluate_components(cm, (1.0, v))
+    out = _flux_row(cm, 1.0, v)
     assert fc.max_abs(out - alpha * np.array(v)) <= 1e-12
 
 
@@ -150,11 +160,11 @@ def test_observer_round_trip(seed, v):
     z = fc.StatePoint(1.0, v)
     # starred components of the state, fed back through the observer map,
     # must reproduce the canonical flux rotated into the observer frame
-    starred_grad = fc.transform_vector(obs, z.grad_theta)
-    q_star = fc.evaluate_components(cm, (z.theta, starred_grad))
+    starred_grad = obs.q_matrix @ z.grad_theta
+    q_star = _flux_row(cm, z.theta, starred_grad)
     assert fc.max_abs(q_star - obs.q_matrix @ fc.evaluate(model, z)) <= 1e-12
-    # and the inverse observer undoes the component change
-    back = fc.transform_vector(obs.inverse(), starred_grad)
+    # and the inverse observer, Q^T, undoes the component change
+    back = obs.q_matrix.T @ starred_grad
     assert fc.max_abs(back - z.grad_theta) <= 1e-12
 
 
@@ -176,8 +186,8 @@ def test_kappa_components_round_trip():
     model = fc.NonlinearAnisotropic(DIAG123, 0.5)
     cm = fc.ComponentMap(model, [obs])
     z = fc.StatePoint(2.0, [0.3, -1.2, 0.7])
-    starred_grad = fc.transform_vector(obs, z.grad_theta)
-    k_star = fc.kappa_components(cm, (z.theta, starred_grad))
+    starred_grad = obs.q_matrix @ z.grad_theta
+    k_star = _kappa_row(cm, z.theta, starred_grad)
     back = obs.q_matrix.T @ k_star @ obs.q_matrix
     assert fc.max_abs(back - fc.kappa_of(model, z)) <= 1e-12
 
@@ -202,9 +212,9 @@ def test_kappa_of_is_the_batch_row_bit_for_bit():
         for i, (theta, g) in enumerate(zip(thetas, grads)):
             z = fc.StatePoint(theta, g)
             assert np.array_equal(fc.kappa_of(model, z), kappas[i]), (family, i)
-            # the one-row component maps are the rows of the batched kernel
-            assert np.array_equal(fc.evaluate_components(cm, (theta, g)), fluxes_star[i]), (family, i)
-            assert np.array_equal(fc.kappa_components(cm, (theta, g)), kappas_star[i]), (family, i)
+            # the map at one state gives that state's row of the batch
+            assert np.array_equal(_flux_row(cm, theta, g), fluxes_star[i]), (family, i)
+            assert np.array_equal(_kappa_row(cm, theta, g), kappas_star[i]), (family, i)
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
