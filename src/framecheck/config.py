@@ -25,15 +25,16 @@ Grammar (configparser syntax, '#' comments):
     seed = 0              tol = 1e-9
     theta_samples = 0.5 1.0 300.0
     gradient_samples = 32
-    sample_count = 256    # orthogonal draws for full_orthogonal groups
+    sample_count = 256    # orthogonal draws of a full_orthogonal group, and
+                          # isotropy's unless isotropy.sample_count is set
     observers = 100       # count, or explicit matrices separated by '|'
 
 ParseError means the text is not well-formed INI; ValidationError means the
-values are wrong and the message names the offending key.  Matrices supplied
-through config files are accepted as orthogonal within 1e-6; library users
-constructing objects directly get the stricter API tolerances.  The [run]
+values are wrong and the message names the offending key.  Observer matrices
+in config files are accepted as orthogonal within 1e-6 (ObserverChange's own
+default is 1e-9); generators are held to the closure's own 1e-9.  The [run]
 keys seed, tol, theta_samples and gradient_samples are SuiteConfig.run, a
-CheckConfig, which validates them on direct construction too.
+CheckConfig, which alone judges their values, in a file as in code.
 """
 
 from __future__ import annotations
@@ -41,10 +42,10 @@ from __future__ import annotations
 import configparser
 
 import numpy as np
-from dataclasses import dataclass, field, fields, make_dataclass
+from dataclasses import dataclass, field, fields, make_dataclass, replace
 
 from .checks import CheckConfig
-from .groups import DEFAULT_SAMPLE_COUNT, UnknownGroupName, resolve_group_name
+from .groups import DEFAULT_SAMPLE_COUNT, ELEMENT_ORTH_TOL, UnknownGroupName, resolve_group_name
 # catalog_lookup is not called here; perfbench's tracer hooks this module's
 # name for it, so it stays imported
 from .groups import catalog_lookup  # noqa: F401
@@ -60,7 +61,6 @@ CHECK_NAMES = (
 )
 
 CONFIG_ORTH_TOL = 1e-6
-_MAX_SEED = 2**64 - 1
 
 
 class ParseError(ValueError):
@@ -73,8 +73,9 @@ class ValidationError(ValueError):
 
 @dataclass(frozen=True)
 class GroupSpec:
-    name: str | None = "trivial"
-    generators: tuple[tuple[float, ...], ...] | None = None
+    """A catalog name, or generator matrices whose closure max_order caps."""
+
+    source: str | tuple[tuple[float, ...], ...] = "trivial"
     max_order: int = 192
 
 
@@ -94,7 +95,8 @@ class SuiteConfig:
 
     Plain data, tuples only, so two configs compare by value.  ``run``, the
     parameters every check shares, validates itself; the other fields are
-    validated by parse_config only.
+    validated by parse_config only.  ``observers`` is a count of seeded
+    draws, or the observer matrices.
     """
 
     model: ModelSpec
@@ -102,8 +104,7 @@ class SuiteConfig:
     checks: tuple[CheckRequest, ...] = _ALL_CHECKS
     run: CheckConfig = CheckConfig()
     sample_count: int = DEFAULT_SAMPLE_COUNT
-    observer_count: int = 100
-    observer_matrices: tuple[tuple[float, ...], ...] | None = None
+    observers: int | tuple[tuple[float, ...], ...] = 100
 
     def to_config_text(self) -> str:
         """Canonical INI text; parse_config(text) reproduces this config
@@ -112,12 +113,11 @@ class SuiteConfig:
         for key, (_, fmt, _) in _FAMILY_PARAMS[self.model.family].items():
             lines.append(f"{key} = {fmt(getattr(self.model, key))}")
         lines += ["", "[group]"]
-        if self.group.generators is not None:
-            gens = " | ".join(_fmt_matrix(g) for g in self.group.generators)
-            lines.append(f"generators = {gens}")
-            lines.append(f"max_order = {self.group.max_order}")
+        if isinstance(self.group.source, str):
+            lines.append(f"name = {self.group.source}")
         else:
-            lines.append(f"name = {self.group.name}")
+            lines.append(f"generators = {' | '.join(map(_fmt_matrix, self.group.source))}")
+            lines.append(f"max_order = {self.group.max_order}")
         lines += ["", "[checks]"]
         lines.append("names = " + " ".join(c.name for c in self.checks))
         for c in self.checks:
@@ -126,16 +126,13 @@ class SuiteConfig:
             if c.sample_count is not None:
                 lines.append(f"{c.name}.sample_count = {c.sample_count}")
         lines += ["", "[run]"]
-        lines.append(f"seed = {self.run.seed}")
-        lines.append(f"tol = {float(self.run.tol)!r}")
-        lines.append(f"theta_samples = {_fmt_floats(self.run.theta_samples)}")
-        lines.append(f"gradient_samples = {self.run.gradient_samples}")
+        for key, (_, fmt) in _RUN_PARAMS.items():
+            lines.append(f"{key} = {fmt(getattr(self.run, key))}")
         lines.append(f"sample_count = {self.sample_count}")
-        if self.observer_matrices is not None:
-            obs = " | ".join(_fmt_matrix(m) for m in self.observer_matrices)
-            lines.append(f"observers = {obs}")
-        else:
-            lines.append(f"observers = {self.observer_count}")
+        obs = self.observers
+        if isinstance(obs, tuple):
+            obs = " | ".join(map(_fmt_matrix, obs))
+        lines.append(f"observers = {obs}")
         lines.append("")
         return "\n".join(lines)
 
@@ -166,12 +163,12 @@ def _scalar(section: str, key: str, raw: str) -> float:
     return _floats(section, key, raw, count=1)[0]
 
 
-def _int(section: str, key: str, raw: str, minimum: int) -> int:
+def _int(section: str, key: str, raw: str, minimum: int | None = None) -> int:
     try:
         value = int(raw.strip(), 10)
     except ValueError:
         raise ValidationError(f"{section}.{key}: could not parse {raw!r} as an integer") from None
-    if value < minimum:
+    if minimum is not None and value < minimum:
         raise ValidationError(f"{section}.{key}: must be at least {minimum}")
     return value
 
@@ -214,13 +211,33 @@ ModelSpec = make_dataclass(
 )
 
 
-def _orthogonal_matrix(section: str, key: str, chunk: str) -> tuple[float, ...]:
-    values = _floats(section, key, chunk, count=9)
-    if not is_orthogonal(as_tensor2(values), CONFIG_ORTH_TOL):
-        raise ValidationError(
-            f"{section}.{key}: matrix is not orthogonal within {CONFIG_ORTH_TOL:g}"
-        )
-    return values
+# [run] key -> (parse, emit) of each CheckConfig field, in to_config_text's
+# order.  The parse reads a number; CheckConfig alone judges it.
+_RUN_PARAMS = {
+    "seed": (_int, str),
+    "tol": (_scalar, lambda v: repr(float(v))),
+    "theta_samples": (_floats, _fmt_floats),
+    "gradient_samples": (_int, str),
+}
+
+
+def _check_config(section: str, base: CheckConfig, **values) -> CheckConfig:
+    """``replace(base, **values)``; CheckConfig's ValueError, which begins
+    with the field's name, becomes a ValidationError naming section.field."""
+    try:
+        return replace(base, **values)
+    except ValueError as exc:
+        name, _, rule = str(exc).partition(" ")
+        raise ValidationError(f"{section}.{name}: {rule}") from None
+
+
+def _matrices(section: str, key: str, raw: str, tol: float) -> tuple[tuple[float, ...], ...]:
+    """The '|'-separated matrices of a value, each orthogonal within tol."""
+    matrices = tuple(_floats(section, key, chunk, count=9) for chunk in raw.split("|"))
+    for values in matrices:
+        if not is_orthogonal(as_tensor2(values), tol):
+            raise ValidationError(f"{section}.{key}: matrix is not orthogonal within {tol:g}")
+    return matrices
 
 
 def _parse_model(sec) -> ModelSpec:
@@ -249,12 +266,11 @@ def _parse_group(sec) -> GroupSpec:
     if "name" in sec and "generators" in sec:
         raise ValidationError("group: give either name or generators, not both")
     if "generators" in sec:
-        chunks = sec["generators"].split("|")
-        generators = tuple(_orthogonal_matrix("group", "generators", c) for c in chunks)
-        max_order = GroupSpec.max_order
+        # the closure's own rule, so a generator that parses is one it accepts
+        generators = _matrices("group", "generators", sec["generators"], ELEMENT_ORTH_TOL)
         if "max_order" in sec:
-            max_order = _int("group", "max_order", sec["max_order"], minimum=1)
-        return GroupSpec(name=None, generators=generators, max_order=max_order)
+            return GroupSpec(generators, _int("group", "max_order", sec["max_order"], minimum=1))
+        return GroupSpec(generators)
     if "max_order" in sec:
         raise ValidationError("group.max_order: only valid with generators")
     name = sec["name"].strip() if "name" in sec else "trivial"
@@ -262,10 +278,10 @@ def _parse_group(sec) -> GroupSpec:
         resolve_group_name(name)
     except UnknownGroupName as exc:
         raise ValidationError(f"group.name: {exc}") from None
-    return GroupSpec(name=name)
+    return GroupSpec(name)
 
 
-def _parse_checks(sec) -> tuple[CheckRequest, ...]:
+def _parse_checks(sec, run: CheckConfig) -> tuple[CheckRequest, ...]:
     names = list(CHECK_NAMES)
     if "names" in sec:
         names = sec["names"].split()
@@ -290,9 +306,7 @@ def _parse_checks(sec) -> tuple[CheckRequest, ...]:
             raise ValidationError(f"checks.{key}: check {base!r} is not selected in names")
         if attr == "tol":
             tol = _scalar("checks", key, sec[key])
-            if not tol > 0:
-                raise ValidationError(f"checks.{key}: tolerance must be positive")
-            tols[base] = tol
+            tols[base] = _check_config(f"checks.{base}", run, tol=tol).tol
         else:
             if base != "isotropy":
                 raise ValidationError(f"checks.{key}: sample_count only applies to isotropy")
@@ -302,42 +316,19 @@ def _parse_checks(sec) -> tuple[CheckRequest, ...]:
 
 def _parse_run(sec) -> dict:
     """SuiteConfig's fields from a [run] section, or from {} for none."""
-    known = ("seed", "tol", "theta_samples", "gradient_samples", "sample_count", "observers")
     for key in sec:
-        if key not in known:
+        if key not in (*_RUN_PARAMS, "sample_count", "observers"):
             raise ValidationError(f"run.{key}: unknown key")
-    run: dict = {}
-    if "seed" in sec:
-        seed = _int("run", "seed", sec["seed"], minimum=0)
-        if seed > _MAX_SEED:
-            raise ValidationError(f"run.seed: must be below 2**64, got {seed}")
-        run["seed"] = seed
-    if "tol" in sec:
-        tol = _scalar("run", "tol", sec["tol"])
-        if not tol > 0:
-            raise ValidationError("run.tol: must be positive")
-        run["tol"] = tol
-    if "theta_samples" in sec:
-        thetas = _floats("run", "theta_samples", sec["theta_samples"])
-        if not thetas:
-            raise ValidationError("run.theta_samples: at least one temperature required")
-        if not all(t > 0 for t in thetas):
-            raise ValidationError("run.theta_samples: temperatures must be positive")
-        run["theta_samples"] = thetas
-    if "gradient_samples" in sec:
-        run["gradient_samples"] = _int("run", "gradient_samples", sec["gradient_samples"], minimum=1)
-    out: dict = {"run": CheckConfig(**run)}
+    values = {k: parse("run", k, sec[k]) for k, (parse, _) in _RUN_PARAMS.items() if k in sec}
+    out: dict = {"run": _check_config("run", CheckConfig(), **values)}
     if "sample_count" in sec:
         out["sample_count"] = _int("run", "sample_count", sec["sample_count"], minimum=1)
     if "observers" in sec:
         raw = sec["observers"]
         if "|" not in raw and len(raw.split()) == 1 and ";" not in raw:
-            out["observer_count"] = _int("run", "observers", raw, minimum=1)
+            out["observers"] = _int("run", "observers", raw, minimum=1)
         else:
-            chunks = raw.split("|")
-            matrices = tuple(_orthogonal_matrix("run", "observers", c) for c in chunks)
-            out["observer_matrices"] = matrices
-            out["observer_count"] = len(matrices)
+            out["observers"] = _matrices("run", "observers", raw, CONFIG_ORTH_TOL)
     return out
 
 
@@ -363,11 +354,7 @@ def parse_config(data: str | bytes) -> SuiteConfig:
             raise ValidationError(f"unknown section [{section}]")
     if not parser.has_section("model"):
         raise ValidationError("missing [model] section")
-    model = _parse_model(parser["model"])
-    group = _parse_group(parser["group"]) if parser.has_section("group") else GroupSpec()
-    if parser.has_section("checks"):
-        checks = _parse_checks(parser["checks"])
-    else:
-        checks = _ALL_CHECKS
-    run = _parse_run(parser["run"] if parser.has_section("run") else {})
-    return SuiteConfig(model=model, group=group, checks=checks, **run)
+    # an absent section parses as {}; [checks] reads the parsed [run]
+    group, checks, run = (parser[s] if s in parser else {} for s in ("group", "checks", "run"))
+    model, group, run = _parse_model(parser["model"]), _parse_group(group), _parse_run(run)
+    return SuiteConfig(model, group, _parse_checks(checks, run["run"]), **run)

@@ -28,7 +28,8 @@ from .checks import (
     check_zero_map,
 )
 from .config import CONFIG_ORTH_TOL, GroupSpec, ModelSpec, SuiteConfig
-from .groups import ClosureOverflow, SymmetryGroup, catalog_lookup, generate_closure
+from .groups import ClosureOverflow, SymmetryGroup, UnknownGroupName
+from .groups import catalog_lookup, generate_closure
 from .models import MODEL_FAMILIES, ConstitutiveModel
 from .tensors import ObserverChange, random_observers
 
@@ -49,15 +50,15 @@ def build_model(spec: ModelSpec) -> ConstitutiveModel:
 
 def build_group(spec: GroupSpec, sample_count: int) -> SymmetryGroup:
     """Catalog lookup, or finite closure of explicit generators."""
-    if spec.generators is not None:
-        return generate_closure(spec.generators, max_order=spec.max_order)
-    return catalog_lookup(spec.name, sample_count=sample_count)
+    if isinstance(spec.source, str):
+        return catalog_lookup(spec.source, sample_count=sample_count)
+    return generate_closure(spec.source, max_order=spec.max_order)
 
 
 def build_observers(cfg: SuiteConfig) -> list[ObserverChange]:
-    if cfg.observer_matrices is not None:
-        return [ObserverChange(m, orth_tol=CONFIG_ORTH_TOL) for m in cfg.observer_matrices]
-    return random_observers(cfg.observer_count, cfg.run.seed)
+    if isinstance(cfg.observers, tuple):
+        return [ObserverChange(m, orth_tol=CONFIG_ORTH_TOL) for m in cfg.observers]
+    return random_observers(cfg.observers, cfg.run.seed)
 
 
 # check name -> (reads the group, run(model, group, observers, cfg,
@@ -93,7 +94,7 @@ def run_suite(cfg: SuiteConfig) -> SuiteReport:
         if needs_group and group is None and group_error is None:
             try:
                 group = build_group(cfg.group, cfg.sample_count)
-            except (ClosureOverflow, ValueError) as exc:
+            except (ClosureOverflow, UnknownGroupName, ValueError) as exc:
                 group_error = f"group construction failed: {exc}"
         if needs_group and group_error is not None:
             result = CheckResult(False, None, 0, None, group_error)
@@ -160,13 +161,10 @@ def _human_bytes(report: SuiteReport) -> bytes:
     cfg = report.config
     out = ["framecheck suite report", ""]
     out.append(f"model family: {cfg.model.family}")
-    if cfg.group.generators is not None:
-        out.append(
-            f"group: closure of {len(cfg.group.generators)} generator(s), "
-            f"max_order {cfg.group.max_order}"
-        )
-    else:
-        out.append(f"group: {cfg.group.name}")
+    group = cfg.group.source
+    if not isinstance(group, str):
+        group = f"closure of {len(group)} generator(s), max_order {cfg.group.max_order}"
+    out.append(f"group: {group}")
     out.append(f"seed: {cfg.run.seed}   base tol: {cfg.run.tol:g}")
     out.append("")
     name_w = max(len(name) for name, _ in report.records) + 2

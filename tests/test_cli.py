@@ -287,4 +287,18 @@ def test_overflowing_generator_exits_two_with_one_error_line(tmp_path):
     )
     assert proc.returncode == 2
     assert proc.stdout == ""
-    assert proc.stderr == "error: group.generators: matrix is not orthogonal within 1e-06\n"
+    assert proc.stderr == "error: group.generators: matrix is not orthogonal within 1e-09\n"
+
+
+def test_generator_off_by_1e7_exits_two_with_one_error_line(tmp_path, capsys):
+    """Within the observers' 1e-6 but not the closure's 1e-9: a config error
+    (exit 2), not a suite whose group checks could not run (exit 1)."""
+    config = tmp_path / "skewed_generator.ini"
+    config.write_text(
+        "[model]\nfamily = linear_constant\nkappa0 = 1 0 0 ; 0 2 0 ; 0 0 3\n"
+        "[group]\ngenerators = 1e-7 -1 0 ; 1 0 0 ; 0 0 1\n"
+    )
+    assert main(["run", str(config)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: group.generators: matrix is not orthogonal within 1e-09\n"

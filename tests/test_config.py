@@ -16,15 +16,14 @@ def test_minimal_config_resolves_defaults():
     cfg = fc.parse_config(MINIMAL)
     assert cfg.model.family == "linear_constant"
     assert cfg.model.kappa0 == (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
-    assert cfg.group == fc.GroupSpec(name="trivial")
+    assert cfg.group == fc.GroupSpec("trivial")
     assert tuple(c.name for c in cfg.checks) == fc.CHECK_NAMES
     assert cfg.run.tol == 1e-9
     assert cfg.run.seed == 0
     assert cfg.run.theta_samples == (0.5, 1.0, 300.0)
     assert cfg.run.gradient_samples == 32
     assert cfg.sample_count == 256
-    assert cfg.observer_count == 100
-    assert cfg.observer_matrices is None
+    assert cfg.observers == 100
 
 
 def test_parse_accepts_bytes():
@@ -128,7 +127,7 @@ def test_non_orthogonal_matrices_rejected_at_loose_tolerance():
     # small perturbations below 1e-6 pass config validation
     ok = MINIMAL + "[run]\nobservers = 1 0.0000001 0 ; 0 1 0 ; 0 0 1\n"
     cfg = fc.parse_config(ok)
-    assert cfg.observer_count == 1
+    assert len(cfg.observers) == 1
     assert len(fc.build_observers(cfg)) == 1
 
 
@@ -136,6 +135,21 @@ def test_non_orthogonal_generator_rejected():
     bad = MINIMAL + "[group]\ngenerators = 1 0.001 0 ; 0 1 0 ; 0 0 1\n"
     with pytest.raises(fc.ValidationError):
         fc.parse_config(bad)
+
+
+def test_generators_are_held_to_the_closure_tolerance():
+    """A quarter turn with 1e-7 added to one entry is orthogonal within the
+    observers' 1e-6 but not within the 1e-9 that generate_closure holds a
+    generator to, so as a generator it is a config error, not a group check
+    that could not run."""
+    matrix = "1e-7 -1 0 ; 1 0 0 ; 0 0 1"
+    with pytest.raises(fc.ValidationError) as err:
+        fc.parse_config(MINIMAL + f"[group]\ngenerators = {matrix}\n")
+    assert str(err.value) == "group.generators: matrix is not orthogonal within 1e-09"
+    with pytest.raises(ValueError, match="^generator 0 is not orthogonal within 1e-09$"):
+        fc.generate_closure([np.array(matrix.replace(";", " ").split(), float)], max_order=4)
+    cfg = fc.parse_config(MINIMAL + f"[run]\nobservers = {matrix}\n")
+    assert len(fc.build_observers(cfg)) == 1
 
 
 def test_parse_errors_carry_line_information():
@@ -159,7 +173,7 @@ def test_generator_config_builds_cyclic_group():
 def test_explicit_observer_matrices_build():
     text = MINIMAL + "[run]\nobservers = 0 -1 0 ; 1 0 0 ; 0 0 1 | -1 0 0 ; 0 -1 0 ; 0 0 -1\n"
     cfg = fc.parse_config(text)
-    assert cfg.observer_count == 2
+    assert len(cfg.observers) == 2
     observers = fc.build_observers(cfg)
     assert np.array_equal(observers[0].q_matrix, fc.ROT_Z_90)
     assert np.array_equal(observers[1].q_matrix, fc.INVERSION)
@@ -218,12 +232,54 @@ def test_run_parameters_are_validated_on_direct_construction():
     validates them however a SuiteConfig is made; each message begins with
     the field's name, which the CLI's --seed and --tol errors rely on."""
     assert [f.name for f in dataclasses.fields(fc.SuiteConfig)] == [
-        "model", "group", "checks", "run", "sample_count", "observer_count", "observer_matrices"
+        "model", "group", "checks", "run", "sample_count", "observers"
     ]
     model = fc.parse_config(MINIMAL).model
     for bad in ({"tol": 0.0}, {"seed": -1}, {"theta_samples": ()}, {"gradient_samples": 0}):
         with pytest.raises(ValueError, match=f"^{next(iter(bad))} "):
             fc.SuiteConfig(model, run=fc.CheckConfig(**bad))
+
+
+@pytest.mark.parametrize(
+    "section, message",
+    [
+        ("[run]\ntol = 0\n", "run.tol: must be positive and finite"),
+        ("[run]\ntol = -1e-9\n", "run.tol: must be positive and finite"),
+        ("[run]\nseed = -3\n", "run.seed: must fit in an unsigned 64-bit integer"),
+        ("[run]\nseed = 18446744073709551616\n",
+         "run.seed: must fit in an unsigned 64-bit integer"),
+        ("[run]\ntheta_samples =\n", "run.theta_samples: must not be empty"),
+        ("[run]\ntheta_samples = 1.0 0.0\n",
+         "run.theta_samples: must be positive finite temperatures"),
+        ("[run]\ngradient_samples = 0\n", "run.gradient_samples: must be a positive integer"),
+        ("[checks]\nsymmetry.tol = 0\n", "checks.symmetry.tol: must be positive and finite"),
+        ("[checks]\nisotropy.tol = -1\n", "checks.isotropy.tol: must be positive and finite"),
+    ],
+)
+def test_run_parameter_rules_are_the_check_configs(section, message):
+    """parse_config reads the numbers and CheckConfig judges them; each
+    message is the key, then CheckConfig's rule."""
+    with pytest.raises(fc.ValidationError) as err:
+        fc.parse_config(MINIMAL + section)
+    assert str(err.value) == message
+
+
+def test_each_config_choice_is_one_field():
+    """A group is a catalog name or generators, and the observers are a count
+    or matrices: one field each, so no value holds both."""
+    assert [f.name for f in dataclasses.fields(fc.GroupSpec)] == ["source", "max_order"]
+    rz90, inversion = tuple(fc.ROT_Z_90.flat), tuple(fc.INVERSION.flat)
+    model = fc.parse_config(MINIMAL).model
+    cfg = fc.SuiteConfig(model, group=fc.GroupSpec((rz90,)), observers=(rz90, inversion))
+    assert fc.build_group(cfg.group, cfg.sample_count).order == 4
+    assert [o.q_matrix.tolist() for o in fc.build_observers(cfg)] == [
+        fc.ROT_Z_90.tolist(), fc.INVERSION.tolist()
+    ]
+    assert fc.parse_config(cfg.to_config_text()) == cfg
+    counted = fc.SuiteConfig(model, group=fc.GroupSpec("z4"), observers=5)
+    assert fc.build_group(counted.group, counted.sample_count).order == 4
+    assert len(fc.build_observers(counted)) == 5
+    assert fc.parse_config(counted.to_config_text()) == counted
 
 
 def test_group_names_are_validated_without_building_the_group(monkeypatch):
@@ -233,7 +289,7 @@ def test_group_names_are_validated_without_building_the_group(monkeypatch):
     monkeypatch.setattr(fc.groups, "generate_closure", no_closure)
     for name in ("transverse_z_192", "cubic_rotations", "z4", "full_orthogonal", "trivial"):
         cfg = fc.parse_config(MINIMAL + f"[group]\nname = {name}\n")
-        assert cfg.group == fc.GroupSpec(name=name)
+        assert cfg.group == fc.GroupSpec(name)
     # the messages are the ones catalog_lookup raises
     for name, message in (
         ("nope", "group.name: nope"),

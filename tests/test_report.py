@@ -39,7 +39,7 @@ def test_suite_calls_the_check_bound_in_the_report_module(monkeypatch):
 def test_group_is_built_once_per_suite(fails, monkeypatch):
     cfg = _overflow_config()
     if not fails:
-        cfg = fc.SuiteConfig(cfg.model, observer_count=3)  # the trivial group
+        cfg = fc.SuiteConfig(cfg.model, observers=3)  # the trivial group
     built = []
 
     def counting(spec, sample_count):
@@ -67,3 +67,17 @@ def test_failed_group_construction_fails_only_the_group_checks():
 def test_unknown_check_name_raises():
     with pytest.raises(ValueError, match="unknown check 'no_such_check'"):
         fc.run_suite(_suite("zero_map", "no_such_check"))
+
+
+def test_an_unknown_group_name_is_a_could_not_run_result():
+    """A GroupSpec built in code with a name the catalog lacks fails the group
+    checks with the lookup's reason, as a closure that cannot be built does."""
+    cfg = fc.SuiteConfig(IDENTITY, group=fc.GroupSpec("nope"), observers=3)
+    suite = fc.run_suite(cfg)
+    assert not suite.passed
+    for name, result in suite.records:
+        if name in ("symmetry", "frame_indifference"):
+            assert (result.passed, result.max_residual, result.samples_used) == (False, None, 0)
+            assert result.note == "group construction failed: nope"
+        else:
+            assert result.passed, name
