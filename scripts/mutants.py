@@ -268,8 +268,8 @@ MUTANTS = (
         "config.generators_at_observer_tolerance", "src/framecheck/config.py",
         'generators = _matrices("group", "generators", sec["generators"], ELEMENT_ORTH_TOL)',
         'generators = _matrices("group", "generators", sec["generators"], CONFIG_ORTH_TOL)',
-        "a generator that parses must be one generate_closure accepts: 1e-7 "
-        "off is a config error (exit 2)",
+        "a generator that parses must pass generate_closure's generator "
+        "test: 1e-7 off is a config error (exit 2)",
     ),
 )
 

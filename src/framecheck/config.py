@@ -266,7 +266,7 @@ def _parse_group(sec) -> GroupSpec:
     if "name" in sec and "generators" in sec:
         raise ValidationError("group: give either name or generators, not both")
     if "generators" in sec:
-        # the closure's own rule, so a generator that parses is one it accepts
+        # the closure's own rule, so a generator that parses passes its test
         generators = _matrices("group", "generators", sec["generators"], ELEMENT_ORTH_TOL)
         if "max_order" in sec:
             return GroupSpec(generators, _int("group", "max_order", sec["max_order"], minimum=1))
