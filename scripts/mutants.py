@@ -168,8 +168,8 @@ MUTANTS = (
     ),
     Mutant(
         "component_map.q_for_q_transpose", "src/framecheck/models.py",
-        "grads = grads_star.reshape(count, -1, 3) @ self.q_stack  # rows are Q^T g*",
-        "grads = grads_star.reshape(count, -1, 3) @ self.q_stack.transpose(0, 2, 1)",
+        "grads = grads_star.reshape(count, -1, 3) @ self.observers  # rows are Q^T g*",
+        "grads = grads_star.reshape(count, -1, 3) @ self.observers.transpose(0, 2, 1)",
         "a map that rotates with Q in place of Q^T is not frame indifferent, "
         "isotropic conductors included",
     ),
@@ -230,8 +230,9 @@ MUTANTS = (
         "after a broken pipe, the flush at shutdown must not raise again: "
         "exit 2 with one error line, not 120",
     ),
-    # -- the run parameters: CheckConfig's rules, the seed range and the
-    #    generator tolerance, each judged in one place
+    # -- the run parameters: CheckConfig's rules, the seed range, the
+    #    generator and observer tolerances and the config's own fields, each
+    #    judged in one place
     Mutant(
         "check_config.tol_zero_accepted", CHECKS,
         "        if not np.isfinite(self.tol) or self.tol <= 0.0:\n",
@@ -265,11 +266,32 @@ MUTANTS = (
         "of 2**64 are errors",
     ),
     Mutant(
-        "config.generators_at_observer_tolerance", "src/framecheck/config.py",
+        "config.generators_at_loose_tolerance", "src/framecheck/config.py",
         'generators = _matrices("group", "generators", sec["generators"], ELEMENT_ORTH_TOL)',
-        'generators = _matrices("group", "generators", sec["generators"], CONFIG_ORTH_TOL)',
+        'generators = _matrices("group", "generators", sec["generators"], 1e-6)',
         "a generator that parses must pass generate_closure's generator "
         "test: 1e-7 off is a config error (exit 2)",
+    ),
+    Mutant(
+        "observers.loose_tolerance", "src/framecheck/tensors.py",
+        "OBSERVER_ORTH_TOL = 1e-12\n",
+        "OBSERVER_ORTH_TOL = 1e-6\n",
+        "an observer 1e-8 off orthogonal makes the isotropic 2 I fail frame "
+        "indifference and observer independence; it is a config error (exit 2)",
+    ),
+    Mutant(
+        "config.max_order_with_a_name", "src/framecheck/config.py",
+        "        if isinstance(self.source, str) and self.max_order != _DEFAULT_MAX_ORDER:\n",
+        "        if False:\n",
+        "a catalog name takes no closure cap: to_config_text drops it, so "
+        "GroupSpec('z4', max_order=5) would not round-trip",
+    ),
+    Mutant(
+        "config.suite_observers_unchecked", "src/framecheck/config.py",
+        "            observer_stack(self.observers)\n",
+        "            pass\n",
+        "SuiteConfig's observer matrices pass observer_stack when it is "
+        "built, not deep in a run",
     ),
 )
 

@@ -25,7 +25,6 @@ from .checks import (
     check_zero_map,
     classify_linear_symmetry,
     schur_reduce,
-    symmetry_form_residuals,
 )
 from .config import (
     CHECK_NAMES,
@@ -79,11 +78,11 @@ from .tensors import (
     ROT_Y_180,
     ROT_Z_90,
     ROT_Z_180,
-    ObserverChange,
     as_tensor2,
     as_vec3,
     is_orthogonal,
     max_abs,
+    observer_stack,
     random_observers,
     random_orthogonal,
     rotation_about,

@@ -121,12 +121,12 @@ from .models import (
 )
 from .tensors import (
     IDENTITY,
-    ObserverChange,
     _require_seed,
     as_tensor2,
     conjugate_stack,
     matvec,
     max_abs,
+    observer_stack,
     row_norms,
     sample_last,
     transposes,
@@ -195,11 +195,11 @@ class CheckConfig:
 @dataclass(frozen=True, eq=False)
 class Witness:
     """The (element, state) pair attaining the maximal residual, plus the
-    observer for the observer-dependent checks."""
+    observer's (3, 3) matrix for the observer-dependent checks."""
 
     group_element: np.ndarray
     state: StatePoint
-    observer: Optional[ObserverChange] = None
+    observer: Optional[np.ndarray] = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -228,7 +228,6 @@ class _StateBatch:
     kappas: np.ndarray        # (S, 3, 3) conductivity at the raw states, a sample-last view
     fluxes: np.ndarray        # (S, 3)
     denoms: np.ndarray        # (S,)  1 + |flux|_2
-    unit_rows: np.ndarray     # (S,) bool, |grad|_2 == 1
     theta_index: np.ndarray   # (S,) position of the state's temperature in theta_samples
     theta_rows: np.ndarray    # (T,) each temperature's first state, its zero gradient
     repeat: int               # configured temperatures each sampled state stands for
@@ -269,11 +268,10 @@ def _sample_states(model: ConstitutiveModel, cfg: CheckConfig) -> _StateBatch:
     kappas = model.kappa(thetas, grads)
     fluxes = matvec(kappas, grads)
     denoms = 1.0 + np.linalg.norm(fluxes, axis=1)
-    unit_rows = np.abs(np.linalg.norm(grads, axis=1) - 1.0) <= 1e-12
     theta_index = np.repeat(np.arange(count), per_theta.shape[0])
     theta_rows = np.arange(count) * per_theta.shape[0]
     return _StateBatch(
-        thetas, grads, kappas, fluxes, denoms, unit_rows, theta_index, theta_rows,
+        thetas, grads, kappas, fluxes, denoms, theta_index, theta_rows,
         len(cfg.theta_samples) // count,
     )
 
@@ -439,30 +437,6 @@ def check_isotropy(
     return replace(check_symmetry(model, group, cfg), note=note)
 
 
-@_nonfinite_fails
-def symmetry_form_residuals(
-    model: ConstitutiveModel, group: SymmetryGroup, cfg: CheckConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-(element, state) relative residuals of the two symmetry forms on
-    the unit-gradient states: the flux form, and the conductivity form
-    contracted with the gradient.  Each element's row covers every configured
-    temperature, a temperature-independent law's first one repeated.
-
-    The two arrays coincide to floating-point rounding because the flux
-    deficit is the rotated contraction of the conductivity deficit; asserting
-    their agreement cross-checks that both formulations are implemented
-    against the same mapping.
-    """
-    elements = group_elements_for_check(group, cfg.seed)
-    batch = _sample_states(model, cfg)
-    flux, kappa = [], []
-    for _, flux_raw, deficit, at in _symmetry_rows(model, elements, batch):
-        contracted = row_norms(matvec(deficit.transpose(0, 3, 1, 2)[:, at], batch.grads))
-        for out, raw in ((flux, flux_raw), (kappa, contracted)):
-            out.append(np.tile((raw / batch.denoms)[:, batch.unit_rows], batch.repeat).ravel())
-    return np.concatenate(flux), np.concatenate(kappa)
-
-
 def _observer_maps(model, observers, size: int):
     """(start, map): the ComponentMaps of ``model`` over consecutive runs of
     at most _FOLD_STATES // size observers (one at least), in order, each
@@ -476,7 +450,7 @@ def _observer_maps(model, observers, size: int):
 def check_frame_indifference(
     model: ConstitutiveModel,
     group: SymmetryGroup,
-    observers: list[ObserverChange],
+    observers,
     cfg: CheckConfig,
 ) -> CheckResult:
     """Does every observer's ComponentMap obey the transformation law?
@@ -498,7 +472,9 @@ def check_frame_indifference(
     blocks of consecutive group elements, each of at most _FOLD_STATES
     states.  Every (observer, element) row keeps its arithmetic, so rows,
     samples_used and witnesses are those of the unfolded loop, bit for bit.
+    ``observers`` is anything observer_stack takes.
     """
+    observers = observer_stack(observers)
     elements = group_elements_for_check(group, cfg.seed)
     batch = _sample_states(model, cfg)
 
@@ -519,20 +495,20 @@ def check_frame_indifference(
         kappas = np.transpose(batch.kappas, (1, 2, 0))[:, :, None]
         kappa_raw = np.empty((len(observers), batch.thetas.size))
         for start, cm in _observer_maps(model, observers, batch.thetas.size):
-            q_t = transposes(cm.q_stack)
+            q_t = transposes(cm.observers)
             # rows of grads @ Q^T are Q g
             back = conjugate_stack(q_t, cm.kappa(batch.thetas, batch.grads @ q_t))
             raw = np.max(np.abs(kappas - sample_last(back)), axis=(0, 1))
             kappa_raw[start:start + len(raw)] = raw
         # flux form: each observer against blocks of consecutive elements
-        for obs, obs_kappa_raw in zip(observers, kappa_raw):
-            cm = ComponentMap(model, [obs])
-            q_t = transposes(cm.q_stack)
+        for o, (obs, obs_kappa_raw) in enumerate(zip(observers, kappa_raw)):
+            cm = ComponentMap(model, observers[o:o + 1])
+            q_t = transposes(cm.observers)
             for hs, thetas, hgs, refs in blocks:
                 # rows of H g @ Q^T are Q H g
                 starred = cm.flux(thetas, hgs @ q_t)
                 # rows of starred @ Q are Q^T starred
-                flux_raw = row_norms(starred[0] @ obs.q_matrix - refs).reshape(len(hs), -1)
+                flux_raw = row_norms(starred[0] @ obs - refs).reshape(len(hs), -1)
                 rel = np.maximum(flux_raw, obs_kappa_raw) / batch.denoms
                 for h, row in zip(hs, rel):
                     yield row, h, obs, batch
@@ -547,7 +523,7 @@ def check_frame_indifference(
 
 @_nonfinite_fails
 def check_observer_independence(
-    model: ConstitutiveModel, observers: list[ObserverChange], cfg: CheckConfig
+    model: ConstitutiveModel, observers, cfg: CheckConfig
 ) -> CheckResult:
     """Do the canonical and starred component maps agree on identical numeric
     arguments?
@@ -559,21 +535,23 @@ def check_observer_independence(
 
     Both forms run on stacked ComponentMaps over runs of consecutive
     observers, at most _FOLD_STATES states each; every observer's row is
-    that of its own ComponentMap, bit for bit.
+    that of its own ComponentMap, bit for bit.  ``observers`` is anything
+    observer_stack takes.
     """
+    observers = observer_stack(observers)
     batch = _sample_states(model, cfg)
     kappas = np.transpose(batch.kappas, (1, 2, 0))[:, :, None]
 
     def rows():
         for _, cm in _observer_maps(model, observers, batch.thetas.size):
             # every observer's map at the canonical components' numeric values
-            grads = np.broadcast_to(batch.grads, (len(cm.q_stack),) + batch.grads.shape)
+            grads = np.broadcast_to(batch.grads, (len(cm.observers),) + batch.grads.shape)
             flux_raw = row_norms(cm.flux(batch.thetas, grads) - batch.fluxes)
             kappa_star = sample_last(cm.kappa(batch.thetas, grads))
             kappa_raw = np.max(np.abs(kappa_star - kappas), axis=(0, 1))
             rel = np.maximum(flux_raw, kappa_raw) / batch.denoms
             for obs, row in zip(cm.observers, rel):
-                yield row, obs.q_matrix, obs, batch
+                yield row, obs, obs, batch
 
     return _worst(rows(), cfg.tol, repeat=batch.repeat)
 

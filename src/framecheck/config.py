@@ -31,10 +31,10 @@ Grammar (configparser syntax, '#' comments):
 
 ParseError means the text is not well-formed INI; ValidationError means the
 values are wrong and the message names the offending key.  Observer matrices
-in config files are accepted as orthogonal within 1e-6 (ObserverChange's own
-default is 1e-9); generators are held to the closure's own 1e-9.  The [run]
-keys seed, tol, theta_samples and gradient_samples are SuiteConfig.run, a
-CheckConfig, which alone judges their values, in a file as in code.
+are held to observer_stack's 1e-12 and generators to the closure's 1e-9, in
+a file as in code.  The [run] keys seed, tol, theta_samples and
+gradient_samples are SuiteConfig.run, a CheckConfig, which alone judges their
+values, in a file as in code.
 """
 
 from __future__ import annotations
@@ -45,12 +45,12 @@ import numpy as np
 from dataclasses import dataclass, field, fields, make_dataclass, replace
 
 from .checks import CheckConfig
-from .groups import DEFAULT_SAMPLE_COUNT, ELEMENT_ORTH_TOL, UnknownGroupName, resolve_group_name
+from .groups import DEFAULT_SAMPLE_COUNT, UnknownGroupName, resolve_group_name
 # catalog_lookup is not called here; perfbench's tracer hooks this module's
 # name for it, so it stays imported
 from .groups import catalog_lookup  # noqa: F401
 from .models import MODEL_FAMILIES
-from .tensors import as_tensor2, is_orthogonal
+from .tensors import ELEMENT_ORTH_TOL, OBSERVER_ORTH_TOL, as_tensor2, is_orthogonal, observer_stack
 
 CHECK_NAMES = (
     "symmetry",
@@ -60,7 +60,7 @@ CHECK_NAMES = (
     "zero_map",
 )
 
-CONFIG_ORTH_TOL = 1e-6
+_DEFAULT_MAX_ORDER = 192
 
 
 class ParseError(ValueError):
@@ -73,10 +73,17 @@ class ValidationError(ValueError):
 
 @dataclass(frozen=True)
 class GroupSpec:
-    """A catalog name, or generator matrices whose closure max_order caps."""
+    """A catalog name, or generator matrices whose closure max_order caps.
+    A cap is at least 1, and a catalog name takes none but the default."""
 
     source: str | tuple[tuple[float, ...], ...] = "trivial"
-    max_order: int = 192
+    max_order: int = _DEFAULT_MAX_ORDER
+
+    def __post_init__(self):
+        if self.max_order < 1:
+            raise ValueError("max_order must be at least 1")
+        if isinstance(self.source, str) and self.max_order != _DEFAULT_MAX_ORDER:
+            raise ValueError("max_order applies to generators only")
 
 
 @dataclass(frozen=True)
@@ -94,9 +101,11 @@ class SuiteConfig:
     """Fully resolved run description.
 
     Plain data, tuples only, so two configs compare by value.  ``run``, the
-    parameters every check shares, validates itself; the other fields are
+    parameters every check shares, validates itself, and so do ``group``,
+    ``observers`` and ``sample_count``; the model and the checks are
     validated by parse_config only.  ``observers`` is a count of seeded
-    draws, or the observer matrices.
+    draws, at least 1, or the observer matrices, which observer_stack must
+    accept.
     """
 
     model: ModelSpec
@@ -105,6 +114,14 @@ class SuiteConfig:
     run: CheckConfig = CheckConfig()
     sample_count: int = DEFAULT_SAMPLE_COUNT
     observers: int | tuple[tuple[float, ...], ...] = 100
+
+    def __post_init__(self):
+        if isinstance(self.observers, tuple):
+            observer_stack(self.observers)
+        elif self.observers < 1:
+            raise ValueError("observers must be at least 1")
+        if self.sample_count < 1:
+            raise ValueError("sample_count must be at least 1")
 
     def to_config_text(self) -> str:
         """Canonical INI text; parse_config(text) reproduces this config
@@ -328,7 +345,7 @@ def _parse_run(sec) -> dict:
         if "|" not in raw and len(raw.split()) == 1 and ";" not in raw:
             out["observers"] = _int("run", "observers", raw, minimum=1)
         else:
-            out["observers"] = _matrices("run", "observers", raw, CONFIG_ORTH_TOL)
+            out["observers"] = _matrices("run", "observers", raw, OBSERVER_ORTH_TOL)
     return out
 
 

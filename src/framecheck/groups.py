@@ -29,6 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from .tensors import (
+    ELEMENT_ORTH_TOL,
     IDENTITY,
     INVERSION,
     ROT_X_90,
@@ -46,7 +47,6 @@ from .tensors import (
 )
 
 DEDUP_TOL = 1e-6
-ELEMENT_ORTH_TOL = 1e-9
 DEFAULT_SAMPLE_COUNT = 256
 # queries per trace-bucket search, and products per closure_defect step
 _BLOCK = 1024

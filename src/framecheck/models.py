@@ -12,20 +12,20 @@ nonlinear ones (an isotropic scalar law and a rank-one anisotropic update).
 A ComponentMap is a model in the components of a stack of observers,
 q*(theta, g*) = Q q(theta, Q^T g*) for each observer Q: rotate g* back,
 evaluate, rotate the flux forward; the temperature is observer-invariant.
-One observer is the stack of one.  Its batched flux and kappa are the only
-code that applies this map; both observer checks run through them, so a
-wrong rotation there (Q in place of Q^T) fails frame indifference and
-observer independence.
+The observers are an (O, 3, 3) observer_stack; one observer is the stack
+of one.  Its batched flux and kappa are the only code that applies this
+map; both observer checks run through them, so a wrong rotation there (Q in
+place of Q^T) fails frame indifference and observer independence.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import ClassVar, Sequence, Union, get_args
+from dataclasses import dataclass
+from typing import ClassVar, Union, get_args
 
 import numpy as np
 
-from .tensors import ObserverChange, as_tensor2, as_vec3, conjugate_stack, matvec, transposes
+from .tensors import as_tensor2, as_vec3, conjugate_stack, matvec, transposes
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,27 +185,23 @@ def evaluate(model: ConstitutiveModel, z: StatePoint) -> np.ndarray:
 class ComponentMap:
     """A constitutive model in the components of O observers at once.
 
-    ``observers`` is a sequence of O observer changes, held as the (O, 3, 3)
-    stack ``q_stack``; one observer is the case O = 1.  flux and kappa take
-    T temperatures, (T,), and the observers' components g*, observer o's at
-    [o]: kappa takes (O, T, 3), flux (O, ..., T, 3), whose batch axes before
-    the states repeat the temperatures.  Observer o's rows are those of its
+    ``observers`` is an observer_stack (O, 3, 3), or a slice of one, held as
+    given and not validated again; one observer is the case O = 1.  flux and
+    kappa take T temperatures, (T,), and the observers' components g*,
+    observer o's at [o]: kappa takes (O, T, 3), flux (O, ..., T, 3), whose
+    batch axes before the states repeat the temperatures.  Observer o's rows are those of its
     own map, bit for bit (tests/test_layout.py).
     """
 
     model: ConstitutiveModel
-    observers: Sequence[ObserverChange]
-    q_stack: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "q_stack", np.array([o.q_matrix for o in self.observers]))
+    observers: np.ndarray
 
     def flux(self, thetas: np.ndarray, grads_star: np.ndarray) -> np.ndarray:
         """Observer-frame flux rows Q q(theta, Q^T g*), shaped as grads_star."""
         grads, kappas = self._canonical(thetas, grads_star)
-        fluxes = matvec(kappas, grads).reshape(len(self.q_stack), -1, 3)
+        fluxes = matvec(kappas, grads).reshape(len(self.observers), -1, 3)
         # rows of flux @ Q^T are Q flux
-        return (fluxes @ transposes(self.q_stack)).reshape(grads_star.shape)
+        return (fluxes @ transposes(self.observers)).reshape(grads_star.shape)
 
     def kappa(self, thetas: np.ndarray, grads_star: np.ndarray) -> np.ndarray:
         """Observer-frame conductivities Q kappa(theta, Q^T g*) Q^T for
@@ -213,7 +209,7 @@ class ComponentMap:
         (3, 3, O, T) array."""
         if grads_star.shape[1:-1] != thetas.shape:
             raise ValueError(f"kappa takes (O, {thetas.size}, 3), not {grads_star.shape}")
-        return conjugate_stack(self.q_stack, self._canonical(thetas, grads_star)[1])
+        return conjugate_stack(self.observers, self._canonical(thetas, grads_star)[1])
 
     def _canonical(self, thetas: np.ndarray, grads_star: np.ndarray):
         """The canonical gradients Q^T g* and the conductivities at them.
@@ -222,10 +218,10 @@ class ComponentMap:
         A law that reads no gradient has the same bits at every observer and
         batch row of a state, so its kappa runs once, on the T states: its
         (T, 3, 3) stack is shared by the gradients, (O, N / T, T, 3)."""
-        count, size, shape = len(self.q_stack), thetas.size, grads_star.shape
+        count, size, shape = len(self.observers), thetas.size, grads_star.shape
         if shape[0] != count or shape[-1] != 3 or size == 0 or grads_star.size // 3 // count % size:
             raise ValueError(f"{shape} do not fit {count} observers at {size} temperatures")
-        grads = grads_star.reshape(count, -1, 3) @ self.q_stack  # rows are Q^T g*
+        grads = grads_star.reshape(count, -1, 3) @ self.observers  # rows are Q^T g*
         if not self.model.gradient_dependent:
             return grads.reshape(count, -1, size, 3), self.model.kappa(thetas, grads[0, :size])
         # np.tile copies even when it repeats once

@@ -27,11 +27,11 @@ from .checks import (
     check_symmetry,
     check_zero_map,
 )
-from .config import CONFIG_ORTH_TOL, GroupSpec, ModelSpec, SuiteConfig
+from .config import GroupSpec, ModelSpec, SuiteConfig
 from .groups import ClosureOverflow, SymmetryGroup, UnknownGroupName
 from .groups import catalog_lookup, generate_closure
 from .models import MODEL_FAMILIES, ConstitutiveModel
-from .tensors import ObserverChange, random_observers
+from .tensors import observer_stack, random_observers
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,9 +55,10 @@ def build_group(spec: GroupSpec, sample_count: int) -> SymmetryGroup:
     return generate_closure(spec.source, max_order=spec.max_order)
 
 
-def build_observers(cfg: SuiteConfig) -> list[ObserverChange]:
+def build_observers(cfg: SuiteConfig) -> np.ndarray:
+    """The config's observer matrices, or its count of draws, as a stack."""
     if isinstance(cfg.observers, tuple):
-        return [ObserverChange(m, orth_tol=CONFIG_ORTH_TOL) for m in cfg.observers]
+        return observer_stack(cfg.observers)
     return random_observers(cfg.observers, cfg.run.seed)
 
 
@@ -127,7 +128,7 @@ def _witness_json(w: Optional[Witness]):
             "theta": float(w.state.theta),
             "grad_theta": [float(x) for x in w.state.grad_theta],
         },
-        "observer": None if w.observer is None else _matrix_json(w.observer.q_matrix),
+        "observer": None if w.observer is None else _matrix_json(w.observer),
     }
 
 
@@ -191,7 +192,7 @@ def _human_bytes(report: SuiteReport) -> bytes:
         out.append(f"  state: theta = {w.state.theta:.6g}, grad_theta = [{grad}]")
         if w.observer is not None:
             out.append("  observer:")
-            out.extend(_matrix_lines(w.observer.q_matrix))
+            out.extend(_matrix_lines(w.observer))
     out.append("")
     out.append(f"suite verdict: {'PASS' if report.passed else 'FAIL'}")
     out.append("")

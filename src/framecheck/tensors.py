@@ -1,8 +1,9 @@
-"""Small dense 3D tensor kernel: vectors, second order tensors, orthogonal
+"""Small dense 3D tensor kernel: vectors, second order tensors, stacks of
 observer changes, and deterministic Haar sampling of the orthogonal group.
 
-Vectors and tensors are plain float64 numpy arrays of shape (3,) and (3, 3).
-The constructors below validate shape and finiteness and clear the writeable
+Vectors and tensors are plain float64 numpy arrays of shape (3,) and (3, 3),
+and O observer changes one (O, 3, 3) stack of their matrices.  The
+constructors below validate shape and finiteness and clear the writeable
 flag, so every value handed around by this package is effectively immutable
 and safe to share across threads.
 
@@ -13,14 +14,12 @@ that parallelize must partition the seed space instead of sharing a stream.
 
 from __future__ import annotations
 
-from dataclasses import KW_ONLY, InitVar, dataclass
-
 import numpy as np
 
-# Matrices typed in by a user (config files, test fixtures) are allowed more
-# orthogonality slack than matrices this package constructs itself.
-USER_ORTH_TOL = 1e-9
-INTERNAL_ORTH_TOL = 1e-12
+# max|Q Q^T - 1| of a group element, and of an observer, whose round trip
+# Q^T Q would miss by about that much and show in the observer checks
+ELEMENT_ORTH_TOL = 1e-9
+OBSERVER_ORTH_TOL = 1e-12
 
 # Seed-stream salt for observer draws; groups and gradient sampling use their
 # own salts so the three streams never collide for a shared base seed.
@@ -95,7 +94,7 @@ def _orthogonal(stack: np.ndarray, tol: float) -> np.ndarray:
         return np.max(np.abs(stack @ stack.transpose(0, 2, 1) - np.eye(3)), axis=(1, 2)) <= tol
 
 
-def is_orthogonal(t, tol: float = USER_ORTH_TOL) -> bool:
+def is_orthogonal(t, tol: float = ELEMENT_ORTH_TOL) -> bool:
     """True iff max|t @ t.T - 1| <= tol.
 
     Non-finite or wrongly shaped input is never orthogonal (returns False
@@ -142,48 +141,20 @@ def random_orthogonal(seed, proper_only: bool = False) -> np.ndarray:
     return _frozen(_haar_orthogonal(rng, 1, proper_only))[0]
 
 
-@dataclass(frozen=True, eq=False)
-class ObserverChange:
-    """Change of observer, represented by the orthogonal matrix relating the
-    canonical frame to the starred observer frame.
-
-    The inverse of an orthogonal matrix is its transpose; nothing in this
-    package ever calls a general matrix inverse on an observer.
-    """
-
-    q_matrix: np.ndarray
-    orth_tol: float = USER_ORTH_TOL
-    _: KW_ONLY
-    # set only by _stack, which has validated the matrix with its stack
-    _validated: InitVar[bool] = False
-
-    def __post_init__(self, _validated):
-        m = as_tensor2(self.q_matrix)
-        if not _validated:
-            _require_observers(m[None], self.orth_tol)
-        object.__setattr__(self, "q_matrix", m)
-
-    @classmethod
-    def _stack(cls, stack: np.ndarray, orth_tol: float) -> list["ObserverChange"]:
-        """One observer per matrix of a finite (n, 3, 3) stack, the whole
-        stack validated in one pass by the constructor's rules.  With several
-        bad matrices it raises the orthogonality error if any matrix fails
-        that test, else the determinant error, where n constructor calls would
-        raise the first bad matrix's."""
-        _require_observers(stack, orth_tol)
-        return [cls(m, orth_tol, _validated=True) for m in stack]
-
-
-def _require_observers(stack: np.ndarray, tol: float) -> None:
-    """Raise ValueError unless every matrix Q of a finite (n, 3, 3) stack is
-    an observer change: orthogonal within tol, as is_orthogonal tests it, and
-    det Q within 10 tol of +1 or -1.  The stacked products and determinants
-    have the bits of the one-matrix ones."""
-    if not np.all(_orthogonal(stack, tol)):
-        raise ValueError(f"observer matrix is not orthogonal within {tol:g}")
-    dets = np.linalg.det(stack)
-    if np.any(np.minimum(np.abs(dets - 1.0), np.abs(dets + 1.0)) > 10.0 * tol):
-        raise ValueError("observer determinant must be +1 or -1")
+def observer_stack(matrices) -> np.ndarray:
+    """The observer changes ``matrices`` (one 3x3 matrix, a sequence of them,
+    or of 9 numbers each) as one read-only float64 (O, 3, 3) stack; a
+    ValueError for none, a non-finite entry, or a matrix not orthogonal
+    within OBSERVER_ORTH_TOL.  That bound holds |det Q| within 4.5e-12 of 1,
+    and Q^T is the inverse of Q."""
+    stack = np.array(matrices, dtype=float).reshape(-1, 3, 3)
+    if not len(stack):
+        raise ValueError("at least one observer matrix is required")
+    if not np.all(np.isfinite(stack)):
+        raise ValueError("tensor entries must be finite")
+    if not np.all(_orthogonal(stack, OBSERVER_ORTH_TOL)):
+        raise ValueError(f"observer matrix is not orthogonal within {OBSERVER_ORTH_TOL:g}")
+    return _frozen(stack)
 
 
 # Batched kernels.  A stack of S tensors is (S, 3, 3), in practice a view of
@@ -259,9 +230,9 @@ def row_norms(vectors) -> np.ndarray:
     return np.sqrt(out, out=out)
 
 
-def random_observers(count: int, seed) -> list[ObserverChange]:
-    """``count`` Haar-random observer changes (proper and improper mixed)."""
+def random_observers(count: int, seed) -> np.ndarray:
+    """observer_stack of ``count`` Haar draws, proper and improper mixed."""
     if count < 1:
         raise ValueError("count must be at least 1")
     rng = np.random.default_rng([_require_seed(seed), _OBSERVER_STREAM])
-    return ObserverChange._stack(_haar_orthogonal(rng, count), INTERNAL_ORTH_TOL)
+    return observer_stack(_haar_orthogonal(rng, count))

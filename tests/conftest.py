@@ -9,7 +9,10 @@ from framecheck import (
     LinearTemperature,
     NonlinearAnisotropic,
     NonlinearIsotropic,
+    checks,
+    group_elements_for_check,
 )
+from framecheck.tensors import matvec, row_norms
 
 # reproducible CI: no wall-clock deadlines, no random example order
 settings.register_profile("repo", deadline=None, derandomize=True)
@@ -35,3 +38,28 @@ MODEL_ROSTER = (
     ("nl_isotropic", NonlinearIsotropic(1.0, 2.0)),
     ("nl_anisotropic", NonlinearAnisotropic(DIAG123, 0.5)),
 )
+
+
+def symmetry_form_residuals(model, group, cfg):
+    """Per-(element, state) relative residuals of the two symmetry forms on
+    the unit-gradient states, from the rows check_symmetry reduces
+    (checks._symmetry_rows): the flux form, and the conductivity form
+    contracted with the gradient.  Each element's row covers every
+    configured temperature, a temperature-independent law's first one
+    repeated.
+
+    The two arrays coincide to floating-point rounding because the flux
+    deficit is the rotated contraction of the conductivity deficit;
+    asserting their agreement cross-checks that both formulations are
+    implemented against the same mapping.
+    """
+    elements = group_elements_for_check(group, cfg.seed)
+    batch = checks._sample_states(model, cfg)
+    unit = np.abs(np.linalg.norm(batch.grads, axis=1) - 1.0) <= 1e-12
+    flux, kappa = [], []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _, flux_raw, deficit, at in checks._symmetry_rows(model, elements, batch):
+            contracted = row_norms(matvec(deficit.transpose(0, 3, 1, 2)[:, at], batch.grads))
+            for out, raw in ((flux, flux_raw), (kappa, contracted)):
+                out.append(np.tile((raw / batch.denoms)[:, unit], batch.repeat).ravel())
+    return np.concatenate(flux), np.concatenate(kappa)

@@ -14,7 +14,7 @@ import pytest
 
 import framecheck as fc
 from framecheck.tensors import conjugate_stack
-from conftest import DIAG123, MODEL_ROSTER, SUBPROCESS_ENV
+from conftest import DIAG123, MODEL_ROSTER, SUBPROCESS_ENV, symmetry_form_residuals
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -84,7 +84,7 @@ def test_flux_form_and_tensor_form_residuals_agree(capsys):
     pairs = 0
     for _, model in MODEL_ROSTER:
         for group in groups:
-            flux_parts, kappa_parts = fc.symmetry_form_residuals(model, group, cfg)
+            flux_parts, kappa_parts = symmetry_form_residuals(model, group, cfg)
             assert flux_parts.shape == kappa_parts.shape
             worst = max(worst, float(np.abs(flux_parts - kappa_parts).max()))
             pairs += 1
@@ -114,8 +114,7 @@ def test_isotropy_implies_observer_independence(capsys):
             oi = fc.check_observer_independence(model, observers, loose)
             implied.append((name, oi.passed, oi.max_residual))
 
-    rz = fc.ObserverChange(np.asarray(fc.ROT_Z_90))
-    bad = fc.check_observer_independence(fc.LinearConstant(DIAG123), [rz], cfg)
+    bad = fc.check_observer_independence(fc.LinearConstant(DIAG123), [fc.ROT_Z_90], cfg)
 
     ok = (
         len(implied) >= 1
@@ -254,7 +253,7 @@ def test_transformation_laws_over_seeded_samples(capsys):
     worst_trace = worst_det = 0.0
     n = 10_000
     for seed in range(n):
-        q = fc.ObserverChange(fc.random_orthogonal(seed), orth_tol=1e-12).q_matrix
+        q = fc.observer_stack(fc.random_orthogonal(seed))[0]
         worst_orth = max(worst_orth, float(np.abs(q @ q.T - np.eye(3)).max()))
 
         v = data.standard_normal(3)

@@ -291,8 +291,8 @@ def test_overflowing_generator_exits_two_with_one_error_line(tmp_path):
 
 
 def test_generator_off_by_1e7_exits_two_with_one_error_line(tmp_path, capsys):
-    """Within the observers' 1e-6 but not the closure's 1e-9: a config error
-    (exit 2), not a suite whose group checks could not run (exit 1)."""
+    """Not within the closure's 1e-9: a config error (exit 2), not a suite
+    whose group checks could not run (exit 1)."""
     config = tmp_path / "skewed_generator.ini"
     config.write_text(
         "[model]\nfamily = linear_constant\nkappa0 = 1 0 0 ; 0 2 0 ; 0 0 3\n"
@@ -302,3 +302,29 @@ def test_generator_off_by_1e7_exits_two_with_one_error_line(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "error: group.generators: matrix is not orthogonal within 1e-09\n"
+
+
+def test_observer_off_by_1e8_exits_two_with_one_error_line(tmp_path, capsys):
+    """An observer 1e-8 off orthogonal is no change of observer: under it
+    the isotropic 2 I failed frame indifference (4e-8) and observer
+    independence (2e-8), since the round trip Q^T Q misses by about 1e-8.
+    It is a config error (exit 2).  A rotation written out at full precision
+    still parses, and the isotropic law passes both checks under it."""
+    law = (
+        "[model]\nfamily = linear_constant\nkappa0 = 2 0 0 ; 0 2 0 ; 0 0 2\n"
+        "[checks]\nnames = frame_indifference observer_independence\n"
+    )
+    config = tmp_path / "skewed_observer.ini"
+    config.write_text(law + "[run]\nobservers = 1e-8 -1 0 ; 1 0 0 ; 0 0 1\n")
+    assert main(["run", str(config)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: run.observers: matrix is not orthogonal within 1e-12\n"
+    rotation = " ".join(repr(float(x)) for x in fc.rotation_about((1, 2, 3), 0.7).flat)
+    config.write_text(law + f"[run]\nobservers = {rotation}\n")
+    assert main(["run", "--format", "machine", str(config)]) == 0
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert [(c["name"], c["passed"]) for c in checks] == [
+        ("frame_indifference", True), ("observer_independence", True)
+    ]
+    assert max(c["max_residual"] for c in checks) < 1e-14

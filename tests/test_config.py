@@ -1,7 +1,10 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import framecheck as fc
 
@@ -124,9 +127,12 @@ def test_non_orthogonal_matrices_rejected_at_loose_tolerance():
     with pytest.raises(fc.ValidationError) as err:
         fc.parse_config(bad)
     assert "orthogonal" in str(err.value)
-    # small perturbations below 1e-6 pass config validation
-    ok = MINIMAL + "[run]\nobservers = 1 0.0000001 0 ; 0 1 0 ; 0 0 1\n"
-    cfg = fc.parse_config(ok)
+    # a perturbation of 1e-7 fails too: observers are held to 1e-12, while a
+    # rotation written out at full precision passes
+    with pytest.raises(fc.ValidationError, match="within 1e-12$"):
+        fc.parse_config(MINIMAL + "[run]\nobservers = 1 0.0000001 0 ; 0 1 0 ; 0 0 1\n")
+    rotation = " ".join(repr(float(x)) for x in fc.rotation_about((1, 2, 3), 0.7).flat)
+    cfg = fc.parse_config(MINIMAL + f"[run]\nobservers = {rotation}\n")
     assert len(cfg.observers) == 1
     assert len(fc.build_observers(cfg)) == 1
 
@@ -138,18 +144,19 @@ def test_non_orthogonal_generator_rejected():
 
 
 def test_generators_are_held_to_the_closure_tolerance():
-    """A quarter turn with 1e-7 added to one entry is orthogonal within the
-    observers' 1e-6 but not within the 1e-9 that generate_closure holds a
-    generator to, so as a generator it is a config error, not a group check
-    that could not run."""
+    """A quarter turn with 1e-7 added to one entry is not orthogonal within
+    the 1e-9 that generate_closure holds a generator to, so as a generator
+    it is a config error, not a group check that could not run.  As an
+    observer it is a config error too, at the observers' 1e-12."""
     matrix = "1e-7 -1 0 ; 1 0 0 ; 0 0 1"
     with pytest.raises(fc.ValidationError) as err:
         fc.parse_config(MINIMAL + f"[group]\ngenerators = {matrix}\n")
     assert str(err.value) == "group.generators: matrix is not orthogonal within 1e-09"
     with pytest.raises(ValueError, match="^generator 0 is not orthogonal within 1e-09$"):
         fc.generate_closure([np.array(matrix.replace(";", " ").split(), float)], max_order=4)
-    cfg = fc.parse_config(MINIMAL + f"[run]\nobservers = {matrix}\n")
-    assert len(fc.build_observers(cfg)) == 1
+    with pytest.raises(fc.ValidationError) as err:
+        fc.parse_config(MINIMAL + f"[run]\nobservers = {matrix}\n")
+    assert str(err.value) == "run.observers: matrix is not orthogonal within 1e-12"
 
 
 def test_parse_errors_carry_line_information():
@@ -175,8 +182,7 @@ def test_explicit_observer_matrices_build():
     cfg = fc.parse_config(text)
     assert len(cfg.observers) == 2
     observers = fc.build_observers(cfg)
-    assert np.array_equal(observers[0].q_matrix, fc.ROT_Z_90)
-    assert np.array_equal(observers[1].q_matrix, fc.INVERSION)
+    assert np.array_equal(observers, [fc.ROT_Z_90, fc.INVERSION])
 
 
 def test_multiline_matrix_values():
@@ -272,9 +278,7 @@ def test_each_config_choice_is_one_field():
     model = fc.parse_config(MINIMAL).model
     cfg = fc.SuiteConfig(model, group=fc.GroupSpec((rz90,)), observers=(rz90, inversion))
     assert fc.build_group(cfg.group, cfg.sample_count).order == 4
-    assert [o.q_matrix.tolist() for o in fc.build_observers(cfg)] == [
-        fc.ROT_Z_90.tolist(), fc.INVERSION.tolist()
-    ]
+    assert fc.build_observers(cfg).tolist() == [fc.ROT_Z_90.tolist(), fc.INVERSION.tolist()]
     assert fc.parse_config(cfg.to_config_text()) == cfg
     counted = fc.SuiteConfig(model, group=fc.GroupSpec("z4"), observers=5)
     assert fc.build_group(counted.group, counted.sample_count).order == 4
@@ -298,3 +302,70 @@ def test_group_names_are_validated_without_building_the_group(monkeypatch):
         with pytest.raises(fc.ValidationError) as err:
             fc.parse_config(MINIMAL + f"[group]\nname = {name}\n")
         assert str(err.value) == message
+
+
+def test_suite_config_validates_its_observers_and_sample_count():
+    """A count of observers or of draws is at least 1, and observer matrices
+    pass observer_stack, when a SuiteConfig is built, not deep in a run;
+    parse_config keeps its messages, which name the key."""
+    model = fc.parse_config(MINIMAL).model
+    skewed = (1e-8, -1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0)
+    for kwargs, message in (
+        ({"observers": 0}, "observers must be at least 1"),
+        ({"observers": -3}, "observers must be at least 1"),
+        ({"observers": ()}, "at least one observer matrix is required"),
+        ({"observers": (skewed,)}, "observer matrix is not orthogonal within 1e-12"),
+        ({"sample_count": 0}, "sample_count must be at least 1"),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            fc.SuiteConfig(model, **kwargs)
+    for line, message in (
+        ("observers = 0", "run.observers: must be at least 1"),
+        ("sample_count = 0", "run.sample_count: must be at least 1"),
+    ):
+        with pytest.raises(fc.ValidationError) as err:
+            fc.parse_config(MINIMAL + f"[run]\n{line}\n")
+        assert str(err.value) == message
+
+
+def test_group_spec_rejects_a_max_order_that_means_nothing():
+    """A closure cap is at least 1, and a catalog name takes none: the
+    default it is given is the only value, which to_config_text can drop."""
+    rz90 = tuple(fc.ROT_Z_90.flat)
+    for source, max_order, message in (
+        ("z4", 5, "max_order applies to generators only"),
+        ("trivial", 0, "max_order must be at least 1"),
+        ((rz90,), 0, "max_order must be at least 1"),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            fc.GroupSpec(source, max_order)
+    assert fc.GroupSpec("z4", fc.GroupSpec().max_order) == fc.GroupSpec("z4")
+    assert fc.GroupSpec((rz90,), 1).max_order == 1
+
+
+CATALOG_NAMES = ("trivial", "z4", "orthotropic", "cubic_rotations", "full_orthogonal",
+                 "transverse_z_1", "transverse_z_7", "transverse_z_192")
+ROTATIONS = st.builds(
+    lambda axis, angle: tuple(float(x) for x in fc.rotation_about(axis, angle).flat),
+    st.tuples(*[st.integers(-3, 3)] * 3).filter(any),
+    st.floats(-7.0, 7.0),
+)
+
+
+@given(
+    source=st.one_of(
+        st.sampled_from(CATALOG_NAMES),
+        st.lists(ROTATIONS, min_size=1, max_size=3).map(tuple),
+    ),
+    max_order=st.integers(-2, 400),
+)
+def test_every_group_spec_round_trips_through_its_config_text(source, max_order):
+    """Every GroupSpec that can be built, of a catalog name or of orthogonal
+    generators, is the one its config text parses back to."""
+    try:
+        group = fc.GroupSpec(source, max_order)
+    except ValueError:
+        assert max_order < 1 or (isinstance(source, str) and max_order != 192)
+        return
+    cfg = fc.SuiteConfig(fc.parse_config(MINIMAL).model, group=group)
+    assert fc.parse_config(cfg.to_config_text()) == cfg

@@ -298,10 +298,9 @@ def test_stacked_component_map_is_the_per_observer_map(count, size, seed, spread
         fc.NonlinearIsotropic(a, b),
         fc.NonlinearAnisotropic(tensor, a),
     )
-    observers = [
-        fc.ObserverChange((-1.0) ** k * fc.random_orthogonal(seed + k, proper_only=True))
-        for k in range(count)
-    ]
+    observers = fc.observer_stack(
+        [(-1.0) ** k * fc.random_orthogonal(seed + k, proper_only=True) for k in range(count)]
+    )
     thetas = np.abs(_entries(rng, size, spread))
     own = _entries(rng, (count, size, 3), spread)
     shared = np.broadcast_to(_entries(rng, (size, 3), spread), (count, size, 3))
@@ -313,7 +312,7 @@ def test_stacked_component_map_is_the_per_observer_map(count, size, seed, spread
                 fluxes, kappas = cm.flux(thetas, grads_star), cm.kappa(thetas, grads_star)
                 assert _is_sample_last(kappas.reshape(-1, 3, 3)), model.family
                 for obs, g, flux, kappa in zip(observers, grads_star, fluxes, kappas):
-                    flux_o, kappa_o = _per_observer_map(model, obs.q_matrix, thetas, g)
+                    flux_o, kappa_o = _per_observer_map(model, obs, thetas, g)
                     assert _same_bits(flux, flux_o), model.family
                     assert _same_bits(kappa, kappa_o), model.family
             # a batch axis between the observers and the states, whose
@@ -322,7 +321,7 @@ def test_stacked_component_map_is_the_per_observer_map(count, size, seed, spread
                 fluxes = cm.flux(thetas_rows, batched)
                 for obs, g, flux in zip(observers, batched, fluxes):
                     for e in range(len(g)):
-                        flux_o, _ = _per_observer_map(model, obs.q_matrix, thetas, g[e])
+                        flux_o, _ = _per_observer_map(model, obs, thetas, g[e])
                         assert _same_bits(flux[e], flux_o), model.family
             # one observer is the case O = 1, and its map at one state gives
             # that state's rows

@@ -8,10 +8,7 @@ import framecheck as fc
 ROOT = Path(__file__).resolve().parent.parent
 
 # exported names that nothing outside tests/ uses, each with why it stays
-TEST_ONLY_EXPORTS = {
-    "symmetry_form_residuals": "the two-form cross-check the acceptance tests "
-    "run; ROADMAP item 5 makes it a view of the diagnostics collector",
-}
+TEST_ONLY_EXPORTS: dict[str, str] = {}
 
 
 def _names_used(path):

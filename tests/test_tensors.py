@@ -1,3 +1,4 @@
+import inspect
 import re
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import framecheck as fc
-from framecheck.tensors import INTERNAL_ORTH_TOL, conjugate_stack
+from framecheck.tensors import conjugate_stack
 
 E1, E2, E3 = np.eye(3)
 
@@ -102,14 +103,33 @@ def test_is_orthogonal():
 
 
 def test_conjugation_oracle_quarter_turn_swaps_principal_values():
-    obs = fc.ObserverChange(fc.ROT_Z_90)
-    out = _conjugate(obs.q_matrix, np.diag([1.0, 2.0, 3.0]))
+    q = fc.observer_stack(fc.ROT_Z_90)[0]
+    out = _conjugate(q, np.diag([1.0, 2.0, 3.0]))
     assert np.array_equal(out, np.diag([2.0, 1.0, 3.0]))
 
 
 def test_observer_change_requires_orthogonal():
     with pytest.raises(ValueError):
-        fc.ObserverChange(2.0 * np.eye(3))
+        fc.observer_stack(2.0 * np.eye(3))
+
+
+def test_observer_stack_is_one_frozen_float64_stack():
+    """One matrix, a sequence of them or of 9 numbers each: one read-only
+    (O, 3, 3) copy with the matrices' bits, the caller's array left as it
+    was."""
+    rz = (0.0, -1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0)
+    given_stack = np.array([np.eye(3), fc.ROT_Z_90])
+    for matrices, expected in (
+        (fc.ROT_Z_90, [fc.ROT_Z_90]),
+        ((rz, rz), [fc.ROT_Z_90, fc.ROT_Z_90]),
+        ([fc.INVERSION, fc.ROT_X_90], [fc.INVERSION, fc.ROT_X_90]),
+        (given_stack, given_stack),
+    ):
+        stack = fc.observer_stack(matrices)
+        assert stack.dtype == np.float64 and stack.shape == (len(expected), 3, 3)
+        assert np.array_equal(stack, np.array(expected))
+        assert not stack.flags.writeable
+    assert given_stack.flags.writeable
 
 
 # finite matrices whose Q Q^T overflows: to inf, and to inf - inf = NaN
@@ -126,55 +146,63 @@ def test_overflowing_matrices_are_not_orthogonal(name):
     message."""
     m = OVERFLOWING[name]
     assert not fc.is_orthogonal(m)
-    with pytest.raises(ValueError, match=r"^observer matrix is not orthogonal within 1e-09$"):
-        fc.ObserverChange(m)
+    with pytest.raises(ValueError, match=r"^observer matrix is not orthogonal within 1e-12$"):
+        fc.observer_stack(m)
 
 
-def test_observer_change_tolerance_is_configurable():
+def test_observer_tolerance_is_one_rule():
+    """observer_stack takes no tolerance: a matrix 1e-8 off orthogonal is
+    no observer, though is_orthogonal accepts it at a tolerance of 1e-6."""
     q = np.eye(3)
     q = q + 1e-8 * np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-    with pytest.raises(ValueError):
-        fc.ObserverChange(q, orth_tol=1e-12)
-    fc.ObserverChange(q, orth_tol=1e-6)
+    assert list(inspect.signature(fc.observer_stack).parameters) == ["matrices"]
+    with pytest.raises(ValueError, match="^observer matrix is not orthogonal within 1e-12$"):
+        fc.observer_stack(q)
+    assert fc.is_orthogonal(q, 1e-6)
 
 
 SHEAR = np.eye(3) + 1e-6 * np.triu(np.ones((3, 3)), 1)
+NOT_ORTHOGONAL = "observer matrix is not orthogonal within 1e-12"
+BAD_TOL = "tol must be a positive finite number"
 
-# (matrix, orth_tol or None for the default, the constructor's error or None)
+# (matrices, None for observer_stack or a tolerance for is_orthogonal, the
+# error or None): a tolerance is an argument of is_orthogonal alone
 OBSERVER_CASES = {
-    "scaled": (2.0 * np.eye(3), None, "observer matrix is not orthogonal within 1e-09"),
-    "sheared": (SHEAR, None, "observer matrix is not orthogonal within 1e-09"),
+    "scaled": (2.0 * np.eye(3), None, NOT_ORTHOGONAL),
+    "sheared": (SHEAR, None, NOT_ORTHOGONAL),
     "sheared_loose": (SHEAR, 1e-5, None),
-    "stretched": (
-        fc.rotation_about([1, 2, 3], 0.7) * (1 + 1e-11),
-        1e-12,
-        "observer matrix is not orthogonal within 1e-12",
-    ),
+    "stretched": (fc.rotation_about([1, 2, 3], 0.7) * (1 + 1e-11), None, NOT_ORTHOGONAL),
+    "one_bad_of_two": ([np.eye(3), SHEAR], None, NOT_ORTHOGONAL),
     "nan": (np.full((3, 3), np.nan), None, "tensor entries must be finite"),
     "inf": (np.diag([np.inf, 1.0, 1.0]), None, "tensor entries must be finite"),
     "shape": (np.eye(2), None, "cannot reshape array of size 4 into shape (3,3)"),
-    "zero_tol": (np.eye(3), 0.0, "tol must be a positive finite number"),
-    "nan_tol": (np.eye(3), float("nan"), "tol must be a positive finite number"),
-    "negative_tol": (np.eye(3), -1e-9, "tol must be a positive finite number"),
+    "empty": ((), None, "at least one observer matrix is required"),
+    "zero_tol": (np.eye(3), 0.0, BAD_TOL),
+    "nan_tol": (np.eye(3), float("nan"), BAD_TOL),
+    "negative_tol": (np.eye(3), -1e-9, BAD_TOL),
 }
 
 
 @pytest.mark.parametrize("name", sorted(OBSERVER_CASES))
 def test_observer_change_errors_are_unchanged(name):
-    """A user-built observer is validated as it was when each constructor
-    checked its own matrix; these messages are those of that version."""
-    matrix, tol, error = OBSERVER_CASES[name]
-    kwargs = {} if tol is None else {"orth_tol": tol}
+    """observer_stack raises the messages the per-matrix observer
+    constructor raised, now at its one tolerance of 1e-12; the tolerance
+    messages are is_orthogonal's, the one function that still takes one."""
+    matrices, tol, error = OBSERVER_CASES[name]
+
+    def call():
+        return fc.observer_stack(matrices) if tol is None else fc.is_orthogonal(matrices, tol)
+
     if error is None:
-        assert np.array_equal(fc.ObserverChange(matrix, **kwargs).q_matrix, matrix)
+        assert call() is True
     else:
         with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
-            fc.ObserverChange(matrix, **kwargs)
+            call()
 
 
 def test_random_observers_validate_every_draw(monkeypatch):
     """The drawn stack is checked in one pass, not skipped: one bad matrix
-    among the draws raises the constructor's error."""
+    among the draws raises observer_stack's error."""
     draw = fc.tensors._haar_orthogonal
 
     def one_bad(rng, n, proper_only=False):
@@ -183,23 +211,21 @@ def test_random_observers_validate_every_draw(monkeypatch):
         return stack
 
     observers = fc.random_observers(100, 0)
-    assert all(o.orth_tol == INTERNAL_ORTH_TOL for o in observers)
-    for o in observers:
-        assert not o.q_matrix.flags.writeable
-        assert np.array_equal(fc.ObserverChange(o.q_matrix, INTERNAL_ORTH_TOL).q_matrix, o.q_matrix)
+    assert observers.shape == (100, 3, 3) and not observers.flags.writeable
+    assert np.array_equal(fc.observer_stack(observers), observers)
     monkeypatch.setattr(fc.tensors, "_haar_orthogonal", one_bad)
     with pytest.raises(ValueError, match="^observer matrix is not orthogonal within 1e-12$"):
         fc.random_observers(100, 0)
 
 
 def test_observer_determinant_and_inverse():
-    proper = fc.ObserverChange(fc.random_orthogonal(7, proper_only=True))
-    assert abs(np.linalg.det(proper.q_matrix) - 1.0) < 1e-12
-    improper = fc.ObserverChange(fc.INVERSION)
-    assert abs(np.linalg.det(improper.q_matrix) + 1.0) < 1e-12
+    proper = fc.observer_stack(fc.random_orthogonal(7, proper_only=True))[0]
+    assert abs(np.linalg.det(proper) - 1.0) < 1e-12
+    improper = fc.observer_stack(fc.INVERSION)[0]
+    assert abs(np.linalg.det(improper) + 1.0) < 1e-12
     # the inverse of an observer change is its transpose
-    q = fc.ObserverChange(fc.random_orthogonal(3))
-    back = q.q_matrix.T @ q.q_matrix
+    q = fc.observer_stack(fc.random_orthogonal(3))[0]
+    back = q.T @ q
     assert fc.max_abs(back - np.eye(3)) < 1e-12
 
 
@@ -244,10 +270,9 @@ def test_random_observers_contract():
     obs = fc.random_observers(10, 42)
     assert len(obs) == 10
     again = fc.random_observers(10, 42)
-    for a, b in zip(obs, again):
-        assert np.array_equal(a.q_matrix, b.q_matrix)
+    assert np.array_equal(obs, again)
     for a in obs:
-        assert fc.max_abs(a.q_matrix @ a.q_matrix.T - np.eye(3)) <= 1e-12
+        assert fc.max_abs(a @ a.T - np.eye(3)) <= 1e-12
     with pytest.raises(ValueError):
         fc.random_observers(0, 1)
 
@@ -284,7 +309,7 @@ def test_batched_haar_draws_are_the_one_at_a_time_loop(proper_only):
 def test_observer_stream_is_separate_from_orthogonal_stream():
     # same seed, different derived streams: the draws must not coincide
     q = fc.random_orthogonal(5)
-    o = fc.random_observers(1, 5)[0].q_matrix
+    o = fc.random_observers(1, 5)[0]
     assert fc.max_abs(q - o) > 1e-3
 
 
@@ -296,23 +321,23 @@ def test_random_orthogonal_is_orthogonal(seed):
 
 @given(seed=seeds, v=vectors)
 def test_transform_preserves_length(seed, v):
-    obs = fc.ObserverChange(fc.random_orthogonal(seed), orth_tol=INTERNAL_ORTH_TOL)
-    out = obs.q_matrix @ np.array(v)
+    obs = fc.observer_stack(fc.random_orthogonal(seed))[0]
+    out = obs @ np.array(v)
     assert abs(float(np.linalg.norm(out)) - float(np.linalg.norm(np.array(v)))) <= 1e-12
 
 
 @given(seed=seeds, h=small_tensors)
 def test_conjugation_round_trip(seed, h):
-    obs = fc.ObserverChange(fc.random_orthogonal(seed), orth_tol=INTERNAL_ORTH_TOL)
+    obs = fc.observer_stack(fc.random_orthogonal(seed))[0]
     m = np.array(h).reshape(3, 3)
-    back = _conjugate(obs.q_matrix.T, _conjugate(obs.q_matrix, m))
+    back = _conjugate(obs.T, _conjugate(obs, m))
     assert fc.max_abs(back - m) <= 1e-12
 
 
 @given(seed=seeds, h=small_tensors)
 def test_conjugation_preserves_trace_and_determinant(seed, h):
-    obs = fc.ObserverChange(fc.random_orthogonal(seed), orth_tol=INTERNAL_ORTH_TOL)
+    obs = fc.observer_stack(fc.random_orthogonal(seed))[0]
     m = np.array(h).reshape(3, 3)
-    c = _conjugate(obs.q_matrix, m)
+    c = _conjugate(obs, m)
     assert abs(float(np.trace(c)) - float(np.trace(m))) <= 1e-10
     assert abs(float(np.linalg.det(c)) - float(np.linalg.det(m))) <= 1e-10
