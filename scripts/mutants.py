@@ -182,6 +182,14 @@ MUTANTS = (
         "cross-check raises otherwise",
     ),
     Mutant(
+        "classify.isotropic_on_one_axis", CHECKS,
+        '("cubic_rotations", "transverse_z_8", "orthotropic")',
+        '("transverse_z_8", "transverse_z_8", "orthotropic")',
+        "the isotropic label is certified on the cubic rotations, which no "
+        "tensor but c I commutes with; rotations about z alone pass "
+        "diag(1, 1, 1 + 1e-6)",
+    ),
+    Mutant(
         "schur.no_deviation_test", CHECKS,
         "    if deviation > cfg.tol:\n"
         "        return SchurResult(False, None, max(residual, deviation))\n",
@@ -285,6 +293,20 @@ MUTANTS = (
         "        if False:\n",
         "a catalog name takes no closure cap: to_config_text drops it, so "
         "GroupSpec('z4', max_order=5) would not round-trip",
+    ),
+    Mutant(
+        "config.suite_without_checks", "src/framecheck/config.py",
+        "        if not self.checks:\n",
+        "        if False:\n",
+        "a SuiteConfig of no checks would run nothing and pass vacuously",
+    ),
+    Mutant(
+        "config.suite_unknown_check", "src/framecheck/config.py",
+        "            if req.name not in CHECK_NAMES:\n"
+        '                raise ValueError(f"unknown check {req.name!r}")\n',
+        "",
+        "a SuiteConfig's check names are judged when it is built, not deep in "
+        "a run",
     ),
     Mutant(
         "config.suite_observers_unchecked", "src/framecheck/config.py",

@@ -599,7 +599,7 @@ def schur_reduce(l, cfg: CheckConfig) -> SchurResult:
 def _classifier_groups() -> tuple[SymmetryGroup, SymmetryGroup, SymmetryGroup]:
     """The groups classify_linear_symmetry cross-checks isotropic,
     transversely isotropic and orthotropic tensors against, made once."""
-    return tuple(map(catalog_lookup, ("full_orthogonal", "transverse_z_8", "orthotropic")))
+    return tuple(map(catalog_lookup, ("cubic_rotations", "transverse_z_8", "orthotropic")))
 
 
 def classify_linear_symmetry(kappa0, cfg: CheckConfig) -> LinearSymmetryClass:
@@ -617,6 +617,26 @@ def classify_linear_symmetry(kappa0, cfg: CheckConfig) -> LinearSymmetryClass:
     group on the diagonal tensor the label describes: the eigenvalues, each
     merged pair set to one value, in the eigenframe the group expects, scaled
     to a largest magnitude of 1.
+
+    The isotropic label is certified, not sampled: its group is
+    cubic_rotations, whose 24 elements act irreducibly on R^3, so by Schur's
+    lemma only the multiples of I commute with all of them.  Quantitatively,
+    with M = max_H |H kappa - kappa H|_max over the 24 elements:
+
+    - Rz90 has commutator entry (1, 2) equal to kappa11 - kappa22, and its
+      conjugates by the other cubic rotations give kappa22 - kappa33 and
+      kappa11 - kappa33, so every diagonal difference is at most M;
+    - a half-turn such as diag(-1, -1, 1) has commutator entry (1, 3) equal
+      to -2 kappa13, and the three axis half-turns reach every off-diagonal
+      pair, so every |kappa_ij|, i != j, is at most M / 2;
+    - kappa_ii - tr kappa / 3 is the mean of two diagonal differences times
+      2/3, so |kappa - tr kappa / 3 I|_max <= (2/3) M.
+
+    check_symmetry samples the zero-gradient state, where the flux vanishes,
+    the denominator is 1 and the residual is the commutator itself, so a pass
+    at cfg.tol certifies that the labelled tensor is scalar within
+    (2/3) cfg.tol.  The elements only permute and negate components, so the
+    aligned tensor c I gives a residual of exactly 0.
     """
     k = as_tensor2(kappa0)
     skew = max_abs(k - k.T)

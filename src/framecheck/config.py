@@ -102,10 +102,12 @@ class SuiteConfig:
 
     Plain data, tuples only, so two configs compare by value.  ``run``, the
     parameters every check shares, validates itself, and so do ``group``,
-    ``observers`` and ``sample_count``; the model and the checks are
-    validated by parse_config only.  ``observers`` is a count of seeded
-    draws, at least 1, or the observer matrices, which observer_stack must
-    accept.
+    ``checks``, ``observers`` and ``sample_count``; the model is validated by
+    parse_config only.  ``checks`` names at least one check, each in
+    CHECK_NAMES and none twice; a request's ``tol`` must be one CheckConfig
+    accepts, and its ``sample_count``, which only isotropy takes, is at
+    least 1.  ``observers`` is a count of seeded draws, at least 1, or the
+    observer matrices, which observer_stack must accept.
     """
 
     model: ModelSpec
@@ -116,6 +118,21 @@ class SuiteConfig:
     observers: int | tuple[tuple[float, ...], ...] = 100
 
     def __post_init__(self):
+        if not self.checks:
+            raise ValueError("checks must name at least one check")
+        if len({req.name for req in self.checks}) != len(self.checks):
+            raise ValueError("checks must not name a check twice")
+        for req in self.checks:
+            if req.name not in CHECK_NAMES:
+                raise ValueError(f"unknown check {req.name!r}")
+            if req.tol is not None:
+                # CheckConfig alone judges a tol, as it will for the run
+                replace(self.run, tol=req.tol)
+            if req.sample_count is not None:
+                if req.name != "isotropy":
+                    raise ValueError("sample_count only applies to isotropy")
+                if req.sample_count < 1:
+                    raise ValueError("sample_count must be at least 1")
         if isinstance(self.observers, tuple):
             observer_stack(self.observers)
         elif self.observers < 1:

@@ -565,8 +565,25 @@ def test_classify_cross_checks_the_tensor_its_label_describes():
         assert fc.classify_linear_symmetry(r @ k @ r.T, CFG) is label, diagonal
 
 
+def test_isotropic_cross_check_rejects_every_off_scalar_direction():
+    """The isotropic label's group sees a 1e-6 step off I on each diagonal
+    entry and each symmetric off-diagonal pair; a group of rotations about one
+    axis, such as transverse_z_8, is blind to a step along that axis and
+    would certify diag(1, 1, 1 + 1e-6)."""
+    isotropic = fc.checks._classifier_groups()[0]
+    for i, j in ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)):
+        k = np.eye(3)
+        k[i, j] = k[j, i] = k[i, j] + 1e-6
+        result = fc.check_symmetry(fc.LinearConstant(k), isotropic, CFG)
+        assert not result.passed, (i, j)
+        assert result.max_residual >= 1e-6 * (1 - 1e-9), (i, j)
+    z_axis_step = fc.LinearConstant(np.diag([1.0, 1.0, 1.0 + 1e-6]))
+    assert fc.check_symmetry(z_axis_step, fc.catalog_lookup("transverse_z_8"), CFG).passed
+
+
 def test_classify_makes_its_groups_once(monkeypatch):
-    """The three cross-check groups are looked up on the first call only."""
+    """The three cross-check groups are looked up on the first call only; the
+    isotropic label's is the 24 exact cubic rotations, not a sample."""
     calls = []
     lookup = fc.checks.catalog_lookup
     monkeypatch.setattr(fc.checks, "catalog_lookup", lambda name: calls.append(name) or lookup(name))
@@ -577,7 +594,37 @@ def test_classify_makes_its_groups_once(monkeypatch):
                 fc.classify_linear_symmetry(k, CFG)
     finally:
         fc.checks._classifier_groups.cache_clear()
-    assert calls == ["full_orthogonal", "transverse_z_8", "orthotropic"]
+    assert calls == ["cubic_rotations", "transverse_z_8", "orthotropic"]
+
+
+_TWO_THIRDS_CFG = fc.CheckConfig(theta_samples=(1.0,), gradient_samples=1)
+
+
+@given(
+    entries=st.lists(st.floats(-1.0, 1.0), min_size=9, max_size=9),
+    offset=st.floats(-1e3, 1e3),
+    exponent=st.integers(-5, 5),
+    symmetric=st.booleans(),
+)
+def test_cubic_commutators_bound_the_distance_to_the_scalars(entries, offset, exponent, symmetric):
+    """|kappa - tr kappa / 3 I|_max <= (2/3) M, where M is the largest
+    commutator |H kappa - kappa H|_max over cubic_rotations, which
+    check_symmetry's residual is at least (the zero-gradient state has
+    denominator 1).  Symmetric or not, near-scalar or not, at scales 1e-5 to
+    1e5.  Rounding allowance: the commutators of signed permutations are
+    single differences, and tr / 3 and the deviation add three roundings, so
+    4 eps max|kappa| covers them."""
+    k = np.array(entries).reshape(3, 3) + offset * np.eye(3)
+    if symmetric:
+        k = 0.5 * (k + k.T)
+    k *= 10.0**exponent
+    cubic = fc.catalog_lookup("cubic_rotations")
+    residual = fc.check_symmetry(fc.LinearConstant(k), cubic, _TWO_THIRDS_CFG).max_residual
+    commutator = max(np.max(np.abs(h @ k - k @ h)) for h in cubic.elements)
+    assert residual >= commutator
+    deviation = np.max(np.abs(k - np.trace(k) / 3.0 * np.eye(3)))
+    allowance = 4 * np.finfo(float).eps * np.max(np.abs(k))
+    assert deviation <= 2.0 / 3.0 * commutator + allowance
 
 
 def test_classify_survives_conductivities_near_the_float_limit():

@@ -328,6 +328,73 @@ def test_suite_config_validates_its_observers_and_sample_count():
         assert str(err.value) == message
 
 
+def test_suite_config_validates_its_checks():
+    """A SuiteConfig built in code names at least one check, each known and
+    none twice, with a tol CheckConfig accepts and a sample_count of at least
+    1 for isotropy alone, when it is built; run_suite used to pass a suite of
+    no checks and raise from deep inside the run on the others.
+    parse_config keeps its messages, which name the key."""
+    model = fc.parse_config(MINIMAL).model
+    req = fc.CheckRequest
+    for checks, message in (
+        ((), "checks must name at least one check"),
+        ((req("nope"),), "unknown check 'nope'"),
+        ((req("symmetry"), req("symmetry")), "checks must not name a check twice"),
+        ((req("symmetry", tol=0.0),), "tol must be positive and finite"),
+        ((req("isotropy", tol=float("nan")),), "tol must be positive and finite"),
+        ((req("isotropy", sample_count=0),), "sample_count must be at least 1"),
+        ((req("symmetry", sample_count=5),), "sample_count only applies to isotropy"),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            fc.SuiteConfig(model, checks=checks)
+    for section, message in (
+        ("names =", "checks.names: at least one check required"),
+        ("names = nope", "checks.names: unknown check 'nope' (known: "
+         + ", ".join(fc.CHECK_NAMES) + ")"),
+        ("names = symmetry symmetry", "checks.names: duplicate check names"),
+        ("symmetry.tol = 0", "checks.symmetry.tol: must be positive and finite"),
+        ("isotropy.sample_count = 0", "checks.isotropy.sample_count: must be at least 1"),
+        ("symmetry.sample_count = 5",
+         "checks.symmetry.sample_count: sample_count only applies to isotropy"),
+    ):
+        with pytest.raises(fc.ValidationError) as err:
+            fc.parse_config(MINIMAL + f"[checks]\n{section}\n")
+        assert str(err.value) == message
+
+
+@given(
+    requests=st.lists(
+        st.builds(
+            fc.CheckRequest,
+            st.sampled_from(fc.CHECK_NAMES + ("nope",)),
+            st.none() | st.floats(allow_infinity=True),
+            st.none() | st.integers(-1, 300),
+        ),
+        max_size=6,
+    )
+)
+def test_every_check_list_round_trips_through_its_config_text(requests):
+    """Every check list a SuiteConfig accepts is the one its config text
+    parses back to, and one it rejects breaks a rule parse_config holds."""
+    model = fc.parse_config(MINIMAL).model
+    try:
+        cfg = fc.SuiteConfig(model, checks=tuple(requests))
+    except ValueError:
+        names = [r.name for r in requests]
+        assert (
+            not names
+            or len(set(names)) != len(names)
+            or "nope" in names
+            or any(r.tol is not None and not 0.0 < r.tol < float("inf") for r in requests)
+            or any(
+                r.sample_count is not None and (r.sample_count < 1 or r.name != "isotropy")
+                for r in requests
+            )
+        )
+        return
+    assert fc.parse_config(cfg.to_config_text()) == cfg
+
+
 def test_group_spec_rejects_a_max_order_that_means_nothing():
     """A closure cap is at least 1, and a catalog name takes none: the
     default it is given is the only value, which to_config_text can drop."""

@@ -1,5 +1,9 @@
 import ast
+import importlib
+import os
 import re
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -44,3 +48,44 @@ def test_every_export_has_a_caller_outside_the_tests():
     used = set().union(*map(_names_used, sources))
     used |= set(re.findall(r"\w+", (ROOT / "README.md").read_text()))
     assert sorted(set(fc.__all__) - used) == sorted(TEST_ONLY_EXPORTS)
+
+
+def test_every_public_name_is_its_submodules_object():
+    """Each name resolves, on first use, to the object its submodule
+    defines, and a star import binds exactly __all__."""
+    for name in fc.__all__:
+        if name == "__version__":
+            continue
+        module = importlib.import_module(f"framecheck.{fc._MODULE_OF[name]}")
+        assert getattr(fc, name) is getattr(module, name), name
+    for module in fc._EXPORTS:
+        assert getattr(fc, module) is importlib.import_module(f"framecheck.{module}")
+        assert module in dir(fc)
+    assert set(fc.__all__) <= set(dir(fc))
+    namespace = {}
+    exec("from framecheck import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(fc.__all__)
+
+
+# run in a fresh interpreter, where nothing is imported yet
+_LAZY_IMPORT = """
+import sys
+import framecheck
+loaded = sorted(m for m in sys.modules if m == "numpy" or m.startswith("framecheck."))
+assert not loaded, loaded
+import numpy
+framecheck.classify_linear_symmetry(4.0 * numpy.eye(3), framecheck.CheckConfig())
+loaded = sorted({"framecheck.config", "framecheck.report"} & set(sys.modules))
+assert not loaded, loaded
+"""
+
+
+def test_import_framecheck_loads_nothing_heavy():
+    """``import framecheck`` loads neither numpy nor a submodule, and the
+    classifier loads the modules it uses, not config or report."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-c", _LAZY_IMPORT],
+        capture_output=True, text=True, env=env, cwd=ROOT, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
