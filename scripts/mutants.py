@@ -2,24 +2,29 @@
 """Mutation gate: every check can fail, and every rule the tests pin is pinned.
 
 Each row of MUTANTS is one deliberate fault: a source file, an exact snippet
-that must occur in it exactly once, the replacement, and why the tests must
-catch it.  For each row the script copies the tree to a temporary directory,
-applies the fault there and runs ``pytest -x -q tests`` in the copy, with the
-copy's ``src`` on PYTHONPATH.  The run leaves out ``tests/test_mutants.py``,
-which matches this table against the source and so would fail on any
-mutated copy.  The mutant is killed when that run reports a failing test
-(pytest exit code 1); an import error or a timeout is not a kill.  A row with an ``equivalent`` reason is a known survivor: its snippet
-must still match once, but it is not run.
+that must occur in it exactly once, the replacement, why the tests must
+catch it, and the tier-1 test that kills it.  For each row the script copies
+the tree to a temporary directory, applies the fault there and runs pytest in
+the copy, with the copy's ``src`` on PYTHONPATH: first the killing test
+alone, then, only if that does not fail, ``pytest -x -q tests``.  The full
+run leaves out ``tests/test_mutants.py``, which matches this table against
+the source and so would fail on any mutated copy.  The mutant is killed when
+a run reports a failing test (pytest exit code 1); an import error or a
+timeout is not a kill.  So a row is killed exactly when some tier-1 test
+fails; the killing test only spares the full run.  A row killed by the full
+run alone is marked so, with the test that failed: its killing test is
+stale.  A row with an ``equivalent`` reason is a known survivor: its snippet
+must still match once, but it is not run, and it names no killing test.
 
-The unmutated tree is run too, and must pass, or a kill would prove nothing.
-Two test runs go at a time.  A refactor that moves a guarded line updates
-its row here.
+The unmutated tree runs the full tier 1 too, and must pass, or a kill would
+prove nothing.  Two test runs go at a time.  A refactor that moves a guarded
+line updates its row here.
 
     python scripts/mutants.py
 
-Exit status 0 when every snippet matches once, the unmutated tree passes and
-every row not marked equivalent is killed; 1 otherwise.  Standard library
-and pytest only.
+Exit status 0 when every snippet matches once, every killing test exists,
+the unmutated tree passes and every row not marked equivalent is killed; 1
+otherwise.  Standard library and pytest only.
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ COPY_IGNORE = shutil.ignore_patterns(
     "*.egg-info", "build",
 )
 RUN_TIMEOUT_S = 600
+TABLE_TEST = "tests/test_mutants.py"  # matches this table; the full run leaves it out
 JOBS = 2
 
 
@@ -52,10 +58,12 @@ class Mutant(NamedTuple):
     snippet: str
     replacement: str
     why: str
+    killer: Optional[str] = None  # node id of a tier-1 test that fails on it
     equivalent: Optional[str] = None  # why no test can kill it, for a known survivor
 
 
 CHECKS = "src/framecheck/checks.py"
+LAUNCHER = "src/framecheck/__main__.py"
 
 MUTANTS = (
     # -- each check's two residual forms
@@ -67,6 +75,8 @@ MUTANTS = (
         "            rel = flux_raw / batch.denoms\n",
         "the flux form is blind at the zero gradient, where constant anisotropy "
         "shows only in the conductivity form",
+        killer="tests/test_checks.py::"
+        "test_symmetry_quarter_turn_breaks_unequal_principal_conductivities",
     ),
     Mutant(
         "symmetry.no_flux_form", CHECKS,
@@ -75,6 +85,8 @@ MUTANTS = (
         "            kappa_raw = np.max(np.abs(deficit), axis=(1, 2))[:, at]\n"
         "            rel = kappa_raw / batch.denoms\n",
         "the symmetry residual is the larger of both forms; the goldens pin it",
+        killer="tests/test_checks.py::"
+        "test_folded_symmetry_matches_the_per_element_loop[default_tol]",
     ),
     Mutant(
         "frame_indifference.no_conductivity_form", CHECKS,
@@ -82,12 +94,16 @@ MUTANTS = (
         "rel = flux_raw / batch.denoms",
         "the conductivity form kappa = Q^T kappa*(Q g) Q is half of the "
         "transformation law, and the goldens pin its residuals",
+        killer="tests/test_checks.py::"
+        "test_folded_frame_indifference_matches_the_unfolded_loop[default_tol]",
     ),
     Mutant(
         "frame_indifference.no_flux_form", CHECKS,
         "rel = np.maximum(flux_raw, obs_kappa_raw) / batch.denoms",
         "rel = np.broadcast_to(obs_kappa_raw / batch.denoms, flux_raw.shape)",
         "the flux form q = Q^T q*(Q g) is the other half of the law",
+        killer="tests/test_checks.py::"
+        "test_frame_indifference_fails_for_a_wrongly_rotated_component_map",
     ),
     Mutant(
         "observer_independence.no_conductivity_form", CHECKS,
@@ -97,6 +113,8 @@ MUTANTS = (
         "            rel = flux_raw / batch.denoms\n",
         "an anisotropic conductor's starred map differs at the zero gradient "
         "only in the conductivity form",
+        killer="tests/test_checks.py::"
+        "test_checks_match_the_reference_loops_at_other_temperatures[default_tol-descending]",
     ),
     Mutant(
         "observer_independence.no_flux_form", CHECKS,
@@ -105,6 +123,8 @@ MUTANTS = (
         "            kappa_raw = np.max(np.abs(kappa_star - kappas), axis=(0, 1))\n"
         "            rel = kappa_raw / batch.denoms\n",
         "the residual is the larger of both forms; the goldens pin it",
+        killer="tests/test_checks.py::"
+        "test_frame_indifference_fails_for_a_wrongly_rotated_component_map",
     ),
     Mutant(
         "isotropy.trivial_group", CHECKS,
@@ -112,6 +132,7 @@ MUTANTS = (
         'group = catalog_lookup("trivial")',
         "isotropy is symmetry under the orthogonal group; under the identity "
         "alone an anisotropic conductor would pass",
+        killer="tests/test_acceptance.py::test_frame_indifference_does_not_imply_isotropy",
     ),
     Mutant(
         "zero_map.nan_as_zero", CHECKS,
@@ -119,6 +140,7 @@ MUTANTS = (
         "            yield np.nan_to_num(np.array([r]), nan=0.0), IDENTITY, None, (state,)\n",
         "an overflowing conductivity gives a NaN zero-gradient flux, which "
         "must fail, never pass",
+        killer="tests/test_checks.py::test_non_finite_residual_never_passes",
     ),
     Mutant(
         "zero_map.residual_zeroed", CHECKS,
@@ -137,6 +159,7 @@ MUTANTS = (
         "    passed = best < tol\n",
         "a residual equal to the tolerance passes; test_golden pins the "
         "verdict's turn at each golden residual",
+        killer="tests/test_golden.py::test_each_verdict_turns_at_its_golden_residual",
     ),
     Mutant(
         "reducer.ignores_repeat", CHECKS,
@@ -144,6 +167,8 @@ MUTANTS = (
         "        samples += rel.size\n",
         "a temperature-free law's rows stand for every temperature, and "
         "samples_used counts them all",
+        killer="tests/test_checks.py::"
+        "test_symmetry_quarter_turn_breaks_unequal_principal_conductivities",
     ),
     Mutant(
         "reducer.nan_passes", CHECKS,
@@ -151,6 +176,8 @@ MUTANTS = (
         "        if False:\n",
         "NaN compares false with everything, so without this branch a NaN "
         "residual could pass",
+        killer="tests/test_checks.py::"
+        "test_folded_frame_indifference_matches_the_unfolded_loop_on_failures",
     ),
     Mutant(
         "reducer.no_rows_pass", CHECKS,
@@ -158,6 +185,7 @@ MUTANTS = (
         '        raise ValueError("no residuals to check: a check needs at least one observer")\n',
         "",
         "an observer check given no observers would pass vacuously",
+        killer="tests/test_checks.py::test_reducer_never_reports_a_negative_residual",
     ),
     Mutant(
         "sampling.denominator_without_one", CHECKS,
@@ -165,6 +193,7 @@ MUTANTS = (
         "    denoms = np.linalg.norm(fluxes, axis=1)\n",
         "residuals are relative to 1 + |q|; without the 1 the zero-gradient "
         "state divides by zero",
+        killer="tests/test_acceptance.py::test_frame_indifference_does_not_imply_isotropy",
     ),
     Mutant(
         "component_map.q_for_q_transpose", "src/framecheck/models.py",
@@ -172,6 +201,7 @@ MUTANTS = (
         "grads = grads_star.reshape(count, -1, 3) @ self.observers.transpose(0, 2, 1)",
         "a map that rotates with Q in place of Q^T is not frame indifferent, "
         "isotropic conductors included",
+        killer="tests/test_acceptance.py::test_frame_indifference_does_not_imply_isotropy",
     ),
     # -- the classifier and schur_reduce
     Mutant(
@@ -180,6 +210,7 @@ MUTANTS = (
         "        if low_pair:\n            order = [1, 2, 0]\n",
         "transverse_z_8 expects the unpaired eigenvalue on the z axis; the "
         "cross-check raises otherwise",
+        killer="tests/test_checks.py::test_classify_linear_symmetry",
     ),
     Mutant(
         "classify.isotropic_on_one_axis", CHECKS,
@@ -188,6 +219,8 @@ MUTANTS = (
         "the isotropic label is certified on the cubic rotations, which no "
         "tensor but c I commutes with; rotations about z alone pass "
         "diag(1, 1, 1 + 1e-6)",
+        killer="tests/test_checks.py::"
+        "test_isotropic_cross_check_rejects_every_off_scalar_direction",
     ),
     Mutant(
         "schur.no_deviation_test", CHECKS,
@@ -210,12 +243,14 @@ MUTANTS = (
         "",
         "a set that closes only because near-duplicate products merge is not "
         "a group; the merged_generators golden pins the failure",
+        killer="tests/test_golden.py::test_machine_report_matches_golden[merged_generators]",
     ),
     Mutant(
         "groups.finite_group_without_closure", "src/framecheck/groups.py",
         "            if not _closed:\n",
         "            if False:\n",
         "generate_closure is the only way to make a finite group",
+        killer="tests/test_groups.py::test_overflowing_elements_are_rejected_without_a_warning",
     ),
     # -- the suite runner and the process entry
     Mutant(
@@ -224,12 +259,47 @@ MUTANTS = (
         '"zero_map": (False, (lambda f: lambda m, g, o, c, n: f(m, c))(check_zero_map)),',
         "the suite must call report.check_* as bound when it runs, which "
         "perfbench's tracer rebinds",
+        killer="tests/test_report.py::test_suite_calls_the_check_bound_in_the_report_module",
     ),
     Mutant(
         "cli.no_gc_freeze", "src/framecheck/cli.py",
         "    gc.freeze()\n    sys.exit(code)\n",
         "    sys.exit(code)\n",
         "entry() freezes the heap before exit",
+        killer="tests/test_cli.py::test_entry_freezes_the_heap",
+    ),
+    Mutant(
+        "launcher.no_blas_pin", LAUNCHER,
+        '    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")\n',
+        "",
+        "numpy's import would start an OpenBLAS thread per further core, which "
+        "spins with nothing to do",
+        killer="tests/test_cli.py::"
+        "test_launchers_pin_openblas_to_one_thread_unless_the_user_set_it[framecheck]",
+    ),
+    Mutant(
+        "launcher.no_gc_pause", LAUNCHER,
+        "    gc.disable()\n",
+        "",
+        "the imports of numpy and framecheck run with the collector paused",
+        killer="tests/test_cli.py::"
+        "test_launchers_collect_nothing_during_the_imports_and_run_main_collecting[framecheck]",
+    ),
+    Mutant(
+        "launcher.gc_left_disabled", LAUNCHER,
+        "    gc.enable()\n",
+        "",
+        "main() runs with the collector on",
+        killer="tests/test_cli.py::"
+        "test_launchers_collect_nothing_during_the_imports_and_run_main_collecting[framecheck]",
+    ),
+    Mutant(
+        "cli.help_into_a_closed_pipe_swallowed", "src/framecheck/cli.py",
+        "        if message and file is sys.stdout:\n",
+        "        if False:\n",
+        "argparse drops the OSError of an unbuffered --help into a closed "
+        "pipe: exit 0 with nothing said, where it must be 2 with one line",
+        killer="tests/test_cli.py::test_closed_stdout_exits_two_with_one_error_line",
     ),
     Mutant(
         "cli.no_dup2", "src/framecheck/cli.py",
@@ -237,6 +307,7 @@ MUTANTS = (
         "",
         "after a broken pipe, the flush at shutdown must not raise again: "
         "exit 2 with one error line, not 120",
+        killer="tests/test_cli.py::test_closed_stdout_exits_two_with_one_error_line",
     ),
     # -- the run parameters: CheckConfig's rules, the seed range, the
     #    generator and observer tolerances and the config's own fields, each
@@ -246,6 +317,7 @@ MUTANTS = (
         "        if not np.isfinite(self.tol) or self.tol <= 0.0:\n",
         "        if not np.isfinite(self.tol):\n",
         "tol must be positive: run.tol = 0 and --tol 0 are errors",
+        killer="tests/test_checks.py::test_check_config_validation",
     ),
     Mutant(
         "check_config.no_theta_samples_accepted", CHECKS,
@@ -253,18 +325,21 @@ MUTANTS = (
         '            raise ValueError("theta_samples must not be empty")\n',
         "",
         "a sweep over no temperature checks nothing",
+        killer="tests/test_checks.py::test_check_config_validation",
     ),
     Mutant(
         "check_config.zero_temperature_accepted", CHECKS,
         "        if not all(np.isfinite(t) and t > 0.0 for t in thetas):\n",
         "        if not all(np.isfinite(t) for t in thetas):\n",
         "temperatures must be positive",
+        killer="tests/test_checks.py::test_check_config_validation",
     ),
     Mutant(
         "check_config.zero_gradient_samples_accepted", CHECKS,
         "        if int(self.gradient_samples) < 1:\n",
         "        if int(self.gradient_samples) < 0:\n",
         "at least one random gradient direction per temperature",
+        killer="tests/test_checks.py::test_check_config_validation",
     ),
     Mutant(
         "check_config.seed_past_64_bits", "src/framecheck/tensors.py",
@@ -272,6 +347,7 @@ MUTANTS = (
         "    if not 0 <= s:\n",
         "a seed must fit in an unsigned 64-bit integer: run.seed and --seed "
         "of 2**64 are errors",
+        killer="tests/test_cli.py::test_bad_flag_values_exit_two",
     ),
     Mutant(
         "config.generators_at_loose_tolerance", "src/framecheck/config.py",
@@ -279,6 +355,7 @@ MUTANTS = (
         'generators = _matrices("group", "generators", sec["generators"], 1e-6)',
         "a generator that parses must pass generate_closure's generator "
         "test: 1e-7 off is a config error (exit 2)",
+        killer="tests/test_cli.py::test_overflowing_generator_exits_two_with_one_error_line",
     ),
     Mutant(
         "observers.loose_tolerance", "src/framecheck/tensors.py",
@@ -286,6 +363,7 @@ MUTANTS = (
         "OBSERVER_ORTH_TOL = 1e-6\n",
         "an observer 1e-8 off orthogonal makes the isotropic 2 I fail frame "
         "indifference and observer independence; it is a config error (exit 2)",
+        killer="tests/test_cli.py::test_observer_off_by_1e8_exits_two_with_one_error_line",
     ),
     Mutant(
         "config.max_order_with_a_name", "src/framecheck/config.py",
@@ -293,20 +371,38 @@ MUTANTS = (
         "        if False:\n",
         "a catalog name takes no closure cap: to_config_text drops it, so "
         "GroupSpec('z4', max_order=5) would not round-trip",
+        killer="tests/test_config.py::test_group_spec_rejects_a_max_order_that_means_nothing",
     ),
     Mutant(
         "config.suite_without_checks", "src/framecheck/config.py",
-        "        if not self.checks:\n",
-        "        if False:\n",
+        "    if not names:\n",
+        "    if False:\n",
         "a SuiteConfig of no checks would run nothing and pass vacuously",
+        killer="tests/test_config.py::test_validation_errors_name_the_offender",
     ),
     Mutant(
         "config.suite_unknown_check", "src/framecheck/config.py",
-        "            if req.name not in CHECK_NAMES:\n"
-        '                raise ValueError(f"unknown check {req.name!r}")\n',
-        "",
+        "        if name not in CHECK_NAMES:\n",
+        "        if False:\n",
         "a SuiteConfig's check names are judged when it is built, not deep in "
-        "a run",
+        "a run, and parse_config applies the same rule",
+        killer="tests/test_config.py::test_validation_errors_name_the_offender",
+    ),
+    Mutant(
+        "config.suite_repeated_check", "src/framecheck/config.py",
+        "    if len(set(names)) != len(names):\n",
+        "    if False:\n",
+        "a check named twice would run twice; parse_config and SuiteConfig "
+        "share this one rule",
+        killer="tests/test_config.py::test_validation_errors_name_the_offender",
+    ),
+    Mutant(
+        "config.sample_count_on_any_check", "src/framecheck/config.py",
+        '    if name != "isotropy":\n',
+        "    if False:\n",
+        "only isotropy draws orthogonal elements; a sample_count elsewhere "
+        "would be accepted and do nothing",
+        killer="tests/test_config.py::test_validation_errors_name_the_offender",
     ),
     Mutant(
         "config.suite_observers_unchecked", "src/framecheck/config.py",
@@ -314,45 +410,76 @@ MUTANTS = (
         "            pass\n",
         "SuiteConfig's observer matrices pass observer_stack when it is "
         "built, not deep in a run",
+        killer="tests/test_config.py::test_suite_config_validates_its_observers_and_sample_count",
     ),
 )
 
 
 def problems(mutants=MUTANTS) -> list[str]:
-    """One line for each row whose snippet does not occur exactly once."""
+    """One line for each row whose snippet does not occur exactly once, or
+    that does not name exactly one of a killing test and an equivalence."""
     found = []
     for m in mutants:
         count = (ROOT / m.path).read_text().count(m.snippet)
         if count != 1:
             found.append(f"{m.name}: snippet occurs {count} times in {m.path}")
+        if (m.killer is None) == (m.equivalent is None):
+            found.append(f"{m.name}: must name a killing test or an equivalence, not both")
     return found
 
 
-def _run_tests(mutant: Optional[Mutant]) -> tuple[int | None, float, str]:
-    """(pytest's exit code or None on timeout, seconds, its first failure)
-    for a copy of the tree with the mutant applied (None: unmutated)."""
+def missing_killers(mutants=MUTANTS) -> list[str]:
+    """The killing tests that the full run does not collect."""
+    killers = {m.killer for m in mutants if m.killer}
+    files = sorted({k.partition("::")[0] for k in killers} - {TABLE_TEST})
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "--collect-only", "-q", "-p", "no:cacheprovider", *files],
+        cwd=ROOT, env=_env(ROOT), capture_output=True, text=True, timeout=RUN_TIMEOUT_S,
+    )
+    collected = set(proc.stdout.splitlines())
+    # a function's id stands for all of its parametrized cases
+    return sorted(
+        k for k in killers
+        if k not in collected and not any(c.startswith(k + "[") for c in collected)
+    )
+
+
+def _env(tree: Path) -> dict:
+    return {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+
+
+def _pytest(tree: Path, *args: str) -> tuple[int | None, str]:
+    """(pytest's exit code or None on timeout, its first failure) in tree."""
+    command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *args]
+    try:
+        proc = subprocess.run(
+            command, cwd=tree, env=_env(tree), capture_output=True, text=True,
+            timeout=RUN_TIMEOUT_S,
+        )
+    except subprocess.TimeoutExpired:
+        return None, f"timed out after {RUN_TIMEOUT_S} s"
+    lines = proc.stdout.splitlines()
+    first = next((ln for ln in lines if ln.startswith(("FAILED ", "ERROR "))), "")
+    return proc.returncode, first or (lines[-1] if lines else proc.stderr.strip())
+
+
+def _run_tests(mutant: Optional[Mutant]) -> tuple[int | None, float, str, bool]:
+    """(pytest's exit code or None on timeout, seconds, its first failure,
+    whether the full run decided) for a copy of the tree with the mutant
+    applied (None: unmutated, which only the full run tests)."""
     with tempfile.TemporaryDirectory(prefix="framecheck-mutant-") as tmp:
         copy = Path(tmp) / "tree"
         shutil.copytree(ROOT, copy, ignore=COPY_IGNORE)
+        start = time.perf_counter()
+        code = None
         if mutant is not None:
             target = copy / mutant.path
             target.write_text(target.read_text().replace(mutant.snippet, mutant.replacement))
-        env = {**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
-        command = [
-            sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-            "--ignore", "tests/test_mutants.py", "tests",
-        ]
-        start = time.perf_counter()
-        try:
-            proc = subprocess.run(
-                command, cwd=copy, env=env, capture_output=True, text=True, timeout=RUN_TIMEOUT_S
-            )
-        except subprocess.TimeoutExpired:
-            return None, time.perf_counter() - start, f"timed out after {RUN_TIMEOUT_S} s"
-        seconds = time.perf_counter() - start
-    lines = proc.stdout.splitlines()
-    first = next((ln for ln in lines if ln.startswith(("FAILED ", "ERROR "))), "")
-    return proc.returncode, seconds, first or (lines[-1] if lines else proc.stderr.strip())
+            code, first = _pytest(copy, mutant.killer)
+        full = code != 1
+        if full:
+            code, first = _pytest(copy, "--ignore", TABLE_TEST, "tests")
+        return code, time.perf_counter() - start, first, full
 
 
 def main() -> int:
@@ -360,6 +487,7 @@ def main() -> int:
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
     ).parse_args()
     bad = problems()
+    bad += [f"killing test {k} is not collected" for k in missing_killers()]
     if bad:
         print("\n".join(["mutant table does not match the source:"] + bad), file=sys.stderr)
         return 1
@@ -370,11 +498,13 @@ def main() -> int:
         runs = [(m, pool.submit(_run_tests, m)) for m in live]
         survivors = 0
         for m, run in runs:
-            code, seconds, first = run.result()
+            code, seconds, first, full = run.result()
             survivors += code != 1
             verdict = "killed" if code == 1 else f"SURVIVED (pytest exit {code})"
+            if code == 1 and full:
+                verdict = "killed by the full run"
             print(f"{verdict:<10} {m.name:<46} {seconds:6.1f} s  {first}", flush=True)
-        code, seconds, first = baseline.result()
+        code, seconds, first, _ = baseline.result()
     for m in MUTANTS:
         if m.equivalent:
             print(f"{'equivalent':<10} {m.name:<46} {m.equivalent}")

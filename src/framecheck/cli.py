@@ -7,6 +7,13 @@ not be written.
 
 from __future__ import annotations
 
+if __name__ == "__main__":
+    # python -m framecheck.cli: hand over to the launcher before this file
+    # imports numpy; it imports this module afresh as framecheck.cli
+    from framecheck.__main__ import launch
+
+    launch()
+
 import argparse
 import gc
 import os
@@ -29,8 +36,19 @@ from .models import MODEL_FAMILIES
 from .report import emit_report, run_suite
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse drops an OSError from its writes; one to stdout, the --help
+    of a closed pipe, must reach entry(), which reports it."""
+
+    def _print_message(self, message, file=None):
+        if message and file is sys.stdout:
+            file.write(message)
+        else:
+            super()._print_message(message, file)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="framecheck",
         description="numerical invariance checks for heat conduction laws",
     )
@@ -132,15 +150,16 @@ def main(argv=None) -> int:
 
 
 def entry(argv=None) -> NoReturn:
-    """The process entry of every launcher: ``python -m framecheck``, the
-    ``framecheck`` console script and ``python -m framecheck.cli``.
+    """The process entry that every launcher (``python -m framecheck``, the
+    ``framecheck`` console script and ``python -m framecheck.cli``) reaches
+    through :func:`framecheck.__main__.launch`.
 
     Runs :func:`main`, then freezes the heap and exits.  Interpreter
-    shutdown runs full garbage collections over every object the numpy and
-    framecheck imports left tracked, though nothing they could free is of
-    use once the report is written; frozen objects are skipped.  The exit
-    is still a normal one, so atexit handlers run.  ``main`` itself
-    freezes nothing, so in-process callers keep a collectable heap."""
+    shutdown runs full garbage collections over every object left tracked,
+    though nothing they could free is of use once the report is written;
+    frozen objects are skipped.  The exit is still a normal one, so atexit
+    handlers run.  ``main`` itself freezes nothing, so in-process callers
+    keep a collectable heap."""
     try:
         try:
             code = main(argv)
@@ -160,6 +179,3 @@ def entry(argv=None) -> NoReturn:
     gc.freeze()
     sys.exit(code)
 
-
-if __name__ == "__main__":
-    entry()

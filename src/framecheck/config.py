@@ -86,6 +86,33 @@ class GroupSpec:
             raise ValueError("max_order applies to generators only")
 
 
+class _ChecksRule(ValueError):
+    """A rule of SuiteConfig.checks, broken; parse_config reports it as
+    ``checks.<key>: <rule>``, naming the key of the [checks] section."""
+
+    def __init__(self, key: str, rule: str):
+        super().__init__(rule)
+        self.key = key
+
+
+def _judge_names(names) -> None:
+    """SuiteConfig's rules for the names of its checks: at least one, each
+    in CHECK_NAMES, none twice."""
+    if not names:
+        raise _ChecksRule("names", "at least one check required")
+    for name in names:
+        if name not in CHECK_NAMES:
+            raise _ChecksRule("names", f"unknown check {name!r} (known: {', '.join(CHECK_NAMES)})")
+    if len(set(names)) != len(names):
+        raise _ChecksRule("names", "duplicate check names")
+
+
+def _judge_sample_count(name: str) -> None:
+    """SuiteConfig's rule that only isotropy takes a sample_count."""
+    if name != "isotropy":
+        raise _ChecksRule(f"{name}.sample_count", "sample_count only applies to isotropy")
+
+
 @dataclass(frozen=True)
 class CheckRequest:
     name: str
@@ -106,8 +133,9 @@ class SuiteConfig:
     parse_config only.  ``checks`` names at least one check, each in
     CHECK_NAMES and none twice; a request's ``tol`` must be one CheckConfig
     accepts, and its ``sample_count``, which only isotropy takes, is at
-    least 1.  ``observers`` is a count of seeded draws, at least 1, or the
-    observer matrices, which observer_stack must accept.
+    least 1; parse_config applies the same rules and names the [checks]
+    key that broke one.  ``observers`` is a count of seeded draws, at least
+    1, or the observer matrices, which observer_stack must accept.
     """
 
     model: ModelSpec
@@ -118,19 +146,13 @@ class SuiteConfig:
     observers: int | tuple[tuple[float, ...], ...] = 100
 
     def __post_init__(self):
-        if not self.checks:
-            raise ValueError("checks must name at least one check")
-        if len({req.name for req in self.checks}) != len(self.checks):
-            raise ValueError("checks must not name a check twice")
+        _judge_names([req.name for req in self.checks])
         for req in self.checks:
-            if req.name not in CHECK_NAMES:
-                raise ValueError(f"unknown check {req.name!r}")
             if req.tol is not None:
                 # CheckConfig alone judges a tol, as it will for the run
                 replace(self.run, tol=req.tol)
             if req.sample_count is not None:
-                if req.name != "isotropy":
-                    raise ValueError("sample_count only applies to isotropy")
+                _judge_sample_count(req.name)
                 if req.sample_count < 1:
                     raise ValueError("sample_count must be at least 1")
         if isinstance(self.observers, tuple):
@@ -316,18 +338,10 @@ def _parse_group(sec) -> GroupSpec:
 
 
 def _parse_checks(sec, run: CheckConfig) -> tuple[CheckRequest, ...]:
-    names = list(CHECK_NAMES)
-    if "names" in sec:
-        names = sec["names"].split()
-        if not names:
-            raise ValidationError("checks.names: at least one check required")
-        for n in names:
-            if n not in CHECK_NAMES:
-                raise ValidationError(
-                    f"checks.names: unknown check {n!r} (known: {', '.join(CHECK_NAMES)})"
-                )
-        if len(set(names)) != len(names):
-            raise ValidationError("checks.names: duplicate check names")
+    """The requests of a [checks] section, judged by SuiteConfig's rules in
+    the order a reader meets them: the names, then each key."""
+    names = sec["names"].split() if "names" in sec else CHECK_NAMES
+    _judge_names(names)
     tols: dict[str, float] = {}
     counts: dict[str, int] = {}
     for key in sec:
@@ -342,8 +356,7 @@ def _parse_checks(sec, run: CheckConfig) -> tuple[CheckRequest, ...]:
             tol = _scalar("checks", key, sec[key])
             tols[base] = _check_config(f"checks.{base}", run, tol=tol).tol
         else:
-            if base != "isotropy":
-                raise ValidationError(f"checks.{key}: sample_count only applies to isotropy")
+            _judge_sample_count(base)
             counts[base] = _int("checks", key, sec[key], minimum=1)
     return tuple(CheckRequest(n, tol=tols.get(n), sample_count=counts.get(n)) for n in names)
 
@@ -391,4 +404,7 @@ def parse_config(data: str | bytes) -> SuiteConfig:
     # an absent section parses as {}; [checks] reads the parsed [run]
     group, checks, run = (parser[s] if s in parser else {} for s in ("group", "checks", "run"))
     model, group, run = _parse_model(parser["model"]), _parse_group(group), _parse_run(run)
-    return SuiteConfig(model, group, _parse_checks(checks, run["run"]), **run)
+    try:
+        return SuiteConfig(model, group, _parse_checks(checks, run["run"]), **run)
+    except _ChecksRule as exc:
+        raise ValidationError(f"checks.{exc.key}: {exc}") from None

@@ -1,10 +1,12 @@
 import gc
+import itertools
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import framecheck as fc
@@ -182,19 +184,147 @@ def test_launchers_agree_with_main(launcher, config, capsysbinary):
         assert err.startswith(b"error: ") and err.count(b"\n") == 1
 
 
+# Runs a launcher as its command line would, and reports on stderr, as one
+# JSON line at exit, what it did to the process: OPENBLAS_NUM_THREADS, the
+# threads left (None where /proc/self/task is missing), the collections that
+# ran before main(), and whether the collector was on when main() opened the
+# config.  "console" is the console script's call.
+_WATCH = r"""
+import atexit, gc, json, os, runpy, sys
+
+launcher, config = sys.argv[1], sys.argv[-1]
+seen = {"collections_before_main": 0, "gc_in_main": None}
+
+
+def in_main(frame):
+    while frame is not None:
+        code = frame.f_code
+        if code.co_name == "main" and code.co_filename.endswith("cli.py"):
+            return True
+        frame = frame.f_back
+    return False
+
+
+def on_gc(phase, info):
+    if phase == "start" and seen["gc_in_main"] is None and not in_main(sys._getframe(1)):
+        seen["collections_before_main"] += 1
+
+
+def on_audit(event, args):
+    if event == "open" and args[0] == config and seen["gc_in_main"] is None:
+        seen["gc_in_main"] = gc.isenabled()
+
+
+def report():
+    seen["blas_threads"] = os.environ.get("OPENBLAS_NUM_THREADS")
+    tasks = "/proc/self/task"
+    seen["threads"] = len(os.listdir(tasks)) if os.path.isdir(tasks) else None
+    sys.stderr.write(json.dumps(seen) + "\n")
+
+
+atexit.register(report)
+sys.addaudithook(on_audit)
+sys.argv = sys.argv[1:]
+gc.collect()
+gc.callbacks.append(on_gc)
+if launcher == "console":
+    from framecheck.__main__ import launch
+
+    launch()
+else:
+    runpy.run_module(launcher, run_name="__main__", alter_sys=True)
+"""
+
+
+def _watch(launcher, **env):
+    """What the launcher did to its process, on the isotropic config."""
+    config = str(CONFIGS / "isotropic.ini")
+    base = {k: v for k, v in SUBPROCESS_ENV.items() if k != "OPENBLAS_NUM_THREADS"}
+    proc = subprocess.run(
+        [sys.executable, "-c", _WATCH, launcher, "run", "--format", "machine", config],
+        capture_output=True,
+        env={**base, **env},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (GOLDEN / "isotropic.json").read_bytes()
+    return json.loads(proc.stderr)
+
+
+def _openblas() -> bool:
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):
+        return False
+    return "openblas" in blas.lower()
+
+
+LAUNCHERS = ["framecheck", "framecheck.cli", "console"]
+
+
+@pytest.mark.parametrize("launcher", LAUNCHERS)
+def test_launchers_pin_openblas_to_one_thread_unless_the_user_set_it(launcher):
+    """No product here is large enough for OpenBLAS to thread; its idle
+    threads only spin.  A value in the environment is the user's choice."""
+    assert _watch(launcher)["blas_threads"] == "1"
+    assert _watch(launcher, OPENBLAS_NUM_THREADS="2")["blas_threads"] == "2"
+
+
+@pytest.mark.skipif(
+    not (sys.platform.startswith("linux") and _openblas()),
+    reason="counts the threads of /proc/self/task that OpenBLAS starts",
+)
+@pytest.mark.parametrize("launcher", LAUNCHERS)
+def test_launchers_leave_one_thread(launcher):
+    assert _watch(launcher)["threads"] == 1
+
+
+@pytest.mark.parametrize("launcher", LAUNCHERS)
+def test_launchers_collect_nothing_during_the_imports_and_run_main_collecting(launcher):
+    """The imports of numpy and framecheck run with the collector paused,
+    and main() runs with it on."""
+    seen = _watch(launcher)
+    assert seen["collections_before_main"] == 0
+    assert seen["gc_in_main"] is True
+
+
+def test_library_paths_leave_the_environment_and_the_collector_alone():
+    """Only the launcher prepares the process: importing framecheck.cli and
+    calling main() or entry() in process set no environment variable and
+    leave the collector on."""
+    code = """
+import gc, os
+before = dict(os.environ)
+import framecheck.cli
+assert framecheck.cli.main(["catalog"]) == 0
+try:
+    framecheck.cli.entry(["catalog"])
+except SystemExit as exc:
+    assert exc.code == 0
+assert dict(os.environ) == before, set(os.environ.items()) ^ set(before.items())
+assert gc.isenabled()
+"""
+    env = {k: v for k, v in SUBPROCESS_ENV.items() if k != "OPENBLAS_NUM_THREADS"}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, env=env, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_closed_stdout_exits_two_with_one_error_line():
     """A report nobody can read is not a failed check: exit 2, one error
     line and no traceback, also from the flush at interpreter shutdown, and
-    also for argparse's --help, which leaves main() by SystemExit."""
-    # stdout block-buffered, as a user's is, so the shutdown flush has
-    # the unwritten report to write
-    env = {k: v for k, v in SUBPROCESS_ENV.items() if k != "PYTHONUNBUFFERED"}
-    for argv in (
+    also for argparse's --help, which leaves main() by SystemExit.  Block
+    buffered, as a user's stdout is, the write fails in the flush; unbuffered
+    it fails in the write itself, which argparse would swallow."""
+    # block buffered: the shutdown flush has the unwritten report to write
+    buffered = {k: v for k, v in SUBPROCESS_ENV.items() if k != "PYTHONUNBUFFERED"}
+    unbuffered = {**buffered, "PYTHONUNBUFFERED": "1"}
+    runs = (
         ["run", str(CONFIGS / "isotropic.ini")],
-        ["--help"],
-        ["run", "--help"],
-        ["catalog", "--help"],
-    ):
+        ["--help"], ["run", "--help"], ["catalog", "--help"],
+    )
+    for env, argv in itertools.product((buffered, unbuffered), runs):
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
@@ -207,9 +337,10 @@ def test_closed_stdout_exits_two_with_one_error_line():
             )
         finally:
             os.close(write_end)
-        assert proc.returncode == 2, argv
-        assert proc.stderr.startswith(b"error: cannot write the report: "), argv
-        assert proc.stderr.count(b"\n") == 1, argv
+        where = (argv, "PYTHONUNBUFFERED" in env)
+        assert proc.returncode == 2, where
+        assert proc.stderr.startswith(b"error: cannot write the report: "), where
+        assert proc.stderr.count(b"\n") == 1, where
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """The mutation gate's table stays applicable.  ``scripts/mutants.py`` runs
 the tests once per mutant; these tests only match its rows against the
-source, and run no test suite."""
+source and its killing tests against the ones pytest collects, and run no
+test suite."""
 
 import importlib.util
 from pathlib import Path
@@ -27,11 +28,26 @@ def test_every_check_has_a_mutant_the_tests_must_kill():
     assert set(fc.CHECK_NAMES) <= killable
 
 
+def test_every_killing_test_exists():
+    """Each live row's killing test is collected by the gate's full run, so
+    running it first can only spare that run, never replace it."""
+    gate = _gate()
+    assert gate.missing_killers() == []
+    stale = gate.MUTANTS[0]._replace(killer="tests/test_cli.py::test_no_such_test")
+    excluded = stale._replace(killer="tests/test_mutants.py::test_every_killing_test_exists")
+    assert gate.missing_killers(mutants=(stale, excluded)) == sorted(
+        [stale.killer, excluded.killer]
+    )
+
+
 def test_a_snippet_that_does_not_match_once_is_reported():
     gate = _gate()
     row = gate.MUTANTS[0]
     moved = row._replace(snippet=row.snippet + "# moved\n")
     common = row._replace(name="common", snippet="import ")
-    found = gate.problems(mutants=(moved, common))
+    unjudged = row._replace(killer=None)
+    found = gate.problems(mutants=(moved, common, unjudged))
     assert found[0] == f"{row.name}: snippet occurs 0 times in {row.path}"
-    assert found[1].startswith("common: snippet occurs ") and len(found) == 2
+    assert found[1].startswith("common: snippet occurs ")
+    assert found[2] == f"{row.name}: must name a killing test or an equivalence, not both"
+    assert len(found) == 3
