@@ -8,11 +8,17 @@ reduction recovers exactly the spherical ones (with the right scalar).
 """
 
 import argparse
+import os
 from collections import Counter
 
-import numpy as np
+# one OpenBLAS thread unless the user set a count, as the framecheck launcher
+# pins it: numpy's import would start one per further core, which spins and
+# never gets work from these 3x3 products
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from framecheck import (
+import numpy as np  # noqa: E402
+
+from framecheck import (  # noqa: E402
     CheckConfig,
     classify_linear_symmetry,
     random_orthogonal,

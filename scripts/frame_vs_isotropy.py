@@ -9,10 +9,16 @@ of the material.  One varies here, the other does not.
 """
 
 import argparse
+import os
 
-import numpy as np
+# one OpenBLAS thread unless the user set a count, as the framecheck launcher
+# pins it: numpy's import would start one per further core, which spins and
+# never gets work from these 3x3 products
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from framecheck import (
+import numpy as np  # noqa: E402
+
+from framecheck import (  # noqa: E402
     CheckConfig,
     LinearConstant,
     catalog_lookup,

@@ -17,14 +17,17 @@ stale.  A row with an ``equivalent`` reason is a known survivor: its snippet
 must still match once, but it is not run, and it names no killing test.
 
 The unmutated tree runs the full tier 1 too, and must pass, or a kill would
-prove nothing.  Two test runs go at a time.  A refactor that moves a guarded
-line updates its row here.
+prove nothing.  So must each distinct killing test, run alone on an
+unmutated copy: a test that fails alone, say because it leans on what an
+earlier file imported, would kill every row that names it.  Two test runs
+go at a time.  A refactor that moves a guarded line updates its row here.
 
     python scripts/mutants.py
 
 Exit status 0 when every snippet matches once, every killing test exists,
-the unmutated tree passes and every row not marked equivalent is killed; 1
-otherwise.  Standard library and pytest only.
+the unmutated tree passes, every killing test passes alone on it and every
+row not marked equivalent is killed; 1 otherwise.  Standard library and
+pytest only.
 """
 
 from __future__ import annotations
@@ -412,6 +415,15 @@ MUTANTS = (
         "built, not deep in a run",
         killer="tests/test_config.py::test_suite_config_validates_its_observers_and_sample_count",
     ),
+    Mutant(
+        "config.suite_model_unchecked", "src/framecheck/config.py",
+        "        _judge_model(self.model.family, given, _spec_numbers)\n",
+        "        pass\n",
+        "a SuiteConfig's model is judged when it is built: a kappa0 of two "
+        "numbers raised numpy's reshape error deep in run_suite, and a stray "
+        "parameter ran and was dropped from the config text",
+        killer="tests/test_config.py::test_suite_config_validates_its_model",
+    ),
 )
 
 
@@ -463,6 +475,15 @@ def _pytest(tree: Path, *args: str) -> tuple[int | None, str]:
     return proc.returncode, first or (lines[-1] if lines else proc.stderr.strip())
 
 
+def _killer_alone(killer: str) -> tuple[int | None, str]:
+    """(pytest's exit code or None on timeout, its first failure) for one
+    killing test run alone on an unmutated copy of the tree."""
+    with tempfile.TemporaryDirectory(prefix="framecheck-killer-") as tmp:
+        copy = Path(tmp) / "tree"
+        shutil.copytree(ROOT, copy, ignore=COPY_IGNORE)
+        return _pytest(copy, killer)
+
+
 def _run_tests(mutant: Optional[Mutant]) -> tuple[int | None, float, str, bool]:
     """(pytest's exit code or None on timeout, seconds, its first failure,
     whether the full run decided) for a copy of the tree with the mutant
@@ -495,6 +516,7 @@ def main() -> int:
     start = time.perf_counter()
     with ThreadPoolExecutor(max_workers=JOBS) as pool:
         baseline = pool.submit(_run_tests, None)
+        alone = [(k, pool.submit(_killer_alone, k)) for k in sorted({m.killer for m in live})]
         runs = [(m, pool.submit(_run_tests, m)) for m in live]
         survivors = 0
         for m, run in runs:
@@ -505,15 +527,20 @@ def main() -> int:
                 verdict = "killed by the full run"
             print(f"{verdict:<10} {m.name:<46} {seconds:6.1f} s  {first}", flush=True)
         code, seconds, first, _ = baseline.result()
+        failing = [(k, *run.result()) for k, run in alone]
+        failing = [(k, c, f) for k, c, f in failing if c != 0]
     for m in MUTANTS:
         if m.equivalent:
             print(f"{'equivalent':<10} {m.name:<46} {m.equivalent}")
     print(f"unmutated tree: pytest exit {code} in {seconds:.1f} s  {first}")
+    for killer, c, f in failing:
+        print(f"killing test fails alone on the unmutated tree (pytest exit {c}): {killer}  {f}")
     print(
         f"{len(live) - survivors} of {len(live)} mutants killed, "
-        f"{len(MUTANTS) - len(live)} equivalent, {time.perf_counter() - start:.0f} s in all"
+        f"{len(MUTANTS) - len(live)} equivalent, {len(alone) - len(failing)} of {len(alone)} "
+        f"killing tests pass alone, {time.perf_counter() - start:.0f} s in all"
     )
-    return 0 if code == 0 and not survivors else 1
+    return 0 if code == 0 and not survivors and not failing else 1
 
 
 if __name__ == "__main__":

@@ -32,9 +32,9 @@ _EXPORTS = {
     ),
     "groups": (
         "CATALOG_SUMMARY", "DEFAULT_SAMPLE_COUNT", "ClosureOverflow",
-        "GroupKind", "SymmetryGroup", "UnknownGroupName",
-        "adversarial_elements", "catalog_lookup", "generate_closure",
-        "group_elements_for_check", "orthogonal_check_set",
+        "SymmetryGroup", "UnknownGroupName", "adversarial_elements",
+        "catalog_lookup", "generate_closure", "group_elements_for_check",
+        "orthogonal_check_set",
     ),
     "models": (
         "MODEL_FAMILIES", "ComponentMap", "ConstitutiveModel",
@@ -48,8 +48,8 @@ _EXPORTS = {
     "tensors": (
         "IDENTITY", "INVERSION", "ROT_X_90", "ROT_X_180", "ROT_Y_90",
         "ROT_Y_180", "ROT_Z_90", "ROT_Z_180", "as_tensor2", "as_vec3",
-        "is_orthogonal", "max_abs", "observer_stack", "random_observers",
-        "random_orthogonal", "rotation_about",
+        "max_abs", "observer_stack", "random_observers", "random_orthogonal",
+        "rotation_about",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

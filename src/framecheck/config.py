@@ -50,7 +50,7 @@ from .groups import DEFAULT_SAMPLE_COUNT, UnknownGroupName, resolve_group_name
 # name for it, so it stays imported
 from .groups import catalog_lookup  # noqa: F401
 from .models import MODEL_FAMILIES
-from .tensors import ELEMENT_ORTH_TOL, OBSERVER_ORTH_TOL, as_tensor2, is_orthogonal, observer_stack
+from .tensors import ELEMENT_ORTH_TOL, OBSERVER_ORTH_TOL, _orthogonal, observer_stack
 
 CHECK_NAMES = (
     "symmetry",
@@ -128,14 +128,14 @@ class SuiteConfig:
     """Fully resolved run description.
 
     Plain data, tuples only, so two configs compare by value.  ``run``, the
-    parameters every check shares, validates itself, and so do ``group``,
-    ``checks``, ``observers`` and ``sample_count``; the model is validated by
-    parse_config only.  ``checks`` names at least one check, each in
-    CHECK_NAMES and none twice; a request's ``tol`` must be one CheckConfig
-    accepts, and its ``sample_count``, which only isotropy takes, is at
-    least 1; parse_config applies the same rules and names the [checks]
-    key that broke one.  ``observers`` is a count of seeded draws, at least
-    1, or the observer matrices, which observer_stack must accept.
+    parameters every check shares, validates itself, and so does ``group``;
+    ``model`` and ``checks`` are held to parse_config's rules for [model]
+    and [checks]: ``checks`` names at least one check, each in CHECK_NAMES
+    and none twice, a request's ``tol`` must be one CheckConfig accepts, and
+    its ``sample_count``, which only isotropy takes, is at least 1.
+    ``observers`` is a count of seeded draws, at least 1, or the observer
+    matrices, which observer_stack must accept; ``sample_count`` is at
+    least 1.
     """
 
     model: ModelSpec
@@ -146,6 +146,8 @@ class SuiteConfig:
     observers: int | tuple[tuple[float, ...], ...] = 100
 
     def __post_init__(self):
+        given = {k: v for k in _SPEC_PARAMS if (v := getattr(self.model, k)) is not None}
+        _judge_model(self.model.family, given, _spec_numbers)
         _judge_names([req.name for req in self.checks])
         for req in self.checks:
             if req.tol is not None:
@@ -202,17 +204,24 @@ def _fmt_matrix(values) -> str:
     return " ; ".join(_fmt_floats(r) for r in rows)
 
 
-def _floats(section: str, key: str, raw: str, count: int | None = None) -> tuple[float, ...]:
-    tokens = raw.replace(";", " ").split()
+def _numbers(section: str, key: str, raw: str) -> tuple[float, ...]:
     try:
-        values = tuple(float(t) for t in tokens)
+        return tuple(float(t) for t in raw.replace(";", " ").split())
     except ValueError:
         raise ValidationError(f"{section}.{key}: could not parse {raw!r} as numbers") from None
-    if not all(np.isfinite(v) for v in values):
+
+
+def _judge_floats(section: str, key: str, values, count: int | None = None) -> tuple:
+    """``values``, each finite and ``count`` of them when a count is given."""
+    if not np.all(np.isfinite(values)):
         raise ValidationError(f"{section}.{key}: values must be finite")
     if count is not None and len(values) != count:
         raise ValidationError(f"{section}.{key}: expected {count} numbers, got {len(values)}")
     return values
+
+
+def _floats(section: str, key: str, raw: str, count: int | None = None) -> tuple[float, ...]:
+    return _judge_floats(section, key, _numbers(section, key, raw), count)
 
 
 def _scalar(section: str, key: str, raw: str) -> float:
@@ -229,23 +238,23 @@ def _int(section: str, key: str, raw: str, minimum: int | None = None) -> int:
     return value
 
 
-def _coeffs(section: str, key: str, raw: str) -> tuple[float, ...]:
-    values = _floats(section, key, raw)
+def _coeffs(key: str, values) -> tuple[float, ...]:
+    values = _judge_floats("model", key, values)
     if not values:
-        raise ValidationError(f"{section}.{key}: at least one coefficient required")
+        raise ValidationError(f"model.{key}: at least one coefficient required")
     return values
 
 
-# How a model parameter is parsed, written back and typed in a ModelSpec, by
-# the annotation of its field in the model class: a 3x3 tensor, a
-# coefficient list or a scalar.
+# How a model parameter's numbers are judged, and the parameter written back
+# and typed in a ModelSpec, by the annotation of its field in the model
+# class: a 3x3 tensor, a coefficient list or a scalar.
 _PARAM_KINDS = {
-    "np.ndarray": (lambda s, k, raw: _floats(s, k, raw, count=9), _fmt_matrix, "tuple[float, ...]"),
+    "np.ndarray": (lambda k, v: _judge_floats("model", k, v, 9), _fmt_matrix, "tuple[float, ...]"),
     "tuple[float, ...]": (_coeffs, _fmt_floats, "tuple[float, ...]"),
-    "float": (_scalar, lambda v: repr(float(v)), "float"),
+    "float": (lambda k, v: _judge_floats("model", k, v, 1)[0], lambda v: repr(float(v)), "float"),
 }
 
-# family -> {parameter: (parse, emit, type)}, in the order of the class's fields
+# family -> {parameter: (judge, emit, type)}, in the order of the class's fields
 _FAMILY_PARAMS = {
     family: {f.name: _PARAM_KINDS[f.type] for f in fields(cls)}
     for family, cls in MODEL_FAMILIES.items()
@@ -290,29 +299,43 @@ def _check_config(section: str, base: CheckConfig, **values) -> CheckConfig:
 def _matrices(section: str, key: str, raw: str, tol: float) -> tuple[tuple[float, ...], ...]:
     """The '|'-separated matrices of a value, each orthogonal within tol."""
     matrices = tuple(_floats(section, key, chunk, count=9) for chunk in raw.split("|"))
-    for values in matrices:
-        if not is_orthogonal(as_tensor2(values), tol):
-            raise ValidationError(f"{section}.{key}: matrix is not orthogonal within {tol:g}")
+    if not np.all(_orthogonal(np.reshape(matrices, (-1, 3, 3)), tol)):
+        raise ValidationError(f"{section}.{key}: matrix is not orthogonal within {tol:g}")
     return matrices
+
+
+def _judge_model(family: str, given: dict, numbers) -> dict:
+    """ModelSpec's keyword arguments: a known family, each of its parameters
+    given and no other, each as many finite numbers(key, value) as it takes."""
+    if family not in _FAMILY_PARAMS:
+        known = ", ".join(sorted(_FAMILY_PARAMS))
+        raise ValidationError(f"model.family: unknown family {family!r} (known: {known})")
+    wanted = _FAMILY_PARAMS[family]
+    for key in given:
+        if key not in wanted:
+            raise ValidationError(f"model.{key}: not a parameter of family {family}")
+    kwargs = {}
+    for key, (judge, _, _) in wanted.items():
+        if key not in given:
+            raise ValidationError(f"model.{key} is required for family {family}")
+        kwargs[key] = judge(key, numbers(key, given[key]))
+    return kwargs
+
+
+def _spec_numbers(key: str, value) -> tuple:
+    """A ModelSpec value as numbers, given in the form to_config_text writes."""
+    scalar = _SPEC_PARAMS[key] == "float"
+    if isinstance(value, tuple) is scalar:
+        raise TypeError(f"model.{key}: expected {'a number' if scalar else 'a tuple of numbers'}")
+    return (value,) if scalar else value
 
 
 def _parse_model(sec) -> ModelSpec:
     if "family" not in sec:
         raise ValidationError("model.family is required")
     family = sec["family"].strip()
-    if family not in _FAMILY_PARAMS:
-        known = ", ".join(sorted(_FAMILY_PARAMS))
-        raise ValidationError(f"model.family: unknown family {family!r} (known: {known})")
-    wanted = _FAMILY_PARAMS[family]
-    for key in sec:
-        if key != "family" and key not in wanted:
-            raise ValidationError(f"model.{key}: not a parameter of family {family}")
-    kwargs = {}
-    for key, (parse, _, _) in wanted.items():
-        if key not in sec:
-            raise ValidationError(f"model.{key} is required for family {family}")
-        kwargs[key] = parse("model", key, sec[key])
-    return ModelSpec(family, **kwargs)
+    given = {key: sec[key] for key in sec if key != "family"}
+    return ModelSpec(family, **_judge_model(family, given, lambda k, v: _numbers("model", k, v)))
 
 
 def _parse_group(sec) -> GroupSpec:

@@ -21,7 +21,6 @@ search the trace buckets of _nearest, which states the bucket rule.
 
 from __future__ import annotations
 
-import enum
 import re
 from dataclasses import KW_ONLY, InitVar, dataclass, field
 from functools import lru_cache
@@ -62,11 +61,6 @@ class UnknownGroupName(LookupError):
     """Raised by catalog_lookup for a name not in the catalog."""
 
 
-class GroupKind(enum.Enum):
-    FINITE = "finite"
-    FULL_ORTHOGONAL = "full_orthogonal"
-
-
 def _nearest(stored: np.ndarray, queries: np.ndarray) -> np.ndarray:
     """Max-norm distance from each query to the nearest stored element in its
     trace bucket or a neighbouring one; inf when those buckets are empty.
@@ -98,7 +92,8 @@ def _nearest(stored: np.ndarray, queries: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SymmetryGroup:
-    """A finite point group, or the sampled full orthogonal group.
+    """A finite point group, or the sampled full orthogonal group: finite
+    exactly when it holds elements, sampled when it holds a sample_count.
 
     Only generate_closure makes a finite group.  Its elements are the rows of
     one read-only (n, 3, 3) array, ``stack``: the identity first, orthogonal
@@ -106,7 +101,6 @@ class SymmetryGroup:
     transpose among them; closure_defect() measures how far the products of
     pairs land from the elements."""
 
-    kind: GroupKind
     name: str
     # generate_closure passes its frozen (n, 3, 3) stack, which __post_init__
     # keeps as ``stack`` and replaces here with the tuple of its rows
@@ -118,22 +112,17 @@ class SymmetryGroup:
     stack: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self, _closed):
-        if self.kind is GroupKind.FINITE:
+        if self.elements is not None:
             if not _closed:
                 raise ValueError("a finite group is made by generate_closure")
             object.__setattr__(self, "stack", self.elements)
             object.__setattr__(self, "elements", tuple(self.elements))
-        elif self.kind is GroupKind.FULL_ORTHOGONAL:
-            if self.elements is not None:
-                raise ValueError("full_orthogonal stores no explicit elements")
-            if self.sample_count is None or self.sample_count < 1:
-                raise ValueError("sample_count must be a positive integer")
-        else:
-            raise ValueError(f"unknown group kind {self.kind!r}")
+        elif self.sample_count is None or self.sample_count < 1:
+            raise ValueError("sample_count must be a positive integer")
 
     @property
     def order(self) -> int:
-        if self.kind is not GroupKind.FINITE:
+        if self.stack is None:
             raise ValueError("only finite groups have an order")
         return len(self.elements)
 
@@ -147,9 +136,9 @@ class SymmetryGroup:
         count.  A product with no element in those buckets is measured against
         every element, so a set that is not closed gives the distance, not
         inf."""
-        if self.kind is not GroupKind.FINITE:
-            raise ValueError("closure_defect applies to finite groups")
         stack = self.stack
+        if stack is None:
+            raise ValueError("closure_defect applies to finite groups")
         rows = max(1, _BLOCK // len(stack))
         worst = 0.0
         for i in range(0, len(stack), rows):
@@ -179,13 +168,17 @@ def generate_closure(generators, max_order: int, name: str = "generated") -> Sym
     if skewed.size:
         raise ValueError(f"generator {skewed[0]} is not orthogonal within {ELEMENT_ORTH_TOL:g}")
 
-    # the elements so far, entries first: found[:, :count]; doubles when full
+    # the elements so far, entries first: found[:, :count]; doubles when full,
+    # as does the scratch that |found - m| is taken in, not one block per test
     found, count = np.eye(3).reshape(9, 1), 1
+    scratch = np.empty(found.size)
 
     def add(m: np.ndarray) -> bool:
         """Store m unless an element within DEDUP_TOL is stored already."""
-        nonlocal found, count
-        if np.min(np.max(np.abs(found[:, :count] - m.reshape(9, 1)), axis=0)) < DEDUP_TOL:
+        nonlocal found, count, scratch
+        diff = scratch[: 9 * count].reshape(9, count)
+        np.subtract(found[:, :count], m.reshape(9, 1), diff)
+        if np.abs(diff, diff).max(axis=0).min() < DEDUP_TOL:
             return False
         if count + 1 > max_order:
             raise ClosureOverflow(
@@ -194,6 +187,7 @@ def generate_closure(generators, max_order: int, name: str = "generated") -> Sym
             )
         if count == found.shape[1]:
             found = np.concatenate((found, np.empty_like(found)), axis=1)
+            scratch = np.empty(found.size)
         found[:, count] = m.ravel()
         count += 1
         return True
@@ -209,7 +203,7 @@ def generate_closure(generators, max_order: int, name: str = "generated") -> Sym
     missing = np.flatnonzero(_nearest(stack, stack.transpose(0, 2, 1)) > ELEMENT_ORTH_TOL)
     if missing.size:
         raise ValueError(f"element {missing[0]} has no transpose in the group (inverses missing)")
-    return SymmetryGroup(GroupKind.FINITE, name, stack, _closed=True)
+    return SymmetryGroup(name, stack, _closed=True)
 
 
 def _closure(generators, max_order: int, name: str):
@@ -233,7 +227,7 @@ _CATALOG = {
     ),
     "full_orthogonal": (
         "sampled full orthogonal group",
-        lambda n: SymmetryGroup(GroupKind.FULL_ORTHOGONAL, "full_orthogonal", sample_count=n),
+        lambda n: SymmetryGroup("full_orthogonal", sample_count=n),
     ),
 }
 CATALOG_SUMMARY = tuple((name, description) for name, (description, _) in _CATALOG.items())
@@ -303,6 +297,6 @@ def group_elements_for_check(group: SymmetryGroup, seed) -> np.ndarray:
     finite group's own, or Haar samples plus the adversarial set for
     full_orthogonal."""
     s = _require_seed(seed)
-    if group.kind is GroupKind.FINITE:
+    if group.stack is not None:
         return group.stack
     return orthogonal_check_set(s, group.sample_count)

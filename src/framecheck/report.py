@@ -38,7 +38,10 @@ from .tensors import observer_stack, random_observers
 class SuiteReport:
     config: SuiteConfig
     records: tuple[tuple[str, CheckResult], ...]  # (check name, result), config order
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        return all(r.passed for _, r in self.records)
 
 
 def build_model(spec: ModelSpec) -> ConstitutiveModel:
@@ -101,7 +104,7 @@ def run_suite(cfg: SuiteConfig) -> SuiteReport:
             count = cfg.sample_count if req.sample_count is None else req.sample_count
             result = run(model, group, observers, check_cfg, count)
         records.append((req.name, result))
-    return SuiteReport(cfg, tuple(records), all(r.passed for _, r in records))
+    return SuiteReport(cfg, tuple(records))
 
 
 def emit_report(report: SuiteReport, format: str = "human") -> bytes:

@@ -88,22 +88,8 @@ def rotation_about(axis, angle: float) -> np.ndarray:
 def _orthogonal(stack: np.ndarray, tol: float) -> np.ndarray:
     """Whether max|Q Q^T - 1| <= tol, for each matrix Q of an (n, 3, 3)
     stack; a NaN matrix never is, nor one whose Q Q^T overflows."""
-    if not np.isfinite(tol) or tol <= 0.0:
-        raise ValueError("tol must be a positive finite number")
     with np.errstate(over="ignore", invalid="ignore"):
         return np.max(np.abs(stack @ stack.transpose(0, 2, 1) - np.eye(3)), axis=(1, 2)) <= tol
-
-
-def is_orthogonal(t, tol: float = ELEMENT_ORTH_TOL) -> bool:
-    """True iff max|t @ t.T - 1| <= tol.
-
-    Non-finite or wrongly shaped input is never orthogonal (returns False
-    rather than raising, so this can vet untrusted matrices directly).
-    """
-    t = np.asarray(t, dtype=float)
-    if t.shape != (3, 3) or not np.all(np.isfinite(t)):
-        t = np.full((3, 3), np.nan)
-    return bool(_orthogonal(t[None], tol)[0])
 
 
 def _require_seed(seed) -> int:

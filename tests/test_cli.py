@@ -1,3 +1,4 @@
+import ast
 import gc
 import itertools
 import json
@@ -13,7 +14,8 @@ import framecheck as fc
 from conftest import SUBPROCESS_ENV
 from framecheck.cli import entry, main
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 RECORD_KEYS = {"name", "passed", "max_residual", "samples_used", "witness", "note"}
@@ -268,6 +270,28 @@ def test_launchers_pin_openblas_to_one_thread_unless_the_user_set_it(launcher):
     threads only spin.  A value in the environment is the user's choice."""
     assert _watch(launcher)["blas_threads"] == "1"
     assert _watch(launcher, OPENBLAS_NUM_THREADS="2")["blas_threads"] == "2"
+
+
+def _imports_numpy(node) -> bool:
+    """Whether a statement imports numpy or framecheck, which loads it."""
+    if isinstance(node, ast.Import):
+        names = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom):
+        names = [node.module or ""]
+    else:
+        return False
+    return any(name.split(".")[0] in ("numpy", "framecheck") for name in names)
+
+
+@pytest.mark.parametrize("script", ["classify_conductivities.py", "frame_vs_isotropy.py"])
+def test_scripts_pin_openblas_before_numpy_loads(script):
+    """Each script pins OpenBLAS as the launcher does, in a top-level
+    statement before its first import of numpy or framecheck."""
+    body = ast.parse((ROOT / "scripts" / script).read_text()).body
+    pin = "os.environ.setdefault('OPENBLAS_NUM_THREADS', '1')"
+    pins = [i for i, node in enumerate(body) if ast.unparse(node) == pin]
+    first = next(i for i, node in enumerate(body) if _imports_numpy(node))
+    assert pins and pins[0] < first
 
 
 @pytest.mark.skipif(

@@ -328,6 +328,99 @@ def test_suite_config_validates_its_observers_and_sample_count():
         assert str(err.value) == message
 
 
+IDENTITY9 = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
+# (family, parameters, the message of the rule they break)
+BAD_MODELS = {
+    "unknown_family": ("nope", {}, "model.family: unknown family 'nope' (known: "
+                       + ", ".join(sorted(fc.MODEL_FAMILIES)) + ")"),
+    "foreign_parameter": ("linear_constant", {"kappa0": IDENTITY9, "a": 1.0},
+                          "model.a: not a parameter of family linear_constant"),
+    "missing_parameter": ("linear_constant", {},
+                          "model.kappa0 is required for family linear_constant"),
+    "tensor_count": ("linear_constant", {"kappa0": (1.0, 2.0)},
+                     "model.kappa0: expected 9 numbers, got 2"),
+    "no_coefficients": ("linear_temperature", {"kappa0": IDENTITY9, "theta_coeffs": ()},
+                        "model.theta_coeffs: at least one coefficient required"),
+    "tensor_not_finite": ("linear_constant", {"kappa0": (float("inf"),) + IDENTITY9[1:]},
+                          "model.kappa0: values must be finite"),
+    "scalar_not_finite": ("nonlinear_anisotropic", {"a_tensor": IDENTITY9, "c": float("nan")},
+                          "model.c: values must be finite"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_MODELS))
+def test_suite_config_validates_its_model(case):
+    """A SuiteConfig built in code holds its model to parse_config's rules
+    when it is built, with parse_config's message for the same values as
+    text.  Before, a model of the wrong size raised numpy's reshape error
+    deep in run_suite, an unknown family a KeyError, and a foreign parameter
+    ran and was dropped from the config text, which then did not parse back
+    to the config."""
+    family, params, message = BAD_MODELS[case]
+    with pytest.raises(ValueError) as err:
+        fc.SuiteConfig(fc.ModelSpec(family, **params))
+    assert str(err.value) == message
+    lines = [f"family = {family}"]
+    for key, value in params.items():
+        numbers = value if isinstance(value, tuple) else (value,)
+        lines.append(f"{key} = {' '.join(map(str, numbers))}")
+    with pytest.raises(fc.ValidationError) as err:
+        fc.parse_config("[model]\n" + "\n".join(lines) + "\n")
+    assert str(err.value) == message
+
+
+def test_suite_config_takes_each_model_parameter_in_its_written_form():
+    """A tensor or coefficient list is a tuple of numbers and a scalar a
+    number, as to_config_text writes them: anything else is a TypeError
+    naming the key, not a config that fails to write or parse back."""
+    for family, params, message in (
+        ("linear_constant", {"kappa0": list(IDENTITY9)},
+         "model.kappa0: expected a tuple of numbers"),
+        ("linear_constant", {"kappa0": np.eye(3)}, "model.kappa0: expected a tuple of numbers"),
+        ("linear_temperature", {"kappa0": IDENTITY9, "theta_coeffs": 2.0},
+         "model.theta_coeffs: expected a tuple of numbers"),
+        ("nonlinear_isotropic", {"a": (1.0,), "b": 1.0}, "model.a: expected a number"),
+    ):
+        with pytest.raises(TypeError) as err:
+            fc.SuiteConfig(fc.ModelSpec(family, **params))
+        assert str(err.value) == message
+
+
+FLOAT_TUPLES = st.lists(st.floats()).map(tuple)
+# each parameter absent or in its written form: a number or a tuple of them,
+# in ModelSpec's field order
+MODEL_VALUES = {
+    f.name: st.none() | (st.floats() if f.type == "float | None" else FLOAT_TUPLES)
+    for f in dataclasses.fields(fc.ModelSpec)[1:]
+}
+
+
+@given(
+    family=st.sampled_from(sorted(fc.MODEL_FAMILIES) + ["nope"]),
+    params=st.fixed_dictionaries(MODEL_VALUES),
+)
+def test_every_model_a_suite_config_accepts_round_trips(family, params):
+    """A model that SuiteConfig accepts is the one its config text parses
+    back to; one it rejects, parse_config rejects with the same message,
+    given the same values in ModelSpec's field order."""
+    spec = fc.ModelSpec(family, **params)
+    try:
+        cfg = fc.SuiteConfig(spec)
+    except ValueError as exc:
+        lines = [f"family = {family}"]
+        for key in MODEL_VALUES:
+            value = params[key]
+            if value is None:
+                continue
+            numbers = value if isinstance(value, tuple) else (value,)
+            lines.append(f"{key} = {' '.join(map(repr, numbers))}")
+        with pytest.raises(fc.ValidationError) as err:
+            fc.parse_config("[model]\n" + "\n".join(lines) + "\n")
+        assert str(err.value) == str(exc)
+        return
+    assert fc.parse_config(cfg.to_config_text()) == cfg
+
+
 def test_suite_config_validates_its_checks():
     """A SuiteConfig built in code names at least one check, each known and
     none twice, with a tol CheckConfig accepts and a sample_count of at least

@@ -12,8 +12,10 @@ or a witness on purpose regenerates the file and says why.
 
 import importlib.util
 import json
+import os
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -90,13 +92,43 @@ def test_demo_matches_golden(capsysbinary):
     assert capsysbinary.readouterr().out == (GOLDEN / "demo.txt").read_bytes()
 
 
+def _load(path):
+    """The module at path, loaded as a script's importer would; what it sets
+    in os.environ, as a script pins OpenBLAS, is undone after."""
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    with mock.patch.dict(os.environ):
+        spec.loader.exec_module(module)
+    return module
+
+
+# the goldens with a check that could not run: its group was never built
+COULD_NOT_RUN = ("group_overflow", "merged_generators")
+REPORTS = sorted(p.stem for p in GOLDEN.glob("*.json") if p.stem != "classify")
+
+
+@pytest.mark.parametrize("name", REPORTS)
+def test_the_benchmark_oracle_accepts_every_golden_report(name):
+    """perfbench's oracle, which calls no framecheck code, reads each golden
+    against its own config_text: every failing witness recomputes above its
+    tol and equal to the report, and every passing maximum is at most its
+    tol.  The one error it may give is for a check that could not run,
+    whose max_residual is null."""
+    oracle = _load(ROOT / "perfbench" / "oracle.py")
+    data = (GOLDEN / f"{name}.json").read_bytes()
+    report = json.loads(data)
+    expected = {r["name"]: r["passed"] for r in report["checks"]}
+    cfg = oracle.read_config(report["config_text"])
+    errors = oracle.check_report(cfg, expected, CONFIGS[name][1], data, b"")
+    null = [r["name"] for r in report["checks"] if r["max_residual"] is None]
+    assert errors == [f"{n}: max_residual None is not a finite non-negative number" for n in null]
+    assert bool(null) is (name in COULD_NOT_RUN)
+
+
 def test_classify_draws_match_golden():
     """Every draw's label and schur_reduce fields, to the last bit of alpha
     and residual: the benchmark's oracle checks only which side of the
     tolerance a residual falls on."""
-    path = ROOT / "scripts" / "classify_conductivities.py"
-    spec = importlib.util.spec_from_file_location("classify_conductivities", path)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
+    script = _load(ROOT / "scripts" / "classify_conductivities.py")
     text = json.dumps(script.classify_draws(1, 20), indent=2) + "\n"
     assert text.encode() == (GOLDEN / "classify.json").read_bytes()

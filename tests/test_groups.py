@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import framecheck as fc
+from framecheck.tensors import _orthogonal
 
 _MADE_BY_CLOSURE = r"^a finite group is made by generate_closure$"
 
@@ -170,7 +171,7 @@ def test_overflowing_elements_are_rejected_without_a_warning():
     # more; as generators they are rejected before any product is formed
     for elements, index in (((np.eye(3), big), 1), ((-big,), 0)):
         with pytest.raises(ValueError, match=_MADE_BY_CLOSURE):
-            fc.SymmetryGroup(fc.GroupKind.FINITE, "scaled", elements)
+            fc.SymmetryGroup("scaled", elements)
         message = rf"^generator {index} is not orthogonal within 1e-09$"
         with pytest.raises(ValueError, match=message):
             fc.generate_closure(elements, max_order=8)
@@ -209,13 +210,11 @@ def test_closure_defect_matches_the_pairwise_loop():
     # no closure gives these sets, so they are built with the private flag
     gaps = [
         fc.SymmetryGroup(
-            fc.GroupKind.FINITE,
             "z4_without_half_turn",
             np.stack((fc.IDENTITY, fc.ROT_Z_90, fc.ROT_Z_90.T)),
             _closed=True,
         ),
         fc.SymmetryGroup(
-            fc.GroupKind.FINITE,
             "small_turns",
             np.stack((fc.IDENTITY, rz(1e-3), rz(-1e-3))),
             _closed=True,
@@ -255,7 +254,7 @@ def test_group_validation_rejects_bad_element_sets():
     ]
     for name, elements, outcome in cases:
         with pytest.raises(ValueError, match=_MADE_BY_CLOSURE):
-            fc.SymmetryGroup(fc.GroupKind.FINITE, name, elements)
+            fc.SymmetryGroup(name, elements)
         if isinstance(outcome, str):
             with pytest.raises(ValueError) as err:
                 fc.generate_closure(elements, max_order=48, name=name)
@@ -272,7 +271,7 @@ def _reference_validation(elements):
     loop over the elements that scans every element for each lookup; None
     for a valid set."""
     for i, e in enumerate(elements):
-        if not fc.is_orthogonal(e, 1e-9):
+        if not _orthogonal(e[None], 1e-9)[0]:
             return f"element {i} is not orthogonal within 1e-09"
         if any(fc.max_abs(e - d) < fc.groups.DEDUP_TOL for d in elements[:i]):
             return f"element {i} duplicates an earlier element"
@@ -288,7 +287,7 @@ def _reference_group(generators, max_order, name):
     """generate_closure as the reference closure followed by the per-element
     validation: the elements, or the exception generate_closure raises."""
     for i, g in enumerate(generators):
-        if not fc.is_orthogonal(g, 1e-9):
+        if not _orthogonal(np.asarray(g, dtype=float)[None], 1e-9)[0]:
             raise ValueError(f"generator {i} is not orthogonal within 1e-09")
     elements = _reference_closure([fc.as_tensor2(g) for g in generators], max_order, name)
     message = _reference_validation(elements)
@@ -331,7 +330,7 @@ def test_group_validation_matches_the_per_element_loop(seed, picks):
     cubic = [q @ e @ q.T for e in fc.catalog_lookup("cubic_rotations").elements]
     elements = tuple(cubic[i] * (1.0 + eps) for i, eps in picks)
     with pytest.raises(ValueError, match=_MADE_BY_CLOSURE):
-        fc.SymmetryGroup(fc.GroupKind.FINITE, "g", elements)
+        fc.SymmetryGroup("g", elements)
     _assert_closure_matches_the_reference(elements, 48)
 
 
@@ -387,7 +386,7 @@ def _rz(angle):
     ids=["drifts_off_orthogonal", "closes_by_merging"],
 )
 def test_perturbed_generators_fail_where_the_closure_drifts(generator, message):
-    assert fc.is_orthogonal(generator, 1e-9)
+    assert _orthogonal(generator[None], 1e-9)[0]
     for max_order in (50, 192, 10**12):
         with pytest.raises(ValueError) as err:
             fc.generate_closure([generator], max_order, name="perturbed")
@@ -396,7 +395,7 @@ def test_perturbed_generators_fail_where_the_closure_drifts(generator, message):
 
 def test_finite_groups_are_made_only_by_closure():
     with pytest.raises(ValueError, match=_MADE_BY_CLOSURE):
-        fc.SymmetryGroup(fc.GroupKind.FINITE, "trivial", (fc.IDENTITY,))
+        fc.SymmetryGroup("trivial", (fc.IDENTITY,))
     # the two catalog groups once written out by hand, element for element
     written = {
         "trivial": (fc.IDENTITY,),
@@ -411,16 +410,18 @@ def test_finite_groups_are_made_only_by_closure():
 
 
 def test_full_orthogonal_group_shape():
+    """A group holding no elements is the sampled orthogonal group, and then
+    it holds a positive sample_count."""
     group = fc.catalog_lookup("full_orthogonal", sample_count=16)
-    assert group.kind is fc.GroupKind.FULL_ORTHOGONAL
     assert group.sample_count == 16
-    assert group.elements is None
-    with pytest.raises(ValueError):
+    assert group.elements is None and group.stack is None
+    with pytest.raises(ValueError, match="^only finite groups have an order$"):
         group.order
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^closure_defect applies to finite groups$"):
         group.closure_defect()
-    with pytest.raises(ValueError):
-        fc.SymmetryGroup(fc.GroupKind.FULL_ORTHOGONAL, "bad", sample_count=0)
+    for sample_count in (0, None):
+        with pytest.raises(ValueError, match="^sample_count must be a positive integer$"):
+            fc.SymmetryGroup("bad", sample_count=sample_count)
 
 
 def test_unknown_group_names():
@@ -435,8 +436,7 @@ def test_adversarial_elements():
     assert np.array_equal(els[0], fc.IDENTITY)
     for want in (fc.INVERSION, fc.ROT_X_90, fc.ROT_Y_90, fc.ROT_Z_90):
         assert any(np.array_equal(want, e) for e in els)
-    for e in els:
-        assert fc.is_orthogonal(e, 1e-12)
+    assert np.all(_orthogonal(np.stack(els), 1e-12))
 
 
 def test_orthogonal_check_set_layout_and_determinism():
@@ -480,7 +480,7 @@ def test_conjugated_group_still_validates(seed):
     base = fc.catalog_lookup("cubic_rotations")
     elements = tuple(q @ e @ q.T for e in base.elements)
     with pytest.raises(ValueError, match=_MADE_BY_CLOSURE):
-        fc.SymmetryGroup(fc.GroupKind.FINITE, "conjugated", elements)
+        fc.SymmetryGroup("conjugated", elements)
     group = fc.generate_closure(elements, max_order=base.order, name="conjugated")
     assert group.order == base.order
     assert group.closure_defect() <= 1e-12

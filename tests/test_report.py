@@ -41,10 +41,13 @@ def test_group_is_built_once_per_suite(fails, monkeypatch):
     if not fails:
         cfg = fc.SuiteConfig(cfg.model, observers=3)  # the trivial group
     built = []
+    # the real function, taken before the patch: fc.build_group, if not yet
+    # bound in the lazy package, would resolve to the patch itself
+    build = report.build_group
 
     def counting(spec, sample_count):
         built.append(spec)
-        return fc.build_group(spec, sample_count)
+        return build(spec, sample_count)
 
     monkeypatch.setattr(report, "build_group", counting)
     fc.run_suite(cfg)
