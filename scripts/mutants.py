@@ -255,6 +255,15 @@ MUTANTS = (
         "generate_closure is the only way to make a finite group",
         killer="tests/test_groups.py::test_overflowing_elements_are_rejected_without_a_warning",
     ),
+    Mutant(
+        "groups.nearest_without_budget", "src/framecheck/groups.py",
+        '        j = i + max(1, int(np.searchsorted(padded, _SLOTS, side="right")))\n',
+        "        j = i + len(widest)\n",
+        "a query block padded to its widest trace-bucket range holds up to "
+        "1,024 times that range; the transpose test of a large cyclic group "
+        "then dominates the memory of its closure",
+        killer="tests/test_groups.py::test_nearest_pads_its_query_blocks_within_a_budget",
+    ),
     # -- the suite runner and the process entry
     Mutant(
         "report.binds_check_at_import", "src/framecheck/report.py",

@@ -30,10 +30,12 @@ check results are bit-reproducible.
 
 Every check turns its residuals into a verdict through one reducer,
 ``_worst``: the witness is the single (observer, element, state) sample
-attaining the maximal residual, ties breaking toward the earliest observer or
-element, then the earliest state in sample order.  A non-finite residual
-counts as infinite, so it always fails the check and becomes the witness.
-Only the witness's StatePoint is ever built.
+attaining the maximal residual, ties breaking toward the earliest row, then
+the earliest state in sample order.  Rows come element by element, observer
+by observer, or, in frame indifference, element block, then observer, then
+element (see Folding).  A non-finite residual counts as infinite, so it
+always fails the check and becomes the witness.  Only the witness's
+StatePoint is ever built.
 
 Folding
 -------
@@ -58,12 +60,13 @@ The two observer checks stack their observers the same way: they build one
 ComponentMap per run of consecutive observers, of at most ``_FOLD_STATES``
 states, and apply it to the whole run at once.  Observer independence runs
 both of its forms that way, frame indifference its conductivity form.  Frame
-indifference's flux form takes one observer's map at a time against blocks
-of consecutive group elements, of at most ``_FOLD_STATES`` states.  A law
-whose conductivity does not depend on the gradient (``gradient_dependent``
-False) has the same conductivity at every rotated gradient Q^T g*, bit for
-bit, so ComponentMap evaluates it once, on the S sampled states, and
-broadcasts that stack over the observers and elements.
+indifference's flux form runs every observer's own map against one block of
+consecutive group elements, of at most ``_FOLD_STATES`` states, at a time,
+so its memory does not grow with the group's order.  A law whose
+conductivity does not depend on the gradient (``gradient_dependent`` False)
+has the same conductivity at every rotated gradient Q^T g*, bit for bit, so
+ComponentMap evaluates it once, on the S sampled states, and broadcasts that
+stack over the observers and elements.
 
 Each (observer, element) row is still reduced on its own, with one
 ``np.argmax``, so the folds change no residual, witness or sample count.
@@ -291,17 +294,19 @@ def _element_blocks(model, batch: _StateBatch, elements):
     """
     per_block = max(1, _FOLD_STATES // batch.thetas.size)
     for start in range(0, len(elements), per_block):
-        hs = elements[start:start + per_block]
-        # rows of grads @ H^T are H g
-        hgs = batch.grads @ hs.transpose(0, 2, 1)
-        if model.gradient_dependent:
-            kappas = model.kappa(np.tile(batch.thetas, len(hs)), hgs.reshape(-1, 3))
-            refs = matvec(kappas.reshape(hgs.shape + (3,)), hgs)
-            kappas = sample_last(kappas).reshape(3, 3, len(hs), -1)
-        else:
-            kappas = None
-            refs = matvec(batch.kappas, hgs)
-        yield hs, hgs, kappas, refs
+        # made by a call, so that this frame holds none of the block's arrays
+        yield _element_block(model, batch, elements[start:start + per_block])
+
+
+def _element_block(model, batch: _StateBatch, hs):
+    """One block of _element_blocks, for the elements hs."""
+    # rows of grads @ H^T are H g
+    hgs = batch.grads @ hs.transpose(0, 2, 1)
+    if not model.gradient_dependent:
+        return hs, hgs, None, matvec(batch.kappas, hgs)
+    kappas = model.kappa(np.tile(batch.thetas, len(hs)), hgs.reshape(-1, 3))
+    refs = matvec(kappas.reshape(hgs.shape + (3,)), hgs)
+    return hs, hgs, sample_last(kappas).reshape(3, 3, len(hs), -1), refs
 
 
 def _symmetry_rows(model, elements, batch):
@@ -468,29 +473,19 @@ def check_frame_indifference(
     imply isotropy.
 
     The conductivity form runs on stacked ComponentMaps over runs of
-    consecutive observers, and the flux form on each observer's map against
-    blocks of consecutive group elements, each of at most _FOLD_STATES
-    states.  Every (observer, element) row keeps its arithmetic, so rows,
-    samples_used and witnesses are those of the unfolded loop, bit for bit.
-    ``observers`` is anything observer_stack takes.
+    consecutive observers, and the flux form on every observer's own map
+    against one block of consecutive group elements, of at most
+    _FOLD_STATES states, at a time.  Every (observer, element) row keeps its
+    arithmetic, so each row, samples_used and max_residual are those of the
+    unfolded loop, bit for bit.  Rows come block, then observer, then
+    element: among exactly tied failing rows, the earliest in that order is
+    the witness.  ``observers`` is anything observer_stack takes.
     """
     observers = observer_stack(observers)
     elements = group_elements_for_check(group, cfg.seed)
     batch = _sample_states(model, cfg)
 
     def rows():
-        # H g and the canonical flux q(theta, H g) do not depend on the
-        # observer.  A gradient-dependent law's map is handed the temperature
-        # of every row; a gradient-free one's map evaluates it on the S states.
-        blocks = [
-            (
-                hs,
-                np.tile(batch.thetas, len(hs)) if model.gradient_dependent else batch.thetas,
-                hgs.reshape(1, -1, 3),
-                refs.reshape(-1, 3),
-            )
-            for hs, hgs, _, refs in _element_blocks(model, batch, elements)
-        ]
         # conductivity form, element-independent: kappa(g) vs Q^T kappa*(Q g) Q
         kappas = np.transpose(batch.kappas, (1, 2, 0))[:, :, None]
         kappa_raw = np.empty((len(observers), batch.thetas.size))
@@ -500,11 +495,24 @@ def check_frame_indifference(
             back = conjugate_stack(q_t, cm.kappa(batch.thetas, batch.grads @ q_t))
             raw = np.max(np.abs(kappas - sample_last(back)), axis=(0, 1))
             kappa_raw[start:start + len(raw)] = raw
-        # flux form: each observer against blocks of consecutive elements
-        for o, (obs, obs_kappa_raw) in enumerate(zip(observers, kappa_raw)):
-            cm = ComponentMap(model, observers[o:o + 1])
-            q_t = transposes(cm.observers)
-            for hs, thetas, hgs, refs in blocks:
+        # flux form: every observer's own map against one block of
+        # consecutive elements at a time.  H g and the canonical flux
+        # q(theta, H g) do not depend on the observer.  A gradient-dependent
+        # law's map is handed the temperature of every row; a gradient-free
+        # one's map evaluates it on the S states.
+        q_ts = transposes(observers)
+        maps = [
+            (obs, obs_kappa_raw, ComponentMap(model, observers[o:o + 1]), q_ts[o:o + 1])
+            for o, (obs, obs_kappa_raw) in enumerate(zip(observers, kappa_raw))
+        ]
+        for hs, hgs, kappas_h, refs in _element_blocks(model, batch, elements):
+            # kappa(theta, H g) is the symmetry check's.  Held while the
+            # observers run, it made the allocator map fresh pages for the
+            # flux calls' temporaries, call after call
+            del kappas_h
+            thetas = np.tile(batch.thetas, len(hs)) if model.gradient_dependent else batch.thetas
+            hgs, refs = hgs.reshape(1, -1, 3), refs.reshape(-1, 3)
+            for obs, obs_kappa_raw, cm, q_t in maps:
                 # rows of H g @ Q^T are Q H g
                 starred = cm.flux(thetas, hgs @ q_t)
                 # rows of starred @ Q are Q^T starred

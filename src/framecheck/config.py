@@ -215,6 +215,11 @@ def _judge_floats(section: str, key: str, values, count: int | None = None) -> t
     """``values``, each finite and ``count`` of them when a count is given."""
     if not np.all(np.isfinite(values)):
         raise ValidationError(f"{section}.{key}: values must be finite")
+    return _judge_count(section, key, values, count)
+
+
+def _judge_count(section: str, key: str, values, count: int | None) -> tuple:
+    """``values``, ``count`` of them when a count is given."""
     if count is not None and len(values) != count:
         raise ValidationError(f"{section}.{key}: expected {count} numbers, got {len(values)}")
     return values
@@ -225,7 +230,8 @@ def _floats(section: str, key: str, raw: str, count: int | None = None) -> tuple
 
 
 def _scalar(section: str, key: str, raw: str) -> float:
-    return _floats(section, key, raw, count=1)[0]
+    """One number, whatever its value: CheckConfig alone judges a tol."""
+    return _judge_count(section, key, _numbers(section, key, raw), 1)[0]
 
 
 def _int(section: str, key: str, raw: str, minimum: int | None = None) -> int:
@@ -281,7 +287,7 @@ ModelSpec = make_dataclass(
 _RUN_PARAMS = {
     "seed": (_int, str),
     "tol": (_scalar, lambda v: repr(float(v))),
-    "theta_samples": (_floats, _fmt_floats),
+    "theta_samples": (_numbers, _fmt_floats),
     "gradient_samples": (_int, str),
 }
 

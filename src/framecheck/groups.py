@@ -16,7 +16,8 @@ fail is checked once, on the finished stack: an element that drifted from
 orthogonal as the generators were multiplied, and a set that closed by
 merging, whose transposes are then missing.  Closure tests each new product
 against every element found so far; the transpose test and closure_defect
-search the trace buckets of _nearest, which states the bucket rule.
+search the trace buckets of _nearest, which states the bucket rule and the
+budget of (query, candidate) pairs that bounds its memory.
 """
 
 from __future__ import annotations
@@ -49,6 +50,9 @@ DEDUP_TOL = 1e-6
 DEFAULT_SAMPLE_COUNT = 256
 # queries per trace-bucket search, and products per closure_defect step
 _BLOCK = 1024
+# (query, candidate) pairs per trace-bucket search: its gathered candidates
+# and their differences from the queries take about 2.4 MB
+_SLOTS = _BLOCK * 16
 
 _GROUP_STREAM = 1
 
@@ -68,25 +72,37 @@ def _nearest(stored: np.ndarray, queries: np.ndarray) -> np.ndarray:
     Both (n, 3, 3) stacks are bucketed by trace on a 1e-3 grid.  Two matrices
     within 1e-4 in max-norm differ in trace by at most 3e-4, under one bucket
     width, so below 1e-4 this search is exact, not a heuristic.  Queries are
-    taken _BLOCK at a time, their candidates padded to the widest range among
-    them, so memory does not grow with the square of a large cyclic group."""
+    taken in blocks of consecutive ones, their candidates padded to the
+    widest range among them.  A block ends after _BLOCK queries, or before
+    one more would pass _SLOTS (query, candidate) pairs, but holds one query
+    at least: memory grows neither with the square of a large cyclic group
+    nor with a few crowded buckets (the rotations about z near the identity
+    and the half turn).  The blocks change no distance."""
     # entries first, queries last: each reduction below runs across rows
     s = stored.reshape(-1, 9).T
     keys = np.floor((s[0] + s[4] + s[8]) * 1000.0).astype(np.int64)
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
+    trace = queries[:, 0, 0] + queries[:, 1, 1] + queries[:, 2, 2]
+    qkeys = np.floor(trace * 1000.0).astype(np.int64)
+    los = np.searchsorted(keys, qkeys - 1, side="left")
+    widths = np.searchsorted(keys, qkeys + 1, side="right") - los
     nearest = np.empty(len(queries))
-    for i in range(0, len(queries), _BLOCK):
-        q = np.ascontiguousarray(queries[i : i + _BLOCK].reshape(-1, 9).T)
-        qkeys = np.floor((q[0] + q[4] + q[8]) * 1000.0).astype(np.int64)
-        lo = np.searchsorted(keys, qkeys - 1, side="left")
-        hi = np.searchsorted(keys, qkeys + 1, side="right")
-        # candidates lo, lo + 1, ... below hi, padded to the widest range
-        cand = lo + np.arange(int(np.max(hi - lo, initial=0)))[:, None]
-        index = order[np.minimum(cand, len(order) - 1)]
-        live = cand < hi
+    i = 0
+    while i < len(queries):
+        # k queries padded to the widest range among them take k times that
+        # range, which never falls as k grows: end the block before _SLOTS
+        widest = np.maximum.accumulate(widths[i : i + _BLOCK])
+        padded = widest * np.arange(1, len(widest) + 1)
+        j = i + max(1, int(np.searchsorted(padded, _SLOTS, side="right")))
+        q = np.ascontiguousarray(queries[i:j].reshape(-1, 9).T)
+        lo, width = los[i:j], widths[i:j]
+        # candidates lo, lo + 1, ... below lo + width, padded to the widest range
+        steps = np.arange(widest[j - i - 1])[:, None]
+        index = order[np.minimum(lo + steps, len(order) - 1)]
         dist = np.max(np.abs(q[:, None] - s[:, index]), axis=0)
-        nearest[i : i + _BLOCK] = np.min(np.where(live, dist, np.inf), axis=0, initial=np.inf)
+        nearest[i:j] = np.min(np.where(steps < width, dist, np.inf), axis=0, initial=np.inf)
+        i = j
     return nearest
 
 

@@ -260,6 +260,17 @@ def test_run_parameters_are_validated_on_direct_construction():
         ("[run]\ngradient_samples = 0\n", "run.gradient_samples: must be a positive integer"),
         ("[checks]\nsymmetry.tol = 0\n", "checks.symmetry.tol: must be positive and finite"),
         ("[checks]\nisotropy.tol = -1\n", "checks.isotropy.tol: must be positive and finite"),
+        # inf and NaN are CheckConfig's to judge too, not the number reader's
+        ("[run]\ntol = inf\n", "run.tol: must be positive and finite"),
+        ("[run]\ntol = nan\n", "run.tol: must be positive and finite"),
+        ("[run]\ntheta_samples = 1.0 inf\n",
+         "run.theta_samples: must be positive finite temperatures"),
+        ("[run]\ntheta_samples = nan\n",
+         "run.theta_samples: must be positive finite temperatures"),
+        ("[checks]\nsymmetry.tol = inf\n", "checks.symmetry.tol: must be positive and finite"),
+        ("[checks]\nisotropy.tol = nan\n", "checks.isotropy.tol: must be positive and finite"),
+        # a tol is still one number
+        ("[run]\ntol = inf 1\n", "run.tol: expected 1 numbers, got 2"),
     ],
 )
 def test_run_parameter_rules_are_the_check_configs(section, message):
