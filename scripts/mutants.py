@@ -363,10 +363,10 @@ MUTANTS = (
     ),
     Mutant(
         "config.generators_at_loose_tolerance", "src/framecheck/config.py",
-        'generators = _matrices("group", "generators", sec["generators"], ELEMENT_ORTH_TOL)',
-        'generators = _matrices("group", "generators", sec["generators"], 1e-6)',
-        "a generator that parses must pass generate_closure's generator "
-        "test: 1e-7 off is a config error (exit 2)",
+        '_judge_matrices("group.generators", self.source, ELEMENT_ORTH_TOL)',
+        '_judge_matrices("group.generators", self.source, 1e-6)',
+        "a generator that GroupSpec accepts must pass generate_closure's "
+        "generator test: 1e-7 off is a config error (exit 2)",
         killer="tests/test_cli.py::test_overflowing_generator_exits_two_with_one_error_line",
     ),
     Mutant(
@@ -379,49 +379,68 @@ MUTANTS = (
     ),
     Mutant(
         "config.max_order_with_a_name", "src/framecheck/config.py",
-        "        if isinstance(self.source, str) and self.max_order != _DEFAULT_MAX_ORDER:\n",
-        "        if False:\n",
+        "            if self.max_order != _DEFAULT_MAX_ORDER:\n",
+        "            if False:\n",
         "a catalog name takes no closure cap: to_config_text drops it, so "
         "GroupSpec('z4', max_order=5) would not round-trip",
         killer="tests/test_config.py::test_group_spec_rejects_a_max_order_that_means_nothing",
     ),
     Mutant(
+        "config.group_name_unchecked", "src/framecheck/config.py",
+        "                resolve_group_name(self.source)\n",
+        "                pass\n",
+        "a GroupSpec's name is judged when it is built: an unknown one gave a "
+        "could-not-run group check, where its config text exits 2",
+        killer="tests/test_report.py::"
+        "test_an_unknown_group_name_is_rejected_when_its_spec_is_built",
+    ),
+    Mutant(
+        "config.counts_of_any_form", "src/framecheck/config.py",
+        "    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):\n"
+        '        raise TypeError(f"{name}: expected {form}")\n',
+        "",
+        "a count is an int: observers=5.0 and sample_count=64.0 crashed "
+        "run_suite, and max_order=8.5 wrote a config text that does not parse",
+        killer="tests/test_config.py::"
+        "test_config_values_in_the_wrong_form_are_type_errors_naming_the_key",
+    ),
+    Mutant(
         "config.suite_without_checks", "src/framecheck/config.py",
-        "    if not names:\n",
-        "    if False:\n",
+        "        if not names:\n",
+        "        if False:\n",
         "a SuiteConfig of no checks would run nothing and pass vacuously",
         killer="tests/test_config.py::test_validation_errors_name_the_offender",
     ),
     Mutant(
         "config.suite_unknown_check", "src/framecheck/config.py",
-        "        if name not in CHECK_NAMES:\n",
-        "        if False:\n",
+        "            if name not in CHECK_NAMES:\n",
+        "            if False:\n",
         "a SuiteConfig's check names are judged when it is built, not deep in "
-        "a run, and parse_config applies the same rule",
+        "a run, and a config file's by the same rule",
         killer="tests/test_config.py::test_validation_errors_name_the_offender",
     ),
     Mutant(
         "config.suite_repeated_check", "src/framecheck/config.py",
-        "    if len(set(names)) != len(names):\n",
-        "    if False:\n",
-        "a check named twice would run twice; parse_config and SuiteConfig "
-        "share this one rule",
+        "        if len(set(names)) != len(names):\n",
+        "        if False:\n",
+        "a check named twice would run twice; SuiteConfig holds this one rule "
+        "for code and config files alike",
         killer="tests/test_config.py::test_validation_errors_name_the_offender",
     ),
     Mutant(
         "config.sample_count_on_any_check", "src/framecheck/config.py",
-        '    if name != "isotropy":\n',
-        "    if False:\n",
+        '                if req.name != "isotropy":\n',
+        "                if False:\n",
         "only isotropy draws orthogonal elements; a sample_count elsewhere "
         "would be accepted and do nothing",
         killer="tests/test_config.py::test_validation_errors_name_the_offender",
     ),
     Mutant(
         "config.suite_observers_unchecked", "src/framecheck/config.py",
-        "            observer_stack(self.observers)\n",
+        '            _judge_matrices("run.observers", self.observers, OBSERVER_ORTH_TOL)\n',
         "            pass\n",
-        "SuiteConfig's observer matrices pass observer_stack when it is "
-        "built, not deep in a run",
+        "SuiteConfig's observer matrices are judged when it is built, not deep "
+        "in a run",
         killer="tests/test_config.py::test_suite_config_validates_its_observers_and_sample_count",
     ),
     Mutant(

@@ -30,11 +30,13 @@ Grammar (configparser syntax, '#' comments):
     observers = 100       # count, or explicit matrices separated by '|'
 
 ParseError means the text is not well-formed INI; ValidationError means the
-values are wrong and the message names the offending key.  Observer matrices
-are held to observer_stack's 1e-12 and generators to the closure's 1e-9, in
-a file as in code.  The [run] keys seed, tol, theta_samples and
-gradient_samples are SuiteConfig.run, a CheckConfig, which alone judges their
-values, in a file as in code.
+values are wrong and the message names the offending key.  parse_config reads
+the text; the type that holds a value judges it when built, with the same
+message in code as for a file: GroupSpec [group], CheckConfig the [run] keys
+seed, tol, theta_samples and gradient_samples, and SuiteConfig the rest.  A
+value in the wrong form, such as a list for a tuple or a float for a count,
+is a TypeError naming the key.  Observer matrices are held to 1e-12 and
+generators to the closure's 1e-9.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from .groups import DEFAULT_SAMPLE_COUNT, UnknownGroupName, resolve_group_name
 # name for it, so it stays imported
 from .groups import catalog_lookup  # noqa: F401
 from .models import MODEL_FAMILIES
-from .tensors import ELEMENT_ORTH_TOL, OBSERVER_ORTH_TOL, _orthogonal, observer_stack
+from .tensors import ELEMENT_ORTH_TOL, OBSERVER_ORTH_TOL, _orthogonal
 
 CHECK_NAMES = (
     "symmetry",
@@ -71,46 +73,61 @@ class ValidationError(ValueError):
     """Well-formed INI with bad contents; the message names the key."""
 
 
+def _judge_floats(name: str, values, count: int | None = None) -> tuple:
+    """``values``, each finite and ``count`` of them when a count is given."""
+    if not all(isinstance(v, (int, float, np.integer, np.floating)) for v in values):
+        raise TypeError(f"{name}: expected numbers")
+    if not np.all(np.isfinite(values)):
+        raise ValidationError(f"{name}: values must be finite")
+    return _judge_length(name, values, count)
+
+
+def _judge_length(name: str, values, count: int | None) -> tuple:
+    """``values``, ``count`` of them when a count is given."""
+    if count is not None and len(values) != count:
+        raise ValidationError(f"{name}: expected {count} numbers, got {len(values)}")
+    return values
+
+
+def _judge_int(name: str, value, form: str = "an integer") -> None:
+    """An int of at least 1; a TypeError for any other form, bool included."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name}: expected {form}")
+    if value < 1:
+        raise ValidationError(f"{name}: must be at least 1")
+
+
+def _judge_matrices(name: str, matrices, tol: float) -> None:
+    """A tuple of 9-number tuples, at least one, each finite and orthogonal
+    within tol; none is read as the one empty matrix of an empty value."""
+    if not isinstance(matrices, tuple) or not all(isinstance(m, tuple) for m in matrices):
+        raise TypeError(f"{name}: expected a tuple of 9-number tuples")
+    for m in matrices or ((),):
+        _judge_floats(name, m, 9)
+    if not np.all(_orthogonal(np.reshape(matrices, (-1, 3, 3)), tol)):
+        raise ValidationError(f"{name}: matrix is not orthogonal within {tol:g}")
+
+
 @dataclass(frozen=True)
 class GroupSpec:
-    """A catalog name, or generator matrices whose closure max_order caps.
-    A cap is at least 1, and a catalog name takes none but the default."""
+    """A catalog name that resolves, or generators orthogonal within
+    ELEMENT_ORTH_TOL whose closure max_order caps: an int of at least 1,
+    which a catalog name takes at its default only."""
 
     source: str | tuple[tuple[float, ...], ...] = "trivial"
     max_order: int = _DEFAULT_MAX_ORDER
 
     def __post_init__(self):
-        if self.max_order < 1:
-            raise ValueError("max_order must be at least 1")
-        if isinstance(self.source, str) and self.max_order != _DEFAULT_MAX_ORDER:
-            raise ValueError("max_order applies to generators only")
-
-
-class _ChecksRule(ValueError):
-    """A rule of SuiteConfig.checks, broken; parse_config reports it as
-    ``checks.<key>: <rule>``, naming the key of the [checks] section."""
-
-    def __init__(self, key: str, rule: str):
-        super().__init__(rule)
-        self.key = key
-
-
-def _judge_names(names) -> None:
-    """SuiteConfig's rules for the names of its checks: at least one, each
-    in CHECK_NAMES, none twice."""
-    if not names:
-        raise _ChecksRule("names", "at least one check required")
-    for name in names:
-        if name not in CHECK_NAMES:
-            raise _ChecksRule("names", f"unknown check {name!r} (known: {', '.join(CHECK_NAMES)})")
-    if len(set(names)) != len(names):
-        raise _ChecksRule("names", "duplicate check names")
-
-
-def _judge_sample_count(name: str) -> None:
-    """SuiteConfig's rule that only isotropy takes a sample_count."""
-    if name != "isotropy":
-        raise _ChecksRule(f"{name}.sample_count", "sample_count only applies to isotropy")
+        if isinstance(self.source, str):
+            if self.max_order != _DEFAULT_MAX_ORDER:
+                raise ValidationError("group.max_order: only valid with generators")
+            try:
+                resolve_group_name(self.source)
+            except UnknownGroupName as exc:
+                raise ValidationError(f"group.name: {exc}") from None
+        else:
+            _judge_matrices("group.generators", self.source, ELEMENT_ORTH_TOL)
+        _judge_int("group.max_order", self.max_order)
 
 
 @dataclass(frozen=True)
@@ -128,14 +145,13 @@ class SuiteConfig:
     """Fully resolved run description.
 
     Plain data, tuples only, so two configs compare by value.  ``run``, the
-    parameters every check shares, validates itself, and so does ``group``;
-    ``model`` and ``checks`` are held to parse_config's rules for [model]
-    and [checks]: ``checks`` names at least one check, each in CHECK_NAMES
-    and none twice, a request's ``tol`` must be one CheckConfig accepts, and
-    its ``sample_count``, which only isotropy takes, is at least 1.
-    ``observers`` is a count of seeded draws, at least 1, or the observer
-    matrices, which observer_stack must accept; ``sample_count`` is at
-    least 1.
+    parameters every check shares, and ``group`` validate themselves; the
+    rest is judged here, in this order, with parse_config's messages:
+    ``model`` by the rules of [model], ``sample_count``, ``observers`` (a
+    count of seeded draws or matrices held to OBSERVER_ORTH_TOL), then
+    ``checks``: at least one, each in CHECK_NAMES and none twice, then each
+    request's ``tol`` by CheckConfig and ``sample_count`` (isotropy's only).
+    A count is an int of at least 1.
     """
 
     model: ModelSpec
@@ -148,21 +164,31 @@ class SuiteConfig:
     def __post_init__(self):
         given = {k: v for k in _SPEC_PARAMS if (v := getattr(self.model, k)) is not None}
         _judge_model(self.model.family, given, _spec_numbers)
-        _judge_names([req.name for req in self.checks])
+        _judge_int("run.sample_count", self.sample_count)
+        if isinstance(self.observers, tuple):
+            _judge_matrices("run.observers", self.observers, OBSERVER_ORTH_TOL)
+        else:
+            _judge_int("run.observers", self.observers, "an integer or a tuple of 9-number tuples")
+        if not isinstance(self.checks, tuple) or {type(r) for r in self.checks} - {CheckRequest}:
+            raise TypeError("checks: expected a tuple of CheckRequest")
+        names = [req.name for req in self.checks]
+        if not names:
+            raise ValidationError("checks.names: at least one check required")
+        for name in names:
+            if name not in CHECK_NAMES:
+                known = ", ".join(CHECK_NAMES)
+                raise ValidationError(f"checks.names: unknown check {name!r} (known: {known})")
+        if len(set(names)) != len(names):
+            raise ValidationError("checks.names: duplicate check names")
         for req in self.checks:
             if req.tol is not None:
-                # CheckConfig alone judges a tol, as it will for the run
-                replace(self.run, tol=req.tol)
+                # CheckConfig alone judges a tol, as it does the run's
+                _check_config(f"checks.{req.name}", self.run, tol=req.tol)
             if req.sample_count is not None:
-                _judge_sample_count(req.name)
-                if req.sample_count < 1:
-                    raise ValueError("sample_count must be at least 1")
-        if isinstance(self.observers, tuple):
-            observer_stack(self.observers)
-        elif self.observers < 1:
-            raise ValueError("observers must be at least 1")
-        if self.sample_count < 1:
-            raise ValueError("sample_count must be at least 1")
+                key = f"checks.{req.name}.sample_count"
+                if req.name != "isotropy":
+                    raise ValidationError(f"{key}: sample_count only applies to isotropy")
+                _judge_int(key, req.sample_count)
 
     def to_config_text(self) -> str:
         """Canonical INI text; parse_config(text) reproduces this config
@@ -204,50 +230,29 @@ def _fmt_matrix(values) -> str:
     return " ; ".join(_fmt_floats(r) for r in rows)
 
 
-def _numbers(section: str, key: str, raw: str) -> tuple[float, ...]:
+def _numbers(name: str, raw: str) -> tuple[float, ...]:
     try:
         return tuple(float(t) for t in raw.replace(";", " ").split())
     except ValueError:
-        raise ValidationError(f"{section}.{key}: could not parse {raw!r} as numbers") from None
+        raise ValidationError(f"{name}: could not parse {raw!r} as numbers") from None
 
 
-def _judge_floats(section: str, key: str, values, count: int | None = None) -> tuple:
-    """``values``, each finite and ``count`` of them when a count is given."""
-    if not np.all(np.isfinite(values)):
-        raise ValidationError(f"{section}.{key}: values must be finite")
-    return _judge_count(section, key, values, count)
-
-
-def _judge_count(section: str, key: str, values, count: int | None) -> tuple:
-    """``values``, ``count`` of them when a count is given."""
-    if count is not None and len(values) != count:
-        raise ValidationError(f"{section}.{key}: expected {count} numbers, got {len(values)}")
-    return values
-
-
-def _floats(section: str, key: str, raw: str, count: int | None = None) -> tuple[float, ...]:
-    return _judge_floats(section, key, _numbers(section, key, raw), count)
-
-
-def _scalar(section: str, key: str, raw: str) -> float:
+def _scalar(name: str, raw: str) -> float:
     """One number, whatever its value: CheckConfig alone judges a tol."""
-    return _judge_count(section, key, _numbers(section, key, raw), 1)[0]
+    return _judge_length(name, _numbers(name, raw), 1)[0]
 
 
-def _int(section: str, key: str, raw: str, minimum: int | None = None) -> int:
+def _int(name: str, raw: str) -> int:
     try:
-        value = int(raw.strip(), 10)
+        return int(raw.strip(), 10)
     except ValueError:
-        raise ValidationError(f"{section}.{key}: could not parse {raw!r} as an integer") from None
-    if minimum is not None and value < minimum:
-        raise ValidationError(f"{section}.{key}: must be at least {minimum}")
-    return value
+        raise ValidationError(f"{name}: could not parse {raw!r} as an integer") from None
 
 
-def _coeffs(key: str, values) -> tuple[float, ...]:
-    values = _judge_floats("model", key, values)
+def _coeffs(name: str, values) -> tuple[float, ...]:
+    values = _judge_floats(name, values)
     if not values:
-        raise ValidationError(f"model.{key}: at least one coefficient required")
+        raise ValidationError(f"{name}: at least one coefficient required")
     return values
 
 
@@ -255,9 +260,9 @@ def _coeffs(key: str, values) -> tuple[float, ...]:
 # and typed in a ModelSpec, by the annotation of its field in the model
 # class: a 3x3 tensor, a coefficient list or a scalar.
 _PARAM_KINDS = {
-    "np.ndarray": (lambda k, v: _judge_floats("model", k, v, 9), _fmt_matrix, "tuple[float, ...]"),
+    "np.ndarray": (lambda n, v: _judge_floats(n, v, 9), _fmt_matrix, "tuple[float, ...]"),
     "tuple[float, ...]": (_coeffs, _fmt_floats, "tuple[float, ...]"),
-    "float": (lambda k, v: _judge_floats("model", k, v, 1)[0], lambda v: repr(float(v)), "float"),
+    "float": (lambda n, v: _judge_floats(n, v, 1)[0], lambda v: repr(float(v)), "float"),
 }
 
 # family -> {parameter: (judge, emit, type)}, in the order of the class's fields
@@ -302,14 +307,6 @@ def _check_config(section: str, base: CheckConfig, **values) -> CheckConfig:
         raise ValidationError(f"{section}.{name}: {rule}") from None
 
 
-def _matrices(section: str, key: str, raw: str, tol: float) -> tuple[tuple[float, ...], ...]:
-    """The '|'-separated matrices of a value, each orthogonal within tol."""
-    matrices = tuple(_floats(section, key, chunk, count=9) for chunk in raw.split("|"))
-    if not np.all(_orthogonal(np.reshape(matrices, (-1, 3, 3)), tol)):
-        raise ValidationError(f"{section}.{key}: matrix is not orthogonal within {tol:g}")
-    return matrices
-
-
 def _judge_model(family: str, given: dict, numbers) -> dict:
     """ModelSpec's keyword arguments: a known family, each of its parameters
     given and no other, each as many finite numbers(key, value) as it takes."""
@@ -324,7 +321,7 @@ def _judge_model(family: str, given: dict, numbers) -> dict:
     for key, (judge, _, _) in wanted.items():
         if key not in given:
             raise ValidationError(f"model.{key} is required for family {family}")
-        kwargs[key] = judge(key, numbers(key, given[key]))
+        kwargs[key] = judge(f"model.{key}", numbers(key, given[key]))
     return kwargs
 
 
@@ -341,7 +338,7 @@ def _parse_model(sec) -> ModelSpec:
         raise ValidationError("model.family is required")
     family = sec["family"].strip()
     given = {key: sec[key] for key in sec if key != "family"}
-    return ModelSpec(family, **_judge_model(family, given, lambda k, v: _numbers("model", k, v)))
+    return ModelSpec(family, **_judge_model(family, given, lambda k, v: _numbers(f"model.{k}", v)))
 
 
 def _parse_group(sec) -> GroupSpec:
@@ -350,29 +347,23 @@ def _parse_group(sec) -> GroupSpec:
             raise ValidationError(f"group.{key}: unknown key")
     if "name" in sec and "generators" in sec:
         raise ValidationError("group: give either name or generators, not both")
-    if "generators" in sec:
-        # the closure's own rule, so a generator that parses passes its test
-        generators = _matrices("group", "generators", sec["generators"], ELEMENT_ORTH_TOL)
+    if "generators" not in sec:
+        # the key, whatever its value: a GroupSpec cannot tell the default
+        # given from none
         if "max_order" in sec:
-            return GroupSpec(generators, _int("group", "max_order", sec["max_order"], minimum=1))
-        return GroupSpec(generators)
+            raise ValidationError("group.max_order: only valid with generators")
+        return GroupSpec(sec.get("name", "trivial").strip())
+    generators = tuple(_numbers("group.generators", m) for m in sec["generators"].split("|"))
     if "max_order" in sec:
-        raise ValidationError("group.max_order: only valid with generators")
-    name = sec["name"].strip() if "name" in sec else "trivial"
-    try:
-        resolve_group_name(name)
-    except UnknownGroupName as exc:
-        raise ValidationError(f"group.name: {exc}") from None
-    return GroupSpec(name)
+        return GroupSpec(generators, _int("group.max_order", sec["max_order"]))
+    return GroupSpec(generators)
 
 
-def _parse_checks(sec, run: CheckConfig) -> tuple[CheckRequest, ...]:
-    """The requests of a [checks] section, judged by SuiteConfig's rules in
-    the order a reader meets them: the names, then each key."""
+def _parse_checks(sec) -> tuple[CheckRequest, ...]:
+    """The requests of a [checks] section, its keys read in the order a
+    reader meets them."""
     names = sec["names"].split() if "names" in sec else CHECK_NAMES
-    _judge_names(names)
-    tols: dict[str, float] = {}
-    counts: dict[str, int] = {}
+    tols, counts = {}, {}
     for key in sec:
         if key == "names":
             continue
@@ -382,34 +373,43 @@ def _parse_checks(sec, run: CheckConfig) -> tuple[CheckRequest, ...]:
         if base not in names:
             raise ValidationError(f"checks.{key}: check {base!r} is not selected in names")
         if attr == "tol":
-            tol = _scalar("checks", key, sec[key])
-            tols[base] = _check_config(f"checks.{base}", run, tol=tol).tol
+            tols[base] = _scalar(f"checks.{key}", sec[key])
         else:
-            _judge_sample_count(base)
-            counts[base] = _int("checks", key, sec[key], minimum=1)
+            counts[base] = _int(f"checks.{key}", sec[key])
     return tuple(CheckRequest(n, tol=tols.get(n), sample_count=counts.get(n)) for n in names)
 
 
 def _parse_run(sec) -> dict:
-    """SuiteConfig's fields from a [run] section, or from {} for none."""
+    """SuiteConfig's fields from a [run] section, or from {} for none: every
+    key read, then the run's shared parameters judged by CheckConfig."""
     for key in sec:
         if key not in (*_RUN_PARAMS, "sample_count", "observers"):
             raise ValidationError(f"run.{key}: unknown key")
-    values = {k: parse("run", k, sec[k]) for k, (parse, _) in _RUN_PARAMS.items() if k in sec}
-    out: dict = {"run": _check_config("run", CheckConfig(), **values)}
+    values = {k: parse(f"run.{k}", sec[k]) for k, (parse, _) in _RUN_PARAMS.items() if k in sec}
+    out: dict = {}
     if "sample_count" in sec:
-        out["sample_count"] = _int("run", "sample_count", sec["sample_count"], minimum=1)
+        out["sample_count"] = _int("run.sample_count", sec["sample_count"])
     if "observers" in sec:
         raw = sec["observers"]
         if "|" not in raw and len(raw.split()) == 1 and ";" not in raw:
-            out["observers"] = _int("run", "observers", raw, minimum=1)
+            out["observers"] = _int("run.observers", raw)
         else:
-            out["observers"] = _matrices("run", "observers", raw, OBSERVER_ORTH_TOL)
+            out["observers"] = tuple(_numbers("run.observers", m) for m in raw.split("|"))
+    out["run"] = _check_config("run", CheckConfig(), **values)
     return out
 
 
 def parse_config(data: str | bytes) -> SuiteConfig:
-    """Parse and validate INI text (or UTF-8 bytes) into a SuiteConfig."""
+    """Parse INI text (or UTF-8 bytes) into a SuiteConfig.
+
+    Here only what text alone can break is judged: the text and its
+    sections, unknown keys, a key of a choice not made (name with generators,
+    max_order without them, a check not in names) and numbers that do not
+    parse.  The first fault is reported, in this order: the text; [model],
+    judged as it is read; [group], read, then judged by GroupSpec; [run],
+    read, then judged by CheckConfig; [checks], read; then SuiteConfig's
+    rules.  So a section's reading faults come before its value rules.
+    """
     if isinstance(data, bytes):
         try:
             text = data.decode("utf-8")
@@ -430,10 +430,7 @@ def parse_config(data: str | bytes) -> SuiteConfig:
             raise ValidationError(f"unknown section [{section}]")
     if not parser.has_section("model"):
         raise ValidationError("missing [model] section")
-    # an absent section parses as {}; [checks] reads the parsed [run]
+    # an absent section parses as {}
     group, checks, run = (parser[s] if s in parser else {} for s in ("group", "checks", "run"))
     model, group, run = _parse_model(parser["model"]), _parse_group(group), _parse_run(run)
-    try:
-        return SuiteConfig(model, group, _parse_checks(checks, run["run"]), **run)
-    except _ChecksRule as exc:
-        raise ValidationError(f"checks.{exc.key}: {exc}") from None
+    return SuiteConfig(model, group, _parse_checks(checks), **run)

@@ -28,7 +28,7 @@ from .checks import (
     check_zero_map,
 )
 from .config import GroupSpec, ModelSpec, SuiteConfig
-from .groups import ClosureOverflow, SymmetryGroup, UnknownGroupName
+from .groups import ClosureOverflow, SymmetryGroup
 from .groups import catalog_lookup, generate_closure
 from .models import MODEL_FAMILIES, ConstitutiveModel
 from .tensors import observer_stack, random_observers
@@ -81,9 +81,11 @@ _CHECKS = {
 def run_suite(cfg: SuiteConfig) -> SuiteReport:
     """Run the requested checks in config order.
 
-    The group is built lazily on first use; if its construction fails, every
-    group-dependent check gets a could-not-run result (max_residual None) and
-    the suite fails, while the group-free checks still run.
+    The group is built lazily on first use.  A GroupSpec's name and generators
+    are judged when it is built, so what can still fail is the closure: it
+    overflows max_order, an element drifts from orthogonal, or a transpose is
+    missing.  Then every group-dependent check gets a could-not-run result
+    (max_residual None) and the suite fails; the group-free checks still run.
     """
     model = build_model(cfg.model)
     observers = build_observers(cfg)
@@ -95,7 +97,7 @@ def run_suite(cfg: SuiteConfig) -> SuiteReport:
         if needs_group and group is None and group_error is None:
             try:
                 group = build_group(cfg.group, cfg.sample_count)
-            except (ClosureOverflow, UnknownGroupName, ValueError) as exc:
+            except (ClosureOverflow, ValueError) as exc:
                 group_error = f"group construction failed: {exc}"
         if needs_group and group_error is not None:
             result = CheckResult(False, None, 0, None, group_error)

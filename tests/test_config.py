@@ -122,6 +122,43 @@ def test_validation_errors_name_the_offender():
         assert needle in str(err.value), (text, str(err.value))
 
 
+@pytest.mark.parametrize(
+    "sections, message",
+    [
+        # a section's reading faults come before its value rules
+        ("[checks]\nnames = bogus\nsymmetry.volume = 9\n", "checks.symmetry.volume: unknown key"),
+        ("[checks]\nsymmetry.tol = 0\nisotropy.volume = 9\n",
+         "checks.isotropy.volume: unknown key"),
+        ("[run]\ntol = 0\nobservers = abc\n",
+         "run.observers: could not parse 'abc' as an integer"),
+        ("[run]\nsample_count = 0\nobservers = 1.5\n",
+         "run.observers: could not parse '1.5' as an integer"),
+        ("[group]\ngenerators = nan 0 0 0 1 0 0 0 1\nmax_order = x\n",
+         "group.max_order: could not parse 'x' as an integer"),
+        # and every section is read before SuiteConfig's rules
+        ("[run]\nobservers = 0\n[checks]\nsymmetry.volume = 9\n",
+         "checks.symmetry.volume: unknown key"),
+        # the sections go model, group, run, checks, whatever the text's order
+        ("[checks]\nsymmetry.volume = 9\n[run]\nvolume = 1\n[group]\nname = nope\n",
+         "group.name: nope"),
+        ("[checks]\nnames = bogus\n[run]\ntol = 0\n", "run.tol: must be positive and finite"),
+        # SuiteConfig's own: sample_count, then observers, then the checks
+        ("[checks]\nnames = bogus\n[run]\nobservers = 0\nsample_count = 0\n",
+         "run.sample_count: must be at least 1"),
+        ("[checks]\nnames = bogus\n[run]\nobservers = 0\n", "run.observers: must be at least 1"),
+        ("[checks]\nnames = isotropy isotropy\nisotropy.sample_count = 0\n",
+         "checks.names: duplicate check names"),
+    ],
+)
+def test_the_first_of_two_faults_is_reported_in_parse_configs_order(sections, message):
+    """parse_config reads each section and then the type built from it judges
+    the values, so the order its docstring states decides which of two
+    faults is reported."""
+    with pytest.raises(fc.ValidationError) as err:
+        fc.parse_config(MINIMAL + sections)
+    assert str(err.value) == message
+
+
 def test_non_orthogonal_matrices_rejected_at_loose_tolerance():
     bad = MINIMAL + "[run]\nobservers = 1 0.001 0 ; 0 1 0 ; 0 0 1\n"
     with pytest.raises(fc.ValidationError) as err:
@@ -315,28 +352,37 @@ def test_group_names_are_validated_without_building_the_group(monkeypatch):
         assert str(err.value) == message
 
 
+def _rejected_alike(build, section, message):
+    """build() and parse_config of MINIMAL plus ``section`` each raise a
+    ValidationError with ``message``: one message per rule, in code as in a
+    file."""
+    with pytest.raises(fc.ValidationError) as err:
+        build()
+    assert str(err.value) == message
+    with pytest.raises(fc.ValidationError) as err:
+        fc.parse_config(MINIMAL + section)
+    assert str(err.value) == message
+
+
 def test_suite_config_validates_its_observers_and_sample_count():
     """A count of observers or of draws is at least 1, and observer matrices
-    pass observer_stack, when a SuiteConfig is built, not deep in a run;
-    parse_config keeps its messages, which name the key."""
+    are finite 9-number tuples orthogonal within 1e-12, when a SuiteConfig is
+    built, not deep in a run, with the message parse_config gives."""
     model = fc.parse_config(MINIMAL).model
     skewed = (1e-8, -1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0)
-    for kwargs, message in (
-        ({"observers": 0}, "observers must be at least 1"),
-        ({"observers": -3}, "observers must be at least 1"),
-        ({"observers": ()}, "at least one observer matrix is required"),
-        ({"observers": (skewed,)}, "observer matrix is not orthogonal within 1e-12"),
-        ({"sample_count": 0}, "sample_count must be at least 1"),
+    for kwargs, line, message in (
+        ({"observers": 0}, "observers = 0", "run.observers: must be at least 1"),
+        ({"observers": -3}, "observers = -3", "run.observers: must be at least 1"),
+        ({"observers": ()}, "observers =", "run.observers: expected 9 numbers, got 0"),
+        ({"observers": (skewed[:8],)}, "observers = 1e-8 -1 0 1 0 0 0 0",
+         "run.observers: expected 9 numbers, got 8"),
+        ({"observers": ((float("nan"),) + skewed[1:],)}, "observers = nan -1 0 1 0 0 0 0 1",
+         "run.observers: values must be finite"),
+        ({"observers": (skewed,)}, "observers = 1e-8 -1 0 ; 1 0 0 ; 0 0 1",
+         "run.observers: matrix is not orthogonal within 1e-12"),
+        ({"sample_count": 0}, "sample_count = 0", "run.sample_count: must be at least 1"),
     ):
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            fc.SuiteConfig(model, **kwargs)
-    for line, message in (
-        ("observers = 0", "run.observers: must be at least 1"),
-        ("sample_count = 0", "run.sample_count: must be at least 1"),
-    ):
-        with pytest.raises(fc.ValidationError) as err:
-            fc.parse_config(MINIMAL + f"[run]\n{line}\n")
-        assert str(err.value) == message
+        _rejected_alike(lambda: fc.SuiteConfig(model, **kwargs), f"[run]\n{line}\n", message)
 
 
 IDENTITY9 = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
@@ -388,6 +434,7 @@ def test_suite_config_takes_each_model_parameter_in_its_written_form():
         ("linear_constant", {"kappa0": list(IDENTITY9)},
          "model.kappa0: expected a tuple of numbers"),
         ("linear_constant", {"kappa0": np.eye(3)}, "model.kappa0: expected a tuple of numbers"),
+        ("linear_constant", {"kappa0": ("1",) * 9}, "model.kappa0: expected numbers"),
         ("linear_temperature", {"kappa0": IDENTITY9, "theta_coeffs": 2.0},
          "model.theta_coeffs: expected a tuple of numbers"),
         ("nonlinear_isotropic", {"a": (1.0,), "b": 1.0}, "model.a: expected a number"),
@@ -435,35 +482,28 @@ def test_every_model_a_suite_config_accepts_round_trips(family, params):
 def test_suite_config_validates_its_checks():
     """A SuiteConfig built in code names at least one check, each known and
     none twice, with a tol CheckConfig accepts and a sample_count of at least
-    1 for isotropy alone, when it is built; run_suite used to pass a suite of
-    no checks and raise from deep inside the run on the others.
-    parse_config keeps its messages, which name the key."""
+    1 for isotropy alone, when it is built, with the message parse_config
+    gives; run_suite used to pass a suite of no checks and raise from deep
+    inside the run on the others."""
     model = fc.parse_config(MINIMAL).model
     req = fc.CheckRequest
-    for checks, message in (
-        ((), "at least one check required"),
-        ((req("nope"),), "unknown check 'nope' (known: " + ", ".join(fc.CHECK_NAMES) + ")"),
-        ((req("symmetry"), req("symmetry")), "duplicate check names"),
-        ((req("symmetry", tol=0.0),), "tol must be positive and finite"),
-        ((req("isotropy", tol=float("nan")),), "tol must be positive and finite"),
-        ((req("isotropy", sample_count=0),), "sample_count must be at least 1"),
-        ((req("symmetry", sample_count=5),), "sample_count only applies to isotropy"),
-    ):
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            fc.SuiteConfig(model, checks=checks)
-    for section, message in (
-        ("names =", "checks.names: at least one check required"),
-        ("names = nope", "checks.names: unknown check 'nope' (known: "
-         + ", ".join(fc.CHECK_NAMES) + ")"),
-        ("names = symmetry symmetry", "checks.names: duplicate check names"),
-        ("symmetry.tol = 0", "checks.symmetry.tol: must be positive and finite"),
-        ("isotropy.sample_count = 0", "checks.isotropy.sample_count: must be at least 1"),
-        ("symmetry.sample_count = 5",
+    for checks, section, message in (
+        ((), "names =", "checks.names: at least one check required"),
+        ((req("nope"),), "names = nope",
+         "checks.names: unknown check 'nope' (known: " + ", ".join(fc.CHECK_NAMES) + ")"),
+        ((req("symmetry"), req("symmetry")), "names = symmetry symmetry",
+         "checks.names: duplicate check names"),
+        ((req("symmetry", tol=0.0),), "names = symmetry\nsymmetry.tol = 0",
+         "checks.symmetry.tol: must be positive and finite"),
+        ((req("isotropy", tol=float("nan")),), "names = isotropy\nisotropy.tol = nan",
+         "checks.isotropy.tol: must be positive and finite"),
+        ((req("isotropy", sample_count=0),), "names = isotropy\nisotropy.sample_count = 0",
+         "checks.isotropy.sample_count: must be at least 1"),
+        ((req("symmetry", sample_count=5),), "names = symmetry\nsymmetry.sample_count = 5",
          "checks.symmetry.sample_count: sample_count only applies to isotropy"),
     ):
-        with pytest.raises(fc.ValidationError) as err:
-            fc.parse_config(MINIMAL + f"[checks]\n{section}\n")
-        assert str(err.value) == message
+        _rejected_alike(lambda: fc.SuiteConfig(model, checks=checks), f"[checks]\n{section}\n",
+                        message)
 
 
 @given(
@@ -501,17 +541,80 @@ def test_every_check_list_round_trips_through_its_config_text(requests):
 
 def test_group_spec_rejects_a_max_order_that_means_nothing():
     """A closure cap is at least 1, and a catalog name takes none: the
-    default it is given is the only value, which to_config_text can drop."""
+    default it is given is the only value, which to_config_text can drop.
+    Each rule has parse_config's message."""
     rz90 = tuple(fc.ROT_Z_90.flat)
-    for source, max_order, message in (
-        ("z4", 5, "max_order applies to generators only"),
-        ("trivial", 0, "max_order must be at least 1"),
-        ((rz90,), 0, "max_order must be at least 1"),
+    for source, max_order, section, message in (
+        ("z4", 5, "name = z4\nmax_order = 5", "group.max_order: only valid with generators"),
+        ("trivial", 0, "name = trivial\nmax_order = 0",
+         "group.max_order: only valid with generators"),
+        ((rz90,), 0, "generators = 0 -1 0 1 0 0 0 0 1\nmax_order = 0",
+         "group.max_order: must be at least 1"),
     ):
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            fc.GroupSpec(source, max_order)
+        _rejected_alike(lambda: fc.GroupSpec(source, max_order), f"[group]\n{section}\n",
+                        message)
     assert fc.GroupSpec("z4", fc.GroupSpec().max_order) == fc.GroupSpec("z4")
     assert fc.GroupSpec((rz90,), 1).max_order == 1
+
+
+def test_group_spec_validates_its_source():
+    """A GroupSpec built in code holds its name and generators to the rules
+    parse_config holds [group] to, with its message, when it is built: a name
+    resolves, without building the group, and generators are at least one
+    matrix of 9 finite numbers, orthogonal within the closure's 1e-9.  Before,
+    each of these built and gave a could-not-run group check or, for the
+    empty tuple, a silent trivial group."""
+    off = "1e-7 -1 0 1 0 0 0 0 1"
+    for source, section, message in (
+        ("nope", "name = nope", "group.name: nope"),
+        ("transverse_z_0", "name = transverse_z_0",
+         "group.name: transverse order must be >= 1, got 'transverse_z_0'"),
+        ((), "generators =", "group.generators: expected 9 numbers, got 0"),
+        (((1.0,) * 8,), "generators = 1 1 1 1 1 1 1 1",
+         "group.generators: expected 9 numbers, got 8"),
+        (((float("nan"),) + (0.0,) * 8,), "generators = nan 0 0 0 0 0 0 0 0",
+         "group.generators: values must be finite"),
+        ((tuple(map(float, off.split())),), f"generators = {off}",
+         "group.generators: matrix is not orthogonal within 1e-09"),
+    ):
+        _rejected_alike(lambda: fc.GroupSpec(source), f"[group]\n{section}\n", message)
+
+
+def test_config_values_in_the_wrong_form_are_type_errors_naming_the_key():
+    """A value built in code takes the form to_config_text writes: a tuple of
+    9-number tuples for matrices, an int for a count.  A list, a float or a
+    bool is a TypeError naming the key, where it used to build and crash
+    run_suite, or build a config whose text does not parse back to it."""
+    model = fc.parse_config(MINIMAL).model
+    rz90 = tuple(fc.ROT_Z_90.flat)
+    matrices = "expected a tuple of 9-number tuples"
+    observers = "run.observers: expected an integer or a tuple of 9-number tuples"
+    for build, message in (
+        (lambda: fc.GroupSpec([rz90]), f"group.generators: {matrices}"),
+        (lambda: fc.GroupSpec((list(rz90),)), f"group.generators: {matrices}"),
+        (lambda: fc.GroupSpec((("1",) * 9,)), "group.generators: expected numbers"),
+        (lambda: fc.GroupSpec((rz90,), 8.5), "group.max_order: expected an integer"),
+        (lambda: fc.GroupSpec((rz90,), True), "group.max_order: expected an integer"),
+        (lambda: fc.GroupSpec("z4", 192.0), "group.max_order: expected an integer"),
+        (lambda: fc.SuiteConfig(model, observers=5.0), observers),
+        (lambda: fc.SuiteConfig(model, observers=True), observers),
+        (lambda: fc.SuiteConfig(model, observers=[rz90]), observers),
+        (lambda: fc.SuiteConfig(model, observers=((None,) * 9,)),
+         "run.observers: expected numbers"),
+        (lambda: fc.SuiteConfig(model, sample_count=64.0), "run.sample_count: expected an integer"),
+        (lambda: fc.SuiteConfig(model, checks=(fc.CheckRequest("isotropy", sample_count=64.0),)),
+         "checks.isotropy.sample_count: expected an integer"),
+        (lambda: fc.SuiteConfig(model, checks=[fc.CheckRequest("symmetry")]),
+         "checks: expected a tuple of CheckRequest"),
+        (lambda: fc.SuiteConfig(model, checks=("symmetry",)),
+         "checks: expected a tuple of CheckRequest"),
+    ):
+        with pytest.raises(TypeError) as err:
+            build()
+        assert str(err.value) == message
+    # numpy's integers are integers
+    counted = fc.SuiteConfig(model, observers=np.int64(5), sample_count=np.int32(64))
+    assert fc.parse_config(counted.to_config_text()) == counted
 
 
 CATALOG_NAMES = ("trivial", "z4", "orthotropic", "cubic_rotations", "full_orthogonal",
@@ -523,20 +626,180 @@ ROTATIONS = st.builds(
 )
 
 
+# a generator or observer matrix that breaks a rule: 8 numbers, 1e-7 off
+# orthogonal, a NaN entry; no ROTATIONS draw breaks one
+BAD = [
+    (1.0,) * 8,
+    (1e-7, -1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0),
+    (float("nan"),) + IDENTITY9[1:],
+]
+GOOD_MATRICES = st.lists(ROTATIONS, min_size=1, max_size=3).map(tuple)
+MATRICES = st.lists(ROTATIONS | st.sampled_from(BAD), max_size=3)
+# check lists that break no rule, drawn on their own so that a rule that
+# rejects a valid request shows
+GOOD_REQUESTS = st.lists(
+    st.sampled_from(fc.CHECK_NAMES).flatmap(
+        lambda name: st.builds(
+            fc.CheckRequest,
+            st.just(name),
+            st.none() | st.floats(1e-300, 1e300),
+            st.none() | st.integers(1, 400) if name == "isotropy" else st.none(),
+        )
+    ),
+    min_size=1,
+    max_size=5,
+    unique_by=lambda req: req.name,
+).map(tuple)
+REQUESTS = st.lists(
+    st.builds(
+        fc.CheckRequest,
+        st.sampled_from(fc.CHECK_NAMES),
+        st.none() | st.floats(),
+        st.none() | st.integers(-1, 300) | st.just(64.0),
+    )
+    | st.just(fc.CheckRequest("nope")),
+    max_size=6,
+).map(tuple)
+
+
+def _matrices_text(matrices):
+    """Matrices as to_config_text writes them, with ';' between rows."""
+    return " | ".join(
+        " ; ".join(" ".join(map(repr, m[i : i + 3])) for i in (0, 3, 6)) for m in matrices
+    )
+
+
+def _bad_matrices(matrices):
+    """No matrix, or one drawn from BAD (the NaN one is found by identity:
+    sampled_from hands out BAD's own tuples)."""
+    return not matrices or any(m in BAD for m in matrices)
+
+
+def _built_or_rejected_alike(build, section, wrong_form, rejected):
+    """build() raises exactly when the drawn values break a rule
+    (``rejected``) or are in the wrong form, and otherwise makes a config
+    that its config text parses back to.  A broken rule raises the
+    ValidationError parse_config raises for MINIMAL plus ``section``, the
+    same values as text; a value in the wrong form, and only that, may be a
+    TypeError naming the key instead."""
+    try:
+        built = build()
+    except TypeError as exc:
+        assert wrong_form, exc
+        assert re.match(r"(group|run|checks)[.:]", str(exc)), exc
+        return
+    except ValueError as exc:
+        assert isinstance(exc, fc.ValidationError), exc
+        assert rejected, exc
+        if not wrong_form:
+            with pytest.raises(fc.ValidationError) as err:
+                fc.parse_config(MINIMAL + section)
+            assert str(err.value) == str(exc)
+        return
+    assert not (wrong_form or rejected)
+    model = fc.parse_config(MINIMAL).model
+    cfg = built if isinstance(built, fc.SuiteConfig) else fc.SuiteConfig(model, group=built)
+    assert fc.parse_config(cfg.to_config_text()) == cfg
+
+
 @given(
     source=st.one_of(
-        st.sampled_from(CATALOG_NAMES),
-        st.lists(ROTATIONS, min_size=1, max_size=3).map(tuple),
+        st.sampled_from(CATALOG_NAMES + ("nope", "transverse_z_0")),
+        GOOD_MATRICES,
+        MATRICES.map(tuple),
+        MATRICES,
     ),
-    max_order=st.integers(-2, 400),
+    max_order=st.integers(-2, 400) | st.sampled_from([8.5, True, 192.0]),
 )
 def test_every_group_spec_round_trips_through_its_config_text(source, max_order):
-    """Every GroupSpec that can be built, of a catalog name or of orthogonal
-    generators, is the one its config text parses back to."""
-    try:
-        group = fc.GroupSpec(source, max_order)
-    except ValueError:
-        assert max_order < 1 or (isinstance(source, str) and max_order != 192)
-        return
-    cfg = fc.SuiteConfig(fc.parse_config(MINIMAL).model, group=group)
-    assert fc.parse_config(cfg.to_config_text()) == cfg
+    """Every GroupSpec of a catalog name or of orthogonal generators, with a
+    cap of at least 1 that a name takes only at its default, builds and is
+    the one its config text parses back to.  Any other is rejected with
+    parse_config's message for the same values as text.  A list of
+    generators, or a max_order that is not an int, is the wrong form: it
+    never builds."""
+    if isinstance(source, str):
+        # a name's default cap is not written, as to_config_text does not
+        cap = f"max_order = {max_order}\n" if max_order != 192 else ""
+        section = f"[group]\nname = {source}\n{cap}"
+        rejected = source in ("nope", "transverse_z_0") or max_order != 192
+    else:
+        section = f"[group]\ngenerators = {_matrices_text(source)}\nmax_order = {max_order}\n"
+        rejected = _bad_matrices(source)
+    rejected = rejected or max_order < 1
+    wrong_form = isinstance(source, list) or type(max_order) is not int
+    _built_or_rejected_alike(
+        lambda: fc.GroupSpec(source, max_order), section, wrong_form, rejected
+    )
+
+
+def _suite_built_or_rejected_alike(observers, sample_count, checks):
+    """A SuiteConfig with counts of at least 1, orthogonal observer matrices
+    and a check list that breaks no rule builds and is the one its config
+    text parses back to.  Any other is rejected with parse_config's message
+    for the same values as text.  A count that is not an int, or a list of
+    observer matrices, is the wrong form: it never builds."""
+    # each key once: a check named twice is the rule broken, and its
+    # second request's keys would be a duplicate option
+    keys = {}
+    for req in checks:
+        if req.tol is not None:
+            keys.setdefault(f"{req.name}.tol", repr(float(req.tol)))
+        if req.sample_count is not None:
+            keys.setdefault(f"{req.name}.sample_count", req.sample_count)
+    obs = _matrices_text(observers) if isinstance(observers, (tuple, list)) else observers
+    section = "".join([
+        f"[checks]\nnames = {' '.join(req.name for req in checks)}\n",
+        *(f"{key} = {value}\n" for key, value in keys.items()),
+        f"[run]\nsample_count = {sample_count}\nobservers = {obs}\n",
+    ])
+    wrong_form = (
+        not (type(observers) is int or isinstance(observers, tuple))
+        or type(sample_count) is not int
+        or any(type(req.sample_count) not in (int, type(None)) for req in checks)
+    )
+    names = [req.name for req in checks]
+    rejected = (
+        sample_count < 1
+        or (_bad_matrices(observers) if isinstance(observers, (tuple, list)) else observers < 1)
+        or not names
+        or len(set(names)) != len(names)
+        or "nope" in names
+        or any(r.tol is not None and not 0.0 < r.tol < float("inf") for r in checks)
+        or any(
+            r.sample_count is not None and (r.sample_count < 1 or r.name != "isotropy")
+            for r in checks
+        )
+    )
+    model = fc.parse_config(MINIMAL).model
+    _built_or_rejected_alike(
+        lambda: fc.SuiteConfig(model, checks=checks, sample_count=sample_count,
+                               observers=observers),
+        section, wrong_form, rejected,
+    )
+
+
+@given(
+    observers=st.one_of(
+        st.integers(-2, 30), GOOD_MATRICES, MATRICES.map(tuple), MATRICES,
+        st.sampled_from([5.0, True]),
+    ),
+    sample_count=st.integers(-2, 300) | st.just(64.0),
+    checks=GOOD_REQUESTS | REQUESTS,
+)
+def test_every_suite_config_round_trips_through_its_config_text(observers, sample_count, checks):
+    """Every SuiteConfig that can be built is the one its config text parses
+    back to, and exactly the values that break a rule or are in the wrong
+    form are rejected, a broken rule with parse_config's message."""
+    _suite_built_or_rejected_alike(observers, sample_count, checks)
+
+
+@given(
+    observers=st.integers(1, 400) | GOOD_MATRICES,
+    sample_count=st.integers(1, 400),
+    checks=GOOD_REQUESTS,
+)
+def test_every_suite_config_of_valid_values_builds(observers, sample_count, checks):
+    """Values that break no rule, drawn on their own so that a rule rejecting
+    any of them shows: each SuiteConfig builds and round-trips."""
+    _suite_built_or_rejected_alike(observers, sample_count, checks)

@@ -72,15 +72,18 @@ def test_unknown_check_name_raises():
         fc.run_suite(_suite("zero_map", "no_such_check"))
 
 
-def test_an_unknown_group_name_is_a_could_not_run_result():
-    """A GroupSpec built in code with a name the catalog lacks fails the group
-    checks with the lookup's reason, as a closure that cannot be built does."""
-    cfg = fc.SuiteConfig(IDENTITY, group=fc.GroupSpec("nope"), observers=3)
-    suite = fc.run_suite(cfg)
-    assert not suite.passed
-    for name, result in suite.records:
-        if name in ("symmetry", "frame_indifference"):
-            assert (result.passed, result.max_residual, result.samples_used) == (False, None, 0)
-            assert result.note == "group construction failed: nope"
-        else:
-            assert result.passed, name
+def test_an_unknown_group_name_is_rejected_when_its_spec_is_built():
+    """A GroupSpec built in code with a name the catalog lacks is rejected
+    when it is built, with parse_config's message, so run_suite never starts
+    on it; only a closure that cannot be built is a could-not-run result."""
+    for name, message in (
+        ("nope", "group.name: nope"),
+        ("transverse_z_0", "group.name: transverse order must be >= 1, got 'transverse_z_0'"),
+    ):
+        with pytest.raises(fc.ValidationError) as err:
+            fc.GroupSpec(name)
+        assert str(err.value) == message
+        with pytest.raises(fc.ValidationError) as err:
+            fc.parse_config(f"[model]\nfamily = linear_constant\nkappa0 = 1 0 0 0 1 0 0 0 1\n"
+                            f"[group]\nname = {name}\n")
+        assert str(err.value) == message
