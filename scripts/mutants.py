@@ -237,6 +237,40 @@ MUTANTS = (
         "in 20,000 near-scalar draws it never passed one the deviation test "
         "then rejected (ROADMAP item 9)",
     ),
+    # -- the sampler every draw goes through
+    Mutant(
+        "sampler.no_ball_rejection", "src/framecheck/tensors.py",
+        "        kept = (sq > 0.0) & (sq <= 1.0)\n",
+        "        kept = sq > 0.0\n",
+        "points of the cube, normalized, crowd toward its corners: E[v_x^4] "
+        "is 0.181 on them, 1/5 on the sphere",
+        killer="tests/test_tensors.py::test_unit_directions_have_the_moments_of_the_sphere",
+    ),
+    Mutant(
+        "sampler.no_improper_half", "src/framecheck/tensors.py",
+        "    if not proper_only:\n        r[:, :, w < 0.0] *= -1.0\n",
+        "",
+        "Haar draws on O(3) are improper half the time; rotations alone "
+        "would never probe a law's response to reflections",
+        killer="tests/test_tensors.py::"
+        "test_haar_draws_have_the_moments_of_the_orthogonal_group",
+    ),
+    Mutant(
+        "sampler.quaternion_entries_swapped", "src/framecheck/tensors.py",
+        "[1.0 - 2.0 * (yy + zz), 2.0 * (xy - wz), 2.0 * (xz + wy)],",
+        "[1.0 - 2.0 * (yy + zz), 2.0 * (xz + wy), 2.0 * (xy - wz)],",
+        "a quaternion's rotation matrix with two entries swapped is not "
+        "orthogonal",
+        killer="tests/test_tensors.py::test_random_orthogonal_is_orthogonal",
+    ),
+    Mutant(
+        "sampler.streams_share_a_salt", "src/framecheck/tensors.py",
+        '_SALTS = {"orthogonal": 0, "group": 1, "gradient": 2, "observer": 3}',
+        '_SALTS = {"orthogonal": 0, "group": 1, "gradient": 2, "observer": 1}',
+        "the observers would be the sampled group's first draws, and the "
+        "observer checks would probe the elements isotropy does",
+        killer="tests/test_tensors.py::test_no_two_streams_share_a_key",
+    ),
     # -- group closure
     Mutant(
         "groups.no_transpose_test", "src/framecheck/groups.py",

@@ -21,8 +21,14 @@ def launch():
       which make many objects and free almost none.  What they made is
       frozen before it resumes, so ``main`` runs with the collector on and
       no collection rescans the modules.
+    - One 256 KiB block is made and freed first.  glibc then raises its
+      mmap threshold to that size and trims the heap only when twice that
+      is free at its top, so the checks' temporaries (under 128 KiB each)
+      reuse heap pages instead of being faulted in again call after call,
+      whatever the process's memory layout.
     """
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    bytes(256 << 10)
     gc.disable()
     from .cli import entry
 

@@ -25,8 +25,12 @@ Per temperature sample: the zero gradient, the three coordinate axes, and
 ``gradient_samples`` uniform unit directions.  Families whose conductivity
 depends on the gradient get each direction swept at magnitudes 0.1, 1 and 10;
 magnitude effects are otherwise decoupled from the rotational checks by
-staying on the unit sphere.  Everything is a pure function of the seed, so
-check results are bit-reproducible.
+staying on the unit sphere.  The directions are points of the cube
+[-1, 1)^3 from the seed's gradient stream, kept inside the unit ball and
+normalized (``tensors._sphere``); the sampled orthogonal group's elements
+come from its own stream.  Each draw is random()'s values put through +, -,
+*, / and sqrt, so everything is a pure function of the seed, the same bits
+on any CPU, libm, BLAS or LAPACK, and check results are bit-reproducible.
 
 Every check turns its residuals into a verdict through one reducer,
 ``_worst``: the witness is the single (observer, element, state) sample
@@ -70,6 +74,12 @@ stack over the observers and elements.
 
 Each (observer, element) row is still reduced on its own, with one
 ``np.argmax``, so the folds change no residual, witness or sample count.
+A block's (3, 3, N) float64 temporaries take 72 N bytes, and N is at most
+``_FOLD_STATES`` = 1792, so they stay under glibc's 128 KiB mmap threshold
+(72 * 1792 = 129,024 < 131,072) and are not mapped afresh on every call.
+The block size moves no residual; it sets only frame indifference's row
+order (block, observer, element), so only exactly tied failing rows of that
+check can trade places as the witness when it changes.
 
 Layout
 ------
@@ -125,6 +135,8 @@ from .models import (
 from .tensors import (
     IDENTITY,
     _require_seed,
+    _sphere,
+    _stream,
     as_tensor2,
     conjugate_stack,
     matvec,
@@ -138,12 +150,10 @@ from .tensors import (
 DEFAULT_THETA_SAMPLES = (0.5, 1.0, 300.0)
 NONLINEAR_MAGNITUDES = (0.1, 1.0, 10.0)
 
-_GRADIENT_STREAM = 2
-
 # states per block when the symmetry and frame-indifference checks fold group
-# elements into the state axis: enough to spread numpy's per-call cost, few
-# enough that a block's temporaries stay near 100 kB
-_FOLD_STATES = 2048
+# elements into the state axis (see Folding): enough to spread numpy's
+# per-call cost, few enough for glibc's 128 KiB mmap threshold
+_FOLD_STATES = 1792
 
 # the public checks run under this: overflow and invalid values are residuals
 # that _worst fails, not warnings
@@ -241,19 +251,10 @@ class _StateBatch:
 
 
 def _unit_directions(cfg: CheckConfig) -> np.ndarray:
-    """The coordinate axes, then gradient_samples normal draws over their
-    norms; a draw of norm at most 1e-12 gives way to the next.  The stacked
-    matmul is np.linalg.norm's ddot of each draw, bit for bit."""
-    rng = np.random.default_rng([cfg.seed, _GRADIENT_STREAM])
-    dirs = [np.eye(3)]
-    need = cfg.gradient_samples
-    while need:
-        v = rng.standard_normal((need, 3))
-        norms = np.sqrt(np.matmul(v[:, None, :], v[:, :, None]))[:, 0]
-        kept = norms[:, 0] > 1e-12
-        dirs.append(v[kept] / norms[kept])
-        need -= int(np.count_nonzero(kept))
-    return np.concatenate(dirs)
+    """The coordinate axes, then gradient_samples uniform unit directions
+    from the seed's gradient stream (tensors._sphere), (3 + n, 3)."""
+    drawn = _sphere(_stream(cfg.seed, "gradient"), cfg.gradient_samples, 3)
+    return np.concatenate((np.eye(3), drawn.T))
 
 
 def _sample_states(model: ConstitutiveModel, cfg: CheckConfig) -> _StateBatch:

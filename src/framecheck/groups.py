@@ -42,6 +42,7 @@ from .tensors import (
     _haar_orthogonal,
     _orthogonal,
     _require_seed,
+    _stream,
     as_tensor2,
     rotation_about,
 )
@@ -53,8 +54,6 @@ _BLOCK = 1024
 # (query, candidate) pairs per trace-bucket search: its gathered candidates
 # and their differences from the queries take about 2.4 MB
 _SLOTS = _BLOCK * 16
-
-_GROUP_STREAM = 1
 
 
 class ClosureOverflow(RuntimeError):
@@ -303,8 +302,7 @@ def orthogonal_check_set(seed: int, sample_count: int) -> np.ndarray:
     """``sample_count`` Haar draws (proper and improper mixed) followed by the
     adversarial set, as one read-only (sample_count + 12, 3, 3) stack.
     Cached: the set is pure in (seed, sample_count)."""
-    rng = np.random.default_rng([_require_seed(seed), _GROUP_STREAM])
-    draws = _haar_orthogonal(rng, sample_count)
+    draws = _haar_orthogonal(_stream(seed, "group"), sample_count)
     return _frozen(np.concatenate((draws, adversarial_elements())))
 
 

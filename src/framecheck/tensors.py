@@ -7,12 +7,19 @@ constructors below validate shape and finiteness and clear the writeable
 flag, so every value handed around by this package is effectively immutable
 and safe to share across threads.
 
-All randomness is drawn from numpy Generators constructed from an explicit
-64-bit seed.  There is no global RNG state anywhere in the package; callers
-that parallelize must partition the seed space instead of sharing a stream.
+All randomness is drawn from the standard library's Mersenne Twister: each
+draw site has its own stream, a random.Random keyed by an explicit 64-bit
+seed and the site's salt (_stream).  There is no global RNG state
+anywhere in the package; callers that parallelize must partition the seed
+space instead of sharing a stream.  Every sample is random()'s values put
+through +, -, *, / and sqrt, each a correctly rounded IEEE-754 double
+operation in numpy and in Python alike, so a seed gives the same bits on
+every CPU, libm, BLAS and LAPACK; no draw imports numpy.random.
 """
 
 from __future__ import annotations
+
+import random
 
 import numpy as np
 
@@ -21,9 +28,9 @@ import numpy as np
 ELEMENT_ORTH_TOL = 1e-9
 OBSERVER_ORTH_TOL = 1e-12
 
-# Seed-stream salt for observer draws; groups and gradient sampling use their
-# own salts so the three streams never collide for a shared base seed.
-_OBSERVER_STREAM = 3
+# The draw sites' salts: the stream of a site is random.Random(seed * 4 +
+# salt), so no two streams, of one seed or of two, share a key.
+_SALTS = {"orthogonal": 0, "group": 1, "gradient": 2, "observer": 3}
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -101,30 +108,80 @@ def _require_seed(seed) -> int:
     return s
 
 
-def _haar_orthogonal(rng: np.random.Generator, n: int, proper_only: bool = False) -> np.ndarray:
-    """``n`` Haar-distributed orthogonal matrices drawn from ``rng``, (n, 3, 3):
-    the draws of n one-matrix calls, bit for bit, from one stacked QR."""
-    gauss = rng.standard_normal((n, 3, 3))
-    q, r = np.linalg.qr(gauss)
-    # Fixing the QR sign ambiguity (diagonal of r made positive) is what makes
-    # q Haar-distributed over the full orthogonal group, both determinant
-    # signs appearing with probability 1/2.
-    q = q * np.where(np.diagonal(r, axis1=1, axis2=2) < 0.0, -1.0, 1.0)[:, None, :]
-    if proper_only:
-        improper = np.linalg.det(q) < 0.0
-        q[improper, :, 2] = -q[improper, :, 2]
-    return q
+def _stream(seed, site: str) -> random.Random:
+    """The stream of one draw site ("orthogonal", "group", "gradient" or
+    "observer") for a 64-bit seed."""
+    return random.Random(_require_seed(seed) * len(_SALTS) + _SALTS[site])
+
+
+def _uniforms(rng: random.Random, count: int) -> np.ndarray:
+    """2 rng.random() - 1 for the next ``count`` values of the stream, bit for
+    bit, in one call.  CPython's random() is ((a >> 5) 2^26 + (b >> 6)) / 2^53
+    for two consecutive 32-bit outputs a, b of the Mersenne Twister, and
+    getrandbits(64 n) is 2 n consecutive outputs as little-endian words; every
+    operation below is exact."""
+    words = np.frombuffer(rng.getrandbits(64 * count).to_bytes(8 * count, "little"), "<u4")
+    scaled = (words[0::2] >> 5) * 67108864.0 + (words[1::2] >> 6)
+    return scaled * (2.0 / 9007199254740992.0) - 1.0
+
+
+def _sphere(rng: random.Random, n: int, dim: int) -> np.ndarray:
+    """``n`` points uniform on the unit sphere of R^dim, dim 3 or 4, as the
+    columns of a (dim, n) array (Marsaglia, Ann. Math. Stat. 43, 1972).
+
+    Each candidate u is the stream's next dim uniforms of [-1, 1).  It is kept
+    when 0 < |u|^2 <= 1, the sum of squares written out as row_norms does,
+    and divided by sqrt(|u|^2).  A nonzero u has an entry of at least 2^-52,
+    so no kept |u|^2 underflows.  Candidates are drawn in batches, but kept in
+    stream order: n points are the first n of any longer draw.  The ball
+    fills 52% of the cube [-1, 1]^3 and 31% of [-1, 1]^4, so one batch of
+    4 n + 8 candidates almost always suffices."""
+    parts, need = [], n
+    while need > 0:
+        batch = 4 * need + 8
+        u = _uniforms(rng, dim * batch).reshape(batch, dim).T
+        sq = u[0] * u[0]
+        for c in u[1:]:
+            sq += c * c
+        kept = (sq > 0.0) & (sq <= 1.0)
+        points = u[:, kept][:, :need] / np.sqrt(sq[kept][:need])
+        parts.append(points)
+        need -= points.shape[1]
+    return np.concatenate(parts, axis=1)
+
+
+def _haar_orthogonal(rng: random.Random, n: int, proper_only: bool = False) -> np.ndarray:
+    """``n`` Haar-distributed orthogonal matrices from rng's stream, (n, 3, 3).
+
+    Each is the rotation of a unit quaternion (w, x, y, z) uniform on S^3
+    (Shoemake, "Uniform random rotations", Graphics Gems III, 1992), made
+    improper by the inversion when w < 0 unless ``proper_only``.  R(q) =
+    R(-q), so the sign of w is a fair coin independent of the rotation, and
+    the inversion, which commutes with everything, maps SO(3) onto the other
+    half of O(3)."""
+    w, x, y, z = _sphere(rng, n, 4)
+    xx, yy, zz = x * x, y * y, z * z
+    xy, xz, yz = x * y, x * z, y * z
+    wx, wy, wz = w * x, w * y, w * z
+    r = np.array(
+        [
+            [1.0 - 2.0 * (yy + zz), 2.0 * (xy - wz), 2.0 * (xz + wy)],
+            [2.0 * (xy + wz), 1.0 - 2.0 * (xx + zz), 2.0 * (yz - wx)],
+            [2.0 * (xz - wy), 2.0 * (yz + wx), 1.0 - 2.0 * (xx + yy)],
+        ]
+    )
+    if not proper_only:
+        r[:, :, w < 0.0] *= -1.0
+    return np.ascontiguousarray(r.transpose(2, 0, 1))
 
 
 def random_orthogonal(seed, proper_only: bool = False) -> np.ndarray:
     """Haar-distributed orthogonal tensor, bit-reproducible per seed.
 
-    With ``proper_only`` the improper half of the distribution is folded onto
-    rotations by flipping one column, which preserves uniformity on the
-    rotation subgroup.
-    """
-    rng = np.random.default_rng(_require_seed(seed))
-    return _frozen(_haar_orthogonal(rng, 1, proper_only))[0]
+    With ``proper_only`` the draw is the rotation alone, uniform on the
+    rotation subgroup: the same draw without it is that rotation or its
+    inversion."""
+    return _frozen(_haar_orthogonal(_stream(seed, "orthogonal"), 1, proper_only))[0]
 
 
 def observer_stack(matrices) -> np.ndarray:
@@ -220,5 +277,4 @@ def random_observers(count: int, seed) -> np.ndarray:
     """observer_stack of ``count`` Haar draws, proper and improper mixed."""
     if count < 1:
         raise ValueError("count must be at least 1")
-    rng = np.random.default_rng([_require_seed(seed), _OBSERVER_STREAM])
-    return observer_stack(_haar_orthogonal(rng, count))
+    return observer_stack(_haar_orthogonal(_stream(seed, "observer"), count))

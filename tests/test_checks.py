@@ -277,10 +277,10 @@ def _ends_in_a_partial_block(model, group, cfg):
 def test_folded_frame_indifference_matches_the_unfolded_loop(cfg):
     observers = fc.random_observers(4, 3)
     # the last block is partial for every family: transverse_z_20 spans
-    # 19 + 1 elements for the gradient-dependent ones, transverse_z_192
-    # 3 x 56 + 24 for the constant one and 10 x 18 + 12 for the
+    # 16 + 4 elements for the gradient-dependent ones, transverse_z_190
+    # 3 x 49 + 43 for the constant one and 11 x 16 + 14 for the
     # temperature-scaled one
-    small, big = fc.catalog_lookup("transverse_z_20"), fc.catalog_lookup("transverse_z_192")
+    small, big = fc.catalog_lookup("transverse_z_20"), fc.catalog_lookup("transverse_z_190")
     for _, model in MODEL_ROSTER:
         groups = [small] if model.gradient_dependent else [small, big]
         for group in groups:
@@ -391,10 +391,10 @@ def _per_element_symmetry(model, group, cfg):
 
 @pytest.mark.parametrize("cfg", [CFG, STRICT], ids=["default_tol", "strict_tol"])
 def test_folded_symmetry_matches_the_per_element_loop(cfg):
-    # the last block is partial on transverse_z_192 for every family
-    # (10 x 19 + 2 elements for the gradient-dependent ones, 3 x 56 + 24 for
-    # the constant one, 10 x 18 + 12 for the temperature-scaled ones)
-    names = ("transverse_z_7", "transverse_z_192", "full_orthogonal")
+    # the last block is partial on transverse_z_190 for every family
+    # (11 x 16 + 14 elements for the gradient-dependent and the
+    # temperature-scaled ones, 3 x 49 + 43 for the constant one)
+    names = ("transverse_z_7", "transverse_z_190", "full_orthogonal")
     groups = [fc.catalog_lookup(name) for name in names]
     models = [model for _, model in MODEL_ROSTER] + [OVERFLOW]
     with np.errstate(over="ignore", invalid="ignore"):

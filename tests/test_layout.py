@@ -15,6 +15,8 @@ schur_reduce's conjugation of its whole check set, and the unit directions
 drawn in one call and normalized together.
 """
 
+import math
+import random
 import warnings
 
 import numpy as np
@@ -218,50 +220,52 @@ def test_schur_reduce_conjugation_is_the_einsum(sample_count, monkeypatch):
 
 
 def _per_draw_unit_directions(cfg):
-    """checks._unit_directions as a loop over draws of three normals, each
-    divided by its np.linalg.norm."""
-    rng = np.random.default_rng([cfg.seed, fc.checks._GRADIENT_STREAM])
-    dirs = [np.eye(3)[i] for i in range(3)]
+    """checks._unit_directions as a loop over candidates in plain Python
+    floats: three 2 random() - 1 each from the stream keyed 4 seed + 2,
+    kept when 0 < |u|^2 <= 1 and divided by sqrt(|u|^2)."""
+    rng = random.Random(cfg.seed * 4 + 2)
+    dirs = [list(row) for row in np.eye(3)]
     while len(dirs) < 3 + cfg.gradient_samples:
-        v = rng.standard_normal(3)
-        norm = float(np.linalg.norm(v))
-        if norm > 1e-12:
-            dirs.append(v / norm)
+        u = [2.0 * rng.random() - 1.0 for _ in range(3)]
+        sq = u[0] * u[0] + u[1] * u[1] + u[2] * u[2]
+        if 0.0 < sq <= 1.0:
+            norm = math.sqrt(sq)
+            dirs.append([c / norm for c in u])
     return np.array(dirs)
 
 
 @pytest.mark.parametrize("count", [1, 5, 32, 100])
 def test_unit_directions_are_the_per_draw_loop(count):
-    for seed in range(1000):
+    """The batched draw, its uniforms made from getrandbits and its
+    arithmetic done in numpy, is the per-candidate loop over random() in
+    Python floats, bit for bit."""
+    for seed in [*range(300), 2**64 - 1]:
         cfg = fc.CheckConfig(seed=seed, gradient_samples=count)
         assert _same_bits(fc.checks._unit_directions(cfg), _per_draw_unit_directions(cfg)), seed
 
 
-class _StubRng:
-    """A generator whose normals are a fixed stream, in draws of any shape."""
-
-    def __init__(self, values):
-        self.values = values
-        self.used = 0
-
-    def standard_normal(self, shape):
-        n = int(np.prod(shape))
-        self.used += n
-        return self.values[self.used - n:self.used].reshape(shape)
-
-
 def test_unit_directions_skip_a_draw_of_zero_norm(monkeypatch):
-    """No seeded stream draws a norm of at most 1e-12: a stub stream whose
-    second draw has one shows that draw skipped and the next taking its
-    place."""
-    values = np.random.default_rng(5).standard_normal(3 * 7)
-    values[3:6] = (4e-13, -7e-13, 5e-13)
-    monkeypatch.setattr(np.random, "default_rng", lambda seed: _StubRng(values))
-    cfg = fc.CheckConfig(gradient_samples=5)
-    dirs = fc.checks._unit_directions(cfg)
-    assert _same_bits(dirs, _per_draw_unit_directions(cfg))
-    kept = values.reshape(7, 3)[[0, 2, 3, 4, 5]]
-    assert _same_bits(dirs[3:], np.array([v / np.linalg.norm(v) for v in kept]))
+    """No seeded stream is likely to draw a candidate on the rejection
+    boundary: a stub uniform source shows |u|^2 = 0 and |u|^2 = 1 + 2^-52
+    skipped, |u|^2 = 1 and the smallest nonzero |u|^2, 2^-104, kept."""
+    script = [
+        0.0, 0.0, 0.0,  # |u|^2 = 0: skipped
+        2.0**-52, 0.0, 0.0,  # kept, as (1, 0, 0)
+        -1.0, 0.0, 2.0**-26,  # |u|^2 = 1 + 2^-52: skipped
+        -1.0, 0.0, 0.0,  # |u|^2 = 1: kept
+        -1.0, -1.0, -1.0,  # skipped
+        0.5, -0.5, 0.5,  # kept
+    ]
+
+    def stub(rng, count):
+        assert count >= len(script)
+        return np.array(script + [0.0] * (count - len(script)))
+
+    monkeypatch.setattr(fc.tensors, "_uniforms", stub)
+    dirs = fc.checks._unit_directions(fc.CheckConfig(gradient_samples=3))
+    norm = math.sqrt(0.75)
+    kept = [[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.5 / norm, -0.5 / norm, 0.5 / norm]]
+    assert _same_bits(dirs, np.concatenate((np.eye(3), kept)))
 
 
 def _per_observer_map(model, q, thetas, grads_star):

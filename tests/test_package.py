@@ -7,6 +7,8 @@ import sys
 import types
 from pathlib import Path
 
+import pytest
+
 import framecheck as fc
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -86,6 +88,39 @@ def test_import_framecheck_loads_nothing_heavy():
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
         [sys.executable, "-W", "error", "-c", _LAZY_IMPORT],
+        capture_output=True, text=True, env=env, cwd=ROOT, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+# run in a fresh interpreter: every draw comes from the standard library's
+# random.Random, so neither path loads numpy.random
+_NO_NUMPY_RANDOM = {
+    "cli": """
+import sys
+from framecheck.cli import main
+assert main(["run", "configs/isotropic.ini"]) == 0
+""",
+    "library": """
+import sys
+import numpy
+import framecheck as fc
+cfg = fc.CheckConfig()
+r = fc.random_orthogonal(3, proper_only=True)
+assert fc.classify_linear_symmetry(r @ numpy.diag([1.0, 2.0, 3.0]) @ r.T, cfg).value == "orthotropic"
+assert fc.schur_reduce(2.0 * numpy.eye(3), cfg).is_isotropic_invariant
+""",
+}
+
+
+@pytest.mark.parametrize("path", sorted(_NO_NUMPY_RANDOM))
+def test_no_draw_imports_numpy_random(path):
+    """framecheck run, and the classifier, schur_reduce and random_orthogonal,
+    never import numpy.random (about 6 MB and 15 ms at start-up)."""
+    script = _NO_NUMPY_RANDOM[path] + 'assert "numpy.random" not in sys.modules\n'
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-c", script],
         capture_output=True, text=True, env=env, cwd=ROOT, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr

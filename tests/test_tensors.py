@@ -1,4 +1,7 @@
+import hashlib
 import inspect
+import math
+import random
 import re
 
 import numpy as np
@@ -267,33 +270,124 @@ def test_random_observers_contract():
         fc.random_observers(0, 1)
 
 
-def _haar_one_at_a_time(rng, n, proper_only):
-    """n draws of one Haar matrix each, as the batched draw replaced."""
+def _haar_one_at_a_time(key, n, proper_only):
+    """n Haar draws from the stream keyed ``key``, one candidate at a time in
+    plain Python floats: four 2 random() - 1, kept when 0 < |q|^2 <= 1 and
+    divided by sqrt(|q|^2), the rotation of that unit quaternion, and its
+    inversion when w < 0 unless proper_only."""
+    rng = random.Random(key)
     draws = []
-    for _ in range(n):
-        q, r = np.linalg.qr(rng.standard_normal((3, 3)))
-        q = q * np.where(np.diag(r) < 0.0, -1.0, 1.0)
-        if proper_only and float(np.linalg.det(q)) < 0.0:
-            q[:, 2] = -q[:, 2]
-        draws.append(q)
+    while len(draws) < n:
+        q = [2.0 * rng.random() - 1.0 for _ in range(4)]
+        sq = q[0] * q[0] + q[1] * q[1] + q[2] * q[2] + q[3] * q[3]
+        if not 0.0 < sq <= 1.0:
+            continue
+        norm = math.sqrt(sq)
+        w, x, y, z = (c / norm for c in q)
+        r = [
+            [1.0 - 2.0 * (y * y + z * z), 2.0 * (x * y - w * z), 2.0 * (x * z + w * y)],
+            [2.0 * (x * y + w * z), 1.0 - 2.0 * (x * x + z * z), 2.0 * (y * z - w * x)],
+            [2.0 * (x * z - w * y), 2.0 * (y * z + w * x), 1.0 - 2.0 * (x * x + y * y)],
+        ]
+        if w < 0.0 and not proper_only:
+            r = [[-e for e in row] for row in r]
+        draws.append(r)
     return np.array(draws)
 
 
 @pytest.mark.parametrize("proper_only", [False, True])
 def test_batched_haar_draws_are_the_one_at_a_time_loop(proper_only):
-    """The stacked draw of n matrices is the loop of n draws bit for bit, and
-    leaves the generator where the loop does."""
+    """The stacked draw of n matrices is the one-at-a-time loop in Python
+    floats bit for bit, so n draws are the first n of any longer draw."""
     for seed in (0, 1, 7, 12345):
-        ref_rng = np.random.default_rng(seed)
-        expected = _haar_one_at_a_time(ref_rng, 300, proper_only)
-        after = ref_rng.standard_normal()
+        expected = _haar_one_at_a_time(seed, 300, proper_only)
         for n in range(1, 301):
-            rng = np.random.default_rng(seed)
-            got = fc.tensors._haar_orthogonal(rng, n, proper_only)
+            got = fc.tensors._haar_orthogonal(random.Random(seed), n, proper_only)
             assert np.array_equal(got, expected[:n]), (seed, n)
-        assert rng.standard_normal() == after
         if proper_only:
             assert np.all(np.linalg.det(got) > 0.0)
+
+
+# the salt of each draw site, as the stream keys seed * 4 + salt pin it
+SALTS = {"orthogonal": 0, "group": 1, "gradient": 2, "observer": 3}
+
+
+def test_no_two_streams_share_a_key():
+    """Each site's stream is random.Random(seed * 4 + salt), so the streams
+    of one seed, and of two, all differ."""
+    assert set(fc.tensors._SALTS) == set(SALTS)
+    firsts = set()
+    for seed in [*range(100), 2**64 - 1]:
+        for site, salt in SALTS.items():
+            first = fc.tensors._stream(seed, site).random()
+            assert first == random.Random(seed * 4 + salt).random(), (seed, site)
+            firsts.add(first)
+    assert len(firsts) == 101 * len(SALTS)
+
+
+def _within(samples, expected, sd, what):
+    """The sample mean is within 5 standard errors of ``expected``."""
+    mean = float(np.mean(samples))
+    bound = 5.0 * sd / np.sqrt(len(samples))
+    assert abs(mean - expected) <= bound, (what, mean, expected, bound)
+
+
+# draws per moment test: 5 standard errors of E[v_x^4] are 0.0042, and a
+# sphere drawn without the ball's rejection has E[v_x^4] = 0.181, not 0.2
+MOMENT_DRAWS = 100_000
+
+
+def test_unit_directions_have_the_moments_of_the_sphere():
+    """E[v] = 0, E[v v^T] = I / 3 and E[v_x^4] = 1 / 5 on the unit sphere of
+    R^3, each within 5 standard errors."""
+    cfg = fc.CheckConfig(seed=11, gradient_samples=MOMENT_DRAWS)
+    v = fc.checks._unit_directions(cfg)[3:]
+    assert v.shape == (MOMENT_DRAWS, 3)
+    assert np.max(np.abs(np.sum(v * v, axis=1) - 1.0)) <= 1e-15
+    for i in range(3):
+        # Var v_i = 1/3, Var v_i^2 = 1/5 - 1/9, Var v_i v_j = 1/15, Var v_i^4 = 1/9 - 1/25
+        _within(v[:, i], 0.0, np.sqrt(1 / 3), f"E[v_{i}]")
+        _within(v[:, i] ** 2, 1 / 3, np.sqrt(1 / 5 - 1 / 9), f"E[v_{i}^2]")
+        _within(v[:, i] * v[:, (i + 1) % 3], 0.0, np.sqrt(1 / 15), f"E[v_{i} v_j]")
+        _within(v[:, i] ** 4, 1 / 5, np.sqrt(1 / 9 - 1 / 25), f"E[v_{i}^4]")
+
+
+def test_haar_draws_have_the_moments_of_the_orthogonal_group():
+    """Every entry of a Haar matrix is a coordinate of a uniform unit
+    vector: E[R_ij^2] = 1/3 and E[R_00^4] = 1/5.  Each determinant sign has
+    probability 1/2, and proper_only draws the same rotations, det +1."""
+    rng = fc.tensors._stream(5, "observer")
+    draws = fc.tensors._haar_orthogonal(rng, MOMENT_DRAWS)
+    for i in range(3):
+        for j in range(3):
+            _within(draws[:, i, j] ** 2, 1 / 3, np.sqrt(1 / 5 - 1 / 9), f"E[R_{i}{j}^2]")
+    _within(draws[:, 0, 0] ** 4, 1 / 5, np.sqrt(1 / 9 - 1 / 25), "E[R_00^4]")
+    dets = np.linalg.det(draws)
+    assert np.max(np.abs(np.abs(dets) - 1.0)) <= 1e-14
+    _within(dets < 0.0, 0.5, 0.5, "P(det R = -1)")
+    proper = fc.tensors._haar_orthogonal(fc.tensors._stream(5, "observer"), MOMENT_DRAWS, True)
+    assert np.all(np.linalg.det(proper) > 0.0)
+    assert np.array_equal(np.where((dets < 0.0)[:, None, None], -proper, proper), draws)
+
+
+def _sha256(a):
+    return hashlib.sha256(np.ascontiguousarray(a, dtype="<f8").tobytes()).hexdigest()
+
+
+def test_seeded_draws_keep_their_bits():
+    """SHA-256 of three seeded draws.  Every sample is random()'s values put
+    through +, -, *, / and sqrt, so these hold on any CPU, libm, BLAS and
+    LAPACK.  The check set is pinned on its Haar rows; the adversarial rows
+    after them come from cos and sin."""
+    assert _sha256(fc.random_observers(100, 7)) == (
+        "6364a22d4d3d3ec0d773d7d6b6d5f21bed34e942f881550eae92a1bb668142b1"
+    )
+    assert _sha256(fc.orthogonal_check_set(0, 256)[:256]) == (
+        "f9e53febac17836a1f4faa54526606352fd16f07d59ae64ae915920c1d7e06c9"
+    )
+    assert _sha256(fc.checks._unit_directions(fc.CheckConfig(seed=3))) == (
+        "6c80db9f16eeee1f77c84295daa5317cf116fe7a8b2a9921bf60e30641ab1c24"
+    )
 
 
 def test_observer_stream_is_separate_from_orthogonal_stream():
