@@ -1,10 +1,12 @@
 #!/usr/bin/env python
-"""Classify randomly oriented conductivities and cross-check the spherical
-ones with the constant-tensor reduction.
+"""Classify randomly oriented conductivities and reduce the spherical ones
+to their scalar.
 
-Draws symmetric tensors with known spectra in random orientations, classifies
-each by eigenvalue multiplicity, and verifies that the orthogonal-invariance
-reduction recovers exactly the spherical ones (with the right scalar).
+Draws symmetric tensors with known spectra in random orientations, labels
+each with classify_linear_symmetry, and verifies that every label is the
+spectrum's class and that schur_reduce recovers exactly the spherical ones,
+with the right scalar.  Both read one isotropy test, on the 24 cubic
+rotations, so they can disagree only through a bug.
 """
 
 import argparse

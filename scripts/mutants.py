@@ -206,36 +206,57 @@ MUTANTS = (
         "isotropic conductors included",
         killer="tests/test_acceptance.py::test_frame_indifference_does_not_imply_isotropy",
     ),
-    # -- the classifier and schur_reduce
+    # -- the one isotropy test, the classifier and schur_reduce
     Mutant(
-        "classify.unpaired_eigenvalue_off_z", CHECKS,
-        "        if low_pair:\n            order = [0, 1, 2]\n",
-        "        if low_pair:\n            order = [1, 2, 0]\n",
-        "transverse_z_8 expects the unpaired eigenvalue on the z axis; the "
-        "cross-check raises otherwise",
+        "classify.labels_swapped", CHECKS,
+        "        return LinearSymmetryClass.TRANSVERSELY_ISOTROPIC\n"
+        "    return LinearSymmetryClass.ORTHOTROPIC\n",
+        "        return LinearSymmetryClass.ORTHOTROPIC\n"
+        "    return LinearSymmetryClass.TRANSVERSELY_ISOTROPIC\n",
+        "a pair of equal eigenvalues, wherever the unpaired one lies, makes a "
+        "tensor transversely isotropic, and three distinct ones orthotropic",
         killer="tests/test_checks.py::test_classify_linear_symmetry",
     ),
     Mutant(
         "classify.isotropic_on_one_axis", CHECKS,
-        '("cubic_rotations", "transverse_z_8", "orthotropic")',
-        '("transverse_z_8", "transverse_z_8", "orthotropic")',
-        "the isotropic label is certified on the cubic rotations, which no "
-        "tensor but c I commutes with; rotations about z alone pass "
-        "diag(1, 1, 1 + 1e-6)",
+        'return catalog_lookup("cubic_rotations").stack',
+        'return catalog_lookup("transverse_z_8").stack',
+        "isotropy is certified on the cubic rotations, which no tensor but "
+        "c I commutes with; rotations about z alone pass diag(1, 1, 1 + 1e-6)",
         killer="tests/test_checks.py::"
         "test_isotropic_cross_check_rejects_every_off_scalar_direction",
     ),
     Mutant(
-        "schur.no_deviation_test", CHECKS,
-        "    if deviation > cfg.tol:\n"
-        "        return SchurResult(False, None, max(residual, deviation))\n",
-        "",
-        "a tensor that commutes with every conjugation must be alpha times "
-        "the identity",
-        equivalent="the conjugation test over the 268-element check set already "
-        "rejects every tensor that is not alpha times the identity within tol; "
-        "in 20,000 near-scalar draws it never passed one the deviation test "
-        "then rejected (ROADMAP item 9)",
+        "classify.gap_tolerance_not_tol", CHECKS,
+        "    if gap <= cfg.tol * max_abs(eigvals):\n",
+        "    if gap <= 1e-8 * max_abs(eigvals):\n",
+        "one tol decides both steps: at 1e-8 a gap of 1.5 tol would count as "
+        "a pair of equal eigenvalues",
+        killer="tests/test_checks.py::"
+        "test_classify_cross_checks_the_tensor_its_label_describes",
+    ),
+    Mutant(
+        "classify.larger_gap", CHECKS,
+        "    gap = min(eigvals[1] - eigvals[0], eigvals[2] - eigvals[1])\n",
+        "    gap = max(eigvals[1] - eigvals[0], eigvals[2] - eigvals[1])\n",
+        "two equal eigenvalues make the smaller gap 0; the larger is the "
+        "unpaired eigenvalue's distance, so diag(2, 2, 5) would be orthotropic",
+        killer="tests/test_checks.py::test_classify_linear_symmetry",
+    ),
+    Mutant(
+        "schur.unnormalized", CHECKS,
+        "    m = k / (max_abs(k) or 1.0)\n",
+        "    m = k\n",
+        "the residual is relative to the tensor's largest entry: on L itself, "
+        "1e-10 diag(1, 2, 3) would pass as a multiple of I",
+        killer="tests/test_checks.py::test_schur_reduce_rejects_a_tiny_anisotropic_tensor",
+    ),
+    Mutant(
+        "schur.alpha_of_the_normalized_tensor", CHECKS,
+        "    passed, residual, _ = _cubic_test(l, cfg)\n",
+        "    passed, residual, l = _cubic_test(l, cfg)\n",
+        "the scalar recovered is L's own, not that of L / max|L|",
+        killer="tests/test_checks.py::test_schur_reduce_recovers_a_large_scalar",
     ),
     # -- the sampler every draw goes through
     Mutant(
@@ -479,7 +500,7 @@ MUTANTS = (
     ),
     Mutant(
         "config.suite_model_unchecked", "src/framecheck/config.py",
-        "        _judge_model(self.model.family, given, _spec_numbers)\n",
+        "        _judge_model(self.model)\n",
         "        pass\n",
         "a SuiteConfig's model is judged when it is built: a kappa0 of two "
         "numbers raised numpy's reshape error deep in run_suite, and a stray "

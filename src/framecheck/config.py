@@ -162,8 +162,7 @@ class SuiteConfig:
     observers: int | tuple[tuple[float, ...], ...] = 100
 
     def __post_init__(self):
-        given = {k: v for k in _SPEC_PARAMS if (v := getattr(self.model, k)) is not None}
-        _judge_model(self.model.family, given, _spec_numbers)
+        _judge_model(self.model)
         _judge_int("run.sample_count", self.sample_count)
         if isinstance(self.observers, tuple):
             _judge_matrices("run.observers", self.observers, OBSERVER_ORTH_TOL)
@@ -238,7 +237,8 @@ def _numbers(name: str, raw: str) -> tuple[float, ...]:
 
 
 def _scalar(name: str, raw: str) -> float:
-    """One number, whatever its value: CheckConfig alone judges a tol."""
+    """One number, whatever its value: CheckConfig alone judges a tol, and
+    SuiteConfig a model's scalar."""
     return _judge_length(name, _numbers(name, raw), 1)[0]
 
 
@@ -307,9 +307,11 @@ def _check_config(section: str, base: CheckConfig, **values) -> CheckConfig:
         raise ValidationError(f"{section}.{name}: {rule}") from None
 
 
-def _judge_model(family: str, given: dict, numbers) -> dict:
-    """ModelSpec's keyword arguments: a known family, each of its parameters
-    given and no other, each as many finite numbers(key, value) as it takes."""
+def _judge_model(model: ModelSpec) -> None:
+    """A known family, each of its parameters given and no other, each in
+    its written form (_spec_numbers) and as many finite numbers as it takes."""
+    family = model.family
+    given = {k: v for k in _SPEC_PARAMS if (v := getattr(model, k)) is not None}
     if family not in _FAMILY_PARAMS:
         known = ", ".join(sorted(_FAMILY_PARAMS))
         raise ValidationError(f"model.family: unknown family {family!r} (known: {known})")
@@ -317,12 +319,10 @@ def _judge_model(family: str, given: dict, numbers) -> dict:
     for key in given:
         if key not in wanted:
             raise ValidationError(f"model.{key}: not a parameter of family {family}")
-    kwargs = {}
     for key, (judge, _, _) in wanted.items():
         if key not in given:
             raise ValidationError(f"model.{key} is required for family {family}")
-        kwargs[key] = judge(f"model.{key}", numbers(key, given[key]))
-    return kwargs
+        judge(f"model.{key}", _spec_numbers(key, given[key]))
 
 
 def _spec_numbers(key: str, value) -> tuple:
@@ -334,11 +334,20 @@ def _spec_numbers(key: str, value) -> tuple:
 
 
 def _parse_model(sec) -> ModelSpec:
+    """The ModelSpec of a [model] section: each parameter read as numbers, a
+    scalar as one number, whatever the family; SuiteConfig judges them."""
     if "family" not in sec:
         raise ValidationError("model.family is required")
     family = sec["family"].strip()
-    given = {key: sec[key] for key in sec if key != "family"}
-    return ModelSpec(family, **_judge_model(family, given, lambda k, v: _numbers(f"model.{k}", v)))
+    values = {}
+    for key in sec:
+        if key == "family":
+            continue
+        if key not in _SPEC_PARAMS:
+            raise ValidationError(f"model.{key}: not a parameter of family {family}")
+        read = _scalar if _SPEC_PARAMS[key] == "float" else _numbers
+        values[key] = read(f"model.{key}", sec[key])
+    return ModelSpec(family, **values)
 
 
 def _parse_group(sec) -> GroupSpec:
@@ -405,10 +414,11 @@ def parse_config(data: str | bytes) -> SuiteConfig:
     Here only what text alone can break is judged: the text and its
     sections, unknown keys, a key of a choice not made (name with generators,
     max_order without them, a check not in names) and numbers that do not
-    parse.  The first fault is reported, in this order: the text; [model],
-    judged as it is read; [group], read, then judged by GroupSpec; [run],
-    read, then judged by CheckConfig; [checks], read; then SuiteConfig's
-    rules.  So a section's reading faults come before its value rules.
+    parse, or a scalar that is not one number.  The first fault is
+    reported, in this order: the text; [model], read; [group], read, then
+    judged by GroupSpec; [run], read, then judged by CheckConfig; [checks],
+    read; then SuiteConfig's rules, [model]'s first.  So a section's
+    reading faults come before its value rules.
     """
     if isinstance(data, bytes):
         try:

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import framecheck as fc
@@ -576,10 +576,12 @@ def test_schur_reduce_recovers_scalar():
 
 
 def test_schur_reduce_rejects_non_scalar():
+    """The residual is relative to the largest entry: diag(1, 2, 3) / 3
+    differs from its Rz90 conjugate by 1 - 1/3 on the diagonal."""
     ok, alpha, residual = fc.schur_reduce(DIAG123, CFG)
     assert not ok
     assert alpha is None
-    assert residual == 2.0
+    assert residual == 1.0 - 1.0 / 3.0
 
 
 def test_schur_reduce_tolerates_rounding_noise():
@@ -594,6 +596,68 @@ def test_schur_reduce_catches_small_but_real_anisotropy():
     ok, alpha, _ = fc.schur_reduce(np.eye(3) + 1e-6 * np.diag([0.0, 0.0, 1.0]), CFG)
     assert not ok
     assert alpha is None
+
+
+def test_schur_reduce_rejects_a_tiny_anisotropic_tensor():
+    """1e-10 diag(1, 2, 3) is as anisotropic as diag(1, 2, 3): its absolute
+    conjugation residual, 2e-10, used to pass tol, while the classifier
+    called it orthotropic."""
+    ok, alpha, residual = fc.schur_reduce(1e-10 * DIAG123, CFG)
+    assert not ok
+    assert alpha is None
+    assert residual >= 0.5
+    assert fc.classify_linear_symmetry(1e-10 * DIAG123, CFG) is fc.LinearSymmetryClass.ORTHOTROPIC
+
+
+def test_schur_reduce_recovers_a_large_scalar():
+    """2e6 I is a multiple of I: the rounding of 268 sampled conjugations,
+    about 4e-10 times 2e6, used to fail it, while the classifier called it
+    isotropic.  The cubic rotations conjugate it exactly."""
+    assert fc.schur_reduce(2e6 * np.eye(3), CFG) == (True, 2e6, 0.0)
+    assert fc.classify_linear_symmetry(2e6 * np.eye(3), CFG) is fc.LinearSymmetryClass.ISOTROPIC
+
+
+def test_a_tensor_off_scalar_by_more_than_tol_is_not_isotropic():
+    """diag(1, 1 + 5e-9, 1 + 7.5e-9) sits 4.2e-9 off scalar.  Its eigenvalue
+    gaps were merged at 1e-8 and it was labelled isotropic, though
+    check_isotropy fails it at the same tol of 1e-9; now all three say no."""
+    k = np.diag([1.0, 1.0 + 5e-9, 1.0 + 7.5e-9])
+    assert fc.classify_linear_symmetry(k, CFG) is not fc.LinearSymmetryClass.ISOTROPIC
+    assert not fc.schur_reduce(k, CFG).is_isotropic_invariant
+    assert not fc.check_isotropy(fc.LinearConstant(k), CFG).passed
+
+
+@settings(max_examples=150)
+@given(
+    orientation=st.integers(0, 2**32 - 1),
+    spread=st.just(0.0) | st.floats(1e-7, 1.0),
+    middle=st.floats(0.0, 1.0),
+)
+def test_one_isotropy_decision(orientation, spread, middle):
+    """The classifier's isotropic label, schur_reduce's verdict and the
+    sampled check_isotropy agree on a tensor of largest entry 1 in any
+    orientation, isotropic (spread 0) or with eigenvalues 1, 1 + middle
+    spread and 1 + spread at a spread of 1e-7 to 1; and the label,
+    verdict and residual do not change when the tensor is scaled by 2**k."""
+    r = fc.random_orthogonal(orientation)
+    k = r @ np.diag([1.0, 1.0 + middle * spread, 1.0 + spread]) @ r.T
+    k = 0.5 * (k + k.T)
+    k /= fc.max_abs(k)
+    label = fc.classify_linear_symmetry(k, CFG)
+    reduced = fc.schur_reduce(k, CFG)
+    sampled = fc.check_isotropy(fc.LinearConstant(k), CFG).passed
+    isotropic = spread == 0.0
+    assert (label is fc.LinearSymmetryClass.ISOTROPIC) is isotropic
+    assert reduced.is_isotropic_invariant is isotropic
+    assert sampled is isotropic
+    for exponent in (-900, -1, 1, 900):
+        scaled = np.ldexp(k, exponent)
+        assert fc.classify_linear_symmetry(scaled, CFG) is label
+        again = fc.schur_reduce(scaled, CFG)
+        assert again.is_isotropic_invariant is reduced.is_isotropic_invariant
+        assert again.residual == reduced.residual
+        if isotropic:
+            assert again.alpha == np.ldexp(reduced.alpha, exponent)
 
 
 def test_classify_linear_symmetry():
@@ -615,16 +679,22 @@ def test_classify_linear_symmetry():
 
 
 def test_classify_cross_checks_the_tensor_its_label_describes():
-    """Eigenvalues within 1e-8 of the largest magnitude count as equal, and
-    the cross-check runs on the tensor with each merged pair at one value, so
-    a gap that the rule calls equal does not make it raise; in the eigenframe
-    and in a rotated one, for a low pair, a high pair and a triple."""
+    """One tol decides both steps, on the tensor itself.  A pair of
+    eigenvalues counts as equal when their gap is at most tol times the
+    largest magnitude, half of that here, and not at one and a half times
+    it; a triple within 0.75 tol of the largest entry is isotropic, and one
+    5e-9 apart, whose smaller gap is within tol, is transversely isotropic.
+    In the eigenframe and in a rotated one, for a low pair, a high pair and
+    a triple."""
     T = fc.LinearSymmetryClass
     r = fc.random_orthogonal(5, proper_only=True)
     for diagonal, label in (
-        ((1.0, 1.0 + 5e-9, 3.0), T.TRANSVERSELY_ISOTROPIC),
-        ((1.0, 3.0, 3.0 + 1.5e-8), T.TRANSVERSELY_ISOTROPIC),
-        ((1.0, 1.0 + 5e-9, 1.0 + 7.5e-9), T.ISOTROPIC),
+        ((1.0, 1.0 + 1.5e-9, 3.0), T.TRANSVERSELY_ISOTROPIC),
+        ((1.0, 3.0, 3.0 + 1.5e-9), T.TRANSVERSELY_ISOTROPIC),
+        ((1.0, 1.0 + 4.5e-9, 3.0), T.ORTHOTROPIC),
+        ((1.0, 3.0, 3.0 + 4.5e-9), T.ORTHOTROPIC),
+        ((1.0, 1.0 + 5e-10, 1.0 + 7.5e-10), T.ISOTROPIC),
+        ((1.0, 1.0 + 5e-10, 1.0 + 5e-9), T.TRANSVERSELY_ISOTROPIC),
     ):
         k = np.diag(diagonal)
         assert fc.classify_linear_symmetry(k, CFG) is label, diagonal
@@ -632,35 +702,44 @@ def test_classify_cross_checks_the_tensor_its_label_describes():
 
 
 def test_isotropic_cross_check_rejects_every_off_scalar_direction():
-    """The isotropic label's group sees a 1e-6 step off I on each diagonal
-    entry and each symmetric off-diagonal pair; a group of rotations about one
-    axis, such as transverse_z_8, is blind to a step along that axis and
-    would certify diag(1, 1, 1 + 1e-6)."""
-    isotropic = fc.checks._classifier_groups()[0]
+    """The one isotropy test sees a 1e-6 step off I on each diagonal entry
+    and each symmetric off-diagonal pair, at its full size relative to the
+    largest entry, so neither the label nor schur_reduce passes it; a group
+    of rotations about one axis, such as transverse_z_8, is blind to a step
+    along that axis and would certify diag(1, 1, 1 + 1e-6)."""
     for i, j in ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)):
         k = np.eye(3)
         k[i, j] = k[j, i] = k[i, j] + 1e-6
-        result = fc.check_symmetry(fc.LinearConstant(k), isotropic, CFG)
-        assert not result.passed, (i, j)
-        assert result.max_residual >= 1e-6 * (1 - 1e-9), (i, j)
+        passed, residual, _ = fc.checks._cubic_test(k, CFG)
+        assert not passed, (i, j)
+        assert residual >= 1e-6 / fc.max_abs(k) * (1 - 1e-9), (i, j)
+        assert not fc.schur_reduce(k, CFG).is_isotropic_invariant, (i, j)
+        assert fc.classify_linear_symmetry(k, CFG) is not fc.LinearSymmetryClass.ISOTROPIC
     z_axis_step = fc.LinearConstant(np.diag([1.0, 1.0, 1.0 + 1e-6]))
     assert fc.check_symmetry(z_axis_step, fc.catalog_lookup("transverse_z_8"), CFG).passed
 
 
 def test_classify_makes_its_groups_once(monkeypatch):
-    """The three cross-check groups are looked up on the first call only; the
-    isotropic label's is the 24 exact cubic rotations, not a sample."""
+    """The cubic stack that the classifier and schur_reduce share is looked
+    up on the first call only, and it is the 24 exact cubic rotations, not
+    a sample: signed permutation matrices, each proper."""
     calls = []
     lookup = fc.checks.catalog_lookup
     monkeypatch.setattr(fc.checks, "catalog_lookup", lambda name: calls.append(name) or lookup(name))
-    fc.checks._classifier_groups.cache_clear()
+    fc.checks._cubic_stack.cache_clear()
     try:
         for _ in range(2):
             for k in (4.0 * np.eye(3), np.diag([2.0, 2.0, 5.0]), DIAG123):
                 fc.classify_linear_symmetry(k, CFG)
+                fc.schur_reduce(k, CFG)
+        stack = fc.checks._cubic_stack()
     finally:
-        fc.checks._classifier_groups.cache_clear()
-    assert calls == ["cubic_rotations", "transverse_z_8", "orthotropic"]
+        fc.checks._cubic_stack.cache_clear()
+    assert calls == ["cubic_rotations"]
+    assert stack.shape == (24, 3, 3)
+    assert np.array_equal(np.abs(stack).sum(axis=1), np.ones((24, 3)))
+    assert np.array_equal(np.abs(stack).sum(axis=2), np.ones((24, 3)))
+    assert np.all(np.linalg.det(stack) > 0)
 
 
 _TWO_THIRDS_CFG = fc.CheckConfig(theta_samples=(1.0,), gradient_samples=1)

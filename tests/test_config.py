@@ -159,6 +159,39 @@ def test_the_first_of_two_faults_is_reported_in_parse_configs_order(sections, me
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # [model] is only read: its numbers that do not parse, a scalar that
+        # is not one number and a key of no family come before its rules
+        ("[model]\nfamily = nope\nkappa0 = x\n", "model.kappa0: could not parse 'x' as numbers"),
+        ("[model]\nfamily = nope\nfoo = 1\n", "model.foo: not a parameter of family nope"),
+        ("[model]\nfamily = linear_constant\nc = 1 2\n", "model.c: expected 1 numbers, got 2"),
+        # and its rules are SuiteConfig's first, after every section is read
+        ("[model]\nfamily = nope\n[group]\nname = nope\n", "group.name: nope"),
+        ("[model]\nfamily = linear_constant\nkappa0 = 1 2\n[run]\ntol = 0\n",
+         "run.tol: must be positive and finite"),
+        ("[model]\nfamily = linear_constant\n[checks]\nsymmetry.volume = 9\n",
+         "checks.symmetry.volume: unknown key"),
+        ("[model]\nfamily = linear_constant\n[checks]\nnames = bogus\n",
+         "model.kappa0 is required for family linear_constant"),
+    ],
+)
+def test_model_values_are_judged_once_by_suite_config(text, message, monkeypatch):
+    """parse_config reads [model] as it reads the other sections, and
+    SuiteConfig judges it, once per parse."""
+    calls = []
+    judge = fc.config._judge_model
+    monkeypatch.setattr(fc.config, "_judge_model", lambda model: calls.append(model) or judge(model))
+    with pytest.raises(fc.ValidationError) as err:
+        fc.parse_config(text)
+    assert str(err.value) == message
+    assert len(calls) == (1 if message.startswith("model.kappa0 is") else 0)
+    before = len(calls)
+    fc.parse_config(MINIMAL)
+    assert len(calls) == before + 1
+
+
 def test_non_orthogonal_matrices_rejected_at_loose_tolerance():
     bad = MINIMAL + "[run]\nobservers = 1 0.001 0 ; 0 1 0 ; 0 0 1\n"
     with pytest.raises(fc.ValidationError) as err:

@@ -127,8 +127,9 @@ def test_the_benchmark_oracle_accepts_every_golden_report(name):
 
 def test_classify_draws_match_golden():
     """Every draw's label and schur_reduce fields, to the last bit of alpha
-    and residual: the benchmark's oracle checks only which side of the
-    tolerance a residual falls on."""
+    and of the residual, which is relative to the tensor's largest entry:
+    the benchmark's oracle checks only which side of the tolerance a
+    residual falls on."""
     script = _load(ROOT / "scripts" / "classify_conductivities.py")
     text = json.dumps(script.classify_draws(1, 20), indent=2) + "\n"
     assert text.encode() == (GOLDEN / "classify.json").read_bytes()

@@ -10,9 +10,10 @@ sample-first construction.
 The sample-first einsums iterate in memory order, so their own bits change
 when a stack's component axes are swapped (np.swapaxes(stack, 1, 2)); the
 kernels match them on stacks whose components are in C order, the only kind
-the checks build.  The same holds for the stacked forms of per-call loops:
-schur_reduce's conjugation of its whole check set, and the unit directions
-drawn in one call and normalized together.
+the checks build.  The same holds for the stacked form of a per-call loop,
+the unit directions drawn in one call and normalized together.
+schur_reduce's conjugation by the cubic rotations needs no einsum to
+match: it is exact, a signed permutation of the tensor's entries.
 """
 
 import math
@@ -27,7 +28,7 @@ from numpy.polynomial import polynomial as npp
 
 import framecheck as fc
 from framecheck.checks import _deficit
-from framecheck.tensors import conjugate_stack, matvec, row_norms, sample_last, transposes
+from framecheck.tensors import conjugate_stack, matvec, row_norms, sample_last
 
 # the layouts a stack reaches the kernels in
 LAYOUTS = {
@@ -194,29 +195,31 @@ def test_matvec_is_the_sample_first_einsum(size, seed, spread, layout):
         assert matvec(per_state, block).flags.c_contiguous
 
 
-@pytest.mark.parametrize("sample_count", [16, 256])
-def test_schur_reduce_conjugation_is_the_einsum(sample_count, monkeypatch):
-    """schur_reduce conjugates by its check set with conjugate_stack, with
-    the bits of its old einsum("rji,jk,rkl->ril"), and reports that
-    einsum's residual: symmetric and non-symmetric tensors, 10^-300 to
-    10^300, no warning.  schur_reduce draws DEFAULT_SAMPLE_COUNT (256)
-    rotations; the 16-draw case patches that module constant."""
-    monkeypatch.setattr(fc.checks, "DEFAULT_SAMPLE_COUNT", sample_count)
+def test_schur_reduce_conjugation_is_the_einsum():
+    """schur_reduce conjugates m = L / max|L| by the 24 cubic rotations with
+    conjugate_stack.  Each is a signed permutation, so H m H^T is m with its
+    rows and columns permuted and negated, exactly, and the residual is the
+    largest difference from m of those exact conjugates: symmetric and
+    non-symmetric tensors, 10^-300 to 10^300, no warning."""
+    stack = fc.checks._cubic_stack()
+    # H e_p[i] = s[i] e_i: row i of H holds its one nonzero, s[i], at p[i]
+    perms = np.argmax(np.abs(stack), axis=2)
+    signs = np.take_along_axis(stack, perms[:, :, None], axis=2)[:, :, 0]
     rng = np.random.default_rng(13)
-    for seed in range(5):
-        cfg = fc.CheckConfig(seed=seed)
-        rots = fc.orthogonal_check_set(seed, sample_count)
-        for scale in (1e-300, 1.0, 1e300):
-            for _ in range(3):
-                a = rng.standard_normal((3, 3))
-                for m in (scale * a, scale * (a + a.T)):
-                    with warnings.catch_warnings():
-                        warnings.simplefilter("error")
-                        got = conjugate_stack(transposes(rots), m[None])[:, 0]
-                        expected = np.einsum("rji,jk,rkl->ril", rots, m, rots)
-                        result = fc.schur_reduce(m, cfg)
-                    assert _same_bits(got, expected)
-                    assert result.residual == float(np.max(np.abs(expected - m)))
+    for scale in (1e-300, 1.0, 1e300):
+        for _ in range(5):
+            a = rng.standard_normal((3, 3))
+            for l in (scale * a, scale * (a + a.T)):
+                m = l / np.max(np.abs(l))
+                exact = np.stack([
+                    np.outer(s, s) * m[np.ix_(p, p)] for p, s in zip(perms, signs)
+                ])
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    got = conjugate_stack(stack, m[None])[:, 0]
+                    result = fc.schur_reduce(l, fc.CheckConfig())
+                assert np.array_equal(got, exact)
+                assert result.residual == float(np.max(np.abs(exact - m)))
 
 
 def _per_draw_unit_directions(cfg):
