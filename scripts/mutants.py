@@ -109,6 +109,15 @@ MUTANTS = (
         "test_frame_indifference_fails_for_a_wrongly_rotated_component_map",
     ),
     Mutant(
+        "frame_indifference.flux_runs_share_the_first_kappa", CHECKS,
+        "obs_kappa_raw = kappa_raw[start:start + len(flux_raw), None]",
+        "obs_kappa_raw = kappa_raw[:len(flux_raw), None]",
+        "each run of stacked observers in the flux form pairs with its own "
+        "observers' conductivity residuals, not the first run's",
+        killer="tests/test_checks.py::"
+        "test_folded_frame_indifference_matches_the_unfolded_loop[strict_tol]",
+    ),
+    Mutant(
         "observer_independence.no_conductivity_form", CHECKS,
         "            kappa_raw = np.max(np.abs(kappa_star - kappas), axis=(0, 1))\n"
         "            rel = np.maximum(flux_raw, kappa_raw) / batch.denoms\n",
@@ -480,14 +489,6 @@ MUTANTS = (
         "        if False:\n",
         "a check named twice would run twice; SuiteConfig holds this one rule "
         "for code and config files alike",
-        killer="tests/test_config.py::test_validation_errors_name_the_offender",
-    ),
-    Mutant(
-        "config.sample_count_on_any_check", "src/framecheck/config.py",
-        '                if req.name != "isotropy":\n',
-        "                if False:\n",
-        "only isotropy draws orthogonal elements; a sample_count elsewhere "
-        "would be accepted and do nothing",
         killer="tests/test_config.py::test_validation_errors_name_the_offender",
     ),
     Mutant(

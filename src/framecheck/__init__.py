@@ -27,8 +27,8 @@ _EXPORTS = {
         "classify_linear_symmetry", "schur_reduce",
     ),
     "config": (
-        "CHECK_NAMES", "CheckRequest", "GroupSpec", "ModelSpec", "ParseError",
-        "SuiteConfig", "ValidationError", "parse_config",
+        "CHECK_NAMES", "GroupSpec", "ModelSpec", "ParseError", "SuiteConfig",
+        "ValidationError", "parse_config",
     ),
     "groups": (
         "CATALOG_SUMMARY", "DEFAULT_SAMPLE_COUNT", "ClosureOverflow",

@@ -64,14 +64,15 @@ states.
 The two observer checks stack their observers the same way: they build one
 ComponentMap per run of consecutive observers, of at most ``_FOLD_STATES``
 states, and apply it to the whole run at once.  Observer independence runs
-both of its forms that way, frame indifference its conductivity form.  Frame
-indifference's flux form runs every observer's own map against one block of
-consecutive group elements, of at most ``_FOLD_STATES`` states, at a time,
-so its memory does not grow with the group's order.  A law whose
-conductivity does not depend on the gradient (``gradient_dependent`` False)
-has the same conductivity at every rotated gradient Q^T g*, bit for bit, so
-ComponentMap evaluates it once, on the S sampled states, and broadcasts that
-stack over the observers and elements.
+both of its forms that way, on the S sampled states, and frame indifference
+its conductivity form.  Frame indifference's flux form runs its stacked
+maps against one block of E consecutive group elements at a time, E S
+states an observer, so a call holds at most ``_FOLD_STATES`` states
+whatever the group's order and the observer count.  For a large group a run holds one
+observer.  A law whose conductivity does not depend on the gradient
+(``gradient_dependent`` False) has the same conductivity at every rotated
+gradient Q^T g*, bit for bit, so ComponentMap evaluates it once, on the S
+sampled states, and broadcasts that stack over the observers and elements.
 
 Each (observer, element) row is still reduced on its own, with one
 ``np.argmax``, so the folds change no residual, witness or sample count.
@@ -470,14 +471,14 @@ def check_frame_indifference(
     anisotropic conductors, which is the point: frame indifference does not
     imply isotropy.
 
-    The conductivity form runs on stacked ComponentMaps over runs of
-    consecutive observers, and the flux form on every observer's own map
-    against one block of consecutive group elements, of at most
-    _FOLD_STATES states, at a time.  Every (observer, element) row keeps its
-    arithmetic, so each row, samples_used and max_residual are those of the
-    unfolded loop, bit for bit.  Rows come block, then observer, then
-    element: among exactly tied failing rows, the earliest in that order is
-    the witness.  ``observers`` is anything observer_stack takes.
+    Both forms run on stacked ComponentMaps over runs of consecutive
+    observers, the flux form against one block of consecutive group
+    elements at a time, at most _FOLD_STATES states a call.  Every
+    (observer, element) row keeps its arithmetic, so each row, samples_used
+    and max_residual are those of the unfolded loop, bit for bit.  Rows come
+    block, then observer, then element: among exactly tied failing rows, the
+    earliest in that order is the witness.  ``observers`` is anything
+    observer_stack takes.
     """
     observers = observer_stack(observers)
     elements = group_elements_for_check(group, cfg.seed)
@@ -493,16 +494,12 @@ def check_frame_indifference(
             back = conjugate_stack(q_t, cm.kappa(batch.thetas, batch.grads @ q_t))
             raw = np.max(np.abs(kappas - sample_last(back)), axis=(0, 1))
             kappa_raw[start:start + len(raw)] = raw
-        # flux form: every observer's own map against one block of
-        # consecutive elements at a time.  H g and the canonical flux
-        # q(theta, H g) do not depend on the observer.  A gradient-dependent
-        # law's map is handed the temperature of every row; a gradient-free
-        # one's map evaluates it on the S states.
-        q_ts = transposes(observers)
-        maps = [
-            (obs, obs_kappa_raw, ComponentMap(model, observers[o:o + 1]), q_ts[o:o + 1])
-            for o, (obs, obs_kappa_raw) in enumerate(zip(observers, kappa_raw))
-        ]
+        # flux form: stacked maps over runs of consecutive observers against
+        # one block of consecutive elements at a time, at most _FOLD_STATES
+        # states a call.  H g and the canonical flux q(theta, H g) do not
+        # depend on the observer.  A gradient-dependent law's map is handed
+        # the temperature of every row; a gradient-free one's map evaluates
+        # it on the S states.
         for hs, hgs, kappas_h, refs in _element_blocks(model, batch, elements):
             # kappa(theta, H g) is the symmetry check's.  Held while the
             # observers run, it made the allocator map fresh pages for the
@@ -510,14 +507,17 @@ def check_frame_indifference(
             del kappas_h
             thetas = np.tile(batch.thetas, len(hs)) if model.gradient_dependent else batch.thetas
             hgs, refs = hgs.reshape(1, -1, 3), refs.reshape(-1, 3)
-            for obs, obs_kappa_raw, cm, q_t in maps:
+            for start, cm in _observer_maps(model, observers, refs.shape[0]):
                 # rows of H g @ Q^T are Q H g
-                starred = cm.flux(thetas, hgs @ q_t)
+                starred = cm.flux(thetas, hgs @ transposes(cm.observers))
                 # rows of starred @ Q are Q^T starred
-                flux_raw = row_norms(starred[0] @ obs - refs).reshape(len(hs), -1)
+                flux_raw = row_norms(starred @ cm.observers - refs)
+                flux_raw = flux_raw.reshape(len(cm.observers), len(hs), -1)
+                obs_kappa_raw = kappa_raw[start:start + len(flux_raw), None]
                 rel = np.maximum(flux_raw, obs_kappa_raw) / batch.denoms
-                for h, row in zip(hs, rel):
-                    yield row, h, obs, batch
+                for obs, obs_rel in zip(cm.observers, rel):
+                    for h, row in zip(hs, obs_rel):
+                        yield row, h, obs, batch
 
     note = (
         "holds identically for component maps derived from one tensorial "

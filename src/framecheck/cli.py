@@ -23,14 +23,7 @@ from typing import NoReturn
 
 import numpy as np
 
-from .config import (
-    CheckRequest,
-    ModelSpec,
-    ParseError,
-    SuiteConfig,
-    ValidationError,
-    parse_config,
-)
+from .config import ModelSpec, ParseError, SuiteConfig, ValidationError, parse_config
 from .groups import CATALOG_SUMMARY
 from .models import MODEL_FAMILIES
 from .report import emit_report, run_suite
@@ -62,9 +55,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="report format (machine = stable JSON)",
     )
     run.add_argument("--seed", type=int, default=None, help="override the config seed")
-    run.add_argument(
-        "--tol", type=float, default=None, help="override the config base tolerance"
-    )
+    run.add_argument("--tol", type=float, default=None, help="override the config tolerance")
     sub.add_parser("catalog", help="list the built-in symmetry groups")
     sub.add_parser(
         "demo",
@@ -85,8 +76,8 @@ def _cmd_run(args) -> int:
     except (ParseError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    # command line beats config, per-check overrides beat both; CheckConfig
-    # validates, and its messages begin with the field's name, the flag's
+    # command line beats config; CheckConfig validates, and its messages
+    # begin with the field's name, the flag's
     flags = {"seed": args.seed, "tol": args.tol}
     try:
         run = replace(cfg.run, **{k: v for k, v in flags.items() if v is not None})
@@ -117,7 +108,7 @@ def _cmd_demo() -> int:
     Both pass frame indifference; only the spherical one passes isotropy.
     Observer indifference constrains how the law transforms, not how the
     material responds to direction, so the two properties come apart."""
-    checks = (CheckRequest("frame_indifference"), CheckRequest("isotropy", sample_count=64))
+    checks = ("frame_indifference", "isotropy")
     cases = (
         ("anisotropic, kappa = diag(1, 2, 3)", (1.0, 2.0, 3.0)),
         ("isotropic,   kappa = 2.5 * identity", (2.5, 2.5, 2.5)),
@@ -125,7 +116,7 @@ def _cmd_demo() -> int:
     outcomes = []
     for label, diagonal in cases:
         model = ModelSpec("linear_constant", kappa0=tuple(np.diag(diagonal).flat))
-        report = run_suite(SuiteConfig(model, checks=checks))
+        report = run_suite(SuiteConfig(model, checks=checks, sample_count=64))
         print(label)
         for name, result in report.records:
             outcomes.append(result.passed)

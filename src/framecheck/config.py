@@ -18,15 +18,13 @@ Grammar (configparser syntax, '#' comments):
     [checks]              # optional, defaults to all five
     names = subset of: symmetry frame_indifference observer_independence
             isotropy zero_map
-    <check>.tol = per-check tolerance override
-    isotropy.sample_count = orthogonal draws for the isotropy check
 
     [run]                 # optional
     seed = 0              tol = 1e-9
     theta_samples = 0.5 1.0 300.0
     gradient_samples = 32
-    sample_count = 256    # orthogonal draws of a full_orthogonal group, and
-                          # isotropy's unless isotropy.sample_count is set
+    sample_count = 256    # orthogonal draws of a full_orthogonal group and
+                          # of the isotropy check
     observers = 100       # count, or explicit matrices separated by '|'
 
 ParseError means the text is not well-formed INI; ValidationError means the
@@ -44,7 +42,7 @@ from __future__ import annotations
 import configparser
 
 import numpy as np
-from dataclasses import dataclass, field, fields, make_dataclass, replace
+from dataclasses import dataclass, field, fields, make_dataclass
 
 from .checks import CheckConfig
 from .groups import DEFAULT_SAMPLE_COUNT, UnknownGroupName, resolve_group_name
@@ -131,16 +129,6 @@ class GroupSpec:
 
 
 @dataclass(frozen=True)
-class CheckRequest:
-    name: str
-    tol: float | None = None
-    sample_count: int | None = None
-
-
-_ALL_CHECKS = tuple(CheckRequest(n) for n in CHECK_NAMES)
-
-
-@dataclass(frozen=True)
 class SuiteConfig:
     """Fully resolved run description.
 
@@ -149,14 +137,14 @@ class SuiteConfig:
     rest is judged here, in this order, with parse_config's messages:
     ``model`` by the rules of [model], ``sample_count``, ``observers`` (a
     count of seeded draws or matrices held to OBSERVER_ORTH_TOL), then
-    ``checks``: at least one, each in CHECK_NAMES and none twice, then each
-    request's ``tol`` by CheckConfig and ``sample_count`` (isotropy's only).
-    A count is an int of at least 1.
+    ``checks``: a tuple of names, at least one, each in CHECK_NAMES and none
+    twice.  A count is an int of at least 1.  Every check runs under
+    ``run``, and ``sample_count`` is also the isotropy check's draw count.
     """
 
     model: ModelSpec
     group: GroupSpec = GroupSpec()
-    checks: tuple[CheckRequest, ...] = _ALL_CHECKS
+    checks: tuple[str, ...] = CHECK_NAMES
     run: CheckConfig = CheckConfig()
     sample_count: int = DEFAULT_SAMPLE_COUNT
     observers: int | tuple[tuple[float, ...], ...] = 100
@@ -168,9 +156,9 @@ class SuiteConfig:
             _judge_matrices("run.observers", self.observers, OBSERVER_ORTH_TOL)
         else:
             _judge_int("run.observers", self.observers, "an integer or a tuple of 9-number tuples")
-        if not isinstance(self.checks, tuple) or {type(r) for r in self.checks} - {CheckRequest}:
-            raise TypeError("checks: expected a tuple of CheckRequest")
-        names = [req.name for req in self.checks]
+        names = self.checks
+        if not isinstance(names, tuple) or not all(isinstance(n, str) for n in names):
+            raise TypeError("checks: expected a tuple of check names")
         if not names:
             raise ValidationError("checks.names: at least one check required")
         for name in names:
@@ -179,15 +167,6 @@ class SuiteConfig:
                 raise ValidationError(f"checks.names: unknown check {name!r} (known: {known})")
         if len(set(names)) != len(names):
             raise ValidationError("checks.names: duplicate check names")
-        for req in self.checks:
-            if req.tol is not None:
-                # CheckConfig alone judges a tol, as it does the run's
-                _check_config(f"checks.{req.name}", self.run, tol=req.tol)
-            if req.sample_count is not None:
-                key = f"checks.{req.name}.sample_count"
-                if req.name != "isotropy":
-                    raise ValidationError(f"{key}: sample_count only applies to isotropy")
-                _judge_int(key, req.sample_count)
 
     def to_config_text(self) -> str:
         """Canonical INI text; parse_config(text) reproduces this config
@@ -202,12 +181,7 @@ class SuiteConfig:
             lines.append(f"generators = {' | '.join(map(_fmt_matrix, self.group.source))}")
             lines.append(f"max_order = {self.group.max_order}")
         lines += ["", "[checks]"]
-        lines.append("names = " + " ".join(c.name for c in self.checks))
-        for c in self.checks:
-            if c.tol is not None:
-                lines.append(f"{c.name}.tol = {float(c.tol)!r}")
-            if c.sample_count is not None:
-                lines.append(f"{c.name}.sample_count = {c.sample_count}")
+        lines.append("names = " + " ".join(self.checks))
         lines += ["", "[run]"]
         for key, (_, fmt) in _RUN_PARAMS.items():
             lines.append(f"{key} = {fmt(getattr(self.run, key))}")
@@ -297,14 +271,14 @@ _RUN_PARAMS = {
 }
 
 
-def _check_config(section: str, base: CheckConfig, **values) -> CheckConfig:
-    """``replace(base, **values)``; CheckConfig's ValueError, which begins
-    with the field's name, becomes a ValidationError naming section.field."""
+def _check_config(values: dict) -> CheckConfig:
+    """``CheckConfig(**values)``; its ValueError, which begins with the
+    field's name, becomes a ValidationError naming run.field."""
     try:
-        return replace(base, **values)
+        return CheckConfig(**values)
     except ValueError as exc:
         name, _, rule = str(exc).partition(" ")
-        raise ValidationError(f"{section}.{name}: {rule}") from None
+        raise ValidationError(f"run.{name}: {rule}") from None
 
 
 def _judge_model(model: ModelSpec) -> None:
@@ -368,24 +342,12 @@ def _parse_group(sec) -> GroupSpec:
     return GroupSpec(generators)
 
 
-def _parse_checks(sec) -> tuple[CheckRequest, ...]:
-    """The requests of a [checks] section, its keys read in the order a
-    reader meets them."""
-    names = sec["names"].split() if "names" in sec else CHECK_NAMES
-    tols, counts = {}, {}
+def _parse_checks(sec) -> tuple[str, ...]:
+    """The check names of a [checks] section, its one key."""
     for key in sec:
-        if key == "names":
-            continue
-        base, dot, attr = key.partition(".")
-        if not dot or base not in CHECK_NAMES or attr not in ("tol", "sample_count"):
+        if key != "names":
             raise ValidationError(f"checks.{key}: unknown key")
-        if base not in names:
-            raise ValidationError(f"checks.{key}: check {base!r} is not selected in names")
-        if attr == "tol":
-            tols[base] = _scalar(f"checks.{key}", sec[key])
-        else:
-            counts[base] = _int(f"checks.{key}", sec[key])
-    return tuple(CheckRequest(n, tol=tols.get(n), sample_count=counts.get(n)) for n in names)
+    return tuple(sec["names"].split()) if "names" in sec else CHECK_NAMES
 
 
 def _parse_run(sec) -> dict:
@@ -404,7 +366,7 @@ def _parse_run(sec) -> dict:
             out["observers"] = _int("run.observers", raw)
         else:
             out["observers"] = tuple(_numbers("run.observers", m) for m in raw.split("|"))
-    out["run"] = _check_config("run", CheckConfig(), **values)
+    out["run"] = _check_config(values)
     return out
 
 
@@ -413,12 +375,12 @@ def parse_config(data: str | bytes) -> SuiteConfig:
 
     Here only what text alone can break is judged: the text and its
     sections, unknown keys, a key of a choice not made (name with generators,
-    max_order without them, a check not in names) and numbers that do not
-    parse, or a scalar that is not one number.  The first fault is
-    reported, in this order: the text; [model], read; [group], read, then
-    judged by GroupSpec; [run], read, then judged by CheckConfig; [checks],
-    read; then SuiteConfig's rules, [model]'s first.  So a section's
-    reading faults come before its value rules.
+    max_order without them) and numbers that do not parse, or a scalar that
+    is not one number.  The first fault is reported, in this order: the
+    text; [model], read; [group], read, then judged by GroupSpec; [run],
+    read, then judged by CheckConfig; [checks], read; then SuiteConfig's
+    rules, [model]'s first.  So a section's reading faults come before its
+    value rules.
     """
     if isinstance(data, bytes):
         try:

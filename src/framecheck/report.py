@@ -13,7 +13,7 @@ the group closure overflowed), which also fails the suite.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -92,8 +92,8 @@ def run_suite(cfg: SuiteConfig) -> SuiteReport:
     group: SymmetryGroup | None = None
     group_error: str | None = None
     records: list[tuple[str, CheckResult]] = []
-    for req in cfg.checks:
-        needs_group, run = _CHECKS[req.name]
+    for name in cfg.checks:
+        needs_group, run = _CHECKS[name]
         if needs_group and group is None and group_error is None:
             try:
                 group = build_group(cfg.group, cfg.sample_count)
@@ -102,10 +102,8 @@ def run_suite(cfg: SuiteConfig) -> SuiteReport:
         if needs_group and group_error is not None:
             result = CheckResult(False, None, 0, None, group_error)
         else:
-            check_cfg = cfg.run if req.tol is None else replace(cfg.run, tol=req.tol)
-            count = cfg.sample_count if req.sample_count is None else req.sample_count
-            result = run(model, group, observers, check_cfg, count)
-        records.append((req.name, result))
+            result = run(model, group, observers, cfg.run, cfg.sample_count)
+        records.append((name, result))
     return SuiteReport(cfg, tuple(records))
 
 
@@ -168,7 +166,7 @@ def _human_bytes(report: SuiteReport) -> bytes:
     if not isinstance(group, str):
         group = f"closure of {len(group)} generator(s), max_order {cfg.group.max_order}"
     out.append(f"group: {group}")
-    out.append(f"seed: {cfg.run.seed}   base tol: {cfg.run.tol:g}")
+    out.append(f"seed: {cfg.run.seed}   tol: {cfg.run.tol:g}")
     out.append("")
     name_w = max(len(name) for name, _ in report.records) + 2
     header = f"{'check':<{name_w}} {'status':<7} {'max residual':>13} {'samples':>9}"

@@ -1,5 +1,6 @@
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import framecheck as fc
 from conftest import DIAG123, MODEL_ROSTER, symmetry_form_residuals
 
 CFG = fc.CheckConfig()
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _linear_sample_total(group_order, thetas=3, dirs=35):
@@ -362,6 +364,36 @@ def test_frame_indifference_holds_one_element_block_at_a_time():
         tracemalloc.stop()
     assert result.passed and result.samples_used == 2 * 2000 * 108
     assert peak < 1_000_000, peak
+
+
+@pytest.mark.parametrize(
+    "config, calls",
+    [("configs/anisotropic.ini", 3), ("tests/golden/heavy.ini", 150),
+     ("tests/golden/big_group.ini", 300)],
+)
+def test_frame_indifference_stacks_observers_in_its_flux_form(monkeypatch, config, calls):
+    """The flux form runs stacked ComponentMaps over runs of consecutive
+    observers against each element block, at most _FOLD_STATES states a
+    call: the canned anisotropic config's 25 observers against one block of
+    4 elements of 36 states make 3 calls, not 25.  heavy's 100 observers
+    take one call each against its first block of 16 elements of 106
+    states, and two each against its last block of 8.  big_group's blocks
+    of 16 elements of 108 states leave room for one observer a call, so it
+    makes one call per observer and block."""
+    cfg = fc.parse_config((ROOT / config).read_bytes())
+    states = []
+    flux = fc.ComponentMap.flux
+
+    def counted(cm, thetas, grads_star):
+        states.append(grads_star.size // 3)
+        return flux(cm, thetas, grads_star)
+
+    monkeypatch.setattr(fc.ComponentMap, "flux", counted)
+    group = fc.build_group(cfg.group, cfg.sample_count)
+    model, observers = fc.build_model(cfg.model), fc.build_observers(cfg)
+    fc.check_frame_indifference(model, group, observers, cfg.run)
+    assert len(states) == calls
+    assert max(states) <= fc.checks._FOLD_STATES
 
 
 def _per_element_symmetry(model, group, cfg):

@@ -483,3 +483,19 @@ def test_observer_off_by_1e8_exits_two_with_one_error_line(tmp_path, capsys):
         ("frame_indifference", True), ("observer_independence", True)
     ]
     assert max(c["max_residual"] for c in checks) < 1e-14
+
+
+@pytest.mark.parametrize("key", ["isotropy.sample_count = 64", "symmetry.tol = 1e-8"])
+def test_a_per_check_value_exits_two_with_one_error_line(key, tmp_path, capsys):
+    """[checks] holds the names alone: every check runs under [run]'s tol,
+    and isotropy draws [run]'s sample_count, so a per-check value is an
+    unknown key, not an override."""
+    config = tmp_path / "per_check.ini"
+    config.write_text(
+        "[model]\nfamily = linear_constant\nkappa0 = 1 0 0 ; 0 2 0 ; 0 0 3\n"
+        f"[checks]\nnames = symmetry isotropy\n{key}\n"
+    )
+    assert main(["run", str(config)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: checks.{key.partition(' ')[0]}: unknown key\n"

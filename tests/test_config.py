@@ -20,7 +20,7 @@ def test_minimal_config_resolves_defaults():
     assert cfg.model.family == "linear_constant"
     assert cfg.model.kappa0 == (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
     assert cfg.group == fc.GroupSpec("trivial")
-    assert tuple(c.name for c in cfg.checks) == fc.CHECK_NAMES
+    assert cfg.checks == fc.CHECK_NAMES
     assert cfg.run.tol == 1e-9
     assert cfg.run.seed == 0
     assert cfg.run.theta_samples == (0.5, 1.0, 300.0)
@@ -38,7 +38,7 @@ def test_round_trip_through_canonical_text():
         MINIMAL,
         open("configs/isotropic.ini").read(),
         open("configs/anisotropic.ini").read(),
-        # generators, explicit observers, per-check overrides
+        # generators, explicit observers, a subset of the checks
         """\
 [model]
 family = nonlinear_anisotropic
@@ -51,8 +51,6 @@ max_order = 16
 
 [checks]
 names = symmetry isotropy
-symmetry.tol = 1e-8
-isotropy.sample_count = 32
 
 [run]
 seed = 7
@@ -100,7 +98,6 @@ def test_validation_errors_name_the_offender():
         (MINIMAL + "[checks]\nnames = symmetry bogus\n", "bogus"),
         (MINIMAL + "[checks]\nnames = symmetry symmetry\n", "duplicate"),
         (MINIMAL + "[checks]\nnames =\n", "at least one"),
-        (MINIMAL + "[checks]\nnames = zero_map\nsymmetry.tol = 1e-8\n", "not selected"),
         (MINIMAL + "[checks]\nsymmetry.sample_count = 9\n", "sample_count"),
         (MINIMAL + "[checks]\nsymmetry.volume = 9\n", "unknown key"),
         (MINIMAL + "[run]\ntol = 0\n", "tol"),
@@ -127,8 +124,6 @@ def test_validation_errors_name_the_offender():
     [
         # a section's reading faults come before its value rules
         ("[checks]\nnames = bogus\nsymmetry.volume = 9\n", "checks.symmetry.volume: unknown key"),
-        ("[checks]\nsymmetry.tol = 0\nisotropy.volume = 9\n",
-         "checks.isotropy.volume: unknown key"),
         ("[run]\ntol = 0\nobservers = abc\n",
          "run.observers: could not parse 'abc' as an integer"),
         ("[run]\nsample_count = 0\nobservers = 1.5\n",
@@ -146,8 +141,6 @@ def test_validation_errors_name_the_offender():
         ("[checks]\nnames = bogus\n[run]\nobservers = 0\nsample_count = 0\n",
          "run.sample_count: must be at least 1"),
         ("[checks]\nnames = bogus\n[run]\nobservers = 0\n", "run.observers: must be at least 1"),
-        ("[checks]\nnames = isotropy isotropy\nisotropy.sample_count = 0\n",
-         "checks.names: duplicate check names"),
     ],
 )
 def test_the_first_of_two_faults_is_reported_in_parse_configs_order(sections, message):
@@ -261,12 +254,10 @@ def test_multiline_matrix_values():
     assert cfg.model.kappa0 == (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
 
 
-def test_check_subset_and_overrides_survive():
-    text = MINIMAL + "[checks]\nnames = isotropy zero_map\nisotropy.tol = 1e-7\n"
-    cfg = fc.parse_config(text)
-    assert tuple(c.name for c in cfg.checks) == ("isotropy", "zero_map")
-    assert cfg.checks[0].tol == 1e-7
-    assert cfg.checks[1].tol is None
+def test_check_subset_survives():
+    cfg = fc.parse_config(MINIMAL + "[checks]\nnames = isotropy zero_map\n")
+    assert cfg.checks == ("isotropy", "zero_map")
+    assert fc.parse_config(cfg.to_config_text()) == cfg
 
 
 def test_model_spec_fields_are_the_union_of_the_family_fields():
@@ -328,8 +319,6 @@ def test_run_parameters_are_validated_on_direct_construction():
         ("[run]\ntheta_samples = 1.0 0.0\n",
          "run.theta_samples: must be positive finite temperatures"),
         ("[run]\ngradient_samples = 0\n", "run.gradient_samples: must be a positive integer"),
-        ("[checks]\nsymmetry.tol = 0\n", "checks.symmetry.tol: must be positive and finite"),
-        ("[checks]\nisotropy.tol = -1\n", "checks.isotropy.tol: must be positive and finite"),
         # inf and NaN are CheckConfig's to judge too, not the number reader's
         ("[run]\ntol = inf\n", "run.tol: must be positive and finite"),
         ("[run]\ntol = nan\n", "run.tol: must be positive and finite"),
@@ -337,8 +326,6 @@ def test_run_parameters_are_validated_on_direct_construction():
          "run.theta_samples: must be positive finite temperatures"),
         ("[run]\ntheta_samples = nan\n",
          "run.theta_samples: must be positive finite temperatures"),
-        ("[checks]\nsymmetry.tol = inf\n", "checks.symmetry.tol: must be positive and finite"),
-        ("[checks]\nisotropy.tol = nan\n", "checks.isotropy.tol: must be positive and finite"),
         # a tol is still one number
         ("[run]\ntol = inf 1\n", "run.tol: expected 1 numbers, got 2"),
     ],
@@ -514,60 +501,31 @@ def test_every_model_a_suite_config_accepts_round_trips(family, params):
 
 def test_suite_config_validates_its_checks():
     """A SuiteConfig built in code names at least one check, each known and
-    none twice, with a tol CheckConfig accepts and a sample_count of at least
-    1 for isotropy alone, when it is built, with the message parse_config
-    gives; run_suite used to pass a suite of no checks and raise from deep
-    inside the run on the others."""
+    none twice, when it is built, with the message parse_config gives;
+    run_suite used to pass a suite of no checks and raise from deep inside
+    the run on the others."""
     model = fc.parse_config(MINIMAL).model
-    req = fc.CheckRequest
     for checks, section, message in (
         ((), "names =", "checks.names: at least one check required"),
-        ((req("nope"),), "names = nope",
+        (("nope",), "names = nope",
          "checks.names: unknown check 'nope' (known: " + ", ".join(fc.CHECK_NAMES) + ")"),
-        ((req("symmetry"), req("symmetry")), "names = symmetry symmetry",
+        (("symmetry", "symmetry"), "names = symmetry symmetry",
          "checks.names: duplicate check names"),
-        ((req("symmetry", tol=0.0),), "names = symmetry\nsymmetry.tol = 0",
-         "checks.symmetry.tol: must be positive and finite"),
-        ((req("isotropy", tol=float("nan")),), "names = isotropy\nisotropy.tol = nan",
-         "checks.isotropy.tol: must be positive and finite"),
-        ((req("isotropy", sample_count=0),), "names = isotropy\nisotropy.sample_count = 0",
-         "checks.isotropy.sample_count: must be at least 1"),
-        ((req("symmetry", sample_count=5),), "names = symmetry\nsymmetry.sample_count = 5",
-         "checks.symmetry.sample_count: sample_count only applies to isotropy"),
     ):
         _rejected_alike(lambda: fc.SuiteConfig(model, checks=checks), f"[checks]\n{section}\n",
                         message)
 
 
-@given(
-    requests=st.lists(
-        st.builds(
-            fc.CheckRequest,
-            st.sampled_from(fc.CHECK_NAMES + ("nope",)),
-            st.none() | st.floats(allow_infinity=True),
-            st.none() | st.integers(-1, 300),
-        ),
-        max_size=6,
-    )
-)
-def test_every_check_list_round_trips_through_its_config_text(requests):
-    """Every check list a SuiteConfig accepts is the one its config text
-    parses back to, and one it rejects breaks a rule parse_config holds."""
+@given(names=st.lists(st.sampled_from(fc.CHECK_NAMES + ("nope",)), max_size=6).map(tuple))
+def test_every_check_list_round_trips_through_its_config_text(names):
+    """Every tuple of check names a SuiteConfig accepts is the one its config
+    text parses back to, and one it rejects breaks a rule parse_config
+    holds."""
     model = fc.parse_config(MINIMAL).model
     try:
-        cfg = fc.SuiteConfig(model, checks=tuple(requests))
+        cfg = fc.SuiteConfig(model, checks=names)
     except ValueError:
-        names = [r.name for r in requests]
-        assert (
-            not names
-            or len(set(names)) != len(names)
-            or "nope" in names
-            or any(r.tol is not None and not 0.0 < r.tol < float("inf") for r in requests)
-            or any(
-                r.sample_count is not None and (r.sample_count < 1 or r.name != "isotropy")
-                for r in requests
-            )
-        )
+        assert not names or len(set(names)) != len(names) or "nope" in names
         return
     assert fc.parse_config(cfg.to_config_text()) == cfg
 
@@ -635,12 +593,12 @@ def test_config_values_in_the_wrong_form_are_type_errors_naming_the_key():
         (lambda: fc.SuiteConfig(model, observers=((None,) * 9,)),
          "run.observers: expected numbers"),
         (lambda: fc.SuiteConfig(model, sample_count=64.0), "run.sample_count: expected an integer"),
-        (lambda: fc.SuiteConfig(model, checks=(fc.CheckRequest("isotropy", sample_count=64.0),)),
-         "checks.isotropy.sample_count: expected an integer"),
-        (lambda: fc.SuiteConfig(model, checks=[fc.CheckRequest("symmetry")]),
-         "checks: expected a tuple of CheckRequest"),
-        (lambda: fc.SuiteConfig(model, checks=("symmetry",)),
-         "checks: expected a tuple of CheckRequest"),
+        (lambda: fc.SuiteConfig(model, checks=["symmetry"]),
+         "checks: expected a tuple of check names"),
+        (lambda: fc.SuiteConfig(model, checks="symmetry"),
+         "checks: expected a tuple of check names"),
+        (lambda: fc.SuiteConfig(model, checks=(fc.CHECK_NAMES,)),
+         "checks: expected a tuple of check names"),
     ):
         with pytest.raises(TypeError) as err:
             build()
@@ -669,30 +627,9 @@ BAD = [
 GOOD_MATRICES = st.lists(ROTATIONS, min_size=1, max_size=3).map(tuple)
 MATRICES = st.lists(ROTATIONS | st.sampled_from(BAD), max_size=3)
 # check lists that break no rule, drawn on their own so that a rule that
-# rejects a valid request shows
-GOOD_REQUESTS = st.lists(
-    st.sampled_from(fc.CHECK_NAMES).flatmap(
-        lambda name: st.builds(
-            fc.CheckRequest,
-            st.just(name),
-            st.none() | st.floats(1e-300, 1e300),
-            st.none() | st.integers(1, 400) if name == "isotropy" else st.none(),
-        )
-    ),
-    min_size=1,
-    max_size=5,
-    unique_by=lambda req: req.name,
-).map(tuple)
-REQUESTS = st.lists(
-    st.builds(
-        fc.CheckRequest,
-        st.sampled_from(fc.CHECK_NAMES),
-        st.none() | st.floats(),
-        st.none() | st.integers(-1, 300) | st.just(64.0),
-    )
-    | st.just(fc.CheckRequest("nope")),
-    max_size=6,
-).map(tuple)
+# rejects a valid list shows
+GOOD_NAMES = st.lists(st.sampled_from(fc.CHECK_NAMES), min_size=1, max_size=5, unique=True)
+NAMES = st.lists(st.sampled_from(fc.CHECK_NAMES + ("nope",)), max_size=6)
 
 
 def _matrices_text(matrices):
@@ -771,38 +708,23 @@ def _suite_built_or_rejected_alike(observers, sample_count, checks):
     and a check list that breaks no rule builds and is the one its config
     text parses back to.  Any other is rejected with parse_config's message
     for the same values as text.  A count that is not an int, or a list of
-    observer matrices, is the wrong form: it never builds."""
-    # each key once: a check named twice is the rule broken, and its
-    # second request's keys would be a duplicate option
-    keys = {}
-    for req in checks:
-        if req.tol is not None:
-            keys.setdefault(f"{req.name}.tol", repr(float(req.tol)))
-        if req.sample_count is not None:
-            keys.setdefault(f"{req.name}.sample_count", req.sample_count)
+    observer matrices or of check names, is the wrong form: it never builds."""
     obs = _matrices_text(observers) if isinstance(observers, (tuple, list)) else observers
-    section = "".join([
-        f"[checks]\nnames = {' '.join(req.name for req in checks)}\n",
-        *(f"{key} = {value}\n" for key, value in keys.items()),
-        f"[run]\nsample_count = {sample_count}\nobservers = {obs}\n",
-    ])
+    section = (
+        f"[checks]\nnames = {' '.join(checks)}\n"
+        f"[run]\nsample_count = {sample_count}\nobservers = {obs}\n"
+    )
     wrong_form = (
         not (type(observers) is int or isinstance(observers, tuple))
         or type(sample_count) is not int
-        or any(type(req.sample_count) not in (int, type(None)) for req in checks)
+        or not isinstance(checks, tuple)
     )
-    names = [req.name for req in checks]
     rejected = (
         sample_count < 1
         or (_bad_matrices(observers) if isinstance(observers, (tuple, list)) else observers < 1)
-        or not names
-        or len(set(names)) != len(names)
-        or "nope" in names
-        or any(r.tol is not None and not 0.0 < r.tol < float("inf") for r in checks)
-        or any(
-            r.sample_count is not None and (r.sample_count < 1 or r.name != "isotropy")
-            for r in checks
-        )
+        or not checks
+        or len(set(checks)) != len(checks)
+        or "nope" in checks
     )
     model = fc.parse_config(MINIMAL).model
     _built_or_rejected_alike(
@@ -818,7 +740,7 @@ def _suite_built_or_rejected_alike(observers, sample_count, checks):
         st.sampled_from([5.0, True]),
     ),
     sample_count=st.integers(-2, 300) | st.just(64.0),
-    checks=GOOD_REQUESTS | REQUESTS,
+    checks=GOOD_NAMES.map(tuple) | NAMES.map(tuple) | NAMES,
 )
 def test_every_suite_config_round_trips_through_its_config_text(observers, sample_count, checks):
     """Every SuiteConfig that can be built is the one its config text parses
@@ -830,7 +752,7 @@ def test_every_suite_config_round_trips_through_its_config_text(observers, sampl
 @given(
     observers=st.integers(1, 400) | GOOD_MATRICES,
     sample_count=st.integers(1, 400),
-    checks=GOOD_REQUESTS,
+    checks=GOOD_NAMES.map(tuple),
 )
 def test_every_suite_config_of_valid_values_builds(observers, sample_count, checks):
     """Values that break no rule, drawn on their own so that a rule rejecting

@@ -59,20 +59,17 @@ def test_each_verdict_turns_at_its_golden_residual():
     """A tol equal to a check's golden max_residual passes and the next float
     below it fails, so the verdict is max_residual <= tol: for the
     anisotropic golden's two failing checks and its passing ~1e-15 frame
-    indifference, each run alone with a per-check tol."""
+    indifference, each run alone at that tol."""
     cfg = fc.parse_config(CONFIGS["anisotropic"][0].read_bytes())
     golden = json.loads((GOLDEN / "anisotropic.json").read_bytes())["checks"]
     positive = {c["name"]: c["max_residual"] for c in golden if c["max_residual"] > 0}
     assert set(positive) == {"frame_indifference", "observer_independence", "isotropy"}
-    for request in cfg.checks:
-        if request.name not in positive:
-            continue
-        value = positive[request.name]
+    for name, value in positive.items():
         for tol, passed in ((value, True), (float(np.nextafter(value, 0.0)), False)):
-            checks = (replace(request, tol=tol),)
-            ((_, result),) = fc.run_suite(replace(cfg, checks=checks)).records
-            assert result.max_residual == value, request.name
-            assert result.passed is passed, (request.name, tol)
+            alone = replace(cfg, checks=(name,), run=replace(cfg.run, tol=tol))
+            ((_, result),) = fc.run_suite(alone).records
+            assert result.max_residual == value, name
+            assert result.passed is passed, (name, tol)
 
 
 def test_golden_configs_cover_every_family():

@@ -1,6 +1,7 @@
 """run_suite's check table: one entry per check name, calls looked up at run
 time, and one group build per suite."""
 
+import inspect
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,7 @@ IDENTITY = fc.ModelSpec("linear_constant", kappa0=(1.0, 0.0, 0.0, 0.0, 1.0, 0.0,
 
 
 def _suite(*names):
-    return fc.SuiteConfig(IDENTITY, checks=tuple(fc.CheckRequest(n) for n in names))
+    return fc.SuiteConfig(IDENTITY, checks=names)
 
 
 def _overflow_config():
@@ -33,6 +34,26 @@ def test_suite_calls_the_check_bound_in_the_report_module(monkeypatch):
     result = fc.run_suite(_suite("zero_map"))
     assert len(calls) == 1
     assert result.records == (("zero_map", stub),)
+
+
+def test_every_check_runs_under_the_suite_run(monkeypatch):
+    """Every check gets the suite's one CheckConfig, and isotropy draws the
+    suite's sample_count: no check carries a tol or a draw count of its own."""
+    cfg = fc.SuiteConfig(IDENTITY, run=fc.CheckConfig(tol=1e-7, seed=5), sample_count=9,
+                         observers=2)
+    seen = {}
+    for name in fc.CHECK_NAMES:
+        check = getattr(report, f"check_{name}")
+
+        def recorded(*args, name=name, check=check, **kwargs):
+            seen[name] = inspect.signature(check).bind(*args, **kwargs).arguments
+            return check(*args, **kwargs)
+
+        monkeypatch.setattr(report, f"check_{name}", recorded)
+    assert fc.run_suite(cfg).passed
+    assert list(seen) == list(fc.CHECK_NAMES)
+    assert all(arguments["cfg"] is cfg.run for arguments in seen.values())
+    assert seen["isotropy"]["sample_count"] == 9
 
 
 @pytest.mark.parametrize("fails", [False, True], ids=["builds", "raises"])
