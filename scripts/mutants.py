@@ -72,9 +72,9 @@ MUTANTS = (
     # -- each check's two residual forms
     Mutant(
         "symmetry.no_conductivity_form", CHECKS,
-        "            kappa_raw = np.max(np.abs(deficit), axis=(1, 2))[:, at]\n"
+        "            kappa_raw = np.max(np.abs(deficit), axis=(1, 2))\n"
         "            rel = np.maximum(flux_raw, kappa_raw) / batch.denoms\n",
-        "            kappa_raw = np.max(np.abs(deficit), axis=(1, 2))[:, at]\n"
+        "            kappa_raw = np.max(np.abs(deficit), axis=(1, 2))\n"
         "            rel = flux_raw / batch.denoms\n",
         "the flux form is blind at the zero gradient, where constant anisotropy "
         "shows only in the conductivity form",
@@ -83,11 +83,21 @@ MUTANTS = (
     ),
     Mutant(
         "symmetry.no_flux_form", CHECKS,
-        "            kappa_raw = np.max(np.abs(deficit), axis=(1, 2))[:, at]\n"
+        "            kappa_raw = np.max(np.abs(deficit), axis=(1, 2))\n"
         "            rel = np.maximum(flux_raw, kappa_raw) / batch.denoms\n",
-        "            kappa_raw = np.max(np.abs(deficit), axis=(1, 2))[:, at]\n"
+        "            kappa_raw = np.max(np.abs(deficit), axis=(1, 2))\n"
         "            rel = kappa_raw / batch.denoms\n",
         "the symmetry residual is the larger of both forms; the goldens pin it",
+        killer="tests/test_checks.py::"
+        "test_folded_symmetry_matches_the_per_element_loop[default_tol]",
+    ),
+    Mutant(
+        "symmetry.shared_stack_from_the_first_state", CHECKS,
+        "        shared = sample_last(batch.kappas)[:, :, None]\n",
+        "        shared = sample_last(batch.kappas)[:, :, None, :1]\n",
+        "a law that reads no gradient has kappa(theta, H g) = kappa(theta, g) "
+        "state by state, so the shared stack is every sampled state's "
+        "conductivity, not the first one's",
         killer="tests/test_checks.py::"
         "test_folded_symmetry_matches_the_per_element_loop[default_tol]",
     ),
@@ -201,8 +211,8 @@ MUTANTS = (
     ),
     Mutant(
         "sampling.denominator_without_one", CHECKS,
-        "    denoms = 1.0 + np.linalg.norm(fluxes, axis=1)\n",
-        "    denoms = np.linalg.norm(fluxes, axis=1)\n",
+        "    denoms = 1.0 + row_norms(fluxes)\n",
+        "    denoms = row_norms(fluxes)\n",
         "residuals are relative to 1 + |q|; without the 1 the zero-gradient "
         "state divides by zero",
         killer="tests/test_acceptance.py::test_frame_indifference_does_not_imply_isotropy",

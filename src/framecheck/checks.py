@@ -55,11 +55,7 @@ still evaluates every temperature.
 
 The symmetry and frame-indifference checks take the group elements in blocks
 of about ``_FOLD_STATES`` states and do each block's arithmetic in one array
-operation, not one per element.  When the conductivity depends on the
-temperature alone, the symmetry check's conductivity deficit
-``H kappa - kappa H`` depends only on the element and the temperature, so it
-is computed once per (element, sampled temperature) and expanded to the
-states.
+operation, not one per element.
 
 The two observer checks stack their observers the same way: they build one
 ComponentMap per run of consecutive observers, of at most ``_FOLD_STATES``
@@ -72,7 +68,8 @@ whatever the group's order and the observer count.  For a large group a run hold
 observer.  A law whose conductivity does not depend on the gradient
 (``gradient_dependent`` False) has the same conductivity at every rotated
 gradient Q^T g*, bit for bit, so ComponentMap evaluates it once, on the S
-sampled states, and broadcasts that stack over the observers and elements.
+sampled states, and broadcasts that stack over the observers and elements;
+the element blocks broadcast the S states' stack the same way.
 
 Each (observer, element) row is still reduced on its own, with one
 ``np.argmax``, so the folds change no residual, witness or sample count.
@@ -239,8 +236,6 @@ class _StateBatch:
     kappas: np.ndarray        # (S, 3, 3) conductivity at the raw states, a sample-last view
     fluxes: np.ndarray        # (S, 3)
     denoms: np.ndarray        # (S,)  1 + |flux|_2
-    theta_index: np.ndarray   # (S,) position of the state's temperature in theta_samples
-    theta_rows: np.ndarray    # (T,) each temperature's first state, its zero gradient
     repeat: int               # configured temperatures each sampled state stands for
 
     def __getitem__(self, s: int) -> StatePoint:
@@ -269,13 +264,17 @@ def _sample_states(model: ConstitutiveModel, cfg: CheckConfig) -> _StateBatch:
     grads = np.tile(per_theta, (count, 1))
     kappas = model.kappa(thetas, grads)
     fluxes = matvec(kappas, grads)
-    denoms = 1.0 + np.linalg.norm(fluxes, axis=1)
-    theta_index = np.repeat(np.arange(count), per_theta.shape[0])
-    theta_rows = np.arange(count) * per_theta.shape[0]
-    return _StateBatch(
-        thetas, grads, kappas, fluxes, denoms, theta_index, theta_rows,
-        len(cfg.theta_samples) // count,
-    )
+    denoms = 1.0 + row_norms(fluxes)
+    return _StateBatch(thetas, grads, kappas, fluxes, denoms, len(cfg.theta_samples) // count)
+
+
+def _folds(stack, size: int):
+    """(start, slice): consecutive slices of ``stack`` of at most
+    _FOLD_STATES // size entries (one at least), in order, each with the
+    position of its first entry."""
+    per_fold = max(1, _FOLD_STATES // size)
+    for start in range(0, len(stack), per_fold):
+        yield start, stack[start:start + per_fold]
 
 
 def _element_blocks(model, batch: _StateBatch, elements):
@@ -285,16 +284,17 @@ def _element_blocks(model, batch: _StateBatch, elements):
 
     Each block is (hs, hgs, kappas, refs) for the E elements hs, a slice of
     the stack (E, 3, 3): hgs (E, S, 3) holds the rotated gradients
-    H g, kappas (3, 3, E, S) the conductivities kappa(theta, H g) of a
-    gradient-dependent law, sample last, from one model evaluation (None for
-    the others, whose kappa(theta, H g) is batch.kappas) and refs (E, S, 3)
-    the canonical fluxes q(theta, H g).  Each element's slice equals its own
-    per-element product bit for bit: kappa works row by row.
+    H g, kappas (3, 3, E, S) the conductivities kappa(theta, H g), sample
+    last, and refs (E, S, 3) the canonical fluxes q(theta, H g).  A
+    gradient-dependent law's kappas come from one model evaluation; a law
+    that reads no gradient has kappa(theta, H g) = kappa(theta, g), so its
+    kappas are batch.kappas broadcast over the elements, a view, and the
+    model is not called.  Each element's slice equals its own per-element
+    product bit for bit: kappa works row by row.
     """
-    per_block = max(1, _FOLD_STATES // batch.thetas.size)
-    for start in range(0, len(elements), per_block):
+    for _, hs in _folds(elements, batch.thetas.size):
         # made by a call, so that this frame holds none of the block's arrays
-        yield _element_block(model, batch, elements[start:start + per_block])
+        yield _element_block(model, batch, hs)
 
 
 def _element_block(model, batch: _StateBatch, hs):
@@ -302,7 +302,9 @@ def _element_block(model, batch: _StateBatch, hs):
     # rows of grads @ H^T are H g
     hgs = batch.grads @ hs.transpose(0, 2, 1)
     if not model.gradient_dependent:
-        return hs, hgs, None, matvec(batch.kappas, hgs)
+        shared = sample_last(batch.kappas)[:, :, None]
+        kappas = np.broadcast_to(shared, (3, 3, len(hs), batch.thetas.size))
+        return hs, hgs, kappas, matvec(batch.kappas, hgs)
     kappas = model.kappa(np.tile(batch.thetas, len(hs)), hgs.reshape(-1, 3))
     refs = matvec(kappas.reshape(hgs.shape + (3,)), hgs)
     return hs, hgs, sample_last(kappas).reshape(3, 3, len(hs), -1), refs
@@ -310,18 +312,14 @@ def _element_block(model, batch: _StateBatch, hs):
 
 def _symmetry_rows(model, elements, batch):
     """Raw residuals of the symmetry condition, one tuple
-    (hs, flux_raw, deficit, at) per block of _element_blocks:
+    (hs, flux_raw, deficit) per block of _element_blocks:
 
-      flux_raw[e, s]          = | H^T q(theta, H g) - q(theta, g) |_2
-      deficit[e, :, :, at[s]] = H kappa(theta, g) - kappa(theta, H g) H
+      flux_raw[e, s]      = | H^T q(theta, H g) - q(theta, g) |_2
+      deficit[e, :, :, s] = H kappa(theta, g) - kappa(theta, H g) H
 
-    for the element H = hs[e] and the state s; the deficit is sample last.
-    When kappa does not depend on the gradient, kappa(theta, H g) =
-    kappa(theta, g) and the deficit depends only on the element and the
-    temperature: it is computed once per sampled temperature, (E, 3, 3, T),
-    and ``at`` is each state's temperature index.  Otherwise it is computed at
-    every state, (E, 3, 3, S), and ``at`` selects every state.  Each deficit
-    equals the per-state product bit for bit.
+    for the element H = hs[e] and the state s; the deficit is sample last,
+    (E, 3, 3, S), computed at every state, and equals the per-state product
+    bit for bit.
 
     The flux-level deficit is exactly the conductivity-level deficit
     contracted with the gradient and rotated, so flux_raw and
@@ -329,16 +327,11 @@ def _symmetry_rows(model, elements, batch):
     additionally probes directions the sampled gradient misses (the
     zero-gradient state most of all).
     """
-    kappas_at = np.transpose(batch.kappas, (1, 2, 0))[:, :, batch.theta_rows]
+    kappas = sample_last(batch.kappas)
     for hs, _, kappas_h, refs in _element_blocks(model, batch, elements):
         # rows of flux_h @ H are H^T flux_h
         flux_raw = row_norms(refs @ hs - batch.fluxes)
-        if kappas_h is None:
-            # kappa(theta, H g) is kappa(theta, g), the same for every element
-            kappas_h = np.broadcast_to(kappas_at[:, :, None], (3, 3, len(hs), kappas_at.shape[2]))
-            yield hs, flux_raw, _deficit(hs, kappas_at, kappas_h), batch.theta_index
-        else:
-            yield hs, flux_raw, _deficit(hs, sample_last(batch.kappas), kappas_h), slice(None)
+        yield hs, flux_raw, _deficit(hs, kappas, kappas_h)
 
 
 def _deficit(stack, kappas, kappas_h):
@@ -374,7 +367,9 @@ def _worst(rows, tol: float, note: str = "", repeat: int = 1) -> CheckResult:
     samples = 0
     for rel, element, observer, states in rows:
         samples += rel.size * repeat
-        # a one-sample row (zero_map's per-temperature flux) needs no search
+        # zero_map's one-sample rows skip np.argmax: perfbench's tracer
+        # counts each np.argmax call as a trip, and zero_map's trips are its
+        # evaluate calls, so an argmax there would count each trip twice
         s_idx = int(np.argmax(rel)) if rel.size > 1 else 0
         r = float(rel[s_idx])
         if not math.isfinite(r):
@@ -408,18 +403,16 @@ def check_symmetry(model: ConstitutiveModel, group: SymmetryGroup, cfg: CheckCon
     deficit counts, so constant anisotropy is caught even at the zero-gradient
     state where the flux form is blind.
 
-    The elements are folded in blocks of about _FOLD_STATES states; the flux
-    form is evaluated per state.  For a law whose conductivity depends on the
-    temperature alone, the conductivity deficit is computed once per
-    (element, sampled temperature) and expanded to the states.  Rows,
-    samples_used and witnesses are those of a per-element loop, bit for bit.
+    The elements are folded in blocks of about _FOLD_STATES states, and both
+    forms are evaluated at every state.  Rows, samples_used and witnesses
+    are those of a per-element loop, bit for bit.
     """
     elements = group_elements_for_check(group, cfg.seed)
     batch = _sample_states(model, cfg)
 
     def rows():
-        for hs, flux_raw, deficit, at in _symmetry_rows(model, elements, batch):
-            kappa_raw = np.max(np.abs(deficit), axis=(1, 2))[:, at]
+        for hs, flux_raw, deficit in _symmetry_rows(model, elements, batch):
+            kappa_raw = np.max(np.abs(deficit), axis=(1, 2))
             rel = np.maximum(flux_raw, kappa_raw) / batch.denoms
             for h, row in zip(hs, rel):
                 yield row, h, None, batch
@@ -445,9 +438,8 @@ def _observer_maps(model, observers, size: int):
     """(start, map): the ComponentMaps of ``model`` over consecutive runs of
     at most _FOLD_STATES // size observers (one at least), in order, each
     with the position of its first observer."""
-    per_map = max(1, _FOLD_STATES // size)
-    for start in range(0, len(observers), per_map):
-        yield start, ComponentMap(model, observers[start:start + per_map])
+    for start, run in _folds(observers, size):
+        yield start, ComponentMap(model, run)
 
 
 @_nonfinite_fails
@@ -497,19 +489,16 @@ def check_frame_indifference(
         # flux form: stacked maps over runs of consecutive observers against
         # one block of consecutive elements at a time, at most _FOLD_STATES
         # states a call.  H g and the canonical flux q(theta, H g) do not
-        # depend on the observer.  A gradient-dependent law's map is handed
-        # the temperature of every row; a gradient-free one's map evaluates
-        # it on the S states.
+        # depend on the observer.
         for hs, hgs, kappas_h, refs in _element_blocks(model, batch, elements):
             # kappa(theta, H g) is the symmetry check's.  Held while the
             # observers run, it made the allocator map fresh pages for the
             # flux calls' temporaries, call after call
             del kappas_h
-            thetas = np.tile(batch.thetas, len(hs)) if model.gradient_dependent else batch.thetas
             hgs, refs = hgs.reshape(1, -1, 3), refs.reshape(-1, 3)
             for start, cm in _observer_maps(model, observers, refs.shape[0]):
                 # rows of H g @ Q^T are Q H g
-                starred = cm.flux(thetas, hgs @ transposes(cm.observers))
+                starred = cm.flux(batch.thetas, hgs @ transposes(cm.observers))
                 # rows of starred @ Q are Q^T starred
                 flux_raw = row_norms(starred @ cm.observers - refs)
                 flux_raw = flux_raw.reshape(len(cm.observers), len(hs), -1)

@@ -58,8 +58,8 @@ def symmetry_form_residuals(model, group, cfg):
     unit = np.abs(np.linalg.norm(batch.grads, axis=1) - 1.0) <= 1e-12
     flux, kappa = [], []
     with np.errstate(over="ignore", invalid="ignore"):
-        for _, flux_raw, deficit, at in checks._symmetry_rows(model, elements, batch):
-            contracted = row_norms(matvec(deficit.transpose(0, 3, 1, 2)[:, at], batch.grads))
+        for _, flux_raw, deficit in checks._symmetry_rows(model, elements, batch):
+            contracted = row_norms(matvec(deficit.transpose(0, 3, 1, 2), batch.grads))
             for out, raw in ((flux, flux_raw), (kappa, contracted)):
                 out.append(np.tile((raw / batch.denoms)[:, unit], batch.repeat).ravel())
     return np.concatenate(flux), np.concatenate(kappa)

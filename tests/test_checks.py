@@ -396,6 +396,25 @@ def test_frame_indifference_stacks_observers_in_its_flux_form(monkeypatch, confi
     assert max(states) <= fc.checks._FOLD_STATES
 
 
+@pytest.mark.parametrize("label", [label for label, _ in MODEL_ROSTER])
+def test_frame_indifference_hands_every_map_the_sampled_temperatures(monkeypatch, label):
+    """The flux form hands ComponentMap.flux the S sampled temperatures,
+    whatever the law reads: the map repeats them over its rows itself."""
+    model = dict(MODEL_ROSTER)[label]
+    sizes = []
+    flux = fc.ComponentMap.flux
+
+    def recorded(cm, thetas, grads_star):
+        sizes.append(thetas.size)
+        return flux(cm, thetas, grads_star)
+
+    monkeypatch.setattr(fc.ComponentMap, "flux", recorded)
+    states = fc.checks._sample_states(model, CFG).thetas.size
+    observers = fc.random_observers(4, 0)
+    fc.check_frame_indifference(model, fc.catalog_lookup("transverse_z_7"), observers, CFG)
+    assert sizes and set(sizes) == {states}, (set(sizes), states)
+
+
 def _per_element_symmetry(model, group, cfg):
     """check_symmetry and symmetry_form_residuals as a plain loop over the
     elements, every deficit computed at every state and every configured
