@@ -35,7 +35,7 @@ def main() -> int:
     ap.add_argument("--samples", type=int, default=64, help="orthogonal draws for isotropy")
     args = ap.parse_args()
 
-    cfg = CheckConfig(seed=args.seed)
+    cfg = CheckConfig(seed=args.seed, sample_count=args.samples)
     observers = random_observers(args.observers, args.seed)
     trivial = catalog_lookup("trivial")
 
@@ -44,7 +44,7 @@ def main() -> int:
     for eps in [0.0, 1e-12, 1e-9, 1e-6, 1e-3, 1e-1, 1.0]:
         model = LinearConstant(np.eye(3) + eps * np.diag([0.0, 1.0, 2.0]))
         fi = check_frame_indifference(model, trivial, observers, cfg)
-        iso = check_isotropy(model, cfg, sample_count=args.samples)
+        iso = check_isotropy(model, cfg)
         fi_residuals.append(fi.max_residual)
         print(f"{eps:>10.1e}   {fi.max_residual:>18.3e}   {iso.max_residual:>12.3e}")
 

@@ -150,8 +150,8 @@ MUTANTS = (
     ),
     Mutant(
         "isotropy.trivial_group", CHECKS,
-        'group = catalog_lookup("full_orthogonal", sample_count=sample_count)',
-        'group = catalog_lookup("trivial")',
+        'catalog_lookup("full_orthogonal")',
+        'catalog_lookup("trivial")',
         "isotropy is symmetry under the orthogonal group; under the identity "
         "alone an anisotropic conductor would pass",
         killer="tests/test_acceptance.py::test_frame_indifference_does_not_imply_isotropy",
@@ -341,8 +341,8 @@ MUTANTS = (
     # -- the suite runner and the process entry
     Mutant(
         "report.binds_check_at_import", "src/framecheck/report.py",
-        '"zero_map": (False, lambda m, g, o, c, n: check_zero_map(m, c)),',
-        '"zero_map": (False, (lambda f: lambda m, g, o, c, n: f(m, c))(check_zero_map)),',
+        '"zero_map": (False, lambda m, g, o, c: check_zero_map(m, c)),',
+        '"zero_map": (False, (lambda f: lambda m, g, o, c: f(m, c))(check_zero_map)),',
         "the suite must call report.check_* as bound when it runs, which "
         "perfbench's tracer rebinds",
         killer="tests/test_report.py::test_suite_calls_the_check_bound_in_the_report_module",
@@ -400,8 +400,8 @@ MUTANTS = (
     #    judged in one place
     Mutant(
         "check_config.tol_zero_accepted", CHECKS,
-        "        if not np.isfinite(self.tol) or self.tol <= 0.0:\n",
-        "        if not np.isfinite(self.tol):\n",
+        "        if not np.isfinite(tol) or tol <= 0.0:\n",
+        "        if not np.isfinite(tol):\n",
         "tol must be positive: run.tol = 0 and --tol 0 are errors",
         killer="tests/test_checks.py::test_check_config_validation",
     ),
@@ -421,10 +421,11 @@ MUTANTS = (
         killer="tests/test_checks.py::test_check_config_validation",
     ),
     Mutant(
-        "check_config.zero_gradient_samples_accepted", CHECKS,
-        "        if int(self.gradient_samples) < 1:\n",
-        "        if int(self.gradient_samples) < 0:\n",
-        "at least one random gradient direction per temperature",
+        "check_config.zero_count_accepted", CHECKS,
+        "            if count < 1:\n",
+        "            if count < 0:\n",
+        "at least one random gradient direction per temperature, and one Haar "
+        "draw: sample_count = 0 is an error in code as in a config file",
         killer="tests/test_checks.py::test_check_config_validation",
     ),
     Mutant(
@@ -473,10 +474,19 @@ MUTANTS = (
         "    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):\n"
         '        raise TypeError(f"{name}: expected {form}")\n',
         "",
-        "a count is an int: observers=5.0 and sample_count=64.0 crashed "
-        "run_suite, and max_order=8.5 wrote a config text that does not parse",
+        "a count is an int: observers=5.0 crashed run_suite, and "
+        "max_order=8.5 wrote a config text that does not parse",
         killer="tests/test_config.py::"
         "test_config_values_in_the_wrong_form_are_type_errors_naming_the_key",
+    ),
+    Mutant(
+        "check_config.counts_of_any_form", CHECKS,
+        "            if isinstance(count, bool) or not isinstance(count, (int, np.integer)):\n"
+        '                raise TypeError(f"{name} must be an integer")\n',
+        "",
+        "a count is an int: CheckConfig(gradient_samples=2.5) became 2, True "
+        "became 1 and '3' became 3, with no error",
+        killer="tests/test_config.py::test_check_config_counts_are_ints_of_at_least_one",
     ),
     Mutant(
         "config.suite_without_checks", "src/framecheck/config.py",
@@ -507,7 +517,7 @@ MUTANTS = (
         "            pass\n",
         "SuiteConfig's observer matrices are judged when it is built, not deep "
         "in a run",
-        killer="tests/test_config.py::test_suite_config_validates_its_observers_and_sample_count",
+        killer="tests/test_config.py::test_suite_config_validates_its_observers",
     ),
     Mutant(
         "config.suite_model_unchecked", "src/framecheck/config.py",

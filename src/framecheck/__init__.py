@@ -21,20 +21,20 @@ __version__ = "0.2.0"
 # submodule -> the public names it defines
 _EXPORTS = {
     "checks": (
-        "CheckConfig", "CheckResult", "LinearSymmetryClass", "NotSymmetric",
-        "SchurResult", "Witness", "check_frame_indifference", "check_isotropy",
+        "DEFAULT_SAMPLE_COUNT", "CheckConfig", "CheckResult",
+        "LinearSymmetryClass", "NotSymmetric", "SchurResult", "Witness",
+        "check_frame_indifference", "check_isotropy",
         "check_observer_independence", "check_symmetry", "check_zero_map",
-        "classify_linear_symmetry", "schur_reduce",
+        "classify_linear_symmetry", "group_elements_for_check", "schur_reduce",
     ),
     "config": (
         "CHECK_NAMES", "GroupSpec", "ModelSpec", "ParseError", "SuiteConfig",
         "ValidationError", "parse_config",
     ),
     "groups": (
-        "CATALOG_SUMMARY", "DEFAULT_SAMPLE_COUNT", "ClosureOverflow",
-        "SymmetryGroup", "UnknownGroupName", "adversarial_elements",
-        "catalog_lookup", "generate_closure", "group_elements_for_check",
-        "orthogonal_check_set",
+        "CATALOG_SUMMARY", "ClosureOverflow", "SymmetryGroup",
+        "UnknownGroupName", "adversarial_elements", "catalog_lookup",
+        "generate_closure", "orthogonal_check_set",
     ),
     "models": (
         "MODEL_FAMILIES", "ComponentMap", "ConstitutiveModel",

@@ -117,15 +117,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .groups import (
-    DEFAULT_SAMPLE_COUNT,
-    SymmetryGroup,
-    catalog_lookup,
-    group_elements_for_check,
-)
-# orthogonal_check_set is not called here; perfbench's tracer hooks this
-# module's name for it, so it stays imported
-from .groups import orthogonal_check_set  # noqa: F401
+from .groups import SymmetryGroup, catalog_lookup, orthogonal_check_set
 from .models import ComponentMap, ConstitutiveModel, StatePoint, evaluate
 from .tensors import (
     IDENTITY,
@@ -143,6 +135,7 @@ from .tensors import (
 )
 
 DEFAULT_THETA_SAMPLES = (0.5, 1.0, 300.0)
+DEFAULT_SAMPLE_COUNT = 256
 NONLINEAR_MAGNITUDES = (0.1, 1.0, 10.0)
 
 # states per block when the symmetry and frame-indifference checks fold group
@@ -178,15 +171,25 @@ class CheckConfig:
     gradient_samples: random unit directions per temperature.
     seed: base seed; group sampling, gradient sampling and observer draws
     use disjoint derived streams.
+    sample_count: Haar draws of the sampled full orthogonal group, which
+    the isotropy check and a configured full_orthogonal group take.
+
+    Each field is judged when the config is built.  tol is a number and
+    each count an int of at least 1, numpy's included and bool not; any
+    other form is a TypeError.  Every message begins with the field's name.
     """
 
     tol: float = 1e-9
     theta_samples: tuple[float, ...] = DEFAULT_THETA_SAMPLES
     gradient_samples: int = 32
     seed: int = 0
+    sample_count: int = DEFAULT_SAMPLE_COUNT
 
     def __post_init__(self):
-        if not np.isfinite(self.tol) or self.tol <= 0.0:
+        tol = self.tol
+        if isinstance(tol, bool) or not isinstance(tol, (int, float, np.integer, np.floating)):
+            raise TypeError("tol must be a number")
+        if not np.isfinite(tol) or tol <= 0.0:
             raise ValueError("tol must be positive and finite")
         thetas = tuple(float(t) for t in self.theta_samples)
         if not thetas:
@@ -194,9 +197,15 @@ class CheckConfig:
         if not all(np.isfinite(t) and t > 0.0 for t in thetas):
             raise ValueError("theta_samples must be positive finite temperatures")
         object.__setattr__(self, "theta_samples", thetas)
-        if int(self.gradient_samples) < 1:
-            raise ValueError("gradient_samples must be a positive integer")
-        object.__setattr__(self, "gradient_samples", int(self.gradient_samples))
+        # one rule for both counts, each in its own words
+        for name, rule in (("gradient_samples", "a positive integer"),
+                           ("sample_count", "at least 1")):
+            count = getattr(self, name)
+            if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
+                raise TypeError(f"{name} must be an integer")
+            if count < 1:
+                raise ValueError(f"{name} must be {rule}")
+            object.__setattr__(self, name, int(count))
         object.__setattr__(self, "seed", _require_seed(self.seed))
 
 
@@ -241,6 +250,15 @@ class _StateBatch:
     def __getitem__(self, s: int) -> StatePoint:
         """State s as a StatePoint, built on demand: only a witness needs one."""
         return StatePoint(self.thetas[s], self.grads[s])
+
+
+def group_elements_for_check(group: SymmetryGroup, cfg: CheckConfig) -> np.ndarray:
+    """Elements a checker should iterate, as one read-only (n, 3, 3) stack: a
+    finite group's own, or, for the sampled full orthogonal group,
+    cfg.sample_count Haar draws from cfg.seed plus the adversarial set."""
+    if group.stack is not None:
+        return group.stack
+    return orthogonal_check_set(cfg.seed, cfg.sample_count)
 
 
 def _unit_directions(cfg: CheckConfig) -> np.ndarray:
@@ -407,7 +425,7 @@ def check_symmetry(model: ConstitutiveModel, group: SymmetryGroup, cfg: CheckCon
     forms are evaluated at every state.  Rows, samples_used and witnesses
     are those of a per-element loop, bit for bit.
     """
-    elements = group_elements_for_check(group, cfg.seed)
+    elements = group_elements_for_check(group, cfg)
     batch = _sample_states(model, cfg)
 
     def rows():
@@ -420,26 +438,16 @@ def check_symmetry(model: ConstitutiveModel, group: SymmetryGroup, cfg: CheckCon
     return _worst(rows(), cfg.tol, repeat=batch.repeat)
 
 
-def check_isotropy(
-    model: ConstitutiveModel, cfg: CheckConfig, sample_count: int = DEFAULT_SAMPLE_COUNT
-) -> CheckResult:
-    """Material symmetry against the sampled full orthogonal group.
+def check_isotropy(model: ConstitutiveModel, cfg: CheckConfig) -> CheckResult:
+    """Material symmetry against the sampled full orthogonal group, its
+    cfg.sample_count draws.
 
     Passing is evidence of isotropy (a sampled check cannot certify all of
     the orthogonal group); failing is a proof of anisotropy, and the witness
     element is the counterexample.
     """
-    group = catalog_lookup("full_orthogonal", sample_count=sample_count)
     note = "sampled check: a pass is evidence of isotropy, a fail is a counterexample"
-    return replace(check_symmetry(model, group, cfg), note=note)
-
-
-def _observer_maps(model, observers, size: int):
-    """(start, map): the ComponentMaps of ``model`` over consecutive runs of
-    at most _FOLD_STATES // size observers (one at least), in order, each
-    with the position of its first observer."""
-    for start, run in _folds(observers, size):
-        yield start, ComponentMap(model, run)
+    return replace(check_symmetry(model, catalog_lookup("full_orthogonal"), cfg), note=note)
 
 
 @_nonfinite_fails
@@ -473,14 +481,15 @@ def check_frame_indifference(
     observer_stack takes.
     """
     observers = observer_stack(observers)
-    elements = group_elements_for_check(group, cfg.seed)
+    elements = group_elements_for_check(group, cfg)
     batch = _sample_states(model, cfg)
 
     def rows():
         # conductivity form, element-independent: kappa(g) vs Q^T kappa*(Q g) Q
         kappas = np.transpose(batch.kappas, (1, 2, 0))[:, :, None]
         kappa_raw = np.empty((len(observers), batch.thetas.size))
-        for start, cm in _observer_maps(model, observers, batch.thetas.size):
+        for start, run in _folds(observers, batch.thetas.size):
+            cm = ComponentMap(model, run)
             q_t = transposes(cm.observers)
             # rows of grads @ Q^T are Q g
             back = conjugate_stack(q_t, cm.kappa(batch.thetas, batch.grads @ q_t))
@@ -496,7 +505,8 @@ def check_frame_indifference(
             # flux calls' temporaries, call after call
             del kappas_h
             hgs, refs = hgs.reshape(1, -1, 3), refs.reshape(-1, 3)
-            for start, cm in _observer_maps(model, observers, refs.shape[0]):
+            for start, run in _folds(observers, refs.shape[0]):
+                cm = ComponentMap(model, run)
                 # rows of H g @ Q^T are Q H g
                 starred = cm.flux(batch.thetas, hgs @ transposes(cm.observers))
                 # rows of starred @ Q are Q^T starred
@@ -538,7 +548,8 @@ def check_observer_independence(
     kappas = np.transpose(batch.kappas, (1, 2, 0))[:, :, None]
 
     def rows():
-        for _, cm in _observer_maps(model, observers, batch.thetas.size):
+        for _, run in _folds(observers, batch.thetas.size):
+            cm = ComponentMap(model, run)
             # every observer's map at the canonical components' numeric values
             grads = np.broadcast_to(batch.grads, (len(cm.observers),) + batch.grads.shape)
             flux_raw = row_norms(cm.flux(batch.thetas, grads) - batch.fluxes)

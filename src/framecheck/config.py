@@ -23,18 +23,17 @@ Grammar (configparser syntax, '#' comments):
     seed = 0              tol = 1e-9
     theta_samples = 0.5 1.0 300.0
     gradient_samples = 32
-    sample_count = 256    # orthogonal draws of a full_orthogonal group and
-                          # of the isotropy check
+    sample_count = 256    # Haar draws of the sampled full orthogonal group,
+                          # for isotropy and a full_orthogonal [group]
     observers = 100       # count, or explicit matrices separated by '|'
 
 ParseError means the text is not well-formed INI; ValidationError means the
 values are wrong and the message names the offending key.  parse_config reads
 the text; the type that holds a value judges it when built, with the same
-message in code as for a file: GroupSpec [group], CheckConfig the [run] keys
-seed, tol, theta_samples and gradient_samples, and SuiteConfig the rest.  A
-value in the wrong form, such as a list for a tuple or a float for a count,
-is a TypeError naming the key.  Observer matrices are held to 1e-12 and
-generators to the closure's 1e-9.
+message in code as for a file: GroupSpec [group], CheckConfig every [run]
+key but observers, and SuiteConfig the rest.  A value in the wrong form, such
+as a list for a tuple or a float for a count, is a TypeError naming the key.
+Observer matrices are held to 1e-12 and generators to the closure's 1e-9.
 """
 
 from __future__ import annotations
@@ -45,7 +44,7 @@ import numpy as np
 from dataclasses import dataclass, field, fields, make_dataclass
 
 from .checks import CheckConfig
-from .groups import DEFAULT_SAMPLE_COUNT, UnknownGroupName, resolve_group_name
+from .groups import UnknownGroupName, resolve_group_name
 # catalog_lookup is not called here; perfbench's tracer hooks this module's
 # name for it, so it stays imported
 from .groups import catalog_lookup  # noqa: F401
@@ -135,23 +134,20 @@ class SuiteConfig:
     Plain data, tuples only, so two configs compare by value.  ``run``, the
     parameters every check shares, and ``group`` validate themselves; the
     rest is judged here, in this order, with parse_config's messages:
-    ``model`` by the rules of [model], ``sample_count``, ``observers`` (a
-    count of seeded draws or matrices held to OBSERVER_ORTH_TOL), then
+    ``model`` by the rules of [model], ``observers`` (a count of at least 1
+    of seeded draws, or matrices held to OBSERVER_ORTH_TOL), then
     ``checks``: a tuple of names, at least one, each in CHECK_NAMES and none
-    twice.  A count is an int of at least 1.  Every check runs under
-    ``run``, and ``sample_count`` is also the isotropy check's draw count.
+    twice.  Every check runs under ``run``.
     """
 
     model: ModelSpec
     group: GroupSpec = GroupSpec()
     checks: tuple[str, ...] = CHECK_NAMES
     run: CheckConfig = CheckConfig()
-    sample_count: int = DEFAULT_SAMPLE_COUNT
     observers: int | tuple[tuple[float, ...], ...] = 100
 
     def __post_init__(self):
         _judge_model(self.model)
-        _judge_int("run.sample_count", self.sample_count)
         if isinstance(self.observers, tuple):
             _judge_matrices("run.observers", self.observers, OBSERVER_ORTH_TOL)
         else:
@@ -185,7 +181,6 @@ class SuiteConfig:
         lines += ["", "[run]"]
         for key, (_, fmt) in _RUN_PARAMS.items():
             lines.append(f"{key} = {fmt(getattr(self.run, key))}")
-        lines.append(f"sample_count = {self.sample_count}")
         obs = self.observers
         if isinstance(obs, tuple):
             obs = " | ".join(map(_fmt_matrix, obs))
@@ -268,6 +263,7 @@ _RUN_PARAMS = {
     "tol": (_scalar, lambda v: repr(float(v))),
     "theta_samples": (_numbers, _fmt_floats),
     "gradient_samples": (_int, str),
+    "sample_count": (_int, str),
 }
 
 
@@ -354,12 +350,10 @@ def _parse_run(sec) -> dict:
     """SuiteConfig's fields from a [run] section, or from {} for none: every
     key read, then the run's shared parameters judged by CheckConfig."""
     for key in sec:
-        if key not in (*_RUN_PARAMS, "sample_count", "observers"):
+        if key not in (*_RUN_PARAMS, "observers"):
             raise ValidationError(f"run.{key}: unknown key")
     values = {k: parse(f"run.{k}", sec[k]) for k, (parse, _) in _RUN_PARAMS.items() if k in sec}
     out: dict = {}
-    if "sample_count" in sec:
-        out["sample_count"] = _int("run.sample_count", sec["sample_count"])
     if "observers" in sec:
         raw = sec["observers"]
         if "|" not in raw and len(raw.split()) == 1 and ";" not in raw:

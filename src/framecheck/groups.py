@@ -41,14 +41,12 @@ from .tensors import (
     _frozen,
     _haar_orthogonal,
     _orthogonal,
-    _require_seed,
     _stream,
     as_tensor2,
     rotation_about,
 )
 
 DEDUP_TOL = 1e-6
-DEFAULT_SAMPLE_COUNT = 256
 # queries per trace-bucket search, and products per closure_defect step
 _BLOCK = 1024
 # (query, candidate) pairs per trace-bucket search: its gathered candidates
@@ -108,7 +106,9 @@ def _nearest(stored: np.ndarray, queries: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class SymmetryGroup:
     """A finite point group, or the sampled full orthogonal group: finite
-    exactly when it holds elements, sampled when it holds a sample_count.
+    exactly when it holds elements.  The sampled group is
+    SymmetryGroup("full_orthogonal"), which holds none; a check draws its
+    elements by CheckConfig's seed and sample_count.
 
     Only generate_closure makes a finite group.  Its elements are the rows of
     one read-only (n, 3, 3) array, ``stack``: the identity first, orthogonal
@@ -120,20 +120,18 @@ class SymmetryGroup:
     # generate_closure passes its frozen (n, 3, 3) stack, which __post_init__
     # keeps as ``stack`` and replaces here with the tuple of its rows
     elements: np.ndarray | tuple[np.ndarray, ...] | None = None
-    sample_count: int | None = None
     _: KW_ONLY
     # set only by generate_closure, which has validated the elements
     _closed: InitVar[bool] = False
     stack: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self, _closed):
-        if self.elements is not None:
+        # any other name without elements would be sampled under that name
+        if self.elements is not None or self.name != "full_orthogonal":
             if not _closed:
                 raise ValueError("a finite group is made by generate_closure")
             object.__setattr__(self, "stack", self.elements)
             object.__setattr__(self, "elements", tuple(self.elements))
-        elif self.sample_count is None or self.sample_count < 1:
-            raise ValueError("sample_count must be a positive integer")
 
     @property
     def order(self) -> int:
@@ -222,12 +220,12 @@ def generate_closure(generators, max_order: int, name: str = "generated") -> Sym
 
 
 def _closure(generators, max_order: int, name: str):
-    return lambda sample_count: generate_closure(generators, max_order, name)
+    return lambda: generate_closure(generators, max_order, name)
 
 
 # The catalog, name -> (description, builder), as CATALOG_SUMMARY lists it.
-# A builder is a function of sample_count that returns the group.  The
-# transverse_z_<n> family's names are parsed by resolve_group_name.
+# A builder takes no argument and returns the group.  The transverse_z_<n>
+# family's names are parsed by resolve_group_name.
 _CATALOG = {
     "trivial": ("identity only (order 1)", _closure([], 1, "trivial")),
     "z4": ("four-fold rotations about z (order 4)", _closure([ROT_Z_90], 8, "z4")),
@@ -242,7 +240,7 @@ _CATALOG = {
     ),
     "full_orthogonal": (
         "sampled full orthogonal group",
-        lambda n: SymmetryGroup("full_orthogonal", sample_count=n),
+        lambda: SymmetryGroup("full_orthogonal"),
     ),
 }
 CATALOG_SUMMARY = tuple((name, description) for name, (description, _) in _CATALOG.items())
@@ -251,9 +249,9 @@ _TRANSVERSE_RE = re.compile(r"transverse_z_([0-9]+)\Z")
 
 
 def resolve_group_name(name: str):
-    """The builder of a catalog name, a function of ``sample_count`` that
-    returns the group; raises UnknownGroupName.  Resolving builds nothing,
-    so a name can be validated without paying for its closure."""
+    """The builder of a catalog name, a function of no argument that returns
+    the group; raises UnknownGroupName.  Resolving builds nothing, so a name
+    can be validated without paying for its closure."""
     builder = _CATALOG.get(name, (None, None))[1]
     if builder is not None:
         return builder
@@ -267,9 +265,9 @@ def resolve_group_name(name: str):
     return _closure([gen], max(4 * n, 16), name)
 
 
-def catalog_lookup(name: str, sample_count: int = DEFAULT_SAMPLE_COUNT) -> SymmetryGroup:
-    """Look up a named group.  ``sample_count`` applies to full_orthogonal."""
-    return resolve_group_name(name)(sample_count)
+def catalog_lookup(name: str) -> SymmetryGroup:
+    """Look up a named group."""
+    return resolve_group_name(name)()
 
 
 @lru_cache(maxsize=1)
@@ -304,13 +302,3 @@ def orthogonal_check_set(seed: int, sample_count: int) -> np.ndarray:
     Cached: the set is pure in (seed, sample_count)."""
     draws = _haar_orthogonal(_stream(seed, "group"), sample_count)
     return _frozen(np.concatenate((draws, adversarial_elements())))
-
-
-def group_elements_for_check(group: SymmetryGroup, seed) -> np.ndarray:
-    """Elements a checker should iterate, as one read-only (n, 3, 3) stack: a
-    finite group's own, or Haar samples plus the adversarial set for
-    full_orthogonal."""
-    s = _require_seed(seed)
-    if group.stack is not None:
-        return group.stack
-    return orthogonal_check_set(s, group.sample_count)

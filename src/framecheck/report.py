@@ -51,10 +51,10 @@ def build_model(spec: ModelSpec) -> ConstitutiveModel:
     return cls(**{f.name: getattr(spec, f.name) for f in fields(cls)})
 
 
-def build_group(spec: GroupSpec, sample_count: int) -> SymmetryGroup:
+def build_group(spec: GroupSpec) -> SymmetryGroup:
     """Catalog lookup, or finite closure of explicit generators."""
     if isinstance(spec.source, str):
-        return catalog_lookup(spec.source, sample_count=sample_count)
+        return catalog_lookup(spec.source)
     return generate_closure(spec.source, max_order=spec.max_order)
 
 
@@ -65,16 +65,16 @@ def build_observers(cfg: SuiteConfig) -> np.ndarray:
     return random_observers(cfg.observers, cfg.run.seed)
 
 
-# check name -> (reads the group, run(model, group, observers, cfg,
-# sample_count)), in CHECK_NAMES order.  Each run looks its check up in this
-# module's namespace when it is called, so a rebinding of report.check_* is
-# the function the suite calls.
+# check name -> (reads the group, run(model, group, observers, cfg)), in
+# CHECK_NAMES order.  Each run looks its check up in this module's namespace
+# when it is called, so a rebinding of report.check_* is the function the
+# suite calls.
 _CHECKS = {
-    "symmetry": (True, lambda m, g, o, c, n: check_symmetry(m, g, c)),
-    "frame_indifference": (True, lambda m, g, o, c, n: check_frame_indifference(m, g, o, c)),
-    "observer_independence": (False, lambda m, g, o, c, n: check_observer_independence(m, o, c)),
-    "isotropy": (False, lambda m, g, o, c, n: check_isotropy(m, c, sample_count=n)),
-    "zero_map": (False, lambda m, g, o, c, n: check_zero_map(m, c)),
+    "symmetry": (True, lambda m, g, o, c: check_symmetry(m, g, c)),
+    "frame_indifference": (True, lambda m, g, o, c: check_frame_indifference(m, g, o, c)),
+    "observer_independence": (False, lambda m, g, o, c: check_observer_independence(m, o, c)),
+    "isotropy": (False, lambda m, g, o, c: check_isotropy(m, c)),
+    "zero_map": (False, lambda m, g, o, c: check_zero_map(m, c)),
 }
 
 
@@ -96,13 +96,13 @@ def run_suite(cfg: SuiteConfig) -> SuiteReport:
         needs_group, run = _CHECKS[name]
         if needs_group and group is None and group_error is None:
             try:
-                group = build_group(cfg.group, cfg.sample_count)
+                group = build_group(cfg.group)
             except (ClosureOverflow, ValueError) as exc:
                 group_error = f"group construction failed: {exc}"
         if needs_group and group_error is not None:
             result = CheckResult(False, None, 0, None, group_error)
         else:
-            result = run(model, group, observers, cfg.run, cfg.sample_count)
+            result = run(model, group, observers, cfg.run)
         records.append((name, result))
     return SuiteReport(cfg, tuple(records))
 

@@ -53,7 +53,7 @@ def symmetry_form_residuals(model, group, cfg):
     asserting their agreement cross-checks that both formulations are
     implemented against the same mapping.
     """
-    elements = group_elements_for_check(group, cfg.seed)
+    elements = group_elements_for_check(group, cfg)
     batch = checks._sample_states(model, cfg)
     unit = np.abs(np.linalg.norm(batch.grads, axis=1) - 1.0) <= 1e-12
     flux, kappa = [], []

@@ -11,6 +11,8 @@ import framecheck as fc
 from conftest import DIAG123, MODEL_ROSTER, symmetry_form_residuals
 
 CFG = fc.CheckConfig()
+# 64 Haar draws of the sampled orthogonal group, not 256
+CFG64 = fc.CheckConfig(sample_count=64)
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -80,7 +82,7 @@ def test_isotropy_anchor_residual_and_witness():
     principal axes: a quarter turn about y, residual exactly (3-1)=2 at a
     zero-gradient state.  Haar draws cannot beat it, so the witness is the
     adversarial element deterministically, independent of seed."""
-    result = fc.check_isotropy(fc.LinearConstant(DIAG123), CFG, sample_count=64)
+    result = fc.check_isotropy(fc.LinearConstant(DIAG123), CFG64)
     assert not result.passed
     assert result.max_residual == 2.0
     assert np.array_equal(result.witness.group_element, fc.ROT_Y_90)
@@ -88,23 +90,23 @@ def test_isotropy_anchor_residual_and_witness():
 
 
 def test_isotropy_accepts_spherical_models():
-    assert fc.check_isotropy(fc.LinearConstant(2.5 * np.eye(3)), CFG, 64).passed
-    assert fc.check_isotropy(fc.NonlinearIsotropic(1.0, 2.0), CFG, 64).passed
+    assert fc.check_isotropy(fc.LinearConstant(2.5 * np.eye(3)), CFG64).passed
+    assert fc.check_isotropy(fc.NonlinearIsotropic(1.0, 2.0), CFG64).passed
 
 
 def test_rank_one_update_is_isotropy_compatible_exactly_when_spherical():
     # the outer-product term transforms covariantly; only a_tensor decides
-    assert fc.check_isotropy(fc.NonlinearAnisotropic(2.0 * np.eye(3), 0.7), CFG, 64).passed
-    result = fc.check_isotropy(fc.NonlinearAnisotropic(DIAG123, 0.7), CFG, 64)
+    assert fc.check_isotropy(fc.NonlinearAnisotropic(2.0 * np.eye(3), 0.7), CFG64).passed
+    result = fc.check_isotropy(fc.NonlinearAnisotropic(DIAG123, 0.7), CFG64)
     assert not result.passed
     assert result.max_residual >= 0.5
 
 
 def test_isotropy_seed_invariance_of_the_verdict():
     for seed in (0, 1, 99):
-        cfg = fc.CheckConfig(seed=seed)
-        assert not fc.check_isotropy(fc.LinearConstant(DIAG123), cfg, 64).passed
-        assert fc.check_isotropy(fc.LinearConstant(np.eye(3)), cfg, 64).passed
+        cfg = fc.CheckConfig(seed=seed, sample_count=64)
+        assert not fc.check_isotropy(fc.LinearConstant(DIAG123), cfg).passed
+        assert fc.check_isotropy(fc.LinearConstant(np.eye(3)), cfg).passed
 
 
 def test_symmetry_forms_agree_pointwise():
@@ -224,7 +226,7 @@ def _unfolded_frame_indifference(model, group, observers, cfg, rotate_back_with_
     takes them, every observer against it, then each of its elements."""
 
     def rows():
-        elements = fc.group_elements_for_check(group, cfg.seed)
+        elements = fc.group_elements_for_check(group, cfg)
         batch = _Sweep(model, cfg)
         kappa_raws = []
         for q in observers:
@@ -389,7 +391,7 @@ def test_frame_indifference_stacks_observers_in_its_flux_form(monkeypatch, confi
         return flux(cm, thetas, grads_star)
 
     monkeypatch.setattr(fc.ComponentMap, "flux", counted)
-    group = fc.build_group(cfg.group, cfg.sample_count)
+    group = fc.build_group(cfg.group)
     model, observers = fc.build_model(cfg.model), fc.build_observers(cfg)
     fc.check_frame_indifference(model, group, observers, cfg.run)
     assert len(states) == calls
@@ -419,7 +421,7 @@ def _per_element_symmetry(model, group, cfg):
     """check_symmetry and symmetry_form_residuals as a plain loop over the
     elements, every deficit computed at every state and every configured
     temperature."""
-    elements = fc.group_elements_for_check(group, cfg.seed)
+    elements = fc.group_elements_for_check(group, cfg)
     batch = _Sweep(model, cfg)
     kappas = batch.kappas
     rels, flux, kappa = [], [], []
@@ -493,9 +495,9 @@ OTHER_THETAS = {
 @pytest.mark.parametrize("thetas", sorted(OTHER_THETAS))
 @pytest.mark.parametrize("cfg", [CFG, STRICT], ids=["default_tol", "strict_tol"])
 def test_checks_match_the_reference_loops_at_other_temperatures(cfg, thetas):
-    cfg = replace(cfg, theta_samples=OTHER_THETAS[thetas])
+    cfg = replace(cfg, theta_samples=OTHER_THETAS[thetas], sample_count=8)
     observers = fc.random_observers(4, 3)
-    groups = [fc.catalog_lookup("transverse_z_7"), fc.catalog_lookup("full_orthogonal", 8)]
+    groups = [fc.catalog_lookup("transverse_z_7"), fc.catalog_lookup("full_orthogonal")]
     for _, model in MODEL_ROSTER:
         _assert_same_result(
             fc.check_observer_independence(model, observers, cfg),
@@ -602,11 +604,11 @@ def test_observer_independence_verdicts():
 def test_isotropy_implies_observer_independence_at_looser_tol():
     """Models that pass the sampled isotropy check also look identical to
     observers built from the same element set, at ten times the tolerance."""
-    elements = fc.orthogonal_check_set(CFG.seed, 64)
+    elements = fc.orthogonal_check_set(CFG64.seed, CFG64.sample_count)
     observers = fc.observer_stack(elements)
     loose = fc.CheckConfig(tol=10.0 * CFG.tol)
     for _, model in MODEL_ROSTER:
-        if fc.check_isotropy(model, CFG, 64).passed:
+        if fc.check_isotropy(model, CFG64).passed:
             assert fc.check_observer_independence(model, observers, loose).passed
 
 
@@ -900,8 +902,8 @@ def test_classify_skew_test_is_relative_to_the_tensor():
 
 def test_check_results_are_bit_reproducible():
     model = fc.LinearConstant(DIAG123)
-    first = fc.check_isotropy(model, fc.CheckConfig(seed=5), 64)
-    second = fc.check_isotropy(model, fc.CheckConfig(seed=5), 64)
+    first = fc.check_isotropy(model, fc.CheckConfig(seed=5, sample_count=64))
+    second = fc.check_isotropy(model, fc.CheckConfig(seed=5, sample_count=64))
     assert first.max_residual == second.max_residual
     assert first.samples_used == second.samples_used
     assert np.array_equal(first.witness.group_element, second.witness.group_element)
@@ -942,7 +944,7 @@ def test_non_finite_residual_never_passes():
         "symmetry": fc.check_symmetry(OVERFLOW, trivial, CFG),
         "frame_indifference": fc.check_frame_indifference(OVERFLOW, trivial, observers, CFG),
         "observer_independence": fc.check_observer_independence(OVERFLOW, observers, CFG),
-        "isotropy": fc.check_isotropy(OVERFLOW, CFG, sample_count=8),
+        "isotropy": fc.check_isotropy(OVERFLOW, replace(CFG, sample_count=8)),
         "zero_map": fc.check_zero_map(OVERFLOW, CFG),
     }
     for name, result in results.items():
@@ -1012,7 +1014,7 @@ def test_non_finite_conductivity_never_passes(diagonal, low, top, bad_theta, oth
         "symmetry": fc.check_symmetry(model, z4, cfg),
         "frame_indifference": fc.check_frame_indifference(model, z4, observers, cfg),
         "observer_independence": fc.check_observer_independence(model, observers, cfg),
-        "isotropy": fc.check_isotropy(model, cfg, sample_count=4),
+        "isotropy": fc.check_isotropy(model, replace(cfg, sample_count=4)),
         "zero_map": fc.check_zero_map(model, cfg),
     }
     for name, result in results.items():

@@ -25,7 +25,7 @@ def test_minimal_config_resolves_defaults():
     assert cfg.run.seed == 0
     assert cfg.run.theta_samples == (0.5, 1.0, 300.0)
     assert cfg.run.gradient_samples == 32
-    assert cfg.sample_count == 256
+    assert cfg.run.sample_count == 256
     assert cfg.observers == 100
 
 
@@ -137,7 +137,8 @@ def test_validation_errors_name_the_offender():
         ("[checks]\nsymmetry.volume = 9\n[run]\nvolume = 1\n[group]\nname = nope\n",
          "group.name: nope"),
         ("[checks]\nnames = bogus\n[run]\ntol = 0\n", "run.tol: must be positive and finite"),
-        # SuiteConfig's own: sample_count, then observers, then the checks
+        # [run] is judged before [checks] is read, and then SuiteConfig's
+        # own rules go observers, then the checks
         ("[checks]\nnames = bogus\n[run]\nobservers = 0\nsample_count = 0\n",
          "run.sample_count: must be at least 1"),
         ("[checks]\nnames = bogus\n[run]\nobservers = 0\n", "run.observers: must be at least 1"),
@@ -236,7 +237,7 @@ def test_parse_errors_carry_line_information():
 def test_generator_config_builds_cyclic_group():
     text = MINIMAL + "[group]\ngenerators = 0 -1 0 ; 1 0 0 ; 0 0 1\n"
     cfg = fc.parse_config(text)
-    group = fc.build_group(cfg.group, cfg.sample_count)
+    group = fc.build_group(cfg.group)
     assert group.order == 4
 
 
@@ -289,7 +290,7 @@ def test_suite_defaults_are_the_check_defaults():
     cfg = fc.parse_config(MINIMAL)
     assert cfg.run == fc.CheckConfig()
     assert fc.SuiteConfig(cfg.model) == cfg
-    assert cfg.sample_count == fc.catalog_lookup("full_orthogonal").sample_count
+    assert cfg.run.sample_count == fc.DEFAULT_SAMPLE_COUNT
     generated = fc.parse_config(MINIMAL + "[group]\ngenerators = 1 0 0 0 1 0 0 0 1\n")
     assert generated.group.max_order == fc.GroupSpec().max_order
 
@@ -299,10 +300,11 @@ def test_run_parameters_are_validated_on_direct_construction():
     validates them however a SuiteConfig is made; each message begins with
     the field's name, which the CLI's --seed and --tol errors rely on."""
     assert [f.name for f in dataclasses.fields(fc.SuiteConfig)] == [
-        "model", "group", "checks", "run", "sample_count", "observers"
+        "model", "group", "checks", "run", "observers"
     ]
     model = fc.parse_config(MINIMAL).model
-    for bad in ({"tol": 0.0}, {"seed": -1}, {"theta_samples": ()}, {"gradient_samples": 0}):
+    for bad in ({"tol": 0.0}, {"seed": -1}, {"theta_samples": ()}, {"gradient_samples": 0},
+                {"sample_count": 0}):
         with pytest.raises(ValueError, match=f"^{next(iter(bad))} "):
             fc.SuiteConfig(model, run=fc.CheckConfig(**bad))
 
@@ -319,6 +321,8 @@ def test_run_parameters_are_validated_on_direct_construction():
         ("[run]\ntheta_samples = 1.0 0.0\n",
          "run.theta_samples: must be positive finite temperatures"),
         ("[run]\ngradient_samples = 0\n", "run.gradient_samples: must be a positive integer"),
+        ("[run]\nsample_count = 0\n", "run.sample_count: must be at least 1"),
+        ("[run]\nsample_count = -2\n", "run.sample_count: must be at least 1"),
         # inf and NaN are CheckConfig's to judge too, not the number reader's
         ("[run]\ntol = inf\n", "run.tol: must be positive and finite"),
         ("[run]\ntol = nan\n", "run.tol: must be positive and finite"),
@@ -338,6 +342,37 @@ def test_run_parameter_rules_are_the_check_configs(section, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("name", ["gradient_samples", "sample_count"])
+def test_check_config_counts_are_ints_of_at_least_one(name):
+    """Both counts follow one rule: an int of at least 1, numpy's integers
+    included, kept as an int.  A float, a bool or a string is a TypeError
+    naming the field, where 2.5 used to become 2, True 1 and "3" 3; below 1
+    is a ValueError with parse_config's rule."""
+    for value in (2.5, 3.0, np.float64(3.0), True, "3", None):
+        with pytest.raises(TypeError) as err:
+            fc.CheckConfig(**{name: value})
+        assert str(err.value) == f"{name} must be an integer", value
+    rule = {"gradient_samples": "a positive integer", "sample_count": "at least 1"}[name]
+    for value in (0, -1, np.int64(0)):
+        with pytest.raises(ValueError) as err:
+            fc.CheckConfig(**{name: value})
+        assert str(err.value) == f"{name} must be {rule}", value
+    for value in (1, 7, np.int32(7), np.uint64(7)):
+        count = getattr(fc.CheckConfig(**{name: value}), name)
+        assert count == value and type(count) is int
+
+
+def test_check_config_tol_is_a_number():
+    """A tol in any other form is a TypeError naming the field, not numpy's
+    ufunc error; numpy's numbers are numbers."""
+    for value in ("1e-9", True, None, (1e-9,)):
+        with pytest.raises(TypeError) as err:
+            fc.CheckConfig(tol=value)
+        assert str(err.value) == "tol must be a number", value
+    for value in (1, 1e-9, np.float32(1e-6), np.int64(2)):
+        assert fc.CheckConfig(tol=value).tol == value
+
+
 def test_each_config_choice_is_one_field():
     """A group is a catalog name or generators, and the observers are a count
     or matrices: one field each, so no value holds both."""
@@ -345,11 +380,11 @@ def test_each_config_choice_is_one_field():
     rz90, inversion = tuple(fc.ROT_Z_90.flat), tuple(fc.INVERSION.flat)
     model = fc.parse_config(MINIMAL).model
     cfg = fc.SuiteConfig(model, group=fc.GroupSpec((rz90,)), observers=(rz90, inversion))
-    assert fc.build_group(cfg.group, cfg.sample_count).order == 4
+    assert fc.build_group(cfg.group).order == 4
     assert fc.build_observers(cfg).tolist() == [fc.ROT_Z_90.tolist(), fc.INVERSION.tolist()]
     assert fc.parse_config(cfg.to_config_text()) == cfg
     counted = fc.SuiteConfig(model, group=fc.GroupSpec("z4"), observers=5)
-    assert fc.build_group(counted.group, counted.sample_count).order == 4
+    assert fc.build_group(counted.group).order == 4
     assert len(fc.build_observers(counted)) == 5
     assert fc.parse_config(counted.to_config_text()) == counted
 
@@ -384,10 +419,10 @@ def _rejected_alike(build, section, message):
     assert str(err.value) == message
 
 
-def test_suite_config_validates_its_observers_and_sample_count():
-    """A count of observers or of draws is at least 1, and observer matrices
-    are finite 9-number tuples orthogonal within 1e-12, when a SuiteConfig is
-    built, not deep in a run, with the message parse_config gives."""
+def test_suite_config_validates_its_observers():
+    """A count of observers is at least 1, and observer matrices are finite
+    9-number tuples orthogonal within 1e-12, when a SuiteConfig is built, not
+    deep in a run, with the message parse_config gives."""
     model = fc.parse_config(MINIMAL).model
     skewed = (1e-8, -1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0)
     for kwargs, line, message in (
@@ -400,7 +435,6 @@ def test_suite_config_validates_its_observers_and_sample_count():
          "run.observers: values must be finite"),
         ({"observers": (skewed,)}, "observers = 1e-8 -1 0 ; 1 0 0 ; 0 0 1",
          "run.observers: matrix is not orthogonal within 1e-12"),
-        ({"sample_count": 0}, "sample_count = 0", "run.sample_count: must be at least 1"),
     ):
         _rejected_alike(lambda: fc.SuiteConfig(model, **kwargs), f"[run]\n{line}\n", message)
 
@@ -592,7 +626,6 @@ def test_config_values_in_the_wrong_form_are_type_errors_naming_the_key():
         (lambda: fc.SuiteConfig(model, observers=[rz90]), observers),
         (lambda: fc.SuiteConfig(model, observers=((None,) * 9,)),
          "run.observers: expected numbers"),
-        (lambda: fc.SuiteConfig(model, sample_count=64.0), "run.sample_count: expected an integer"),
         (lambda: fc.SuiteConfig(model, checks=["symmetry"]),
          "checks: expected a tuple of check names"),
         (lambda: fc.SuiteConfig(model, checks="symmetry"),
@@ -604,7 +637,8 @@ def test_config_values_in_the_wrong_form_are_type_errors_naming_the_key():
             build()
         assert str(err.value) == message
     # numpy's integers are integers
-    counted = fc.SuiteConfig(model, observers=np.int64(5), sample_count=np.int32(64))
+    counted = fc.SuiteConfig(model, run=fc.CheckConfig(sample_count=np.int32(64)),
+                             observers=np.int64(5))
     assert fc.parse_config(counted.to_config_text()) == counted
 
 
@@ -656,7 +690,8 @@ def _built_or_rejected_alike(build, section, wrong_form, rejected):
         built = build()
     except TypeError as exc:
         assert wrong_form, exc
-        assert re.match(r"(group|run|checks)[.:]", str(exc)), exc
+        # CheckConfig's messages begin with the field's own name
+        assert re.match(r"(group|run|checks)[.:]|sample_count ", str(exc)), exc
         return
     except ValueError as exc:
         assert isinstance(exc, fc.ValidationError), exc
@@ -707,8 +742,10 @@ def _suite_built_or_rejected_alike(observers, sample_count, checks):
     """A SuiteConfig with counts of at least 1, orthogonal observer matrices
     and a check list that breaks no rule builds and is the one its config
     text parses back to.  Any other is rejected with parse_config's message
-    for the same values as text.  A count that is not an int, or a list of
-    observer matrices or of check names, is the wrong form: it never builds."""
+    for the same values as text: its run's CheckConfig is built as
+    parse_config builds it (config._check_config), so a rule it breaks gives
+    that message.  A count that is not an int, or a list of observer
+    matrices or of check names, is the wrong form: it never builds."""
     obs = _matrices_text(observers) if isinstance(observers, (tuple, list)) else observers
     section = (
         f"[checks]\nnames = {' '.join(checks)}\n"
@@ -728,8 +765,10 @@ def _suite_built_or_rejected_alike(observers, sample_count, checks):
     )
     model = fc.parse_config(MINIMAL).model
     _built_or_rejected_alike(
-        lambda: fc.SuiteConfig(model, checks=checks, sample_count=sample_count,
-                               observers=observers),
+        lambda: fc.SuiteConfig(
+            model, checks=checks, run=fc.config._check_config({"sample_count": sample_count}),
+            observers=observers,
+        ),
         section, wrong_form, rejected,
     )
 

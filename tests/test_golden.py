@@ -35,6 +35,7 @@ CONFIGS = {
     "theta_order": (GOLDEN / "theta_order.ini", 1),
     "merged_generators": (GOLDEN / "merged_generators.ini", 1),
     "group_overflow": (GOLDEN / "group_overflow.ini", 1),
+    "full_orthogonal": (GOLDEN / "full_orthogonal.ini", 1),
 }
 
 # configs whose human-format report is pinned too
@@ -70,6 +71,20 @@ def test_each_verdict_turns_at_its_golden_residual():
             ((_, result),) = fc.run_suite(alone).records
             assert result.max_residual == value, name
             assert result.passed is passed, (name, tol)
+
+
+def test_the_configured_sampled_group_is_the_isotropy_checks():
+    """[group] name = full_orthogonal hands the symmetry check the sample
+    the isotropy check draws, by the same seed and sample_count: the two
+    records agree in every field but the note."""
+    cfg = fc.parse_config(CONFIGS["full_orthogonal"][0].read_bytes())
+    assert cfg.checks == ("symmetry", "isotropy")
+    records = json.loads(fc.emit_report(fc.run_suite(cfg), "machine"))["checks"]
+    symmetry, isotropy = ({k: v for k, v in r.items() if k not in ("name", "note")}
+                          for r in records)
+    assert symmetry == isotropy
+    assert not symmetry["passed"] and symmetry["witness"] is not None
+    assert records[0]["note"] != records[1]["note"]
 
 
 def test_golden_configs_cover_every_family():

@@ -431,18 +431,21 @@ def test_finite_groups_are_made_only_by_closure():
 
 
 def test_full_orthogonal_group_shape():
-    """A group holding no elements is the sampled orthogonal group, and then
-    it holds a positive sample_count."""
-    group = fc.catalog_lookup("full_orthogonal", sample_count=16)
-    assert group.sample_count == 16
+    """A group holding no elements is the sampled orthogonal group.  It holds
+    no draw count either: that is CheckConfig's sample_count."""
+    group = fc.catalog_lookup("full_orthogonal")
+    assert group.name == "full_orthogonal" and not hasattr(group, "sample_count")
     assert group.elements is None and group.stack is None
     with pytest.raises(ValueError, match="^only finite groups have an order$"):
         group.order
     with pytest.raises(ValueError, match="^closure_defect applies to finite groups$"):
         group.closure_defect()
-    for sample_count in (0, None):
-        with pytest.raises(ValueError, match="^sample_count must be a positive integer$"):
-            fc.SymmetryGroup("bad", sample_count=sample_count)
+    with pytest.raises(TypeError):
+        fc.SymmetryGroup("full_orthogonal", sample_count=16)
+    # under any other name a group of no elements is not the sampled one
+    for name in ("z4", "trivial", "bad"):
+        with pytest.raises(ValueError, match="^a finite group is made by generate_closure$"):
+            fc.SymmetryGroup(name)
 
 
 def test_unknown_group_names():
@@ -480,14 +483,15 @@ def test_group_elements_for_check():
     """One read-only (n, 3, 3) stack: a finite group's own stack, whose rows
     are its elements, or the orthogonal check set."""
     trivial = fc.catalog_lookup("trivial")
-    assert fc.group_elements_for_check(trivial, 0).shape == (1, 3, 3)
+    cfg = fc.CheckConfig(sample_count=16)
+    assert fc.group_elements_for_check(trivial, cfg).shape == (1, 3, 3)
     cubic = fc.catalog_lookup("cubic_rotations")
-    els = fc.group_elements_for_check(cubic, 0)
+    els = fc.group_elements_for_check(cubic, cfg)
     assert els is cubic.stack and els.shape == (24, 3, 3) and not els.flags.writeable
     assert isinstance(cubic.elements, tuple)
     assert all(np.shares_memory(e, els) and np.array_equal(e, h) for e, h in zip(cubic.elements, els))
-    full = fc.catalog_lookup("full_orthogonal", sample_count=16)
-    els = fc.group_elements_for_check(full, 0)
+    full = fc.catalog_lookup("full_orthogonal")
+    els = fc.group_elements_for_check(full, cfg)
     assert els is fc.orthogonal_check_set(0, 16) and els.shape == (16 + 12, 3, 3)
     assert full.stack is None
 

@@ -37,9 +37,9 @@ def test_suite_calls_the_check_bound_in_the_report_module(monkeypatch):
 
 
 def test_every_check_runs_under_the_suite_run(monkeypatch):
-    """Every check gets the suite's one CheckConfig, and isotropy draws the
-    suite's sample_count: no check carries a tol or a draw count of its own."""
-    cfg = fc.SuiteConfig(IDENTITY, run=fc.CheckConfig(tol=1e-7, seed=5), sample_count=9,
+    """Every check gets the suite's one CheckConfig, and isotropy draws its
+    sample_count: no check carries a tol or a draw count of its own."""
+    cfg = fc.SuiteConfig(IDENTITY, run=fc.CheckConfig(tol=1e-7, seed=5, sample_count=9),
                          observers=2)
     seen = {}
     for name in fc.CHECK_NAMES:
@@ -50,10 +50,13 @@ def test_every_check_runs_under_the_suite_run(monkeypatch):
             return check(*args, **kwargs)
 
         monkeypatch.setattr(report, f"check_{name}", recorded)
-    assert fc.run_suite(cfg).passed
+    suite = fc.run_suite(cfg)
+    assert suite.passed
     assert list(seen) == list(fc.CHECK_NAMES)
     assert all(arguments["cfg"] is cfg.run for arguments in seen.values())
-    assert seen["isotropy"]["sample_count"] == 9
+    assert list(seen["isotropy"]) == ["model", "cfg"]
+    # 9 draws and the 12 adversarial elements, over 3 temperatures of 36 states
+    assert dict(suite.records)["isotropy"].samples_used == (9 + 12) * 3 * 36
 
 
 @pytest.mark.parametrize("fails", [False, True], ids=["builds", "raises"])
@@ -66,9 +69,9 @@ def test_group_is_built_once_per_suite(fails, monkeypatch):
     # bound in the lazy package, would resolve to the patch itself
     build = report.build_group
 
-    def counting(spec, sample_count):
+    def counting(spec):
         built.append(spec)
-        return build(spec, sample_count)
+        return build(spec)
 
     monkeypatch.setattr(report, "build_group", counting)
     fc.run_suite(cfg)
