@@ -150,11 +150,36 @@ MUTANTS = (
     ),
     Mutant(
         "isotropy.trivial_group", CHECKS,
+        "cubic = check_symmetry(model, _cubic_group(), cfg)",
+        'cubic = check_symmetry(model, catalog_lookup("trivial"), cfg)',
+        "isotropy is decided on the cubic rotations; under the identity alone "
+        "every law would be certified isotropic",
+        killer="tests/test_acceptance.py::test_frame_indifference_does_not_imply_isotropy",
+    ),
+    Mutant(
+        "isotropy.certified_without_its_constant", CHECKS,
+        "        if c * cubic.max_residual <= cfg.tol:\n",
+        "        if cubic.max_residual <= cfg.tol:\n",
+        "an orthogonal element can score up to c times the cubic maximum; a "
+        "near-scalar law's sampled maximum is 1.56 times it",
+        killer="tests/test_checks.py::test_the_certificate_needs_its_constant",
+    ),
+    Mutant(
+        "isotropy.sampled_check_on_the_trivial_group", CHECKS,
         'catalog_lookup("full_orthogonal")',
         'catalog_lookup("trivial")',
-        "isotropy is symmetry under the orthogonal group; under the identity "
-        "alone an anisotropic conductor would pass",
-        killer="tests/test_acceptance.py::test_frame_indifference_does_not_imply_isotropy",
+        "where the cubic rotations decide nothing, the sampled orthogonal "
+        "group must, or a law that fails there would pass",
+        killer="tests/test_checks.py::test_the_certificate_needs_its_constant",
+    ),
+    Mutant(
+        "covariance.cubic_invariant_term", "src/framecheck/models.py",
+        '        scale = self.a + self.b * np.einsum("si,si->s", grads, grads)\n',
+        '        scale = self.a + self.b * np.einsum("si,si->s", grads, grads)'
+        " + np.sum(grads**4, axis=1)\n",
+        "(g1^4 + g2^4 + g3^4) I is invariant under the cubic rotations but not "
+        "under O(3): with covariant_gradient left on, isotropy would certify it",
+        killer="tests/test_models.py::test_a_declared_covariant_gradient_is_covariant",
     ),
     Mutant(
         "zero_map.nan_as_zero", CHECKS,
@@ -238,8 +263,8 @@ MUTANTS = (
     ),
     Mutant(
         "classify.isotropic_on_one_axis", CHECKS,
-        'return catalog_lookup("cubic_rotations").stack',
-        'return catalog_lookup("transverse_z_8").stack',
+        'return catalog_lookup("cubic_rotations")\n',
+        'return catalog_lookup("transverse_z_8")\n',
         "isotropy is certified on the cubic rotations, which no tensor but "
         "c I commutes with; rotations about z alone pass diag(1, 1, 1 + 1e-6)",
         killer="tests/test_checks.py::"

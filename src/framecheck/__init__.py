@@ -16,7 +16,7 @@ uses.
 
 from importlib import import_module as _import_module
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 # submodule -> the public names it defines
 _EXPORTS = {

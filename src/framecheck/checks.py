@@ -6,6 +6,13 @@ numerically on a deterministic state sample.  The three headline properties
 are deliberately independent checks: a mapping can be frame indifferent and
 still anisotropic, and the checkers here make that distinction measurable.
 
+Isotropy is decided on the 24 cubic rotations for a law whose gradient
+enters covariantly (``covariant_gradient``, every shipped family): by
+Schur's lemma, their maximum residual times a constant bounds every
+orthogonal element's, so a small one certifies a pass and a large one is a
+counterexample (check_isotropy).  The sampled full orthogonal group decides
+only between the two.
+
 Residual conventions
 --------------------
 Flux-level residuals use the Euclidean vector norm; conductivity-level
@@ -160,6 +167,11 @@ class LinearSymmetryClass(enum.Enum):
     ORTHOTROPIC = "orthotropic"
 
 
+def _is_number(value) -> bool:
+    """A real number, numpy's included; bool is not one."""
+    return not isinstance(value, bool) and isinstance(value, (int, float, np.integer, np.floating))
+
+
 @dataclass(frozen=True)
 class CheckConfig:
     """Shared knobs for all checkers.
@@ -171,12 +183,14 @@ class CheckConfig:
     gradient_samples: random unit directions per temperature.
     seed: base seed; group sampling, gradient sampling and observer draws
     use disjoint derived streams.
-    sample_count: Haar draws of the sampled full orthogonal group, which
-    the isotropy check and a configured full_orthogonal group take.
+    sample_count: Haar draws of the sampled full orthogonal group, which a
+    configured full_orthogonal group takes, and the isotropy check when the
+    24 cubic rotations do not decide it (see check_isotropy).
 
-    Each field is judged when the config is built.  tol is a number and
-    each count an int of at least 1, numpy's included and bool not; any
-    other form is a TypeError.  Every message begins with the field's name.
+    Each field is judged when the config is built.  tol is a number,
+    theta_samples a sequence of numbers and each count an int of at least
+    1, numpy's included, str and bool not; any other form is a TypeError.
+    Every message begins with the field's name.
     """
 
     tol: float = 1e-9
@@ -187,11 +201,17 @@ class CheckConfig:
 
     def __post_init__(self):
         tol = self.tol
-        if isinstance(tol, bool) or not isinstance(tol, (int, float, np.integer, np.floating)):
+        if not _is_number(tol):
             raise TypeError("tol must be a number")
         if not np.isfinite(tol) or tol <= 0.0:
             raise ValueError("tol must be positive and finite")
-        thetas = tuple(float(t) for t in self.theta_samples)
+        thetas = self.theta_samples
+        if isinstance(thetas, (str, bytes)) or not np.iterable(thetas):
+            raise TypeError("theta_samples must be a sequence of numbers")
+        thetas = tuple(thetas)
+        if not all(map(_is_number, thetas)):
+            raise TypeError("theta_samples must be a sequence of numbers")
+        thetas = tuple(map(float, thetas))
         if not thetas:
             raise ValueError("theta_samples must not be empty")
         if not all(np.isfinite(t) and t > 0.0 for t in thetas):
@@ -261,6 +281,12 @@ def group_elements_for_check(group: SymmetryGroup, cfg: CheckConfig) -> np.ndarr
     return orthogonal_check_set(cfg.seed, cfg.sample_count)
 
 
+def _magnitudes(model: ConstitutiveModel) -> tuple[float, ...]:
+    """The gradient magnitudes sampled for a law: three for one whose
+    conductivity reads the gradient, the unit sphere alone otherwise."""
+    return NONLINEAR_MAGNITUDES if model.gradient_dependent else (1.0,)
+
+
 def _unit_directions(cfg: CheckConfig) -> np.ndarray:
     """The coordinate axes, then gradient_samples uniform unit directions
     from the seed's gradient stream (tensors._sphere), (3 + n, 3)."""
@@ -273,9 +299,8 @@ def _sample_states(model: ConstitutiveModel, cfg: CheckConfig) -> _StateBatch:
     that ignores the temperature gets only the first temperature's states,
     standing for all of them: its rows at the others repeat them bit for bit."""
     dirs = _unit_directions(cfg)
-    mags = NONLINEAR_MAGNITUDES if model.gradient_dependent else (1.0,)
     # per temperature: the zero gradient, then every magnitude times every direction
-    per_theta = np.concatenate([np.zeros((1, 3))] + [mag * dirs for mag in mags])
+    per_theta = np.concatenate([np.zeros((1, 3))] + [mag * dirs for mag in _magnitudes(model)])
     sampled = cfg.theta_samples if model.temperature_dependent else cfg.theta_samples[:1]
     count = len(sampled)
     thetas = np.repeat(sampled, per_theta.shape[0])
@@ -439,13 +464,48 @@ def check_symmetry(model: ConstitutiveModel, group: SymmetryGroup, cfg: CheckCon
 
 
 def check_isotropy(model: ConstitutiveModel, cfg: CheckConfig) -> CheckResult:
-    """Material symmetry against the sampled full orthogonal group, its
-    cfg.sample_count draws.
+    """Material symmetry against the whole orthogonal group.
 
-    Passing is evidence of isotropy (a sampled check cannot certify all of
-    the orthogonal group); failing is a proof of anisotropy, and the witness
-    element is the counterexample.
+    A law that declares covariant_gradient is checked for symmetry on the 24
+    cubic rotations first.  Let eps be that check's maximum and
+    c = 4 max(1, |g|), |g| the largest sampled gradient: 4 for a law that
+    reads no gradient, 40 for one that does.  Then
+
+    - c eps <= tol is a certified pass: no orthogonal element scores more
+      than c eps at any sampled state (below);
+    - eps > tol is a fail, and the cubic witness is an exact counterexample;
+    - otherwise, and for a law that does not declare, the symmetry check
+      runs on the sampled full orthogonal group, cfg.sample_count Haar draws
+      plus the adversarial set: a pass is evidence, a fail a counterexample.
+
+    The note says which decided; the rest of the result is that symmetry
+    check's.
+
+    The bound, at each sampled temperature theta.  Let K = kappa(theta, 0)
+    and A = K - tr K / 3 I.  The contract, kappa(theta, R g) =
+    K + R (kappa(theta, g) - K) R^T, makes the deficits of any orthogonal R
+
+      R kappa(theta, g) - kappa(theta, R g) R = R A - A R,
+      R^T q(theta, R g) - q(theta, g) = R^T (A R - R A) g,
+
+    the first the same at every gradient.  The zero gradient is sampled at
+    every temperature, with denominator 1, so eps >= M = max_H |H A - A H|_max
+    over the cubic rotations H, and _cubic_test's argument, linear in the
+    tensor, gives |A|_max <= (2/3) M.  So
+    |R A - A R|_max <= |R A - A R|_2 <= 2 |A|_2 <= 6 |A|_max <= 4 M, and R's
+    residual at any sampled state, whose denominator is at least 1, is at
+    most 4 max(1, |g|) M <= c eps, up to the sampled check's rounding.
     """
+    if model.covariant_gradient:
+        cubic = check_symmetry(model, _cubic_group(), cfg)
+        c = 4.0 * max(1.0, *_magnitudes(model))
+        if c * cubic.max_residual <= cfg.tol:
+            note = (f"certified on the 24 cubic rotations: {c:g} * max_residual <= tol "
+                    "bounds every orthogonal element")
+            return replace(cubic, note=note)
+        if not cubic.passed:
+            note = "fails on the 24 cubic rotations: the witness is a counterexample"
+            return replace(cubic, note=note)
     note = "sampled check: a pass is evidence of isotropy, a fail is a counterexample"
     return replace(check_symmetry(model, catalog_lookup("full_orthogonal"), cfg), note=note)
 
@@ -578,9 +638,10 @@ def check_zero_map(model: ConstitutiveModel, cfg: CheckConfig) -> CheckResult:
 
 
 @lru_cache(maxsize=1)
-def _cubic_stack() -> np.ndarray:
-    """The 24 cubic rotations as one (24, 3, 3) stack, looked up once."""
-    return catalog_lookup("cubic_rotations").stack
+def _cubic_group() -> SymmetryGroup:
+    """The 24 cubic rotations, closed once per process: check_isotropy
+    checks on them and _cubic_test conjugates by their stack."""
+    return catalog_lookup("cubic_rotations")
 
 
 def _cubic_test(l, cfg: CheckConfig) -> tuple[bool, float, np.ndarray]:
@@ -610,7 +671,7 @@ def _cubic_test(l, cfg: CheckConfig) -> tuple[bool, float, np.ndarray]:
     """
     k = as_tensor2(l)
     m = k / (max_abs(k) or 1.0)
-    residual = max_abs(conjugate_stack(_cubic_stack(), m[None]) - m)
+    residual = max_abs(conjugate_stack(_cubic_group().stack, m[None]) - m)
     return residual <= cfg.tol, residual, m
 
 

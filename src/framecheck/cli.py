@@ -23,7 +23,6 @@ from typing import NoReturn
 
 import numpy as np
 
-from .checks import CheckConfig
 from .config import ModelSpec, ParseError, SuiteConfig, ValidationError, parse_config
 from .groups import CATALOG_SUMMARY
 from .models import MODEL_FAMILIES
@@ -117,7 +116,7 @@ def _cmd_demo() -> int:
     outcomes = []
     for label, diagonal in cases:
         model = ModelSpec("linear_constant", kappa0=tuple(np.diag(diagonal).flat))
-        report = run_suite(SuiteConfig(model, checks=checks, run=CheckConfig(sample_count=64)))
+        report = run_suite(SuiteConfig(model, checks=checks))
         print(label)
         for name, result in report.records:
             outcomes.append(result.passed)

@@ -41,8 +41,8 @@ def test_frame_indifference_does_not_imply_isotropy(capsys):
     elapsed = time.monotonic() - t0
 
     witness_gap = min(
-        float(np.abs(iso_aniso.witness.group_element - np.asarray(e)).max())
-        for e in fc.adversarial_elements()
+        float(np.abs(iso_aniso.witness.group_element - e).max())
+        for e in fc.catalog_lookup("cubic_rotations").elements
     )
     ok = (
         fi_aniso.passed
@@ -57,8 +57,8 @@ def test_frame_indifference_does_not_imply_isotropy(capsys):
         capsys,
         ok,
         "1/8 frame indifference holds for diag(1,2,3) (residual "
-        f"{fi_aniso.max_residual:.2e} <= 1e-09) while isotropy fails with a "
-        f"catalogued witness; spherical conductor passes both ({elapsed:.2f}s < 1s)",
+        f"{fi_aniso.max_residual:.2e} <= 1e-09) while isotropy fails with one "
+        f"of the 24 cubic rotations as witness; spherical conductor passes both ({elapsed:.2f}s < 1s)",
     )
     assert fi_aniso.passed and fi_aniso.max_residual <= 1e-9
     assert not iso_aniso.passed

@@ -78,14 +78,17 @@ def test_trivial_group_symmetry_is_exact_for_every_model():
 
 
 def test_isotropy_anchor_residual_and_witness():
-    """For diag(1,2,3) the worst orthogonal element swaps the extreme
-    principal axes: a quarter turn about y, residual exactly (3-1)=2 at a
-    zero-gradient state.  Haar draws cannot beat it, so the witness is the
-    adversarial element deterministically, independent of seed."""
+    """For diag(1,2,3) the worst orthogonal element moves the z axis onto
+    the x axis, residual exactly (3-1)=2 at a zero-gradient state.  The
+    cubic rotations hold such elements, so the check fails on them, and the
+    witness is the first in the group's order: the three-fold turn
+    x -> y -> z -> x, whatever the seed."""
     result = fc.check_isotropy(fc.LinearConstant(DIAG123), CFG64)
     assert not result.passed
     assert result.max_residual == 2.0
-    assert np.array_equal(result.witness.group_element, fc.ROT_Y_90)
+    three_fold = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    assert np.array_equal(result.witness.group_element, three_fold)
+    assert result.note.startswith("fails on the 24 cubic rotations")
     assert "counterexample" in result.note
 
 
@@ -107,6 +110,74 @@ def test_isotropy_seed_invariance_of_the_verdict():
         cfg = fc.CheckConfig(seed=seed, sample_count=64)
         assert not fc.check_isotropy(fc.LinearConstant(DIAG123), cfg).passed
         assert fc.check_isotropy(fc.LinearConstant(np.eye(3)), cfg).passed
+
+
+def _certificate(model):
+    """check_isotropy's certificate constant c = 4 max(1, |g|), |g| the
+    largest sampled gradient: 4 without a gradient, 40 with one."""
+    return 40.0 if model.gradient_dependent else 4.0
+
+
+# the sampled check's own rounding, on top of the certificate's bound: at
+# most 2.2e-15 over MODEL_ROSTER x seeds 0-99
+ROUNDING = 1e-14
+
+
+def test_isotropy_decides_as_the_sampled_group_within_its_certificate():
+    """Over MODEL_ROSTER x seeds 0-99, check_isotropy decides on the cubic
+    rotations alone, and its verdict is that of symmetry under the sampled
+    full orthogonal group, 256 Haar draws and the adversarial set; that
+    group's maximum is at most c times the cubic one, plus rounding."""
+    full, cubic = fc.catalog_lookup("full_orthogonal"), fc.checks._cubic_group()
+    for seed in range(100):
+        cfg = fc.CheckConfig(seed=seed)
+        for name, model in MODEL_ROSTER:
+            decided = fc.check_isotropy(model, cfg)
+            sampled = fc.check_symmetry(model, full, cfg)
+            eps = fc.check_symmetry(model, cubic, cfg).max_residual
+            assert "cubic rotations" in decided.note, (seed, name)
+            assert decided.passed is sampled.passed, (seed, name)
+            assert sampled.max_residual <= _certificate(model) * eps + ROUNDING, (seed, name)
+
+
+def test_the_certificate_needs_its_constant():
+    """A near-scalar conductivity whose sampled maximum is 1.56 times its
+    cubic one: between tol = eps and tol = c eps the cubic rotations
+    decide nothing, and the sampled group fails a law that certifying at
+    eps <= tol would pass."""
+    k = fc.random_orthogonal(294) @ np.diag([0.0, 0.5e-6, 1e-6]) @ fc.random_orthogonal(294).T
+    model = fc.LinearConstant(np.eye(3) + 0.5 * (k + k.T))
+    eps = fc.check_symmetry(model, fc.checks._cubic_group(), CFG).max_residual
+    sampled = fc.check_symmetry(model, fc.catalog_lookup("full_orthogonal"), CFG).max_residual
+    assert 1.5 * eps < sampled <= _certificate(model) * eps + ROUNDING
+    between = fc.check_isotropy(model, replace(CFG, tol=0.5 * (eps + sampled)))
+    assert not between.passed and between.max_residual == sampled
+    assert between.note.startswith("sampled check")
+    certified = fc.check_isotropy(model, replace(CFG, tol=_certificate(model) * eps))
+    assert certified.passed and certified.max_residual == eps
+    assert certified.note.startswith("certified on the 24 cubic rotations: 4 *")
+    below = fc.check_isotropy(model, replace(CFG, tol=float(np.nextafter(eps, 0.0))))
+    assert not below.passed and below.note.startswith("fails on the 24 cubic rotations")
+
+
+@settings(max_examples=40)
+@given(
+    orientation=st.integers(0, 2**32 - 1),
+    spread=st.floats(1e-9, 1.0),
+    middle=st.floats(0.0, 1.0),
+    c=st.none() | st.floats(-1.0, 1.0),
+)
+def test_no_orthogonal_element_beats_the_certificate(orientation, spread, middle, c):
+    """A linear or rank-one-updated law of conductivity I + spread m in any
+    orientation: the sampled group's maximum is at most c times the cubic
+    rotations' one, plus rounding."""
+    r = fc.random_orthogonal(orientation)
+    k = np.eye(3) + r @ np.diag([0.0, middle * spread, spread]) @ r.T
+    k = 0.5 * (k + k.T)
+    model = fc.LinearConstant(k) if c is None else fc.NonlinearAnisotropic(k, c)
+    eps = fc.check_symmetry(model, fc.checks._cubic_group(), CFG64).max_residual
+    sampled = fc.check_symmetry(model, fc.catalog_lookup("full_orthogonal"), CFG64)
+    assert sampled.max_residual <= _certificate(model) * eps + ROUNDING
 
 
 def test_symmetry_forms_agree_pointwise():
@@ -602,8 +673,9 @@ def test_observer_independence_verdicts():
 
 
 def test_isotropy_implies_observer_independence_at_looser_tol():
-    """Models that pass the sampled isotropy check also look identical to
-    observers built from the same element set, at ten times the tolerance."""
+    """Models that pass the isotropy check also look identical to observers
+    built from the sampled orthogonal group's elements, at ten times the
+    tolerance."""
     elements = fc.orthogonal_check_set(CFG64.seed, CFG64.sample_count)
     observers = fc.observer_stack(elements)
     loose = fc.CheckConfig(tol=10.0 * CFG.tol)
@@ -687,8 +759,8 @@ def test_a_tensor_off_scalar_by_more_than_tol_is_not_isotropic():
     middle=st.floats(0.0, 1.0),
 )
 def test_one_isotropy_decision(orientation, spread, middle):
-    """The classifier's isotropic label, schur_reduce's verdict and the
-    sampled check_isotropy agree on a tensor of largest entry 1 in any
+    """The classifier's isotropic label, schur_reduce's verdict and
+    check_isotropy agree on a tensor of largest entry 1 in any
     orientation, isotropic (spread 0) or with eigenvalues 1, 1 + middle
     spread and 1 + spread at a spread of 1e-7 to 1; and the label,
     verdict and residual do not change when the tensor is scaled by 2**k."""
@@ -698,11 +770,11 @@ def test_one_isotropy_decision(orientation, spread, middle):
     k /= fc.max_abs(k)
     label = fc.classify_linear_symmetry(k, CFG)
     reduced = fc.schur_reduce(k, CFG)
-    sampled = fc.check_isotropy(fc.LinearConstant(k), CFG).passed
+    checked = fc.check_isotropy(fc.LinearConstant(k), CFG).passed
     isotropic = spread == 0.0
     assert (label is fc.LinearSymmetryClass.ISOTROPIC) is isotropic
     assert reduced.is_isotropic_invariant is isotropic
-    assert sampled is isotropic
+    assert checked is isotropic
     for exponent in (-900, -1, 1, 900):
         scaled = np.ldexp(k, exponent)
         assert fc.classify_linear_symmetry(scaled, CFG) is label
@@ -773,21 +845,22 @@ def test_isotropic_cross_check_rejects_every_off_scalar_direction():
 
 
 def test_classify_makes_its_groups_once(monkeypatch):
-    """The cubic stack that the classifier and schur_reduce share is looked
-    up on the first call only, and it is the 24 exact cubic rotations, not
-    a sample: signed permutation matrices, each proper."""
+    """The cubic group that the classifier, schur_reduce and check_isotropy
+    share is looked up on the first call only, and it is the 24 exact cubic
+    rotations, not a sample: signed permutation matrices, each proper."""
     calls = []
     lookup = fc.checks.catalog_lookup
     monkeypatch.setattr(fc.checks, "catalog_lookup", lambda name: calls.append(name) or lookup(name))
-    fc.checks._cubic_stack.cache_clear()
+    fc.checks._cubic_group.cache_clear()
     try:
         for _ in range(2):
             for k in (4.0 * np.eye(3), np.diag([2.0, 2.0, 5.0]), DIAG123):
                 fc.classify_linear_symmetry(k, CFG)
                 fc.schur_reduce(k, CFG)
-        stack = fc.checks._cubic_stack()
+                fc.check_isotropy(fc.LinearConstant(k), CFG64)
+        stack = fc.checks._cubic_group().stack
     finally:
-        fc.checks._cubic_stack.cache_clear()
+        fc.checks._cubic_group.cache_clear()
     assert calls == ["cubic_rotations"]
     assert stack.shape == (24, 3, 3)
     assert np.array_equal(np.abs(stack).sum(axis=1), np.ones((24, 3)))

@@ -373,6 +373,24 @@ def test_check_config_tol_is_a_number():
         assert fc.CheckConfig(tol=value).tol == value
 
 
+@pytest.mark.parametrize("value", ["12", (True,), 300.0, ["a"]])
+def test_check_config_theta_samples_are_numbers(value):
+    """theta_samples is a sequence of numbers, no str and no bool: "12" used
+    to become (1.0, 2.0) and (True,) (1.0,), while 300.0 and ["a"] raised
+    errors that did not name the field."""
+    with pytest.raises(TypeError) as err:
+        fc.CheckConfig(theta_samples=value)
+    assert str(err.value) == "theta_samples must be a sequence of numbers"
+
+
+def test_check_config_theta_samples_of_numbers_are_floats():
+    """A list, a numpy array and numpy's numbers are sequences of numbers,
+    kept as a tuple of floats."""
+    for value in ([300, 0.5], np.array([300.0, 0.5]), (np.int64(300), np.float32(0.5))):
+        thetas = fc.CheckConfig(theta_samples=value).theta_samples
+        assert thetas == (300.0, 0.5) and all(type(t) is float for t in thetas), value
+
+
 def test_each_config_choice_is_one_field():
     """A group is a catalog name or generators, and the observers are a count
     or matrices: one field each, so no value holds both."""

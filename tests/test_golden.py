@@ -73,18 +73,29 @@ def test_each_verdict_turns_at_its_golden_residual():
             assert result.passed is passed, (name, tol)
 
 
-def test_the_configured_sampled_group_is_the_isotropy_checks():
+def test_the_configured_sampled_group_is_the_isotropy_checks(monkeypatch):
     """[group] name = full_orthogonal hands the symmetry check the sample
-    the isotropy check draws, by the same seed and sample_count: the two
-    records agree in every field but the note."""
+    the isotropy check draws when the cubic rotations do not decide, by the
+    same seed and sample_count: for a law that does not declare a covariant
+    gradient, the two records agree in every field but the note.  The
+    shipped law does declare one, and its isotropy record, decided on the
+    cubic rotations, has the same verdict."""
     cfg = fc.parse_config(CONFIGS["full_orthogonal"][0].read_bytes())
     assert cfg.checks == ("symmetry", "isotropy")
-    records = json.loads(fc.emit_report(fc.run_suite(cfg), "machine"))["checks"]
+
+    def records():
+        return json.loads(fc.emit_report(fc.run_suite(cfg), "machine"))["checks"]
+
+    decided = records()[1]
+    assert decided["note"].startswith("fails on the 24 cubic rotations")
+    monkeypatch.setattr(fc.LinearTemperature, "covariant_gradient", False)
+    sampled = records()
     symmetry, isotropy = ({k: v for k, v in r.items() if k not in ("name", "note")}
-                          for r in records)
+                          for r in sampled)
     assert symmetry == isotropy
     assert not symmetry["passed"] and symmetry["witness"] is not None
-    assert records[0]["note"] != records[1]["note"]
+    assert sampled[0]["note"] != sampled[1]["note"]
+    assert decided["passed"] is isotropy["passed"]
 
 
 def test_golden_configs_cover_every_family():

@@ -201,7 +201,7 @@ def test_schur_reduce_conjugation_is_the_einsum():
     rows and columns permuted and negated, exactly, and the residual is the
     largest difference from m of those exact conjugates: symmetric and
     non-symmetric tensors, 10^-300 to 10^300, no warning."""
-    stack = fc.checks._cubic_stack()
+    stack = fc.checks._cubic_group().stack
     # H e_p[i] = s[i] e_i: row i of H holds its one nonzero, s[i], at p[i]
     perms = np.argmax(np.abs(stack), axis=2)
     signs = np.take_along_axis(stack, perms[:, :, None], axis=2)[:, :, 0]

@@ -4,7 +4,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npp
 
@@ -81,6 +81,45 @@ def test_gradient_dependence_flags():
         "nl_isotropic": True,
         "nl_anisotropic": True,
     }
+
+
+def test_every_shipped_family_declares_a_covariant_gradient():
+    """check_isotropy decides every shipped family on the cubic rotations."""
+    assert all(cls.covariant_gradient for cls in fc.MODEL_FAMILIES.values())
+
+
+def _drawn_law(family, data):
+    """An instance of ``family`` with parameters drawn by hypothesis: a 3x3
+    tensor for an array field, one to three coefficients for a tuple, a
+    number otherwise."""
+    params = {}
+    for field in dataclasses.fields(family):
+        if field.type == "np.ndarray":
+            params[field.name] = np.reshape(data.draw(st.lists(bounded, min_size=9, max_size=9)), (3, 3))
+        elif field.type.startswith("tuple"):
+            params[field.name] = tuple(data.draw(st.lists(bounded, min_size=1, max_size=3)))
+        else:
+            params[field.name] = data.draw(bounded)
+    return family(**params)
+
+
+COVARIANT = sorted(name for name, cls in fc.MODEL_FAMILIES.items() if cls.covariant_gradient)
+
+
+@settings(max_examples=200)
+@given(data=st.data(), family=st.sampled_from(COVARIANT), seed=seeds,
+       theta=st.floats(0.1, 1000.0), g=grads)
+def test_a_declared_covariant_gradient_is_covariant(data, family, seed, theta, g):
+    """The contract check_isotropy's certificate rests on:
+    kappa(theta, R g) - kappa(theta, 0) = R (kappa(theta, g) - kappa(theta, 0)) R^T
+    at a random orthogonal R, proper or not, temperature and gradient, for
+    a law with drawn parameters of every family that declares it."""
+    model = _drawn_law(fc.MODEL_FAMILIES[family], data)
+    r = fc.random_orthogonal(seed)
+    g = np.asarray(g)
+    k0, k, k_rg = model.kappa(np.full(3, theta), np.stack((np.zeros(3), g, r @ g)))
+    scale = 1.0 + max(fc.max_abs(k0), fc.max_abs(k), fc.max_abs(k_rg))
+    assert fc.max_abs((k_rg - k0) - r @ (k - k0) @ r.T) <= 1e-12 * scale
 
 
 def test_kappa_oracles():

@@ -37,8 +37,8 @@ def test_suite_calls_the_check_bound_in_the_report_module(monkeypatch):
 
 
 def test_every_check_runs_under_the_suite_run(monkeypatch):
-    """Every check gets the suite's one CheckConfig, and isotropy draws its
-    sample_count: no check carries a tol or a draw count of its own."""
+    """Every check gets the suite's one CheckConfig: no check carries a tol
+    or a draw count of its own."""
     cfg = fc.SuiteConfig(IDENTITY, run=fc.CheckConfig(tol=1e-7, seed=5, sample_count=9),
                          observers=2)
     seen = {}
@@ -55,8 +55,8 @@ def test_every_check_runs_under_the_suite_run(monkeypatch):
     assert list(seen) == list(fc.CHECK_NAMES)
     assert all(arguments["cfg"] is cfg.run for arguments in seen.values())
     assert list(seen["isotropy"]) == ["model", "cfg"]
-    # 9 draws and the 12 adversarial elements, over 3 temperatures of 36 states
-    assert dict(suite.records)["isotropy"].samples_used == (9 + 12) * 3 * 36
+    # decided on the 24 cubic rotations, over 3 temperatures of 36 states
+    assert dict(suite.records)["isotropy"].samples_used == 24 * 3 * 36
 
 
 @pytest.mark.parametrize("fails", [False, True], ids=["builds", "raises"])
