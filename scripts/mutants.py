@@ -158,8 +158,8 @@ MUTANTS = (
     ),
     Mutant(
         "isotropy.certified_without_its_constant", CHECKS,
-        "        if c * cubic.max_residual <= cfg.tol:\n",
-        "        if cubic.max_residual <= cfg.tol:\n",
+        "    if c * cubic.max_residual <= cfg.tol:\n",
+        "    if cubic.max_residual <= cfg.tol:\n",
         "an orthogonal element can score up to c times the cubic maximum; a "
         "near-scalar law's sampled maximum is 1.56 times it",
         killer="tests/test_checks.py::test_the_certificate_needs_its_constant",
@@ -178,8 +178,9 @@ MUTANTS = (
         '        scale = self.a + self.b * np.einsum("si,si->s", grads, grads)'
         " + np.sum(grads**4, axis=1)\n",
         "(g1^4 + g2^4 + g3^4) I is invariant under the cubic rotations but not "
-        "under O(3): with covariant_gradient left on, isotropy would certify it",
-        killer="tests/test_models.py::test_a_declared_covariant_gradient_is_covariant",
+        "under O(3): the gradient would enter non-covariantly, and isotropy "
+        "would certify it on the cubic rotations",
+        killer="tests/test_models.py::test_every_family_has_a_covariant_gradient",
     ),
     Mutant(
         "zero_map.nan_as_zero", CHECKS,

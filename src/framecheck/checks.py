@@ -6,12 +6,11 @@ numerically on a deterministic state sample.  The three headline properties
 are deliberately independent checks: a mapping can be frame indifferent and
 still anisotropic, and the checkers here make that distinction measurable.
 
-Isotropy is decided on the 24 cubic rotations for a law whose gradient
-enters covariantly (``covariant_gradient``, every shipped family): by
-Schur's lemma, their maximum residual times a constant bounds every
-orthogonal element's, so a small one certifies a pass and a large one is a
-counterexample (check_isotropy).  The sampled full orthogonal group decides
-only between the two.
+Isotropy is decided on the 24 cubic rotations, since in every family the
+gradient enters covariantly (models.py): by Schur's lemma, their maximum
+residual times a constant bounds every orthogonal element's, so a small
+one certifies a pass and a large one is a counterexample (check_isotropy).
+The sampled full orthogonal group decides only between the two.
 
 Residual conventions
 --------------------
@@ -168,7 +167,8 @@ class LinearSymmetryClass(enum.Enum):
 
 
 def _is_number(value) -> bool:
-    """A real number, numpy's included; bool is not one."""
+    """A real number, numpy's included; bool is not one.  CheckConfig and
+    config's [model] rules share it."""
     return not isinstance(value, bool) and isinstance(value, (int, float, np.integer, np.floating))
 
 
@@ -206,10 +206,9 @@ class CheckConfig:
         if not np.isfinite(tol) or tol <= 0.0:
             raise ValueError("tol must be positive and finite")
         thetas = self.theta_samples
-        if isinstance(thetas, (str, bytes)) or not np.iterable(thetas):
-            raise TypeError("theta_samples must be a sequence of numbers")
-        thetas = tuple(thetas)
-        if not all(map(_is_number, thetas)):
+        sequence = np.iterable(thetas) and not isinstance(thetas, (str, bytes))
+        thetas = tuple(thetas) if sequence else ()
+        if not sequence or not all(map(_is_number, thetas)):
             raise TypeError("theta_samples must be a sequence of numbers")
         thetas = tuple(map(float, thetas))
         if not thetas:
@@ -466,24 +465,26 @@ def check_symmetry(model: ConstitutiveModel, group: SymmetryGroup, cfg: CheckCon
 def check_isotropy(model: ConstitutiveModel, cfg: CheckConfig) -> CheckResult:
     """Material symmetry against the whole orthogonal group.
 
-    A law that declares covariant_gradient is checked for symmetry on the 24
-    cubic rotations first.  Let eps be that check's maximum and
-    c = 4 max(1, |g|), |g| the largest sampled gradient: 4 for a law that
-    reads no gradient, 40 for one that does.  Then
+    Symmetry is checked on the 24 cubic rotations first.  Let eps be that
+    check's maximum and c = 4 max(1, |g|), |g| the largest sampled
+    gradient: 4 for a law that reads no gradient, 40 for one that does.
+    Then
 
     - c eps <= tol is a certified pass: no orthogonal element scores more
       than c eps at any sampled state (below);
     - eps > tol is a fail, and the cubic witness is an exact counterexample;
-    - otherwise, and for a law that does not declare, the symmetry check
-      runs on the sampled full orthogonal group, cfg.sample_count Haar draws
-      plus the adversarial set: a pass is evidence, a fail a counterexample.
+    - otherwise the symmetry check runs on the sampled full orthogonal
+      group, cfg.sample_count Haar draws plus the adversarial set: a pass is
+      evidence, a fail a counterexample.
 
     The note says which decided; the rest of the result is that symmetry
-    check's.
+    check's, but for the last case's max_residual, the larger of the two
+    checks' maxima.
 
     The bound, at each sampled temperature theta.  Let K = kappa(theta, 0)
-    and A = K - tr K / 3 I.  The contract, kappa(theta, R g) =
-    K + R (kappa(theta, g) - K) R^T, makes the deficits of any orthogonal R
+    and A = K - tr K / 3 I.  Every family's covariant gradient,
+    kappa(theta, R g) = K + R (kappa(theta, g) - K) R^T, makes the
+    deficits of any orthogonal R
 
       R kappa(theta, g) - kappa(theta, R g) R = R A - A R,
       R^T q(theta, R g) - q(theta, g) = R^T (A R - R A) g,
@@ -496,18 +497,19 @@ def check_isotropy(model: ConstitutiveModel, cfg: CheckConfig) -> CheckResult:
     residual at any sampled state, whose denominator is at least 1, is at
     most 4 max(1, |g|) M <= c eps, up to the sampled check's rounding.
     """
-    if model.covariant_gradient:
-        cubic = check_symmetry(model, _cubic_group(), cfg)
-        c = 4.0 * max(1.0, *_magnitudes(model))
-        if c * cubic.max_residual <= cfg.tol:
-            note = (f"certified on the 24 cubic rotations: {c:g} * max_residual <= tol "
-                    "bounds every orthogonal element")
-            return replace(cubic, note=note)
-        if not cubic.passed:
-            note = "fails on the 24 cubic rotations: the witness is a counterexample"
-            return replace(cubic, note=note)
+    cubic = check_symmetry(model, _cubic_group(), cfg)
+    c = 4.0 * max(1.0, *_magnitudes(model))
+    if c * cubic.max_residual <= cfg.tol:
+        note = (f"certified on the 24 cubic rotations: {c:g} * max_residual <= tol "
+                "bounds every orthogonal element")
+        return replace(cubic, note=note)
+    if not cubic.passed:
+        note = "fails on the 24 cubic rotations: the witness is a counterexample"
+        return replace(cubic, note=note)
+    sampled = check_symmetry(model, catalog_lookup("full_orthogonal"), cfg)
     note = "sampled check: a pass is evidence of isotropy, a fail is a counterexample"
-    return replace(check_symmetry(model, catalog_lookup("full_orthogonal"), cfg), note=note)
+    # the cubic rotations are orthogonal elements too: report the larger maximum
+    return replace(sampled, max_residual=max(sampled.max_residual, cubic.max_residual), note=note)
 
 
 @_nonfinite_fails

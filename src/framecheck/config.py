@@ -43,7 +43,7 @@ import configparser
 import numpy as np
 from dataclasses import dataclass, field, fields, make_dataclass
 
-from .checks import CheckConfig
+from .checks import CheckConfig, _is_number
 from .groups import UnknownGroupName, resolve_group_name
 # catalog_lookup is not called here; perfbench's tracer hooks this module's
 # name for it, so it stays imported
@@ -72,7 +72,7 @@ class ValidationError(ValueError):
 
 def _judge_floats(name: str, values, count: int | None = None) -> tuple:
     """``values``, each finite and ``count`` of them when a count is given."""
-    if not all(isinstance(v, (int, float, np.integer, np.floating)) for v in values):
+    if not all(map(_is_number, values)):
         raise TypeError(f"{name}: expected numbers")
     if not np.all(np.isfinite(values)):
         raise ValidationError(f"{name}: values must be finite")

@@ -49,12 +49,10 @@ class StatePoint:
 # gradient_dependent, and temperature_dependent, which a family sets False
 # only when its kappa gives the same bits at every temperature (the checks
 # then sample one temperature and count the whole sweep; see checks.py,
-# "Folding").  A third, covariant_gradient, says how the gradient enters:
+# "Folding").  In every family the gradient enters covariantly,
 # kappa(theta, R g) - kappa(theta, 0) = R (kappa(theta, g) - kappa(theta, 0)) R^T
-# for every orthogonal R.  Symmetry under R is then decided by
-# kappa(theta, 0) alone, and check_isotropy decides on the 24 cubic
-# rotations (see its docstring); a family that cannot promise this sets it
-# False and gets the sampled check.
+# for every orthogonal R: check_isotropy's certificate on the 24 cubic
+# rotations rests on it (see its docstring).
 # kappa(thetas, grads) takes S states as a (S,) temperature array and a
 # (S, 3) gradient array and returns the (S, 3, 3) conductivity stack as a
 # view of a C-contiguous, or for a constant tensor broadcast, (3, 3, S)
@@ -72,7 +70,6 @@ class LinearConstant:
     family: ClassVar[str] = "linear_constant"
     law: ClassVar[str] = "q = kappa0 @ g with a constant tensor kappa0"
     gradient_dependent: ClassVar[bool] = False
-    covariant_gradient: ClassVar[bool] = True
     temperature_dependent: ClassVar[bool] = False
 
     def __post_init__(self):
@@ -91,7 +88,6 @@ class LinearTemperature:
     family: ClassVar[str] = "linear_temperature"
     law: ClassVar[str] = "q = p(theta) * kappa0 @ g, p polynomial"
     gradient_dependent: ClassVar[bool] = False
-    covariant_gradient: ClassVar[bool] = True
     temperature_dependent: ClassVar[bool] = True
 
     def __post_init__(self):
@@ -122,7 +118,6 @@ class NonlinearIsotropic:
     family: ClassVar[str] = "nonlinear_isotropic"
     law: ClassVar[str] = "q = (a + b*|g|^2) * g"
     gradient_dependent: ClassVar[bool] = True
-    covariant_gradient: ClassVar[bool] = True
     temperature_dependent: ClassVar[bool] = False
 
     def __post_init__(self):
@@ -151,7 +146,6 @@ class NonlinearAnisotropic:
     family: ClassVar[str] = "nonlinear_anisotropic"
     law: ClassVar[str] = "q = (a_tensor + c * outer(g, g)) @ g"
     gradient_dependent: ClassVar[bool] = True
-    covariant_gradient: ClassVar[bool] = True
     temperature_dependent: ClassVar[bool] = False
 
     def __post_init__(self):

@@ -144,7 +144,8 @@ def test_the_certificate_needs_its_constant():
     """A near-scalar conductivity whose sampled maximum is 1.56 times its
     cubic one: between tol = eps and tol = c eps the cubic rotations
     decide nothing, and the sampled group fails a law that certifying at
-    eps <= tol would pass."""
+    eps <= tol would pass.  Where the sampled maximum is the smaller, the
+    record reports eps."""
     k = fc.random_orthogonal(294) @ np.diag([0.0, 0.5e-6, 1e-6]) @ fc.random_orthogonal(294).T
     model = fc.LinearConstant(np.eye(3) + 0.5 * (k + k.T))
     eps = fc.check_symmetry(model, fc.checks._cubic_group(), CFG).max_residual
@@ -158,6 +159,18 @@ def test_the_certificate_needs_its_constant():
     assert certified.note.startswith("certified on the 24 cubic rotations: 4 *")
     below = fc.check_isotropy(model, replace(CFG, tol=float(np.nextafter(eps, 0.0))))
     assert not below.passed and below.note.startswith("fails on the 24 cubic rotations")
+    # one Haar draw and the adversarial set miss this law's worst cubic
+    # rotation: the record keeps the largest residual known, the cubic one
+    one_draw = replace(CFG, sample_count=1)
+    k = fc.random_orthogonal(77) @ np.diag([0.0, 0.5e-6, 1e-6]) @ fc.random_orthogonal(77).T
+    model = fc.LinearConstant(1e-6 * np.eye(3) + 0.5 * (k + k.T))
+    eps = fc.check_symmetry(model, fc.checks._cubic_group(), one_draw).max_residual
+    sampled = fc.check_symmetry(model, fc.catalog_lookup("full_orthogonal"), one_draw)
+    assert sampled.max_residual < 0.95 * eps
+    between = fc.check_isotropy(model, replace(one_draw, tol=eps))
+    assert between.passed and between.max_residual == eps
+    assert between.samples_used == sampled.samples_used
+    assert between.note.startswith("sampled check")
 
 
 @settings(max_examples=40)

@@ -510,6 +510,10 @@ def test_suite_config_takes_each_model_parameter_in_its_written_form():
         ("linear_temperature", {"kappa0": IDENTITY9, "theta_coeffs": 2.0},
          "model.theta_coeffs: expected a tuple of numbers"),
         ("nonlinear_isotropic", {"a": (1.0,), "b": 1.0}, "model.a: expected a number"),
+        # bool is not a number, where True used to be kept as 1
+        ("linear_constant", {"kappa0": (True, 0.0, 0.0, 0.0, True, 0.0, 0.0, 0.0, True)},
+         "model.kappa0: expected numbers"),
+        ("nonlinear_isotropic", {"a": True, "b": 0.0}, "model.a: expected numbers"),
     ):
         with pytest.raises(TypeError) as err:
             fc.SuiteConfig(fc.ModelSpec(family, **params))

@@ -73,29 +73,23 @@ def test_each_verdict_turns_at_its_golden_residual():
             assert result.passed is passed, (name, tol)
 
 
-def test_the_configured_sampled_group_is_the_isotropy_checks(monkeypatch):
+def test_the_configured_sampled_group_is_the_isotropy_checks():
     """[group] name = full_orthogonal hands the symmetry check the sample
     the isotropy check draws when the cubic rotations do not decide, by the
-    same seed and sample_count: for a law that does not declare a covariant
-    gradient, the two records agree in every field but the note.  The
-    shipped law does declare one, and its isotropy record, decided on the
-    cubic rotations, has the same verdict."""
+    same seed and sample_count: the symmetry record is check_symmetry's on
+    catalog_lookup("full_orthogonal").  The shipped law's isotropy record,
+    decided on the cubic rotations, has the same verdict."""
     cfg = fc.parse_config(CONFIGS["full_orthogonal"][0].read_bytes())
     assert cfg.checks == ("symmetry", "isotropy")
-
-    def records():
-        return json.loads(fc.emit_report(fc.run_suite(cfg), "machine"))["checks"]
-
-    decided = records()[1]
-    assert decided["note"].startswith("fails on the 24 cubic rotations")
-    monkeypatch.setattr(fc.LinearTemperature, "covariant_gradient", False)
-    sampled = records()
-    symmetry, isotropy = ({k: v for k, v in r.items() if k not in ("name", "note")}
-                          for r in sampled)
-    assert symmetry == isotropy
-    assert not symmetry["passed"] and symmetry["witness"] is not None
-    assert sampled[0]["note"] != sampled[1]["note"]
-    assert decided["passed"] is isotropy["passed"]
+    symmetry, isotropy = json.loads(fc.emit_report(fc.run_suite(cfg), "machine"))["checks"]
+    model = fc.build_model(cfg.model)
+    sampled = fc.check_symmetry(model, fc.catalog_lookup("full_orthogonal"), cfg.run)
+    assert symmetry["passed"] is sampled.passed is False
+    assert symmetry["max_residual"] == sampled.max_residual
+    assert symmetry["samples_used"] == sampled.samples_used
+    assert symmetry["witness"] is not None
+    assert isotropy["note"].startswith("fails on the 24 cubic rotations")
+    assert isotropy["passed"] is symmetry["passed"]
 
 
 def test_golden_configs_cover_every_family():

@@ -83,11 +83,6 @@ def test_gradient_dependence_flags():
     }
 
 
-def test_every_shipped_family_declares_a_covariant_gradient():
-    """check_isotropy decides every shipped family on the cubic rotations."""
-    assert all(cls.covariant_gradient for cls in fc.MODEL_FAMILIES.values())
-
-
 def _drawn_law(family, data):
     """An instance of ``family`` with parameters drawn by hypothesis: a 3x3
     tensor for an array field, one to three coefficients for a tuple, a
@@ -103,17 +98,14 @@ def _drawn_law(family, data):
     return family(**params)
 
 
-COVARIANT = sorted(name for name, cls in fc.MODEL_FAMILIES.items() if cls.covariant_gradient)
-
-
 @settings(max_examples=200)
-@given(data=st.data(), family=st.sampled_from(COVARIANT), seed=seeds,
+@given(data=st.data(), family=st.sampled_from(sorted(fc.MODEL_FAMILIES)), seed=seeds,
        theta=st.floats(0.1, 1000.0), g=grads)
-def test_a_declared_covariant_gradient_is_covariant(data, family, seed, theta, g):
+def test_every_family_has_a_covariant_gradient(data, family, seed, theta, g):
     """The contract check_isotropy's certificate rests on:
     kappa(theta, R g) - kappa(theta, 0) = R (kappa(theta, g) - kappa(theta, 0)) R^T
     at a random orthogonal R, proper or not, temperature and gradient, for
-    a law with drawn parameters of every family that declares it."""
+    a law with drawn parameters of every family."""
     model = _drawn_law(fc.MODEL_FAMILIES[family], data)
     r = fc.random_orthogonal(seed)
     g = np.asarray(g)
