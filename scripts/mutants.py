@@ -92,14 +92,24 @@ MUTANTS = (
         "test_folded_symmetry_matches_the_per_element_loop[default_tol]",
     ),
     Mutant(
-        "symmetry.shared_stack_from_the_first_state", CHECKS,
-        "        shared = sample_last(batch.kappas)[:, :, None]\n",
-        "        shared = sample_last(batch.kappas)[:, :, None, :1]\n",
+        "symmetry.shared_stack_from_the_first_state", "src/framecheck/models.py",
+        "self.model.kappa(thetas, grads[0, :size])",
+        "self.model.kappa(thetas[:1].repeat(size), grads[0, :size])",
         "a law that reads no gradient has kappa(theta, H g) = kappa(theta, g) "
-        "state by state, so the shared stack is every sampled state's "
-        "conductivity, not the first one's",
+        "state by state, so the stack ComponentMap shares is every sampled "
+        "state's conductivity, not the first one's",
         killer="tests/test_checks.py::"
         "test_folded_symmetry_matches_the_per_element_loop[default_tol]",
+    ),
+    Mutant(
+        "symmetry.element_map_not_transposed", CHECKS,
+        "        grads = np.broadcast_to(batch.grads, (len(hs),) + batch.grads.shape)\n"
+        "        hgs, kappas_h = ComponentMap(model, transposes(hs))._canonical(batch.thetas, grads)\n",
+        "        grads = np.broadcast_to(batch.grads, (len(hs),) + batch.grads.shape)\n"
+        "        hgs, kappas_h = ComponentMap(model, hs)._canonical(batch.thetas, grads)\n",
+        "symmetry under H is the component map of H^T, which evaluates the law "
+        "at H g; the map of H evaluates it at H^T g",
+        killer="tests/test_golden.py::test_machine_report_matches_golden[big_group]",
     ),
     Mutant(
         "frame_indifference.no_conductivity_form", CHECKS,

@@ -61,7 +61,10 @@ still evaluates every temperature.
 
 The symmetry and frame-indifference checks take the group elements in blocks
 of about ``_FOLD_STATES`` states and do each block's arithmetic in one array
-operation, not one per element.
+operation, not one per element.  A block's rotated gradients H g and
+conductivities kappa(theta, H g) are the canonical side of the stacked
+ComponentMap of the H^T, which evaluates the law at H g: the observer map
+and the material symmetry are one map, applied to different matrices.
 
 The two observer checks stack their observers the same way: they build one
 ComponentMap per run of consecutive observers, of at most ``_FOLD_STATES``
@@ -73,9 +76,9 @@ states an observer, so a call holds at most ``_FOLD_STATES`` states
 whatever the group's order and the observer count.  For a large group a run holds one
 observer.  A law whose conductivity does not depend on the gradient
 (``gradient_dependent`` False) has the same conductivity at every rotated
-gradient Q^T g*, bit for bit, so ComponentMap evaluates it once, on the S
-sampled states, and broadcasts that stack over the observers and elements;
-the element blocks broadcast the S states' stack the same way.
+gradient Q^T g*, bit for bit, so ComponentMap evaluates it once a call, on
+the S sampled states, and broadcasts that stack over the observers, and in
+the element blocks over the elements.
 
 Each (observer, element) row is still reduced on its own, with one
 ``np.argmax``, so the folds change no residual, witness or sample count.
@@ -319,49 +322,20 @@ def _folds(stack, size: int):
         yield start, stack[start:start + per_fold]
 
 
-def _element_blocks(model, batch: _StateBatch, elements):
-    """The checks' observer-independent arrays, for consecutive blocks of the
-    (n, 3, 3) stack ``elements`` of at most _FOLD_STATES states (one element
-    at least).
-
-    Each block is (hs, hgs, kappas, refs) for the E elements hs, a slice of
-    the stack (E, 3, 3): hgs (E, S, 3) holds the rotated gradients
-    H g, kappas (3, 3, E, S) the conductivities kappa(theta, H g), sample
-    last, and refs (E, S, 3) the canonical fluxes q(theta, H g).  A
-    gradient-dependent law's kappas come from one model evaluation; a law
-    that reads no gradient has kappa(theta, H g) = kappa(theta, g), so its
-    kappas are batch.kappas broadcast over the elements, a view, and the
-    model is not called.  Each element's slice equals its own per-element
-    product bit for bit: kappa works row by row.
-    """
-    for _, hs in _folds(elements, batch.thetas.size):
-        # made by a call, so that this frame holds none of the block's arrays
-        yield _element_block(model, batch, hs)
-
-
-def _element_block(model, batch: _StateBatch, hs):
-    """One block of _element_blocks, for the elements hs."""
-    # rows of grads @ H^T are H g
-    hgs = batch.grads @ hs.transpose(0, 2, 1)
-    if not model.gradient_dependent:
-        shared = sample_last(batch.kappas)[:, :, None]
-        kappas = np.broadcast_to(shared, (3, 3, len(hs), batch.thetas.size))
-        return hs, hgs, kappas, matvec(batch.kappas, hgs)
-    kappas = model.kappa(np.tile(batch.thetas, len(hs)), hgs.reshape(-1, 3))
-    refs = matvec(kappas.reshape(hgs.shape + (3,)), hgs)
-    return hs, hgs, sample_last(kappas).reshape(3, 3, len(hs), -1), refs
-
-
 def _symmetry_rows(model, elements, batch):
     """Raw residuals of the symmetry condition, one tuple
-    (hs, flux_raw, deficit) per block of _element_blocks:
+    (hs, flux_raw, deficit) per block of elements hs:
 
       flux_raw[e, s]      = | H^T q(theta, H g) - q(theta, g) |_2
       deficit[e, :, :, s] = H kappa(theta, g) - kappa(theta, H g) H
 
     for the element H = hs[e] and the state s; the deficit is sample last,
     (E, 3, 3, S), computed at every state, and equals the per-state product
-    bit for bit.
+    bit for bit.  The elements come in blocks of _folds.  Symmetry under H
+    is the component map of H^T, which evaluates the law at H g: H g and
+    kappa(theta, H g) are that map's canonical side, so a law that reads
+    no gradient is evaluated once a block and its stack shared by every
+    element there.
 
     The flux-level deficit is exactly the conductivity-level deficit
     contracted with the gradient and rotated, so flux_raw and
@@ -370,9 +344,16 @@ def _symmetry_rows(model, elements, batch):
     zero-gradient state most of all).
     """
     kappas = sample_last(batch.kappas)
-    for hs, _, kappas_h, refs in _element_blocks(model, batch, elements):
-        # rows of flux_h @ H are H^T flux_h
+    for _, hs in _folds(elements, batch.thetas.size):
+        grads = np.broadcast_to(batch.grads, (len(hs),) + batch.grads.shape)
+        hgs, kappas_h = ComponentMap(model, transposes(hs))._canonical(batch.thetas, grads)
+        refs = matvec(kappas_h, hgs).reshape(grads.shape)
+        # rows of refs @ H are H^T q(theta, H g)
         flux_raw = row_norms(refs @ hs - batch.fluxes)
+        # a law that reads no gradient has one stack for the block, made
+        # contiguous: einsum is slower on a stride-0 sample axis
+        kappas_h = sample_last(kappas_h).reshape(3, 3, -1, batch.thetas.size)
+        kappas_h = np.broadcast_to(kappas_h, (3, 3) + grads.shape[:2])
         yield hs, flux_raw, _deficit(hs, kappas, kappas_h)
 
 
@@ -561,12 +542,16 @@ def check_frame_indifference(
         # one block of consecutive elements at a time, at most _FOLD_STATES
         # states a call.  H g and the canonical flux q(theta, H g) do not
         # depend on the observer.
-        for hs, hgs, kappas_h, refs in _element_blocks(model, batch, elements):
-            # kappa(theta, H g) is the symmetry check's.  Held while the
-            # observers run, it made the allocator map fresh pages for the
-            # flux calls' temporaries, call after call
+        for _, hs in _folds(elements, batch.thetas.size):
+            # the component map of H^T evaluates the law at H g
+            grads = np.broadcast_to(batch.grads, (len(hs),) + batch.grads.shape)
+            hgs, kappas_h = ComponentMap(model, transposes(hs))._canonical(batch.thetas, grads)
+            refs = matvec(kappas_h, hgs).reshape(-1, 3)
+            # held while the observers run, kappa(theta, H g) made the
+            # allocator map fresh pages for the flux calls' temporaries,
+            # call after call
             del kappas_h
-            hgs, refs = hgs.reshape(1, -1, 3), refs.reshape(-1, 3)
+            hgs = hgs.reshape(1, -1, 3)
             for start, run in _folds(observers, refs.shape[0]):
                 cm = ComponentMap(model, run)
                 # rows of H g @ Q^T are Q H g

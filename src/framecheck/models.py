@@ -13,9 +13,13 @@ A ComponentMap is a model in the components of a stack of observers,
 q*(theta, g*) = Q q(theta, Q^T g*) for each observer Q: rotate g* back,
 evaluate, rotate the flux forward; the temperature is observer-invariant.
 The observers are an (O, 3, 3) observer_stack; one observer is the stack
-of one.  Its batched flux and kappa are the only code that applies this
-map; both observer checks run through them, so a wrong rotation there (Q in
-place of Q^T) fails frame indifference and observer independence.
+of one.  Its batched flux and kappa, and the canonical side they share, are
+the only code that applies this map.  Both observer checks run through
+them, and the symmetry and frame-indifference element pass reads the
+canonical side of the map of H^T for the group elements H, since a material
+symmetry acts on a law through the same map: that side evaluates the law at
+H g.  So a wrong rotation there (Q in place of Q^T) fails frame
+indifference and observer independence, and reaches the element pass too.
 """
 
 from __future__ import annotations
@@ -194,6 +198,11 @@ class ComponentMap:
     observer o's at [o]: kappa takes (O, T, 3), flux (O, ..., T, 3), whose
     batch axes before the states repeat the temperatures.  Observer o's rows are those of its
     own map, bit for bit (tests/test_layout.py).
+
+    The symmetry and frame-indifference checks read the canonical side
+    (_canonical) of the map of H^T for their group elements H: it gives
+    H g and kappa(theta, H g), so a Q-for-Q^T fault there reaches their
+    element pass too.
     """
 
     model: ConstitutiveModel
@@ -220,7 +229,8 @@ class ComponentMap:
         (O, N, 3, 3) for the N rows of each observer, N a multiple of T > 0.
         A law that reads no gradient has the same bits at every observer and
         batch row of a state, so its kappa runs once, on the T states: its
-        (T, 3, 3) stack is shared by the gradients, (O, N / T, T, 3)."""
+        (T, 3, 3) stack is shared by the gradients, (O, N / T, T, 3).  This
+        is the only place the checks share a gradient-free law's stack."""
         count, size, shape = len(self.observers), thetas.size, grads_star.shape
         if shape[0] != count or shape[-1] != 3 or size == 0 or grads_star.size // 3 // count % size:
             raise ValueError(f"{shape} do not fit {count} observers at {size} temperatures")

@@ -1,3 +1,4 @@
+import ast
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 import framecheck as fc
 from conftest import DIAG123, MODEL_ROSTER, symmetry_form_residuals
+from framecheck.tensors import transposes
 
 CFG = fc.CheckConfig()
 # 64 Haar draws of the sampled orthogonal group, not 256
@@ -549,6 +551,38 @@ def test_folded_symmetry_matches_the_per_element_loop(cfg):
     assert result.max_residual == np.inf
     assert result.witness.state.theta == 1.0
     assert not np.any(result.witness.state.grad_theta)
+
+
+@pytest.mark.parametrize("name", ["cubic_rotations", "transverse_z_7"])
+def test_symmetry_under_h_is_the_component_map_of_h_transpose(name):
+    """The map of observer H^T is H^T q(theta, H g) at g, so the symmetry
+    check's flux rows are that map's residuals against q(theta, g), bit for
+    bit."""
+    elements = fc.catalog_lookup(name).stack
+    for label, model in MODEL_ROSTER:
+        batch = fc.checks._sample_states(model, CFG)
+        rows = [flux for _, flux, _ in fc.checks._symmetry_rows(model, elements, batch)]
+        grads = np.broadcast_to(batch.grads, (len(elements),) + batch.grads.shape)
+        mapped = fc.ComponentMap(model, transposes(elements)).flux(batch.thetas, grads)
+        expected = np.linalg.norm(mapped - batch.fluxes, axis=-1)
+        assert np.array_equal(np.concatenate(rows), expected), label
+
+
+def test_the_checks_read_each_law_flag_in_one_place():
+    """No residual code in checks.py branches on a law flag: the gradient
+    flag sets the sampled magnitudes and the temperature flag the sampled
+    temperatures, and ComponentMap alone shares a gradient-free law's
+    stack."""
+    flags = {"gradient_dependent", "temperature_dependent"}
+    readers = {}
+    for top in ast.parse(Path(fc.checks.__file__).read_text()).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Attribute) and node.attr in flags:
+                readers.setdefault(node.attr, set()).add(getattr(top, "name", None))
+    assert readers == {
+        "gradient_dependent": {"_magnitudes"},
+        "temperature_dependent": {"_sample_states"},
+    }
 
 
 def _plain_observer_independence(model, observers, cfg):
