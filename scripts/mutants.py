@@ -103,10 +103,8 @@ MUTANTS = (
     ),
     Mutant(
         "symmetry.element_map_not_transposed", CHECKS,
-        "        grads = np.broadcast_to(batch.grads, (len(hs),) + batch.grads.shape)\n"
-        "        hgs, kappas_h = ComponentMap(model, transposes(hs))._canonical(batch.thetas, grads)\n",
-        "        grads = np.broadcast_to(batch.grads, (len(hs),) + batch.grads.shape)\n"
-        "        hgs, kappas_h = ComponentMap(model, hs)._canonical(batch.thetas, grads)\n",
+        "    for start, run, _, kappas_h, fluxes in _map_pass(model, transposes(elements), batch):\n",
+        "    for start, run, _, kappas_h, fluxes in _map_pass(model, elements, batch):\n",
         "symmetry under H is the component map of H^T, which evaluates the law "
         "at H g; the map of H evaluates it at H^T g",
         killer="tests/test_golden.py::test_machine_report_matches_golden[big_group]",
@@ -157,6 +155,19 @@ MUTANTS = (
         "the residual is the larger of both forms; the goldens pin it",
         killer="tests/test_checks.py::"
         "test_frame_indifference_fails_for_a_wrongly_rotated_component_map",
+    ),
+    Mutant(
+        "observer_independence.symmetry_deficit_side", CHECKS,
+        "            kappa_star = sample_last(conjugate_stack(run, kappas_c))\n"
+        "            kappa_raw = np.max(np.abs(kappa_star - kappas), axis=(0, 1))\n",
+        "            kappas_h = sample_last(kappas_c).reshape(3, 3, -1, batch.thetas.size)\n"
+        "            kappas_h = np.broadcast_to(kappas_h, (3, 3) + fluxes.shape[:2])\n"
+        "            kappa_raw = np.max(np.abs(_deficit(transposes(run), kappas[:, :, 0], kappas_h)),"
+        " axis=(1, 2))\n",
+        "observer independence shares symmetry's flux rows under H = Q^T, but "
+        "its deficit Q kappa_c Q^T - kappa is -Q times symmetry's "
+        "Q^T kappa - kappa_c Q^T, whose max-norm differs; the goldens pin it",
+        killer="tests/test_golden.py::test_machine_report_matches_golden[anisotropic]",
     ),
     Mutant(
         "isotropy.trivial_group", CHECKS,

@@ -59,26 +59,25 @@ temperature's rows come first in the sweep and ties break toward the
 earliest sample, so the maximum and witness are the sweep's.  zero_map
 still evaluates every temperature.
 
-The symmetry and frame-indifference checks take the group elements in blocks
-of about ``_FOLD_STATES`` states and do each block's arithmetic in one array
-operation, not one per element.  A block's rotated gradients H g and
-conductivities kappa(theta, H g) are the canonical side of the stacked
-ComponentMap of the H^T, which evaluates the law at H g: the observer map
-and the material symmetry are one map, applied to different matrices.
-
-The two observer checks stack their observers the same way: they build one
-ComponentMap per run of consecutive observers, of at most ``_FOLD_STATES``
-states, and apply it to the whole run at once.  Observer independence runs
-both of its forms that way, on the S sampled states, and frame indifference
-its conductivity form.  Frame indifference's flux form runs its stacked
-maps against one block of E consecutive group elements at a time, E S
-states an observer, so a call holds at most ``_FOLD_STATES`` states
-whatever the group's order and the observer count.  For a large group a run holds one
-observer.  A law whose conductivity does not depend on the gradient
-(``gradient_dependent`` False) has the same conductivity at every rotated
-gradient Q^T g*, bit for bit, so ComponentMap evaluates it once a call, on
-the S sampled states, and broadcasts that stack over the observers, and in
-the element blocks over the elements.
+Past the sampled states, every check but zero_map evaluates the law in one
+pass over a stack M of observers or transposed elements (_map_pass): in runs
+of at most ``_FOLD_STATES`` states it builds one ComponentMap per run and
+evaluates its canonical side once, giving M^T g*, kappa(theta, M^T g*) and
+q(theta, M^T g*).  An observer change and a material symmetry act on a law
+through that one map: symmetry reads it with M = H^T, which evaluates the
+law at H g, observer independence with M = Q, and frame indifference with
+both, its element pass at M = H^T and its conductivity form at M = Q with
+the components g* = Q g.  So observer independence's flux rows
+|Q q(theta, Q^T g) - q(theta, g)| are symmetry's under H = Q^T, bit for
+bit.  The conductivity deficits stay apart: Q kappa(theta, Q^T g) Q^T -
+kappa is -Q times symmetry's H kappa - kappa(theta, H g) H, and the
+max-norm, unlike a rotation-invariant norm, sees that factor.  Frame
+indifference's flux form runs stacked maps of observers against one block
+of E elements at a time, E S states an observer, so a call holds at most
+``_FOLD_STATES`` states whatever the group's order and the observer count.
+A law that reads no gradient (``gradient_dependent`` False) has the same
+conductivity at every rotated gradient, bit for bit, so ComponentMap
+evaluates it once a call, on the S sampled states, and shares that stack.
 
 Each (observer, element) row is still reduced on its own, with one
 ``np.argmax``, so the folds change no residual, witness or sample count.
@@ -322,6 +321,18 @@ def _folds(stack, size: int):
         yield start, stack[start:start + per_fold]
 
 
+def _map_pass(model, stack, batch, turned=False):
+    """The one component-map pass over a stack M (see Folding): per run of
+    _folds(stack, S), (start, run, M^T g*, kappa(theta, M^T g*),
+    q(theta, M^T g*)), the canonical side of ComponentMap(model, run)
+    evaluated once at the components g* = g, or M g when turned.  A run's
+    arrays are yielded, not held, so a reader may drop one while it works."""
+    for start, run in _folds(stack, batch.thetas.size):
+        comps = (batch.grads @ transposes(run) if turned  # rows are M g
+                 else np.broadcast_to(batch.grads, (len(run),) + batch.grads.shape))
+        yield (start, run, *ComponentMap(model, run)._canonical(batch.thetas, comps))
+
+
 def _symmetry_rows(model, elements, batch):
     """Raw residuals of the symmetry condition, one tuple
     (hs, flux_raw, deficit) per block of elements hs:
@@ -331,11 +342,9 @@ def _symmetry_rows(model, elements, batch):
 
     for the element H = hs[e] and the state s; the deficit is sample last,
     (E, 3, 3, S), computed at every state, and equals the per-state product
-    bit for bit.  The elements come in blocks of _folds.  Symmetry under H
-    is the component map of H^T, which evaluates the law at H g: H g and
-    kappa(theta, H g) are that map's canonical side, so a law that reads
-    no gradient is evaluated once a block and its stack shared by every
-    element there.
+    bit for bit.  The blocks are the runs of _map_pass over M = H^T, whose
+    map evaluates the law at H g: the flux rows are those of observer
+    independence under the observers H^T, bit for bit.
 
     The flux-level deficit is exactly the conductivity-level deficit
     contracted with the gradient and rotated, so flux_raw and
@@ -344,16 +353,14 @@ def _symmetry_rows(model, elements, batch):
     zero-gradient state most of all).
     """
     kappas = sample_last(batch.kappas)
-    for _, hs in _folds(elements, batch.thetas.size):
-        grads = np.broadcast_to(batch.grads, (len(hs),) + batch.grads.shape)
-        hgs, kappas_h = ComponentMap(model, transposes(hs))._canonical(batch.thetas, grads)
-        refs = matvec(kappas_h, hgs).reshape(grads.shape)
-        # rows of refs @ H are H^T q(theta, H g)
-        flux_raw = row_norms(refs @ hs - batch.fluxes)
+    for start, run, _, kappas_h, fluxes in _map_pass(model, transposes(elements), batch):
+        hs = elements[start:start + len(run)]
+        # rows of fluxes @ H are H^T q(theta, H g)
+        flux_raw = row_norms(fluxes @ hs - batch.fluxes)
         # a law that reads no gradient has one stack for the block, made
         # contiguous: einsum is slower on a stride-0 sample axis
         kappas_h = sample_last(kappas_h).reshape(3, 3, -1, batch.thetas.size)
-        kappas_h = np.broadcast_to(kappas_h, (3, 3) + grads.shape[:2])
+        kappas_h = np.broadcast_to(kappas_h, (3, 3) + fluxes.shape[:2])
         yield hs, flux_raw, _deficit(hs, kappas, kappas_h)
 
 
@@ -514,14 +521,12 @@ def check_frame_indifference(
     anisotropic conductors, which is the point: frame indifference does not
     imply isotropy.
 
-    Both forms run on stacked ComponentMaps over runs of consecutive
-    observers, the flux form against one block of consecutive group
-    elements at a time, at most _FOLD_STATES states a call.  Every
-    (observer, element) row keeps its arithmetic, so each row, samples_used
-    and max_residual are those of the unfolded loop, bit for bit.  Rows come
-    block, then observer, then element: among exactly tied failing rows, the
-    earliest in that order is the witness.  ``observers`` is anything
-    observer_stack takes.
+    Both forms read the law through stacked maps (see Folding), at most
+    _FOLD_STATES states a call; each row, samples_used and max_residual are
+    those of the unfolded loop, bit for bit.  Rows come block, then
+    observer, then element: among exactly tied failing rows, the earliest
+    in that order is the witness.  ``observers`` is anything observer_stack
+    takes.
     """
     observers = observer_stack(observers)
     elements = group_elements_for_check(group, cfg)
@@ -531,37 +536,27 @@ def check_frame_indifference(
         # conductivity form, element-independent: kappa(g) vs Q^T kappa*(Q g) Q
         kappas = np.transpose(batch.kappas, (1, 2, 0))[:, :, None]
         kappa_raw = np.empty((len(observers), batch.thetas.size))
-        for start, run in _folds(observers, batch.thetas.size):
-            cm = ComponentMap(model, run)
-            q_t = transposes(cm.observers)
-            # rows of grads @ Q^T are Q g
-            back = conjugate_stack(q_t, cm.kappa(batch.thetas, batch.grads @ q_t))
-            raw = np.max(np.abs(kappas - sample_last(back)), axis=(0, 1))
-            kappa_raw[start:start + len(raw)] = raw
-        # flux form: stacked maps over runs of consecutive observers against
-        # one block of consecutive elements at a time, at most _FOLD_STATES
-        # states a call.  H g and the canonical flux q(theta, H g) do not
-        # depend on the observer.
-        for _, hs in _folds(elements, batch.thetas.size):
-            # the component map of H^T evaluates the law at H g
-            grads = np.broadcast_to(batch.grads, (len(hs),) + batch.grads.shape)
-            hgs, kappas_h = ComponentMap(model, transposes(hs))._canonical(batch.thetas, grads)
-            refs = matvec(kappas_h, hgs).reshape(-1, 3)
+        for start, run, _, kappas_c, _ in _map_pass(model, observers, batch, turned=True):
+            back = sample_last(conjugate_stack(transposes(run), conjugate_stack(run, kappas_c)))
+            kappa_raw[start:start + len(run)] = np.max(np.abs(kappas - back), axis=(0, 1))
+        # flux form: per block of elements, H g and q(theta, H g) from the pass
+        # over H^T, then stacked maps over runs of observers against the block
+        for first, hts, hgs, kappas_h, refs in _map_pass(model, transposes(elements), batch):
             # held while the observers run, kappa(theta, H g) made the
             # allocator map fresh pages for the flux calls' temporaries,
             # call after call
             del kappas_h
+            hs = elements[first:first + len(hts)]
+            refs = refs.reshape(-1, 3)
             hgs = hgs.reshape(1, -1, 3)
             for start, run in _folds(observers, refs.shape[0]):
-                cm = ComponentMap(model, run)
                 # rows of H g @ Q^T are Q H g
-                starred = cm.flux(batch.thetas, hgs @ transposes(cm.observers))
+                starred = ComponentMap(model, run).flux(batch.thetas, hgs @ transposes(run))
                 # rows of starred @ Q are Q^T starred
-                flux_raw = row_norms(starred @ cm.observers - refs)
-                flux_raw = flux_raw.reshape(len(cm.observers), len(hs), -1)
+                flux_raw = row_norms(starred @ run - refs).reshape(len(run), len(hs), -1)
                 obs_kappa_raw = kappa_raw[start:start + len(flux_raw), None]
                 rel = np.maximum(flux_raw, obs_kappa_raw) / batch.denoms
-                for obs, obs_rel in zip(cm.observers, rel):
+                for obs, obs_rel in zip(run, rel):
                     for h, row in zip(hs, obs_rel):
                         yield row, h, obs, batch
 
@@ -585,25 +580,25 @@ def check_observer_independence(
     generic observers even though they are perfectly frame indifferent.
     The witness reports the observer matrix as its group element.
 
-    Both forms run on stacked ComponentMaps over runs of consecutive
-    observers, at most _FOLD_STATES states each; every observer's row is
-    that of its own ComponentMap, bit for bit.  ``observers`` is anything
-    observer_stack takes.
+    Both forms read _map_pass over M = Q, the law evaluated once a run of
+    observers.  Asking every observer for the same component law is asking
+    for symmetry under every Q^T: the flux rows are the symmetry check's
+    under H = Q^T, bit for bit.  The conductivity deficit Q kappa_c Q^T -
+    kappa is -Q times that check's, with another max-norm (see Folding).
+    ``observers`` is anything observer_stack takes.
     """
     observers = observer_stack(observers)
     batch = _sample_states(model, cfg)
     kappas = np.transpose(batch.kappas, (1, 2, 0))[:, :, None]
 
     def rows():
-        for _, run in _folds(observers, batch.thetas.size):
-            cm = ComponentMap(model, run)
-            # every observer's map at the canonical components' numeric values
-            grads = np.broadcast_to(batch.grads, (len(cm.observers),) + batch.grads.shape)
-            flux_raw = row_norms(cm.flux(batch.thetas, grads) - batch.fluxes)
-            kappa_star = sample_last(cm.kappa(batch.thetas, grads))
+        for _, run, _, kappas_c, fluxes in _map_pass(model, observers, batch):
+            # rows of fluxes @ Q^T are Q q(theta, Q^T g): symmetry's flux rows under H = Q^T
+            flux_raw = row_norms(fluxes @ transposes(run) - batch.fluxes)
+            kappa_star = sample_last(conjugate_stack(run, kappas_c))
             kappa_raw = np.max(np.abs(kappa_star - kappas), axis=(0, 1))
             rel = np.maximum(flux_raw, kappa_raw) / batch.denoms
-            for obs, row in zip(cm.observers, rel):
+            for obs, row in zip(run, rel):
                 yield row, obs, obs, batch
 
     return _worst(rows(), cfg.tol, repeat=batch.repeat)

@@ -261,8 +261,17 @@ def resolve_group_name(name: str):
     n = int(m.group(1))
     if n < 1:
         raise UnknownGroupName(f"transverse order must be >= 1, got {name!r}")
-    gen = rotation_about((0.0, 0.0, 1.0), 2.0 * np.pi / n)
-    return _closure([gen], max(4 * n, 16), name)
+    close = _closure([rotation_about((0.0, 0.0, 1.0), 2.0 * np.pi / n)], max(4 * n, 16), name)
+    return lambda: _of_order(close(), n)
+
+
+def _of_order(group: SymmetryGroup, n: int) -> SymmetryGroup:
+    """The group, which must have n elements: past n = 6.28e6 or so, a turn
+    by 2 pi / n is within DEDUP_TOL of I and closes to the trivial group."""
+    if group.order != n:
+        raise ValueError(f"closure of '{group.name}' has order {group.order}, not {n}: "
+                         f"its elements are not {DEDUP_TOL:g} apart")
+    return group
 
 
 def catalog_lookup(name: str) -> SymmetryGroup:

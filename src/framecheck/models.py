@@ -13,13 +13,11 @@ A ComponentMap is a model in the components of a stack of observers,
 q*(theta, g*) = Q q(theta, Q^T g*) for each observer Q: rotate g* back,
 evaluate, rotate the flux forward; the temperature is observer-invariant.
 The observers are an (O, 3, 3) observer_stack; one observer is the stack
-of one.  Its batched flux and kappa, and the canonical side they share, are
-the only code that applies this map.  Both observer checks run through
-them, and the symmetry and frame-indifference element pass reads the
-canonical side of the map of H^T for the group elements H, since a material
-symmetry acts on a law through the same map: that side evaluates the law at
-H g.  So a wrong rotation there (Q in place of Q^T) fails frame
-indifference and observer independence, and reaches the element pass too.
+of one.  Its canonical side, which its batched flux and kappa share, is
+the only code that applies this map, and every check but zero_map reads a
+law through it, a material symmetry H as the map of H^T (checks.py,
+"Folding").  So a wrong rotation there (Q in place of Q^T) fails frame
+indifference and observer independence, and reaches symmetry too.
 """
 
 from __future__ import annotations
@@ -198,11 +196,6 @@ class ComponentMap:
     observer o's at [o]: kappa takes (O, T, 3), flux (O, ..., T, 3), whose
     batch axes before the states repeat the temperatures.  Observer o's rows are those of its
     own map, bit for bit (tests/test_layout.py).
-
-    The symmetry and frame-indifference checks read the canonical side
-    (_canonical) of the map of H^T for their group elements H: it gives
-    H g and kappa(theta, H g), so a Q-for-Q^T fault there reaches their
-    element pass too.
     """
 
     model: ConstitutiveModel
@@ -210,8 +203,7 @@ class ComponentMap:
 
     def flux(self, thetas: np.ndarray, grads_star: np.ndarray) -> np.ndarray:
         """Observer-frame flux rows Q q(theta, Q^T g*), shaped as grads_star."""
-        grads, kappas = self._canonical(thetas, grads_star)
-        fluxes = matvec(kappas, grads).reshape(len(self.observers), -1, 3)
+        fluxes = self._canonical(thetas, grads_star)[2]
         # rows of flux @ Q^T are Q flux
         return (fluxes @ transposes(self.observers)).reshape(grads_star.shape)
 
@@ -224,22 +216,25 @@ class ComponentMap:
         return conjugate_stack(self.observers, self._canonical(thetas, grads_star)[1])
 
     def _canonical(self, thetas: np.ndarray, grads_star: np.ndarray):
-        """The canonical gradients Q^T g* and the conductivities at them.
-        For a gradient-dependent law both are per row, (O, N, 3) and
-        (O, N, 3, 3) for the N rows of each observer, N a multiple of T > 0.
-        A law that reads no gradient has the same bits at every observer and
-        batch row of a state, so its kappa runs once, on the T states: its
-        (T, 3, 3) stack is shared by the gradients, (O, N / T, T, 3).  This
-        is the only place the checks share a gradient-free law's stack."""
+        """The canonical side of the map, the law evaluated once: the
+        gradients Q^T g*, the conductivities at them and the fluxes
+        q(theta, Q^T g*), (O, N, 3) for the N rows of each observer, N a
+        multiple of T > 0.  For a gradient-dependent law the gradients and
+        conductivities are per row, (O, N, 3) and (O, N, 3, 3).  A law that
+        reads no gradient has the same bits at every observer and batch row
+        of a state, so its kappa runs once, on the T states: its (T, 3, 3)
+        stack is shared by the gradients, (O, N / T, T, 3).  This is the only
+        place the checks share a gradient-free law's stack."""
         count, size, shape = len(self.observers), thetas.size, grads_star.shape
         if shape[0] != count or shape[-1] != 3 or size == 0 or grads_star.size // 3 // count % size:
             raise ValueError(f"{shape} do not fit {count} observers at {size} temperatures")
         grads = grads_star.reshape(count, -1, 3) @ self.observers  # rows are Q^T g*
         if not self.model.gradient_dependent:
-            return grads.reshape(count, -1, size, 3), self.model.kappa(thetas, grads[0, :size])
-        # np.tile copies even when it repeats once
-        reps = grads.size // 3 // size
-        tiled = thetas if reps == 1 else np.tile(thetas, reps)
-        kappas = self.model.kappa(tiled, grads.reshape(-1, 3))
-        return grads, kappas.reshape(grads.shape + (3,))
-
+            kappas = self.model.kappa(thetas, grads[0, :size])
+            grads = grads.reshape(count, -1, size, 3)
+        else:
+            # np.tile copies even when it repeats once
+            reps = grads.size // 3 // size
+            tiled = thetas if reps == 1 else np.tile(thetas, reps)
+            kappas = self.model.kappa(tiled, grads.reshape(-1, 3)).reshape(grads.shape + (3,))
+        return grads, kappas, matvec(kappas, grads).reshape(count, -1, 3)

@@ -243,24 +243,15 @@ def _observer_map(model, q, thetas, grads_star, rotate_back_with_q=False):
 
 def _rotate_back_with_q(monkeypatch):
     """Make ComponentMap take observer components back to the canonical
-    frame with Q instead of Q^T, on its stacked interface: (O, ..., S, 3)
-    components, each observer's rows at the S temperatures."""
+    frame with Q instead of Q^T.  The fault is put in its canonical side,
+    which its flux and kappa share and which every check reads, as the map
+    of each Q^T, so the element pass of H^T evaluates the law at H^T g."""
+    canonical = fc.ComponentMap._canonical
 
-    def per_observer(cm, thetas, grads_star):
-        rows = grads_star.reshape(len(cm.observers), -1, 3)
-        tiled = np.tile(thetas, rows.shape[1] // thetas.size)
-        return [_observer_map(cm.model, q, tiled, g, True) for q, g in zip(cm.observers, rows)]
+    def rotated_with_q(cm, thetas, grads_star):
+        return canonical(fc.ComponentMap(cm.model, transposes(cm.observers)), thetas, grads_star)
 
-    def flux(cm, thetas, grads_star):
-        fluxes = [f for f, _ in per_observer(cm, thetas, grads_star)]
-        return np.stack(fluxes).reshape(grads_star.shape)
-
-    def kappa(cm, thetas, grads_star):
-        kappas = [k for _, k in per_observer(cm, thetas, grads_star)]
-        return np.stack(kappas).reshape(grads_star.shape + (3,))
-
-    monkeypatch.setattr(fc.ComponentMap, "flux", flux)
-    monkeypatch.setattr(fc.ComponentMap, "kappa", kappa)
+    monkeypatch.setattr(fc.ComponentMap, "_canonical", rotated_with_q)
 
 
 def test_frame_indifference_fails_for_a_wrongly_rotated_component_map(monkeypatch):
@@ -325,7 +316,8 @@ def _unfolded_frame_indifference(model, group, observers, cfg, rotate_back_with_
             for q, kappa_raw in zip(observers, kappa_raws):
                 q_t = np.ascontiguousarray(q.T)
                 for h in elements[start:start + per_block]:
-                    hg = batch.grads @ h.T
+                    # the map of H^T takes g to H g, or to H^T g under the fault
+                    hg = batch.grads @ (h if rotate_back_with_q else h.T)
                     kappas_h = np.ascontiguousarray(model.kappa(batch.thetas, hg))
                     ref = np.einsum("sij,sj->si", kappas_h, hg)
                     starred, _ = _observer_map(model, q, batch.thetas, hg @ q_t, rotate_back_with_q)
@@ -661,6 +653,44 @@ def test_observer_checks_evaluate_a_law_in_bounded_calls(monkeypatch, label):
     fc.check_frame_indifference(model, fc.catalog_lookup("transverse_z_192"), observers, CFG)
     fc.check_observer_independence(model, observers, CFG)
     assert sizes and max(sizes) <= bound, (max(sizes), bound)
+
+
+@pytest.mark.parametrize("label", [label for label, _ in MODEL_ROSTER])
+def test_observer_independence_evaluates_a_law_once_a_run(monkeypatch, label):
+    """One model.kappa call samples the states, and one per run of
+    observers reads both forms: the flux and the conductivity come from one
+    canonical side."""
+    model = dict(MODEL_ROSTER)[label]
+    observers = fc.random_observers(25, 0)
+    states = fc.checks._sample_states(model, CFG).thetas.size
+    runs = len(list(fc.checks._folds(observers, states)))
+    sizes = _kappa_call_sizes(monkeypatch, model)
+    fc.check_observer_independence(model, observers, CFG)
+    assert len(sizes) == 1 + runs, (len(sizes), runs)
+
+
+@pytest.mark.parametrize("name", ["cubic_rotations", "transverse_z_7"])
+def test_observer_independence_under_h_transpose_is_symmetry_under_h(monkeypatch, name):
+    """Observer independence under the observers H^T has the flux rows of
+    the symmetry check under H, bit for bit: |Q q(theta, Q^T g) - q(theta, g)|
+    with Q = H^T is |H^T q(theta, H g) - q(theta, g)|."""
+    elements = fc.catalog_lookup(name).stack
+    norms = fc.checks.row_norms
+    flux_rows = []
+
+    def recorded(vectors):
+        out = norms(vectors)
+        if vectors.ndim == 3:  # the observer runs' flux rows, not the sampled fluxes
+            flux_rows.append(out)
+        return out
+
+    monkeypatch.setattr(fc.checks, "row_norms", recorded)
+    for label, model in MODEL_ROSTER:
+        batch = fc.checks._sample_states(model, CFG)
+        symmetry = [flux for _, flux, _ in fc.checks._symmetry_rows(model, elements, batch)]
+        flux_rows.clear()
+        fc.check_observer_independence(model, transposes(elements), CFG)
+        assert np.array_equal(np.concatenate(flux_rows), np.concatenate(symmetry)), label
 
 
 def _count_state_points(monkeypatch):

@@ -425,6 +425,20 @@ def test_non_finite_conductivity_exits_one(tmp_path, capsysbinary):
         assert record["max_residual"] == float("inf"), record["name"]
 
 
+def test_a_cyclic_group_too_fine_to_close_exits_one(tmp_path, capsysbinary):
+    """transverse_z_100000000 would close to the trivial group, under which
+    diag(1, 2, 3) passes symmetry: the group check cannot run instead."""
+    config = tmp_path / "too_fine.ini"
+    config.write_text(
+        "[model]\nfamily = linear_constant\nkappa0 = 1 0 0 ; 0 2 0 ; 0 0 3\n"
+        "[group]\nname = transverse_z_100000000\n[checks]\nnames = symmetry\n"
+    )
+    assert main(["run", "--format", "machine", str(config)]) == 1
+    (record,) = json.loads(capsysbinary.readouterr().out)["checks"]
+    assert (record["passed"], record["max_residual"], record["samples_used"]) == (False, None, 0)
+    assert record["note"].startswith("group construction failed: closure of")
+
+
 def test_overflowing_generator_exits_two_with_one_error_line(tmp_path):
     """A 1e200-scale generator is a config error, reported on one line, and
     no numpy warning escapes even when warnings are errors."""

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import framecheck as fc
+from framecheck.groups import resolve_group_name
 from framecheck.tensors import _orthogonal
 
 _MADE_BY_CLOSURE = r"^a finite group is made by generate_closure$"
@@ -20,6 +21,16 @@ def test_catalog_orders():
     assert fc.catalog_lookup("transverse_z_8").order == 8
     assert fc.catalog_lookup("transverse_z_12").order == 12
     assert fc.catalog_lookup("transverse_z_1").order == 1
+
+
+def test_a_cyclic_group_too_fine_to_close_is_refused():
+    """Past n = 6.28e6 or so, the rotation by 2 pi / n is within DEDUP_TOL
+    of the identity: its closure would be the trivial group, and a law
+    would pass symmetry under it, so the catalog refuses it."""
+    with pytest.raises(ValueError, match=r"^closure of 'transverse_z_100000000' has order 1, "):
+        fc.catalog_lookup("transverse_z_100000000")
+    # resolving still builds nothing
+    resolve_group_name("transverse_z_100000000")
 
 
 def test_z4_elements():

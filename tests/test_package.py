@@ -31,6 +31,18 @@ def _names_used(path):
     return used
 
 
+def test_the_package_version_is_the_project_version():
+    """pyproject.toml's [project] version and framecheck.__version__ are
+    one number: read the line itself, as Python 3.10 has no tomllib."""
+    section, versions = None, []
+    for line in (ROOT / "pyproject.toml").read_text().splitlines():
+        if line.startswith("["):
+            section = line.strip()
+        elif section == "[project]" and re.match(r"version\s*=", line):
+            versions.append(line.split("=", 1)[1].strip().strip('"'))
+    assert versions == [fc.__version__]
+
+
 def test_all_names_resolve_and_list_no_submodules():
     assert len(fc.__all__) == len(set(fc.__all__))
     for name in fc.__all__:
