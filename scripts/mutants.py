@@ -103,8 +103,8 @@ MUTANTS = (
     ),
     Mutant(
         "symmetry.element_map_not_transposed", CHECKS,
-        "    for start, run, _, kappas_h, fluxes in _map_pass(model, transposes(elements), batch):\n",
-        "    for start, run, _, kappas_h, fluxes in _map_pass(model, elements, batch):\n",
+        "            model, transposes(elements), batch.thetas, batch.grads):\n",
+        "            model, elements, batch.thetas, batch.grads):\n",
         "symmetry under H is the component map of H^T, which evaluates the law "
         "at H g; the map of H evaluates it at H^T g",
         killer="tests/test_golden.py::test_machine_report_matches_golden[big_group]",
@@ -134,6 +134,15 @@ MUTANTS = (
         "observers' conductivity residuals, not the first run's",
         killer="tests/test_checks.py::"
         "test_folded_frame_indifference_matches_the_unfolded_loop[strict_tol]",
+    ),
+    Mutant(
+        "frame_indifference.rotated_back_with_q", CHECKS,
+        "fluxes @ transposes(run) @ run",
+        "fluxes @ transposes(run) @ transposes(run)",
+        "the observer's flux Q q(theta, H g) comes back to the canonical frame "
+        "with Q^T; turned by Q again it misses q(theta, H g) under any "
+        "observer with Q Q != I, isotropic laws included",
+        killer="tests/test_acceptance.py::test_frame_indifference_does_not_imply_isotropy",
     ),
     Mutant(
         "observer_independence.no_conductivity_form", CHECKS,

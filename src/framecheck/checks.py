@@ -59,25 +59,25 @@ temperature's rows come first in the sweep and ties break toward the
 earliest sample, so the maximum and witness are the sweep's.  zero_map
 still evaluates every temperature.
 
-Past the sampled states, every check but zero_map evaluates the law in one
-pass over a stack M of observers or transposed elements (_map_pass): in runs
-of at most ``_FOLD_STATES`` states it builds one ComponentMap per run and
-evaluates its canonical side once, giving M^T g*, kappa(theta, M^T g*) and
-q(theta, M^T g*).  An observer change and a material symmetry act on a law
-through that one map: symmetry reads it with M = H^T, which evaluates the
-law at H g, observer independence with M = Q, and frame indifference with
-both, its element pass at M = H^T and its conductivity form at M = Q with
-the components g* = Q g.  So observer independence's flux rows
+Past the sampled states, every check but zero_map evaluates the law through
+one pass over a stack M of observers or transposed elements (_map_pass), the
+one place that builds a ComponentMap.  Given N gradient rows g, it takes M
+in runs of _FOLD_STATES // N maps and evaluates each run's canonical side
+once at the components g* (g, or M g), giving M^T g*, kappa(theta, M^T g*)
+and q(theta, M^T g*): a call holds at most ``_FOLD_STATES`` states whatever
+the group's order and the observer count.  An observer change and a
+material symmetry act on a law through that one map: symmetry reads it with
+M = H^T, which evaluates the law at H g, observer independence with M = Q,
+and frame indifference with both, its element pass at M = H^T and its two
+forms at M = Q, at the components g* = Q g or, in the flux form, Q H g for
+a block of elements.  So observer independence's flux rows
 |Q q(theta, Q^T g) - q(theta, g)| are symmetry's under H = Q^T, bit for
 bit.  The conductivity deficits stay apart: Q kappa(theta, Q^T g) Q^T -
 kappa is -Q times symmetry's H kappa - kappa(theta, H g) H, and the
-max-norm, unlike a rotation-invariant norm, sees that factor.  Frame
-indifference's flux form runs stacked maps of observers against one block
-of E elements at a time, E S states an observer, so a call holds at most
-``_FOLD_STATES`` states whatever the group's order and the observer count.
-A law that reads no gradient (``gradient_dependent`` False) has the same
-conductivity at every rotated gradient, bit for bit, so ComponentMap
-evaluates it once a call, on the S sampled states, and shares that stack.
+max-norm, unlike a rotation-invariant norm, sees that factor.  A law that
+reads no gradient (``gradient_dependent`` False) has the same conductivity
+at every rotated gradient, bit for bit, so ComponentMap evaluates it once a
+call, on the S sampled states, and shares that stack.
 
 Each (observer, element) row is still reduced on its own, with one
 ``np.argmax``, so the folds change no residual, witness or sample count.
@@ -93,7 +93,7 @@ Layout
 Conductivity stacks stay sample last, (3, 3, S), from the law to the
 residual, so numpy's inner loop spans the samples instead of a 3-long
 component axis.  ``model.kappa`` builds its stack that way and hands it out
-as an (S, 3, 3) view; the checks read it through a transposed view, with no
+as an (S, 3, 3) view; _StateBatch.kappas is that view turned back, with no
 copy between the law and the conjugation Q kappa Q^T
 (``tensors.conjugate_stack``), the matvec kappa g (``tensors.matvec``), the
 symmetry deficit ``H kappa - kappa H`` (``_deficit``), the flux-residual
@@ -263,7 +263,7 @@ class SchurResult(NamedTuple):
 class _StateBatch:
     thetas: np.ndarray        # (S,)
     grads: np.ndarray         # (S, 3)
-    kappas: np.ndarray        # (S, 3, 3) conductivity at the raw states, a sample-last view
+    kappas: np.ndarray        # (3, 3, S) conductivity at the raw states, sample last
     fluxes: np.ndarray        # (S, 3)
     denoms: np.ndarray        # (S,)  1 + |flux|_2
     repeat: int               # configured temperatures each sampled state stands for
@@ -309,28 +309,24 @@ def _sample_states(model: ConstitutiveModel, cfg: CheckConfig) -> _StateBatch:
     kappas = model.kappa(thetas, grads)
     fluxes = matvec(kappas, grads)
     denoms = 1.0 + row_norms(fluxes)
-    return _StateBatch(thetas, grads, kappas, fluxes, denoms, len(cfg.theta_samples) // count)
+    repeat = len(cfg.theta_samples) // count
+    return _StateBatch(thetas, grads, sample_last(kappas), fluxes, denoms, repeat)
 
 
-def _folds(stack, size: int):
-    """(start, slice): consecutive slices of ``stack`` of at most
-    _FOLD_STATES // size entries (one at least), in order, each with the
-    position of its first entry."""
-    per_fold = max(1, _FOLD_STATES // size)
-    for start in range(0, len(stack), per_fold):
-        yield start, stack[start:start + per_fold]
-
-
-def _map_pass(model, stack, batch, turned=False):
-    """The one component-map pass over a stack M (see Folding): per run of
-    _folds(stack, S), (start, run, M^T g*, kappa(theta, M^T g*),
-    q(theta, M^T g*)), the canonical side of ComponentMap(model, run)
-    evaluated once at the components g* = g, or M g when turned.  A run's
-    arrays are yielded, not held, so a reader may drop one while it works."""
-    for start, run in _folds(stack, batch.thetas.size):
-        comps = (batch.grads @ transposes(run) if turned  # rows are M g
-                 else np.broadcast_to(batch.grads, (len(run),) + batch.grads.shape))
-        yield (start, run, *ComponentMap(model, run)._canonical(batch.thetas, comps))
+def _map_pass(model, stack, thetas, grads, turned=False):
+    """The one component-map pass over a stack M (see Folding), at the N
+    gradient rows g of ``grads`` (N, 3), N a multiple of the T temperatures
+    ``thetas``.  Per run of _FOLD_STATES // N maps (one at least) it yields
+    (start, run, M^T g*, kappa(theta, M^T g*), q(theta, M^T g*)): the
+    canonical side of ComponentMap(model, run), evaluated once at the
+    components g* = g, or M g when turned.  A run's arrays are yielded, not
+    held, so a reader may drop one while it works."""
+    per_run = max(1, _FOLD_STATES // len(grads))
+    for start in range(0, len(stack), per_run):
+        run = stack[start:start + per_run]
+        comps = (grads @ transposes(run) if turned  # rows are M g
+                 else np.broadcast_to(grads, (len(run),) + grads.shape))
+        yield (start, run, *ComponentMap(model, run)._canonical(thetas, comps))
 
 
 def _symmetry_rows(model, elements, batch):
@@ -352,8 +348,8 @@ def _symmetry_rows(model, elements, batch):
     additionally probes directions the sampled gradient misses (the
     zero-gradient state most of all).
     """
-    kappas = sample_last(batch.kappas)
-    for start, run, _, kappas_h, fluxes in _map_pass(model, transposes(elements), batch):
+    for start, run, _, kappas_h, fluxes in _map_pass(
+            model, transposes(elements), batch.thetas, batch.grads):
         hs = elements[start:start + len(run)]
         # rows of fluxes @ H are H^T q(theta, H g)
         flux_raw = row_norms(fluxes @ hs - batch.fluxes)
@@ -361,7 +357,7 @@ def _symmetry_rows(model, elements, batch):
         # contiguous: einsum is slower on a stride-0 sample axis
         kappas_h = sample_last(kappas_h).reshape(3, 3, -1, batch.thetas.size)
         kappas_h = np.broadcast_to(kappas_h, (3, 3) + fluxes.shape[:2])
-        yield hs, flux_raw, _deficit(hs, kappas, kappas_h)
+        yield hs, flux_raw, _deficit(hs, batch.kappas, kappas_h)
 
 
 def _deficit(stack, kappas, kappas_h):
@@ -509,19 +505,20 @@ def check_frame_indifference(
 ) -> CheckResult:
     """Does every observer's ComponentMap obey the transformation law?
 
-    For every observer Q, group element H and sampled state, the flux of
-    ComponentMap.flux at the observer's components Q H g, rotated back with
-    Q^T, must reproduce the canonical flux q(theta, H g); and
-    ComponentMap.kappa must satisfy kappa = Q^T kappa*(Q g) Q.  The check
-    applies the law itself, so a ComponentMap that rotates with Q in place
-    of Q^T fails it, isotropic conductors included.
+    For every observer Q, group element H and sampled state, the observer's
+    flux Q q(theta, Q^T g*) at its components g* = Q H g, rotated back with
+    Q^T, must reproduce q(theta, H g); and its conductivity
+    kappa* = Q kappa(theta, Q^T g*) Q^T at g* = Q g must satisfy
+    kappa = Q^T kappa* Q.  The check applies the law itself, so a
+    ComponentMap that rotates with Q in place of Q^T fails it, isotropic
+    conductors included.
 
     A correct ComponentMap passes whatever the material symmetry; a failure
     is a frame-handling bug, not anisotropy.  It passes for strongly
     anisotropic conductors, which is the point: frame indifference does not
     imply isotropy.
 
-    Both forms read the law through stacked maps (see Folding), at most
+    Both forms read the law through _map_pass (see Folding), at most
     _FOLD_STATES states a call; each row, samples_used and max_residual are
     those of the unfolded loop, bit for bit.  Rows come block, then
     observer, then element: among exactly tied failing rows, the earliest
@@ -533,27 +530,28 @@ def check_frame_indifference(
     batch = _sample_states(model, cfg)
 
     def rows():
+        thetas, grads = batch.thetas, batch.grads
         # conductivity form, element-independent: kappa(g) vs Q^T kappa*(Q g) Q
-        kappas = np.transpose(batch.kappas, (1, 2, 0))[:, :, None]
-        kappa_raw = np.empty((len(observers), batch.thetas.size))
-        for start, run, _, kappas_c, _ in _map_pass(model, observers, batch, turned=True):
+        kappas = batch.kappas[:, :, None]
+        kappa_raw = np.empty((len(observers), thetas.size))
+        for start, run, _, kappas_c, _ in _map_pass(model, observers, thetas, grads, turned=True):
             back = sample_last(conjugate_stack(transposes(run), conjugate_stack(run, kappas_c)))
             kappa_raw[start:start + len(run)] = np.max(np.abs(kappas - back), axis=(0, 1))
         # flux form: per block of elements, H g and q(theta, H g) from the pass
-        # over H^T, then stacked maps over runs of observers against the block
-        for first, hts, hgs, kappas_h, refs in _map_pass(model, transposes(elements), batch):
-            # held while the observers run, kappa(theta, H g) made the
-            # allocator map fresh pages for the flux calls' temporaries,
-            # call after call
+        # over H^T, then the pass over the observers at the components Q H g
+        element_runs = _map_pass(model, transposes(elements), thetas, grads)
+        for first, hts, hgs, kappas_h, refs in element_runs:
+            # held while the rows are reduced, kappa(theta, H g) and each
+            # observer run's kappa made the allocator map fresh pages call after call
             del kappas_h
             hs = elements[first:first + len(hts)]
             refs = refs.reshape(-1, 3)
-            hgs = hgs.reshape(1, -1, 3)
-            for start, run in _folds(observers, refs.shape[0]):
-                # rows of H g @ Q^T are Q H g
-                starred = ComponentMap(model, run).flux(batch.thetas, hgs @ transposes(run))
-                # rows of starred @ Q are Q^T starred
-                flux_raw = row_norms(starred @ run - refs).reshape(len(run), len(hs), -1)
+            observer_runs = _map_pass(model, observers, thetas, hgs.reshape(-1, 3), turned=True)
+            for start, run, _, kappas_c, fluxes in observer_runs:
+                del kappas_c
+                # rows of fluxes @ Q^T are the observer's flux, and @ Q turns it back
+                flux_raw = row_norms(fluxes @ transposes(run) @ run - refs)
+                flux_raw = flux_raw.reshape(len(run), len(hs), -1)
                 obs_kappa_raw = kappa_raw[start:start + len(flux_raw), None]
                 rel = np.maximum(flux_raw, obs_kappa_raw) / batch.denoms
                 for obs, obs_rel in zip(run, rel):
@@ -589,10 +587,10 @@ def check_observer_independence(
     """
     observers = observer_stack(observers)
     batch = _sample_states(model, cfg)
-    kappas = np.transpose(batch.kappas, (1, 2, 0))[:, :, None]
+    kappas = batch.kappas[:, :, None]
 
     def rows():
-        for _, run, _, kappas_c, fluxes in _map_pass(model, observers, batch):
+        for _, run, _, kappas_c, fluxes in _map_pass(model, observers, batch.thetas, batch.grads):
             # rows of fluxes @ Q^T are Q q(theta, Q^T g): symmetry's flux rows under H = Q^T
             flux_raw = row_norms(fluxes @ transposes(run) - batch.fluxes)
             kappa_star = sample_last(conjugate_stack(run, kappas_c))

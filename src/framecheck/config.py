@@ -365,7 +365,7 @@ def _parse_run(sec) -> dict:
 
 
 def parse_config(data: str | bytes) -> SuiteConfig:
-    """Parse INI text (or UTF-8 bytes) into a SuiteConfig.
+    """Parse INI text (or UTF-8 bytes, a byte order mark allowed) into a SuiteConfig.
 
     Here only what text alone can break is judged: the text and its
     sections, unknown keys, a key of a choice not made (name with generators,
@@ -378,7 +378,7 @@ def parse_config(data: str | bytes) -> SuiteConfig:
     """
     if isinstance(data, bytes):
         try:
-            text = data.decode("utf-8")
+            text = data.decode("utf-8-sig")
         except UnicodeDecodeError as exc:
             raise ParseError(f"config is not valid UTF-8: {exc}") from None
     else:
@@ -387,8 +387,8 @@ def parse_config(data: str | bytes) -> SuiteConfig:
     try:
         parser.read_string(text)
     except configparser.Error as exc:
-        # configparser messages carry line numbers; keep them
-        raise ParseError(str(exc)) from None
+        # configparser messages carry line numbers; keep them, on one line
+        raise ParseError(" ".join(line.strip() for line in str(exc).splitlines())) from None
     if parser.defaults():
         raise ValidationError("unknown section [DEFAULT]")
     for section in parser.sections():

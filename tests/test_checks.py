@@ -452,43 +452,52 @@ def test_frame_indifference_holds_one_element_block_at_a_time():
      ("tests/golden/big_group.ini", 300)],
 )
 def test_frame_indifference_stacks_observers_in_its_flux_form(monkeypatch, config, calls):
-    """The flux form runs stacked ComponentMaps over runs of consecutive
-    observers against each element block, at most _FOLD_STATES states a
-    call: the canned anisotropic config's 25 observers against one block of
-    4 elements of 36 states make 3 calls, not 25.  heavy's 100 observers
-    take one call each against its first block of 16 elements of 106
-    states, and two each against its last block of 8.  big_group's blocks
-    of 16 elements of 108 states leave room for one observer a call, so it
-    makes one call per observer and block."""
+    """The flux form runs _map_pass over runs of consecutive observers
+    against each element block, at most _FOLD_STATES states a call: the
+    canned anisotropic config's 25 observers against one block of 4
+    elements of 36 states make 3 calls, not 25.  heavy's 100 observers take
+    one call each against its first block of 16 elements of 106 states,
+    and two each against its last block of 8.  big_group's blocks of 16
+    elements of 108 states leave room for one observer a call, so it makes
+    one call per observer and block.  The conductivity form makes the first
+    turned pass, over the S sampled states; every later one is the flux
+    form's, over a block's rows."""
     cfg = fc.parse_config((ROOT / config).read_bytes())
-    states = []
-    flux = fc.ComponentMap.flux
+    passes = []
+    map_pass = fc.checks._map_pass
 
-    def counted(cm, thetas, grads_star):
-        states.append(grads_star.size // 3)
-        return flux(cm, thetas, grads_star)
+    def recorded(model, stack, thetas, grads, turned=False):
+        runs = []
+        if turned:
+            passes.append((len(grads), runs))
+        for out in map_pass(model, stack, thetas, grads, turned):
+            runs.append(len(out[1]) * len(grads))
+            yield out
 
-    monkeypatch.setattr(fc.ComponentMap, "flux", counted)
+    monkeypatch.setattr(fc.checks, "_map_pass", recorded)
     group = fc.build_group(cfg.group)
     model, observers = fc.build_model(cfg.model), fc.build_observers(cfg)
     fc.check_frame_indifference(model, group, observers, cfg.run)
+    assert passes[0][0] == fc.checks._sample_states(model, cfg.run).thetas.size
+    states = [rows for _, runs in passes[1:] for rows in runs]
     assert len(states) == calls
     assert max(states) <= fc.checks._FOLD_STATES
 
 
 @pytest.mark.parametrize("label", [label for label, _ in MODEL_ROSTER])
 def test_frame_indifference_hands_every_map_the_sampled_temperatures(monkeypatch, label):
-    """The flux form hands ComponentMap.flux the S sampled temperatures,
-    whatever the law reads: the map repeats them over its rows itself."""
+    """Every map of frame indifference, the flux form's over an element
+    block's rows included, gets the S sampled temperatures, whatever the law
+    reads: the map repeats them over its rows itself."""
     model = dict(MODEL_ROSTER)[label]
     sizes = []
-    flux = fc.ComponentMap.flux
+    canonical = fc.ComponentMap._canonical
 
     def recorded(cm, thetas, grads_star):
         sizes.append(thetas.size)
-        return flux(cm, thetas, grads_star)
+        return canonical(cm, thetas, grads_star)
 
-    monkeypatch.setattr(fc.ComponentMap, "flux", recorded)
+    monkeypatch.setattr(fc.ComponentMap, "_canonical", recorded)
     states = fc.checks._sample_states(model, CFG).thetas.size
     observers = fc.random_observers(4, 0)
     fc.check_frame_indifference(model, fc.catalog_lookup("transverse_z_7"), observers, CFG)
@@ -577,6 +586,17 @@ def test_the_checks_read_each_law_flag_in_one_place():
     }
 
 
+def test_the_checks_build_a_component_map_in_one_place():
+    """Every check reads its law through _map_pass: no other code in
+    checks.py constructs a ComponentMap."""
+    builders = set()
+    for top in ast.parse(Path(fc.checks.__file__).read_text()).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "ComponentMap":
+                builders.add(getattr(top, "name", None))
+    assert builders == {"_map_pass"}
+
+
 def _plain_observer_independence(model, observers, cfg):
     """check_observer_independence as a plain loop over the observers, one
     _observer_map call each, every state at every configured temperature."""
@@ -663,7 +683,8 @@ def test_observer_independence_evaluates_a_law_once_a_run(monkeypatch, label):
     model = dict(MODEL_ROSTER)[label]
     observers = fc.random_observers(25, 0)
     states = fc.checks._sample_states(model, CFG).thetas.size
-    runs = len(list(fc.checks._folds(observers, states)))
+    # runs of _FOLD_STATES // S observers (one at least), the last one short
+    runs = -(-len(observers) // max(1, fc.checks._FOLD_STATES // states))
     sizes = _kappa_call_sizes(monkeypatch, model)
     fc.check_observer_independence(model, observers, CFG)
     assert len(sizes) == 1 + runs, (len(sizes), runs)

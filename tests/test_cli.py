@@ -513,3 +513,32 @@ def test_a_per_check_value_exits_two_with_one_error_line(key, tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error: checks.{key.partition(' ')[0]}: unknown key\n"
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ("[model]\nfamily = linear_constant\nkappa0 1 0 0 ; 0 2 0 ; 0 0 3\n", "[line  3]"),
+        ("family = linear_constant\nkappa0 = 1 0 0 ; 0 2 0 ; 0 0 3\n", "line: 1"),
+    ],
+    ids=["line_without_equals", "no_section_header"],
+)
+def test_text_that_is_not_ini_exits_two_with_one_error_line(text, where, tmp_path, capsys):
+    """configparser spreads these messages over two and three lines; the
+    error is one line, and keeps the line number."""
+    config = tmp_path / "not_ini.ini"
+    config.write_text(text)
+    assert main(["run", str(config)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert where in err
+
+
+def test_a_byte_order_mark_changes_no_report_byte(tmp_path, capsysbinary):
+    """Windows editors save UTF-8 with a byte order mark first: the config
+    reads as it does without one and writes the same machine report."""
+    config = tmp_path / "isotropic.ini"
+    config.write_bytes(b"\xef\xbb\xbf" + (CONFIGS / "isotropic.ini").read_bytes())
+    assert main(["run", "--format", "machine", str(config)]) == 0
+    assert capsysbinary.readouterr().out == (GOLDEN / "isotropic.json").read_bytes()

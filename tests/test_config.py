@@ -1,5 +1,6 @@
 import dataclasses
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 import framecheck as fc
 
+README = Path(__file__).resolve().parent.parent / "README.md"
 MINIMAL = """\
 [model]
 family = linear_constant
@@ -819,3 +821,12 @@ def test_every_suite_config_of_valid_values_builds(observers, sample_count, chec
     """Values that break no rule, drawn on their own so that a rule rejecting
     any of them shows: each SuiteConfig builds and round-trips."""
     _suite_built_or_rejected_alike(observers, sample_count, checks)
+
+
+def test_every_ini_block_in_the_readme_parses():
+    """A user copies the README's configs: each ```ini block is one that
+    parse_config takes, comments included."""
+    blocks = re.findall(r"^```ini\n(.*?)^```$", README.read_text(), flags=re.M | re.S)
+    assert blocks
+    for block in blocks:
+        fc.parse_config(block)
