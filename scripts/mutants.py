@@ -110,6 +110,15 @@ MUTANTS = (
         killer="tests/test_golden.py::test_machine_report_matches_golden[big_group]",
     ),
     Mutant(
+        "symmetry.sampled_group_sampled", CHECKS,
+        "        return check_isotropy(model, cfg)\n",
+        "        return _symmetry_check(model, orthogonal_check_set(cfg.seed, cfg.sample_count), cfg)\n",
+        "symmetry under the full orthogonal group is isotropy, one decision; "
+        "the sampled rows alone are a second one, which can fail a law that "
+        "isotropy certifies",
+        killer="tests/test_golden.py::test_machine_report_matches_golden[full_orthogonal]",
+    ),
+    Mutant(
         "frame_indifference.no_conductivity_form", CHECKS,
         "rel = np.maximum(flux_raw, obs_kappa_raw) / batch.denoms",
         "rel = flux_raw / batch.denoms",
@@ -196,8 +205,8 @@ MUTANTS = (
     ),
     Mutant(
         "isotropy.sampled_check_on_the_trivial_group", CHECKS,
-        'catalog_lookup("full_orthogonal")',
-        'catalog_lookup("trivial")',
+        "_symmetry_check(model, orthogonal_check_set(cfg.seed, cfg.sample_count), cfg)",
+        '_symmetry_check(model, catalog_lookup("trivial").stack, cfg)',
         "where the cubic rotations decide nothing, the sampled orthogonal "
         "group must, or a law that fails there would pass",
         killer="tests/test_checks.py::test_the_certificate_needs_its_constant",

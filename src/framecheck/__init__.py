@@ -16,7 +16,7 @@ uses.
 
 from importlib import import_module as _import_module
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 # submodule -> the public names it defines
 _EXPORTS = {
@@ -25,7 +25,7 @@ _EXPORTS = {
         "LinearSymmetryClass", "NotSymmetric", "SchurResult", "Witness",
         "check_frame_indifference", "check_isotropy",
         "check_observer_independence", "check_symmetry", "check_zero_map",
-        "classify_linear_symmetry", "group_elements_for_check", "schur_reduce",
+        "classify_linear_symmetry", "schur_reduce",
     ),
     "config": (
         "CHECK_NAMES", "GroupSpec", "ModelSpec", "ParseError", "SuiteConfig",

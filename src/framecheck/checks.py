@@ -10,7 +10,8 @@ Isotropy is decided on the 24 cubic rotations, since in every family the
 gradient enters covariantly (models.py): by Schur's lemma, their maximum
 residual times a constant bounds every orthogonal element's, so a small
 one certifies a pass and a large one is a counterexample (check_isotropy).
-The sampled full orthogonal group decides only between the two.
+The sampled full orthogonal group decides only between the two; symmetry
+under it is isotropy, so check_symmetry returns that one decision.
 
 Residual conventions
 --------------------
@@ -185,9 +186,9 @@ class CheckConfig:
     gradient_samples: random unit directions per temperature.
     seed: base seed; group sampling, gradient sampling and observer draws
     use disjoint derived streams.
-    sample_count: Haar draws of the sampled full orthogonal group, which a
-    configured full_orthogonal group takes, and the isotropy check when the
-    24 cubic rotations do not decide it (see check_isotropy).
+    sample_count: Haar draws of the sampled full orthogonal group, which the
+    isotropy check takes when the 24 cubic rotations do not decide it (see
+    check_isotropy), and frame indifference under full_orthogonal.
 
     Each field is judged when the config is built.  tol is a number,
     theta_samples a sequence of numbers and each count an int of at least
@@ -271,15 +272,6 @@ class _StateBatch:
     def __getitem__(self, s: int) -> StatePoint:
         """State s as a StatePoint, built on demand: only a witness needs one."""
         return StatePoint(self.thetas[s], self.grads[s])
-
-
-def group_elements_for_check(group: SymmetryGroup, cfg: CheckConfig) -> np.ndarray:
-    """Elements a checker should iterate, as one read-only (n, 3, 3) stack: a
-    finite group's own, or, for the sampled full orthogonal group,
-    cfg.sample_count Haar draws from cfg.seed plus the adversarial set."""
-    if group.stack is not None:
-        return group.stack
-    return orthogonal_check_set(cfg.seed, cfg.sample_count)
 
 
 def _magnitudes(model: ConstitutiveModel) -> tuple[float, ...]:
@@ -419,7 +411,6 @@ def _worst(rows, tol: float, note: str = "", repeat: int = 1) -> CheckResult:
 # public checks
 
 
-@_nonfinite_fails
 def check_symmetry(model: ConstitutiveModel, group: SymmetryGroup, cfg: CheckConfig) -> CheckResult:
     """Does every element H of the group satisfy the symmetry condition
     H^T q(theta, H g) = q(theta, g), equivalently
@@ -427,13 +418,19 @@ def check_symmetry(model: ConstitutiveModel, group: SymmetryGroup, cfg: CheckCon
 
     Both the flux form and the conductivity form are evaluated and the larger
     deficit counts, so constant anisotropy is caught even at the zero-gradient
-    state where the flux form is blind.
-
-    The elements are folded in blocks of about _FOLD_STATES states, and both
-    forms are evaluated at every state.  Rows, samples_used and witnesses
-    are those of a per-element loop, bit for bit.
+    state where the flux form is blind.  Under the sampled full orthogonal
+    group the condition is isotropy, and the record is check_isotropy's.
     """
-    elements = group_elements_for_check(group, cfg)
+    if group.stack is None:
+        return check_isotropy(model, cfg)
+    return _symmetry_check(model, group.stack, cfg)
+
+
+@_nonfinite_fails
+def _symmetry_check(model, elements, cfg: CheckConfig) -> CheckResult:
+    """check_symmetry on a stack of elements (n, 3, 3), folded in blocks of
+    about _FOLD_STATES states, both forms evaluated at every state.  Rows,
+    samples_used and witnesses are those of a per-element loop, bit for bit."""
     batch = _sample_states(model, cfg)
 
     def rows():
@@ -457,9 +454,9 @@ def check_isotropy(model: ConstitutiveModel, cfg: CheckConfig) -> CheckResult:
     - c eps <= tol is a certified pass: no orthogonal element scores more
       than c eps at any sampled state (below);
     - eps > tol is a fail, and the cubic witness is an exact counterexample;
-    - otherwise the symmetry check runs on the sampled full orthogonal
-      group, cfg.sample_count Haar draws plus the adversarial set: a pass is
-      evidence, a fail a counterexample.
+    - otherwise _symmetry_check runs on orthogonal_check_set(cfg.seed,
+      cfg.sample_count), the sampled full orthogonal group's Haar draws and
+      adversarial set: a pass is evidence, a fail a counterexample.
 
     The note says which decided; the rest of the result is that symmetry
     check's, but for the last case's max_residual, the larger of the two
@@ -490,7 +487,7 @@ def check_isotropy(model: ConstitutiveModel, cfg: CheckConfig) -> CheckResult:
     if not cubic.passed:
         note = "fails on the 24 cubic rotations: the witness is a counterexample"
         return replace(cubic, note=note)
-    sampled = check_symmetry(model, catalog_lookup("full_orthogonal"), cfg)
+    sampled = _symmetry_check(model, orthogonal_check_set(cfg.seed, cfg.sample_count), cfg)
     note = "sampled check: a pass is evidence of isotropy, a fail is a counterexample"
     # the cubic rotations are orthogonal elements too: report the larger maximum
     return replace(sampled, max_residual=max(sampled.max_residual, cubic.max_residual), note=note)
@@ -526,7 +523,8 @@ def check_frame_indifference(
     takes.
     """
     observers = observer_stack(observers)
-    elements = group_elements_for_check(group, cfg)
+    elements = (orthogonal_check_set(cfg.seed, cfg.sample_count)
+                if group.stack is None else group.stack)
     batch = _sample_states(model, cfg)
 
     def rows():

@@ -1,7 +1,7 @@
 """Material symmetry groups.
 
-A symmetry group is either a finite set of orthogonal tensors or a sampled
-stand-in for the full orthogonal group.  Every finite group is a closure:
+A symmetry group is either a finite set of orthogonal tensors or the full
+orthogonal group, which holds none.  Every finite group is a closure:
 generate_closure, the only way to make one, closes a generator set under
 products breadth-first over words in the generators (the trivial group
 closes none).  A finite closure of orthogonal matrices contains inverses
@@ -105,10 +105,9 @@ def _nearest(stored: np.ndarray, queries: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SymmetryGroup:
-    """A finite point group, or the sampled full orthogonal group: finite
-    exactly when it holds elements.  The sampled group is
-    SymmetryGroup("full_orthogonal"), which holds none; a check draws its
-    elements by CheckConfig's seed and sample_count.
+    """A finite point group, or the full orthogonal group: finite exactly
+    when it holds elements.  SymmetryGroup("full_orthogonal") holds none:
+    symmetry under it is isotropy (checks.check_symmetry).
 
     Only generate_closure makes a finite group.  Its elements are the rows of
     one read-only (n, 3, 3) array, ``stack``: the identity first, orthogonal
@@ -307,7 +306,9 @@ def adversarial_elements() -> tuple[np.ndarray, ...]:
 @lru_cache(maxsize=8)
 def orthogonal_check_set(seed: int, sample_count: int) -> np.ndarray:
     """``sample_count`` Haar draws (proper and improper mixed) followed by the
-    adversarial set, as one read-only (sample_count + 12, 3, 3) stack.
-    Cached: the set is pure in (seed, sample_count)."""
+    adversarial set, as one read-only (sample_count + 12, 3, 3) stack: the
+    sampled full orthogonal group of the isotropy check's last step, and of
+    frame indifference under full_orthogonal.  Cached: the set is pure in
+    (seed, sample_count)."""
     draws = _haar_orthogonal(_stream(seed, "group"), sample_count)
     return _frozen(np.concatenate((draws, adversarial_elements())))

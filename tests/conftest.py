@@ -10,7 +10,7 @@ from framecheck import (
     NonlinearAnisotropic,
     NonlinearIsotropic,
     checks,
-    group_elements_for_check,
+    orthogonal_check_set,
 )
 from framecheck.tensors import matvec, row_norms
 
@@ -40,20 +40,29 @@ MODEL_ROSTER = (
 )
 
 
+def check_elements(group, cfg):
+    """The stack that symmetry rows run over for ``group``: a finite group's
+    own, or, for the sampled full orthogonal group, the cfg.sample_count
+    Haar draws and the adversarial set of orthogonal_check_set."""
+    if group.stack is not None:
+        return group.stack
+    return orthogonal_check_set(cfg.seed, cfg.sample_count)
+
+
 def symmetry_form_residuals(model, group, cfg):
     """Per-(element, state) relative residuals of the two symmetry forms on
-    the unit-gradient states, from the rows check_symmetry reduces
-    (checks._symmetry_rows): the flux form, and the conductivity form
-    contracted with the gradient.  Each element's row covers every
-    configured temperature, a temperature-independent law's first one
-    repeated.
+    the unit-gradient states, from the rows the symmetry kernel reduces
+    (checks._symmetry_rows) over check_elements(group, cfg): the flux form,
+    and the conductivity form contracted with the gradient.  Each element's
+    row covers every configured temperature, a temperature-independent law's
+    first one repeated.
 
     The two arrays coincide to floating-point rounding because the flux
     deficit is the rotated contraction of the conductivity deficit;
     asserting their agreement cross-checks that both formulations are
     implemented against the same mapping.
     """
-    elements = group_elements_for_check(group, cfg)
+    elements = check_elements(group, cfg)
     batch = checks._sample_states(model, cfg)
     unit = np.abs(np.linalg.norm(batch.grads, axis=1) - 1.0) <= 1e-12
     flux, kappa = [], []

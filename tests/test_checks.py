@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import framecheck as fc
-from conftest import DIAG123, MODEL_ROSTER, symmetry_form_residuals
+from conftest import DIAG123, MODEL_ROSTER, check_elements, symmetry_form_residuals
 from framecheck.tensors import transposes
 
 CFG = fc.CheckConfig()
@@ -125,17 +125,24 @@ def _certificate(model):
 ROUNDING = 1e-14
 
 
+def _sampled(model, cfg):
+    """The symmetry rows on the sampled full orthogonal group's stack, run
+    through the kernel: check_symmetry's record for that group is
+    check_isotropy's, so it cannot be the certificate's reference."""
+    return fc.checks._symmetry_check(model, fc.orthogonal_check_set(cfg.seed, cfg.sample_count), cfg)
+
+
 def test_isotropy_decides_as_the_sampled_group_within_its_certificate():
     """Over MODEL_ROSTER x seeds 0-99, check_isotropy decides on the cubic
-    rotations alone, and its verdict is that of symmetry under the sampled
-    full orthogonal group, 256 Haar draws and the adversarial set; that
-    group's maximum is at most c times the cubic one, plus rounding."""
-    full, cubic = fc.catalog_lookup("full_orthogonal"), fc.checks._cubic_group()
+    rotations alone, and its verdict is that of the symmetry rows on the
+    sampled full orthogonal group, 256 Haar draws and the adversarial set;
+    that group's maximum is at most c times the cubic one, plus rounding."""
+    cubic = fc.checks._cubic_group()
     for seed in range(100):
         cfg = fc.CheckConfig(seed=seed)
         for name, model in MODEL_ROSTER:
             decided = fc.check_isotropy(model, cfg)
-            sampled = fc.check_symmetry(model, full, cfg)
+            sampled = _sampled(model, cfg)
             eps = fc.check_symmetry(model, cubic, cfg).max_residual
             assert "cubic rotations" in decided.note, (seed, name)
             assert decided.passed is sampled.passed, (seed, name)
@@ -151,11 +158,16 @@ def test_the_certificate_needs_its_constant():
     k = fc.random_orthogonal(294) @ np.diag([0.0, 0.5e-6, 1e-6]) @ fc.random_orthogonal(294).T
     model = fc.LinearConstant(np.eye(3) + 0.5 * (k + k.T))
     eps = fc.check_symmetry(model, fc.checks._cubic_group(), CFG).max_residual
-    sampled = fc.check_symmetry(model, fc.catalog_lookup("full_orthogonal"), CFG).max_residual
+    sampled = _sampled(model, CFG).max_residual
     assert 1.5 * eps < sampled <= _certificate(model) * eps + ROUNDING
-    between = fc.check_isotropy(model, replace(CFG, tol=0.5 * (eps + sampled)))
+    between_cfg = replace(CFG, tol=0.5 * (eps + sampled))
+    between = fc.check_isotropy(model, between_cfg)
     assert not between.passed and between.max_residual == sampled
     assert between.note.startswith("sampled check")
+    # the configured sampled group's symmetry record is this decision
+    configured = fc.check_symmetry(model, fc.catalog_lookup("full_orthogonal"), between_cfg)
+    _assert_same_result(configured, between)
+    assert configured.note == between.note
     certified = fc.check_isotropy(model, replace(CFG, tol=_certificate(model) * eps))
     assert certified.passed and certified.max_residual == eps
     assert certified.note.startswith("certified on the 24 cubic rotations: 4 *")
@@ -167,7 +179,7 @@ def test_the_certificate_needs_its_constant():
     k = fc.random_orthogonal(77) @ np.diag([0.0, 0.5e-6, 1e-6]) @ fc.random_orthogonal(77).T
     model = fc.LinearConstant(1e-6 * np.eye(3) + 0.5 * (k + k.T))
     eps = fc.check_symmetry(model, fc.checks._cubic_group(), one_draw).max_residual
-    sampled = fc.check_symmetry(model, fc.catalog_lookup("full_orthogonal"), one_draw)
+    sampled = _sampled(model, one_draw)
     assert sampled.max_residual < 0.95 * eps
     between = fc.check_isotropy(model, replace(one_draw, tol=eps))
     assert between.passed and between.max_residual == eps
@@ -191,8 +203,24 @@ def test_no_orthogonal_element_beats_the_certificate(orientation, spread, middle
     k = 0.5 * (k + k.T)
     model = fc.LinearConstant(k) if c is None else fc.NonlinearAnisotropic(k, c)
     eps = fc.check_symmetry(model, fc.checks._cubic_group(), CFG64).max_residual
-    sampled = fc.check_symmetry(model, fc.catalog_lookup("full_orthogonal"), CFG64)
+    sampled = _sampled(model, CFG64)
     assert sampled.max_residual <= _certificate(model) * eps + ROUNDING
+
+
+def test_symmetry_on_the_sampled_group_is_the_isotropy_record():
+    """Symmetry under the full orthogonal group is isotropy, one decision:
+    over MODEL_ROSTER x seeds 0-99, at the default tol and at 1e-300, the
+    symmetry record on the sampled group is check_isotropy's field for
+    field, witness arrays included."""
+    full = fc.catalog_lookup("full_orthogonal")
+    for tol in (CFG.tol, 1e-300):
+        for seed in range(100):
+            cfg = fc.CheckConfig(tol=tol, seed=seed)
+            for name, model in MODEL_ROSTER:
+                symmetry = fc.check_symmetry(model, full, cfg)
+                isotropy = fc.check_isotropy(model, cfg)
+                _assert_same_result(symmetry, isotropy)
+                assert symmetry.note == isotropy.note, (tol, seed, name)
 
 
 def test_symmetry_forms_agree_pointwise():
@@ -303,7 +331,7 @@ def _unfolded_frame_indifference(model, group, observers, cfg, rotate_back_with_
     takes them, every observer against it, then each of its elements."""
 
     def rows():
-        elements = fc.group_elements_for_check(group, cfg)
+        elements = group.stack
         batch = _Sweep(model, cfg)
         kappa_raws = []
         for q in observers:
@@ -505,10 +533,10 @@ def test_frame_indifference_hands_every_map_the_sampled_temperatures(monkeypatch
 
 
 def _per_element_symmetry(model, group, cfg):
-    """check_symmetry and symmetry_form_residuals as a plain loop over the
-    elements, every deficit computed at every state and every configured
-    temperature."""
-    elements = fc.group_elements_for_check(group, cfg)
+    """The symmetry kernel and symmetry_form_residuals as a plain loop over
+    check_elements(group, cfg), every deficit computed at every state and
+    every configured temperature."""
+    elements = check_elements(group, cfg)
     batch = _Sweep(model, cfg)
     kappas = batch.kappas
     rels, flux, kappa = [], [], []
@@ -529,6 +557,15 @@ def _per_element_symmetry(model, group, cfg):
     return result, np.concatenate(flux), np.concatenate(kappa)
 
 
+def _kernel_symmetry(model, group, cfg):
+    """check_symmetry on a finite group; on the sampled full orthogonal
+    group, whose check_symmetry record is check_isotropy's, the same kernel
+    on that group's sampled stack."""
+    if group.stack is not None:
+        return fc.check_symmetry(model, group, cfg)
+    return _sampled(model, cfg)
+
+
 @pytest.mark.parametrize("cfg", [CFG, STRICT], ids=["default_tol", "strict_tol"])
 def test_folded_symmetry_matches_the_per_element_loop(cfg):
     # the last block is partial on transverse_z_190 for every family
@@ -541,7 +578,7 @@ def test_folded_symmetry_matches_the_per_element_loop(cfg):
         for model in models:
             for group in groups:
                 expected, flux, kappa = _per_element_symmetry(model, group, cfg)
-                _assert_same_result(fc.check_symmetry(model, group, cfg), expected)
+                _assert_same_result(_kernel_symmetry(model, group, cfg), expected)
                 got_flux, got_kappa = symmetry_form_residuals(model, group, cfg)
                 assert np.array_equal(got_flux, flux, equal_nan=True)
                 assert np.array_equal(got_kappa, kappa, equal_nan=True)
@@ -639,7 +676,7 @@ def test_checks_match_the_reference_loops_at_other_temperatures(cfg, thetas):
         )
         for group in groups:
             expected, flux, kappa = _per_element_symmetry(model, group, cfg)
-            _assert_same_result(fc.check_symmetry(model, group, cfg), expected)
+            _assert_same_result(_kernel_symmetry(model, group, cfg), expected)
             got_flux, got_kappa = symmetry_form_residuals(model, group, cfg)
             assert np.array_equal(got_flux, flux)
             assert np.array_equal(got_kappa, kappa)

@@ -74,22 +74,17 @@ def test_each_verdict_turns_at_its_golden_residual():
 
 
 def test_the_configured_sampled_group_is_the_isotropy_checks():
-    """[group] name = full_orthogonal hands the symmetry check the sample
-    the isotropy check draws when the cubic rotations do not decide, by the
-    same seed and sample_count: the symmetry record is check_symmetry's on
-    catalog_lookup("full_orthogonal").  The shipped law's isotropy record,
-    decided on the cubic rotations, has the same verdict."""
+    """[group] name = full_orthogonal asks for symmetry under the full
+    orthogonal group, which is isotropy: the symmetry record is the
+    isotropy record, key for key, and the shipped law fails both on the
+    cubic rotations."""
     cfg = fc.parse_config(CONFIGS["full_orthogonal"][0].read_bytes())
     assert cfg.checks == ("symmetry", "isotropy")
     symmetry, isotropy = json.loads(fc.emit_report(fc.run_suite(cfg), "machine"))["checks"]
-    model = fc.build_model(cfg.model)
-    sampled = fc.check_symmetry(model, fc.catalog_lookup("full_orthogonal"), cfg.run)
-    assert symmetry["passed"] is sampled.passed is False
-    assert symmetry["max_residual"] == sampled.max_residual
-    assert symmetry["samples_used"] == sampled.samples_used
-    assert symmetry["witness"] is not None
-    assert isotropy["note"].startswith("fails on the 24 cubic rotations")
-    assert isotropy["passed"] is symmetry["passed"]
+    assert symmetry.pop("name") == "symmetry" and isotropy.pop("name") == "isotropy"
+    assert symmetry == isotropy
+    assert symmetry["passed"] is False and symmetry["witness"] is not None
+    assert symmetry["note"].startswith("fails on the 24 cubic rotations")
 
 
 def test_golden_configs_cover_every_family():

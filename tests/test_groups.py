@@ -443,7 +443,13 @@ def test_finite_groups_are_made_only_by_closure():
 
 def test_full_orthogonal_group_shape():
     """A group holding no elements is the sampled orthogonal group.  It holds
-    no draw count either: that is CheckConfig's sample_count."""
+    no draw count either: that is CheckConfig's sample_count.  A finite
+    group holds one read-only (n, 3, 3) stack, whose rows its elements are."""
+    cubic = fc.catalog_lookup("cubic_rotations")
+    assert cubic.stack.shape == (24, 3, 3) and not cubic.stack.flags.writeable
+    assert isinstance(cubic.elements, tuple)
+    assert all(np.shares_memory(e, cubic.stack) and np.array_equal(e, h)
+               for e, h in zip(cubic.elements, cubic.stack))
     group = fc.catalog_lookup("full_orthogonal")
     assert group.name == "full_orthogonal" and not hasattr(group, "sample_count")
     assert group.elements is None and group.stack is None
@@ -477,6 +483,7 @@ def test_adversarial_elements():
 def test_orthogonal_check_set_layout_and_determinism():
     first = fc.orthogonal_check_set(0, 32)
     again = fc.orthogonal_check_set(0, 32)
+    assert again is first, "cached per (seed, sample_count)"
     assert first.shape == (32 + 12, 3, 3) and not first.flags.writeable
     for a, b in zip(first, again):
         assert np.array_equal(a, b)
@@ -488,23 +495,6 @@ def test_orthogonal_check_set_layout_and_determinism():
         assert fc.max_abs(e @ e.T - np.eye(3)) <= 1e-12
     other = fc.orthogonal_check_set(1, 32)
     assert not np.array_equal(first[0], other[0])
-
-
-def test_group_elements_for_check():
-    """One read-only (n, 3, 3) stack: a finite group's own stack, whose rows
-    are its elements, or the orthogonal check set."""
-    trivial = fc.catalog_lookup("trivial")
-    cfg = fc.CheckConfig(sample_count=16)
-    assert fc.group_elements_for_check(trivial, cfg).shape == (1, 3, 3)
-    cubic = fc.catalog_lookup("cubic_rotations")
-    els = fc.group_elements_for_check(cubic, cfg)
-    assert els is cubic.stack and els.shape == (24, 3, 3) and not els.flags.writeable
-    assert isinstance(cubic.elements, tuple)
-    assert all(np.shares_memory(e, els) and np.array_equal(e, h) for e, h in zip(cubic.elements, els))
-    full = fc.catalog_lookup("full_orthogonal")
-    els = fc.group_elements_for_check(full, cfg)
-    assert els is fc.orthogonal_check_set(0, 16) and els.shape == (16 + 12, 3, 3)
-    assert full.stack is None
 
 
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
