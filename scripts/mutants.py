@@ -223,8 +223,8 @@ MUTANTS = (
     ),
     Mutant(
         "zero_map.nan_as_zero", CHECKS,
-        "            yield np.array([r]), IDENTITY, None, (state,)\n",
-        "            yield np.nan_to_num(np.array([r]), nan=0.0), IDENTITY, None, (state,)\n",
+        "            yield np.array([[r]]), (IDENTITY,), None, (state,)\n",
+        "            yield np.nan_to_num(np.array([[r]]), nan=0.0), (IDENTITY,), None, (state,)\n",
         "an overflowing conductivity gives a NaN zero-gradient flux, which "
         "must fail, never pass",
         killer="tests/test_checks.py::test_non_finite_residual_never_passes",
@@ -259,12 +259,21 @@ MUTANTS = (
     ),
     Mutant(
         "reducer.nan_passes", CHECKS,
-        "        if not math.isfinite(r):\n",
-        "        if False:\n",
+        "            if not math.isfinite(value):\n",
+        "            if False:\n",
         "NaN compares false with everything, so without this branch a NaN "
         "residual could pass",
         killer="tests/test_checks.py::"
         "test_folded_frame_indifference_matches_the_unfolded_loop_on_failures",
+    ),
+    Mutant(
+        "reducer.first_row_only", CHECKS,
+        "        for r, row in enumerate(rel):\n",
+        "        for r, row in enumerate(rel[:1]):\n",
+        "a block holds many rows, and the maximum and witness may sit in any "
+        "of them; the reference loops hand _worst one row a block",
+        killer="tests/test_checks.py::"
+        "test_folded_symmetry_matches_the_per_element_loop[default_tol]",
     ),
     Mutant(
         "reducer.no_rows_pass", CHECKS,

@@ -41,13 +41,13 @@ come from its own stream.  Each draw is random()'s values put through +, -,
 on any CPU, libm, BLAS or LAPACK, and check results are bit-reproducible.
 
 Every check turns its residuals into a verdict through one reducer,
-``_worst``: the witness is the single (observer, element, state) sample
-attaining the maximal residual, ties breaking toward the earliest row, then
-the earliest state in sample order.  Rows come element by element, observer
-by observer, or, in frame indifference, element block, then observer, then
-element (see Folding).  A non-finite residual counts as infinite, so it
-always fails the check and becomes the witness.  Only the witness's
-StatePoint is ever built.
+``_worst``, which each check hands whole blocks of (observer, element) rows:
+the witness is the single (observer, element, state) sample attaining the
+maximal residual, ties breaking toward the earliest row, then the earliest
+state in sample order.  Rows come element by element, observer by observer,
+or, in frame indifference, element block, then observer, then element (see
+Folding).  A non-finite residual counts as infinite, so it always fails the
+check and becomes the witness.  Only the witness's StatePoint is ever built.
 
 Folding
 -------
@@ -80,8 +80,8 @@ reads no gradient (``gradient_dependent`` False) has the same conductivity
 at every rotated gradient, bit for bit, so ComponentMap evaluates it once a
 call, on the S sampled states, and shares that stack.
 
-Each (observer, element) row is still reduced on its own, with one
-``np.argmax``, so the folds change no residual, witness or sample count.
+_worst still reduces each (observer, element) row of a block on its own,
+so the folds change no residual, witness or sample count.
 A block's (3, 3, N) float64 temporaries take 72 N bytes, and N is at most
 ``_FOLD_STATES`` = 1792, so they stay under glibc's 128 KiB mmap threshold
 (72 * 1792 = 129,024 < 131,072) and are not mapped afresh on every call.
@@ -363,47 +363,44 @@ def _deficit(stack, kappas, kappas_h):
     return deficit
 
 
-def _worst(rows, tol: float, note: str = "", repeat: int = 1) -> CheckResult:
-    """Reduce a check's residual rows to its verdict, maximum and witness.
+def _worst(blocks, tol: float, note: str = "", repeat: int = 1) -> CheckResult:
+    """Reduce a check's residual blocks to its verdict, maximum and witness.
 
-    ``rows`` yields ``(rel, element, observer, states)``: the relative
-    residuals of one pass over (observer, element), with ``rel[s]`` measured
-    at ``states[s]``.  Each row stands for ``repeat`` rows that repeat it bit
-    for bit and come after it, so it counts ``repeat * rel.size`` samples and
-    its maximum and witness are theirs.  The maximum is taken with one
-    ``np.argmax`` per row;
-    ties break toward the earliest row, then the earliest state.  A
-    non-finite residual counts as inf: the earliest one fails the check and
-    becomes the witness, so NaN can never pass.  ``states[s]`` is looked up
-    once, for the witness, at the end, so a _StateBatch builds one
-    StatePoint per failing check and none per passing one.  No rows (an
-    observer check given no observers) is a ValueError: a check of nothing
-    would pass vacuously.
+    ``blocks`` yields ``(rel, elements, observers, states)`` per pass: row r
+    of ``rel`` (R, S) was measured under ``elements[r]`` and ``observers[r]``
+    (None for a check without), ``rel[r, s]`` at ``states[s]``.  Each row
+    stands for ``repeat`` rows that repeat it bit for bit and come after it,
+    so a block counts ``repeat * rel.size`` samples.  Ties break toward the
+    earliest row, then the earliest state.  A non-finite residual counts as
+    inf, so the earliest one fails the check as its witness.  The witness is
+    looked up once, at the end: a _StateBatch builds one StatePoint per
+    failing check, none per passing one.  No rows (an observer check given
+    no observers) is a ValueError: a check of nothing would pass vacuously.
     """
     best = -1.0
     best_at = None
     samples = 0
-    for rel, element, observer, states in rows:
+    for rel, elements, observers, states in blocks:
         samples += rel.size * repeat
-        # zero_map's one-sample rows skip np.argmax: perfbench's tracer
-        # counts each np.argmax call as a trip, and zero_map's trips are its
-        # evaluate calls, so an argmax there would count each trip twice
-        s_idx = int(np.argmax(rel)) if rel.size > 1 else 0
-        r = float(rel[s_idx])
-        if not math.isfinite(r):
-            # argmax stops at the first NaN, which may follow an inf
-            s_idx = int(np.flatnonzero(~np.isfinite(rel))[0])
-            r = math.inf
-        if r > best:
-            best = r
-            best_at = (element, states, s_idx, observer)
+        for r, row in enumerate(rel):
+            # one np.argmax per row: perfbench's tracer counts each call as a
+            # trip and pins them at the rows (ROADMAP item 1); zero_map's
+            # one-sample rows skip it, as its trips are its evaluate calls
+            s_idx = int(np.argmax(row)) if row.size > 1 else 0
+            value = float(row[s_idx])
+            if not math.isfinite(value):
+                # argmax stops at the first NaN, which may follow an inf
+                s_idx = int(np.flatnonzero(~np.isfinite(row))[0])
+                value = math.inf
+            if value > best:
+                best, best_at = value, (elements, observers, r, states, s_idx)
     if best_at is None:
         raise ValueError("no residuals to check: a check needs at least one observer")
     passed = best <= tol
     witness = None
     if not passed:
-        element, states, s_idx, observer = best_at
-        witness = Witness(element, states[s_idx], observer)
+        elements, observers, r, states, s_idx = best_at
+        witness = Witness(elements[r], states[s_idx], None if observers is None else observers[r])
     return CheckResult(passed, best, samples, witness, note)
 
 
@@ -433,14 +430,13 @@ def _symmetry_check(model, elements, cfg: CheckConfig) -> CheckResult:
     samples_used and witnesses are those of a per-element loop, bit for bit."""
     batch = _sample_states(model, cfg)
 
-    def rows():
+    def blocks():
         for hs, flux_raw, deficit in _symmetry_rows(model, elements, batch):
             kappa_raw = np.max(np.abs(deficit), axis=(1, 2))
             rel = np.maximum(flux_raw, kappa_raw) / batch.denoms
-            for h, row in zip(hs, rel):
-                yield row, h, None, batch
+            yield rel, hs, None, batch
 
-    return _worst(rows(), cfg.tol, repeat=batch.repeat)
+    return _worst(blocks(), cfg.tol, repeat=batch.repeat)
 
 
 def check_isotropy(model: ConstitutiveModel, cfg: CheckConfig) -> CheckResult:
@@ -517,17 +513,17 @@ def check_frame_indifference(
 
     Both forms read the law through _map_pass (see Folding), at most
     _FOLD_STATES states a call; each row, samples_used and max_residual are
-    those of the unfolded loop, bit for bit.  Rows come block, then
-    observer, then element: among exactly tied failing rows, the earliest
-    in that order is the witness.  ``observers`` is anything observer_stack
-    takes.
+    those of the unfolded loop, bit for bit.  _worst gets a block per
+    observer of an element block, a row per element: among exactly tied
+    failing rows, the earliest in that order (element block, observer,
+    element) is the witness.  ``observers`` is anything observer_stack takes.
     """
     observers = observer_stack(observers)
     elements = (orthogonal_check_set(cfg.seed, cfg.sample_count)
                 if group.stack is None else group.stack)
     batch = _sample_states(model, cfg)
 
-    def rows():
+    def blocks():
         thetas, grads = batch.thetas, batch.grads
         # conductivity form, element-independent: kappa(g) vs Q^T kappa*(Q g) Q
         kappas = batch.kappas[:, :, None]
@@ -538,6 +534,7 @@ def check_frame_indifference(
         # flux form: per block of elements, H g and q(theta, H g) from the pass
         # over H^T, then the pass over the observers at the components Q H g
         element_runs = _map_pass(model, transposes(elements), thetas, grads)
+        observer_rows = np.broadcast_to(observers[:, None], (len(observers),) + elements.shape)
         for first, hts, hgs, kappas_h, refs in element_runs:
             # held while the rows are reduced, kappa(theta, H g) and each
             # observer run's kappa made the allocator map fresh pages call after call
@@ -552,16 +549,15 @@ def check_frame_indifference(
                 flux_raw = flux_raw.reshape(len(run), len(hs), -1)
                 obs_kappa_raw = kappa_raw[start:start + len(flux_raw), None]
                 rel = np.maximum(flux_raw, obs_kappa_raw) / batch.denoms
-                for obs, obs_rel in zip(run, rel):
-                    for h, row in zip(hs, obs_rel):
-                        yield row, h, obs, batch
+                for obs_rel, obs_rows in zip(rel, observer_rows[start:, :len(hs)]):
+                    yield obs_rel, hs, obs_rows, batch
 
     note = (
         "holds identically for component maps derived from one tensorial "
         "mapping, anisotropic ones included; a failure indicates a "
         "frame-handling bug rather than material anisotropy"
     )
-    return _worst(rows(), cfg.tol, note, batch.repeat)
+    return _worst(blocks(), cfg.tol, note, batch.repeat)
 
 
 @_nonfinite_fails
@@ -587,17 +583,16 @@ def check_observer_independence(
     batch = _sample_states(model, cfg)
     kappas = batch.kappas[:, :, None]
 
-    def rows():
+    def blocks():
         for _, run, _, kappas_c, fluxes in _map_pass(model, observers, batch.thetas, batch.grads):
             # rows of fluxes @ Q^T are Q q(theta, Q^T g): symmetry's flux rows under H = Q^T
             flux_raw = row_norms(fluxes @ transposes(run) - batch.fluxes)
             kappa_star = sample_last(conjugate_stack(run, kappas_c))
             kappa_raw = np.max(np.abs(kappa_star - kappas), axis=(0, 1))
             rel = np.maximum(flux_raw, kappa_raw) / batch.denoms
-            for obs, row in zip(run, rel):
-                yield row, obs, obs, batch
+            yield rel, run, run, batch
 
-    return _worst(rows(), cfg.tol, repeat=batch.repeat)
+    return _worst(blocks(), cfg.tol, repeat=batch.repeat)
 
 
 @_nonfinite_fails
@@ -606,13 +601,13 @@ def check_zero_map(model: ConstitutiveModel, cfg: CheckConfig) -> CheckResult:
     temperature.  Because every family factors through a conductivity tensor,
     the residual is exactly zero, not merely small."""
 
-    def rows():
+    def blocks():
         for theta in cfg.theta_samples:
             state = StatePoint(theta, np.zeros(3))
             r = np.linalg.norm(evaluate(model, state))
-            yield np.array([r]), IDENTITY, None, (state,)
+            yield np.array([[r]]), (IDENTITY,), None, (state,)
 
-    return _worst(rows(), cfg.tol)
+    return _worst(blocks(), cfg.tol)
 
 
 @lru_cache(maxsize=1)

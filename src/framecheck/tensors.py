@@ -31,6 +31,8 @@ OBSERVER_ORTH_TOL = 1e-12
 # The draw sites' salts: the stream of a site is random.Random(seed * 4 +
 # salt), so no two streams, of one seed or of two, share a key.
 _SALTS = {"orthogonal": 0, "group": 1, "gradient": 2, "observer": 3}
+# values per getrandbits call, which takes its bit count as a C int (< 2^31)
+_DRAW_CHUNK = 2**24
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -116,11 +118,13 @@ def _stream(seed, site: str) -> random.Random:
 
 def _uniforms(rng: random.Random, count: int) -> np.ndarray:
     """2 rng.random() - 1 for the next ``count`` values of the stream, bit for
-    bit, in one call.  CPython's random() is ((a >> 5) 2^26 + (b >> 6)) / 2^53
-    for two consecutive 32-bit outputs a, b of the Mersenne Twister, and
-    getrandbits(64 n) is 2 n consecutive outputs as little-endian words; every
-    operation below is exact."""
-    words = np.frombuffer(rng.getrandbits(64 * count).to_bytes(8 * count, "little"), "<u4")
+    bit.  CPython's random() is ((a >> 5) 2^26 + (b >> 6)) / 2^53 for two
+    consecutive 32-bit outputs a, b of the Mersenne Twister, and
+    getrandbits(64 n) is 2 n consecutive outputs as little-endian words, so
+    chunks of n <= _DRAW_CHUNK join into the stream; every step is exact."""
+    sizes = (min(_DRAW_CHUNK, count - i) for i in range(0, count, _DRAW_CHUNK))
+    words = np.frombuffer(b"".join(rng.getrandbits(64 * n).to_bytes(8 * n, "little")
+                                   for n in sizes), "<u4")
     scaled = (words[0::2] >> 5) * 67108864.0 + (words[1::2] >> 6)
     return scaled * (2.0 / 9007199254740992.0) - 1.0
 

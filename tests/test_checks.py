@@ -1,5 +1,6 @@
 import ast
 import tracemalloc
+import types
 from dataclasses import replace
 from pathlib import Path
 
@@ -328,7 +329,8 @@ def _unfolded_frame_indifference(model, group, observers, cfg, rotate_back_with_
     """check_frame_indifference as a plain loop: one _observer_map call per
     (observer, element), every state at every configured temperature, in
     the check's row order: each block of consecutive elements as the fold
-    takes them, every observer against it, then each of its elements."""
+    takes them, every observer against it, then each of its elements.
+    _worst gets each row as a one-row block."""
 
     def rows():
         elements = group.stack
@@ -350,7 +352,8 @@ def _unfolded_frame_indifference(model, group, observers, cfg, rotate_back_with_
                     ref = np.einsum("sij,sj->si", kappas_h, hg)
                     starred, _ = _observer_map(model, q, batch.thetas, hg @ q_t, rotate_back_with_q)
                     flux_raw = np.linalg.norm(starred @ q - ref, axis=1)
-                    yield np.maximum(flux_raw, kappa_raw) / batch.denoms, h, q, batch
+                    rel = np.maximum(flux_raw, kappa_raw) / batch.denoms
+                    yield rel[None], h[None], q[None], batch
 
     # the generator runs inside _worst, so inside this errstate
     with np.errstate(over="ignore", invalid="ignore"):
@@ -436,12 +439,14 @@ def test_frame_indifference_rows_come_block_then_observer_then_element(monkeypat
     seen = []
     worst = fc.checks._worst
 
-    def recorded(rows, *args):
+    def recorded(blocks, *args):
         def tagged():
-            for row in rows:
-                _, h, q, _ = row
-                seen.append((_index_of(group.stack, h), _index_of(observers, q)))
-                yield row
+            for block in blocks:
+                rel, hs, qs, _ = block
+                assert len(hs) == len(qs) == len(rel)
+                for h, q in zip(hs, qs):
+                    seen.append((_index_of(group.stack, h), _index_of(observers, q)))
+                yield block
 
         return worst(tagged(), *args)
 
@@ -549,7 +554,7 @@ def _per_element_symmetry(model, group, cfg):
         flux_raw = np.linalg.norm(flux_h @ h - batch.fluxes, axis=1)
         deficit = np.einsum("ij,sjk->sik", h, kappas) - np.einsum("sij,jk->sik", kappas_h, h)
         rel = np.maximum(flux_raw, np.max(np.abs(deficit), axis=(1, 2))) / batch.denoms
-        rels.append((rel, h, None, batch))
+        rels.append((rel[None], h[None], None, batch))
         contracted = np.linalg.norm(np.einsum("sij,sj->si", deficit, batch.grads), axis=1)
         flux.append((flux_raw / batch.denoms)[batch.unit_rows])
         kappa.append((contracted / batch.denoms)[batch.unit_rows])
@@ -636,7 +641,8 @@ def test_the_checks_build_a_component_map_in_one_place():
 
 def _plain_observer_independence(model, observers, cfg):
     """check_observer_independence as a plain loop over the observers, one
-    _observer_map call each, every state at every configured temperature."""
+    _observer_map call each, every state at every configured temperature,
+    each row handed to _worst as a one-row block."""
     batch = _Sweep(model, cfg)
 
     def rows():
@@ -644,7 +650,8 @@ def _plain_observer_independence(model, observers, cfg):
             flux_star, kappa_star = _observer_map(model, q, batch.thetas, batch.grads)
             flux_raw = np.linalg.norm(flux_star - batch.fluxes, axis=1)
             kappa_raw = np.max(np.abs(kappa_star - batch.kappas), axis=(1, 2))
-            yield np.maximum(flux_raw, kappa_raw) / batch.denoms, q, q, batch
+            rel = np.maximum(flux_raw, kappa_raw) / batch.denoms
+            yield rel[None], q[None], q[None], batch
 
     with np.errstate(over="ignore", invalid="ignore"):
         return fc.checks._worst(rows(), cfg.tol)
@@ -1165,28 +1172,113 @@ def test_non_finite_residual_never_passes():
 
 def test_reducer_takes_the_earliest_non_finite_sample():
     states = [fc.StatePoint(1.0 + i, np.zeros(3)) for i in range(4)]
-    rows = [
-        (np.array([0.5, 2.0, 0.0, 0.0]), fc.ROT_X_90, None, states),
-        # argmax alone would pick the NaN at index 3, after the inf at 1
-        (np.array([0.0, np.inf, 7.0, np.nan]), fc.ROT_Y_90, None, states),
-        (np.array([np.nan, 0.0, 0.0, 0.0]), fc.ROT_Z_90, None, states),
+    # the non-finite sample in the second row of a block
+    blocks = [
+        (
+            np.array([[0.5, 2.0, 0.0, 0.0],
+                      # argmax alone would pick the NaN at index 3, after the inf at 1
+                      [0.0, np.inf, 7.0, np.nan]]),
+            np.stack([fc.ROT_X_90, fc.ROT_Y_90]), None, states,
+        ),
+        (np.array([[np.nan, 0.0, 0.0, 0.0]]), fc.ROT_Z_90[None], None, states),
     ]
-    result = fc.checks._worst(iter(rows), tol=1.0)
+    result = fc.checks._worst(iter(blocks), tol=1.0)
     assert not result.passed
     assert result.max_residual == np.inf
     assert result.samples_used == 12
     assert np.array_equal(result.witness.group_element, fc.ROT_Y_90)
     assert result.witness.state is states[1]
+    assert result.witness.observer is None
+
+    # the non-finite sample in a later block, behind a finite maximum; the
+    # witness's observer is its row's
+    observers = np.stack([fc.ROT_X_180, fc.ROT_Y_180])
+    blocks = [
+        (np.array([[0.5, 2.0, 0.0, 0.0], [0.0, 7.0, 0.0, 0.0]]),
+         np.stack([fc.ROT_X_90, fc.ROT_Y_90]), observers, states),
+        (np.array([[0.0, 0.0, 0.0, 0.0], [0.0, 3.0, np.nan, np.inf]]),
+         np.stack([fc.ROT_Z_90, fc.ROT_X_90]), observers, states),
+        (np.array([[np.inf, 0.0, 0.0, 0.0]]), fc.ROT_Z_90[None], observers[:1], states),
+    ]
+    result = fc.checks._worst(iter(blocks), tol=1.0, repeat=2)
+    assert not result.passed
+    assert result.max_residual == np.inf
+    assert result.samples_used == 40
+    assert np.array_equal(result.witness.group_element, fc.ROT_X_90)
+    assert np.array_equal(result.witness.observer, fc.ROT_Y_180)
+    assert result.witness.state is states[2]
 
 
 def test_reducer_never_reports_a_negative_residual():
     # an all-zero row reports +0.0; no rows at all is an error, not a pass
     states = [fc.StatePoint(1.0, np.zeros(3))]
-    result = fc.checks._worst(iter([(np.zeros(2), fc.IDENTITY, None, states * 2)]), tol=1e-9)
+    block = (np.zeros((1, 2)), fc.IDENTITY[None], None, states * 2)
+    result = fc.checks._worst(iter([block]), tol=1e-9)
     assert result.passed and result.max_residual == 0.0 and result.samples_used == 2
     assert not np.signbit(result.max_residual)
     with pytest.raises(ValueError, match="^no residuals to check"):
         fc.checks._worst(iter(()), tol=1e-9)
+    # nor is a block of no rows
+    with pytest.raises(ValueError, match="^no residuals to check"):
+        fc.checks._worst(iter([(np.empty((0, 2)), np.empty((0, 3, 3)), None, states)]), tol=1e-9)
+
+
+def _argmax_calls(monkeypatch):
+    """Give checks.py its own copy of the numpy namespace whose argmax counts
+    its calls, as perfbench's tracer does; the one-item list holds the count."""
+    real = fc.checks.np
+    counted = types.ModuleType(real.__name__)
+    counted.__dict__.update(real.__dict__)
+    calls = [0]
+
+    def argmax(*args, **kwargs):
+        calls[0] += 1
+        return real.argmax(*args, **kwargs)
+
+    counted.argmax = argmax
+    monkeypatch.setattr(fc.checks, "np", counted)
+    return calls
+
+
+def _trips(calls, check, *args):
+    """check(*args) and the argmax calls it made."""
+    before = calls[0]
+    result = check(*args)
+    return result, calls[0] - before
+
+
+@pytest.mark.parametrize(
+    "name", ["trivial", "z4", "cubic_rotations", "transverse_z_20", "transverse_z_190"]
+)
+def test_each_check_calls_argmax_once_a_row(monkeypatch, name):
+    """perfbench's tracer counts a check's trips as its calls of
+    checks.np.argmax and pins them at the rows: the group's order for
+    symmetry, observers x order for frame indifference, the observers for
+    observer independence, and none for zero_map, whose trips are its
+    evaluate calls.  _worst makes those calls, one per row, whatever the
+    blocks it is handed; changing that rule is a benchmark change (ROADMAP
+    item 1)."""
+    calls = _argmax_calls(monkeypatch)
+    group = fc.catalog_lookup(name)
+    for label, model in MODEL_ROSTER:
+        assert _trips(calls, fc.check_symmetry, model, group, CFG)[1] == group.order, label
+        for count in (1, 4):
+            observers = fc.random_observers(count, 0)
+            _, trips = _trips(calls, fc.check_frame_indifference, model, group, observers, CFG)
+            assert trips == count * group.order, (label, count)
+            _, trips = _trips(calls, fc.check_observer_independence, model, observers, CFG)
+            assert trips == count, (label, count)
+        assert _trips(calls, fc.check_zero_map, model, CFG)[1] == 0, label
+
+
+def test_isotropy_calls_argmax_once_a_cubic_rotation_when_they_decide(monkeypatch):
+    """Every law of the roster is decided on the 24 cubic rotations, certified
+    or failed, and isotropy's trips are their rows."""
+    calls = _argmax_calls(monkeypatch)
+    for label, model in MODEL_ROSTER:
+        result, trips = _trips(calls, fc.check_isotropy, model, CFG)
+        assert not result.note.startswith("sampled check"), label
+        assert trips == 24, label
 
 
 def test_observer_checks_refuse_no_observers():

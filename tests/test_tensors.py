@@ -390,6 +390,36 @@ def test_seeded_draws_keep_their_bits():
     )
 
 
+class _RecordedRandom(random.Random):
+    """A stream that records the bit count of each getrandbits call."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.asked = []
+
+    def getrandbits(self, k):
+        self.asked.append(k)
+        return super().getrandbits(k)
+
+
+def test_uniforms_draw_in_chunks_that_keep_their_bits(monkeypatch):
+    """CPython takes getrandbits' bit count as a C int: one call for 2^25
+    values or more raised OverflowError.  The values come in chunks of at
+    most _DRAW_CHUNK, and the chunks join into the stream's own values,
+    2 random() - 1 bit for bit, whatever the chunk size."""
+    assert 64 * fc.tensors._DRAW_CHUNK <= 2**31 - 1
+    monkeypatch.setattr(fc.tensors, "_DRAW_CHUNK", 3)
+    for count, asked in ((10, [192, 192, 192, 64]), (6, [192, 192]), (2, [128])):
+        rng = _RecordedRandom(11)
+        got = fc.tensors._uniforms(rng, count)
+        assert rng.asked == asked
+        ref = random.Random(11)
+        want = np.array([2.0 * ref.random() - 1.0 for _ in range(count)])
+        assert np.array_equal(got, want), count
+        # the stream goes on where the draw left it
+        assert rng.random() == ref.random()
+
+
 def test_observer_stream_is_separate_from_orthogonal_stream():
     # same seed, different derived streams: the draws must not coincide
     q = fc.random_orthogonal(5)
